@@ -22,8 +22,7 @@ from .diagram import (
     cayley_mixed_volume_identity,
     cone_reduction_identity,
     diagram_facets,
-    zeta_full,
-    zeta_torus,
+    zeta_torus_and_full,
 )
 from .factored import factor
 from .germ import (
@@ -37,6 +36,7 @@ from .germ import (
     support,
     suspend_germ,
 )
+from .lattice import InvariantViolation
 from .nondegeneracy import COUNTEREXAMPLE, nondegeneracy_check
 from .randomized import cayley_suite, cone_suite
 
@@ -163,8 +163,7 @@ def _warn_nondegeneracy(report):
 
 def cmd_zeta(args) -> int:
     F, names = _load_germ(args)
-    torus = zeta_torus(F)
-    affine = zeta_full(F)
+    torus, affine = zeta_torus_and_full(F)
     report = nondegeneracy_check(F)
     if args.format == "json":
         print(json.dumps({
@@ -363,7 +362,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except InvariantViolation as exc:
+        print(f"internal error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

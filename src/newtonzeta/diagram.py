@@ -124,14 +124,24 @@ def zeta_torus(F: GermSeries) -> FactoredZeta:
     return zeta_I(F, range(F.num_vars))
 
 
+def zeta_torus_and_full(F: GermSeries) -> tuple[FactoredZeta, FactoredZeta]:
+    """``(zeta_torus(F), zeta_full(F))``, each index set computed once.
+
+    The torus zeta function is the contribution of the full index set,
+    which is also one of the factors of the affine one.
+    """
+    n = F.num_vars - 1
+    parts = {I: zeta_I(F, I) for I in index_sets_with_zero(n)}
+    return parts[tuple(range(n + 1))], factor(1, 1) * product(parts.values())
+
+
 def zeta_full(F: GermSeries) -> FactoredZeta:
     """Monodromy zeta function of the deformed hypersurface in affine space.
 
     (1 - t) times the product of the torus contributions over all index
     sets containing the deformation direction.
     """
-    n = F.num_vars - 1
-    return factor(1, 1) * product(zeta_I(F, I) for I in index_sets_with_zero(n))
+    return zeta_torus_and_full(F)[1]
 
 
 def zeta_classical(f: GermSeries) -> FactoredZeta:

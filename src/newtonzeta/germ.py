@@ -332,12 +332,41 @@ def germ_to_json(F: GermSeries, var_names) -> dict:
     }
 
 
+def _json_coef(c, k: int) -> Fraction:
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise ValueError(f"term {k}: 'coef' must be an integer or a rational string")
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"term {k}: 'coef' {c!r} is not a rational number "
+                         "with nonzero denominator") from None
+
+
 def germ_from_json(obj) -> tuple[GermSeries, list[str]]:
+    """Germ and variable names from the object ``germ_to_json`` writes.
+
+    Raises ValueError naming the first malformed field.
+    """
     if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
         raise ValueError("germ JSON needs 'vars' and 'terms' fields")
-    names = [str(v) for v in obj["vars"]]
+    names = obj["vars"]
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ValueError("germ JSON 'vars' must be a list of strings")
     if len(names) < 2:
         raise ValueError("need the deformation parameter and at least one z-variable")
-    items = [(tuple(int(k) for k in t["exp"]), Fraction(t["coef"]))
-             for t in obj["terms"]]
-    return make_germ(len(names), items), names
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+    terms = obj["terms"]
+    if not isinstance(terms, list):
+        raise ValueError("germ JSON 'terms' must be a list of term objects")
+    items = []
+    for k, t in enumerate(terms):
+        if not isinstance(t, dict) or "exp" not in t or "coef" not in t:
+            raise ValueError(f"term {k}: needs 'exp' and 'coef' fields")
+        exp = t["exp"]
+        if not isinstance(exp, list) or len(exp) != len(names) \
+                or not all(type(x) is int for x in exp):
+            raise ValueError(f"term {k}: 'exp' must be a list of "
+                             f"{len(names)} integers")
+        items.append((tuple(exp), _json_coef(t["coef"], k)))
+    return make_germ(len(names), items), list(names)

@@ -5,20 +5,27 @@ lattices, normalized lattice volumes, Minkowski sums, and mixed volumes.
 Everything runs on Python ints and ``fractions.Fraction``; no floating
 point enters this module, so all results are exact.
 
-The hull algorithm is deliberately the brute-force one (enumerate point
-subsets, test one-sidedness): it is exact and entirely adequate at the
-problem sizes this package targets (ambient dimension <= ~6, a few dozen
-points).
+Facets come from one integer double-description routine (``cone_facets``,
+after Fukuda & Prodon, *Double description method revisited*, 1996): a
+bounded hull is the cone over its points lifted to height one, a Newton
+polyhedron the same cone plus its recession rays at height zero.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
 Vector = tuple[int, ...]
+
+
+class InvariantViolation(Exception):
+    """An internal invariant of the exact geometry does not hold.
+
+    Not a ``ValueError``: it signals a defect in the program, never bad
+    input, and the command line reports it as an internal error.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +118,26 @@ def mat_rank(rows) -> int:
     return rank
 
 
-def _independent_rows(rows) -> list[Vector]:
-    """Greedy maximal linearly independent subset, in input order."""
-    echelon: list[tuple[int, list[Fraction]]] = []
-    out: list[Vector] = []
-    for v in rows:
-        w = [Fraction(x) for x in v]
+def _independent_indices(rows, limit: int) -> list[int]:
+    """Indices of a greedy maximal independent subset of integer rows, in
+    input order and at most ``limit`` of them (fraction-free echelon)."""
+    echelon: list[tuple[int, list[int]]] = []
+    out: list[int] = []
+    for idx, v in enumerate(rows):
+        w = list(v)
         for pc, er in echelon:
-            if w[pc]:
-                f = w[pc]
-                w = [a - f * b for a, b in zip(w, er)]
+            f = w[pc]
+            if f:
+                e = er[pc]
+                w = [e * x - f * y for x, y in zip(w, er)]
         pc = next((i for i, x in enumerate(w) if x), None)
         if pc is None:
             continue
-        inv = Fraction(1) / w[pc]
-        echelon.append((pc, [x * inv for x in w]))
-        out.append(tuple(int(x) for x in v))
+        g = vector_gcd(w)
+        echelon.append((pc, [x // g for x in w]))
+        out.append(idx)
+        if len(out) == limit:
+            break
     return out
 
 
@@ -143,11 +154,13 @@ def _cross_normal(vecs, d: int) -> Vector | None:
 
 def orthocomplement_line(vectors, d: int) -> Vector:
     """Primitive integer normal to a (d-1)-dimensional span of integer vectors."""
-    ind = _independent_rows(vectors)
+    rows = [tuple(int(x) for x in v) for v in vectors]
+    ind = [rows[i] for i in _independent_indices(rows, d)]
     if len(ind) != d - 1:
         raise ValueError("span does not have codimension one")
     a = _cross_normal(ind, d)
-    assert a is not None
+    if a is None:
+        raise InvariantViolation("independent rows gave a zero normal")
     return primitive(a)
 
 
@@ -326,47 +339,110 @@ class HullFacet:
     offset: int
 
 
-def _facet_enum_full(pts, d: int) -> list[tuple[Vector, int]]:
-    """(inner normal, offset) pairs for a full-dimensional point set."""
-    found: dict[tuple[Vector, int], None] = {}
-    for combo in itertools.combinations(range(len(pts)), d):
-        skip = False
-        for a, c in found:
-            if all(_dot(a, pts[i]) == c for i in combo):
-                skip = True
-                break
-        if skip:
-            continue
-        p0 = pts[combo[0]]
-        vecs = [_sub(pts[i], p0) for i in combo[1:]]
-        a = _cross_normal(vecs, d)
-        if a is None:
-            continue
-        a = primitive(a)
-        c = _dot(a, p0)
-        lo = hi = False
-        for p in pts:
-            t = _dot(a, p)
-            if t < c:
-                lo = True
-            elif t > c:
-                hi = True
-        if lo and hi:
-            continue
-        if not (lo or hi):
-            continue  # cannot happen for a full-dimensional set
-        if lo:
-            a, c = _neg(a), -c
-        found[(a, c)] = None
-    return sorted(found)
+def _scaled_inverse_columns(B) -> list[list[int]]:
+    """Columns r_j of lam * B^-1 for a nonsingular square integer B, where
+    lam is a nonzero integer; ``B r_j = lam e_j`` for every j.
+
+    Fraction-free Gauss-Jordan on [B | I]: each step replaces the rows off
+    the pivot by (pivot * row - entry * pivot row) / previous pivot, which
+    divides exactly, and ends with [lam I | lam B^-1].
+    """
+    n = len(B)
+    a = [list(row) + [1 if i == j else 0 for j in range(n)]
+         for i, row in enumerate(B)]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                raise InvariantViolation("basis matrix is singular")
+            a[k], a[piv] = a[piv], a[k]
+        rk = a[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = a[i]
+                f = ri[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    return [[a[i][n + j] for i in range(n)] for j in range(n)]
 
 
-def _vertices_from_facets(pts, plane_facets, d: int) -> list[Vector]:
-    """Points whose active facet normals span R^d (the true corners)."""
+def cone_facets(gens) -> list[tuple[Vector, int]]:
+    """Facets of the cone spanned by integer generators that span R^D.
+
+    Returns ``(y, zeros)`` pairs: ``y`` is a primitive inner facet normal
+    (``y . g >= 0`` for every generator ``g``) and ``zeros`` the bitmask of
+    the generators (bit i for ``gens[i]``) on which ``y`` vanishes.  A
+    point ``p`` enters as ``(1, p)``, a recession ray ``r`` as ``(0, r)``.
+
+    Double description on the dual cone {y : y . g >= 0}: start from the
+    simplicial cone of D independent generators, whose extreme rays are the
+    columns of a scaled inverse, then add the remaining generators in
+    sorted order.  A ray on the positive and one on the negative side of
+    the new constraint are adjacent when their common zero set Z has at
+    least D - 2 generators and no third ray vanishes on all of Z; each
+    adjacent pair gives one new ray in the new hyperplane.  Integers only.
+    """
+    gens = [tuple(int(x) for x in g) for g in gens]
+    D = len(gens[0])
+    basis = _independent_indices(gens, D)
+    if len(basis) < D:
+        raise InvariantViolation("cone generators do not span the ambient space")
+    full = 0
+    for i in basis:
+        full |= 1 << i
+    B = [gens[i] for i in basis]
+    rays = []
+    for j, r in enumerate(_scaled_inverse_columns(B)):
+        if _dot(B[j], r) < 0:
+            r = _neg(r)
+        rays.append((primitive(r), full & ~(1 << basis[j])))
+    chosen = set(basis)
+    for g, k in sorted((g, i) for i, g in enumerate(gens) if i not in chosen):
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            s = _dot(g, r)
+            if s > 0:
+                pos.append((r, z, s))
+                kept.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                kept.append((r, z | bit))
+        if neg:
+            masks = [z for _, z in rays]
+            for p, zp, sp in pos:
+                for n, zn, sn in neg:
+                    z = zp & zn
+                    if z.bit_count() < D - 2 or \
+                            sum(1 for m in masks if m & z == z) > 2:
+                        continue
+                    v = [sp * x - sn * y for x, y in zip(n, p)]
+                    c = gcd(*v)
+                    kept.append((tuple(x // c for x in v), z | bit))
+        rays = kept
+    return rays
+
+
+def _facet_enum_full(pts) -> list[tuple[Vector, int]]:
+    """Sorted (inner normal, offset) pairs for a full-dimensional point set."""
+    lifted = [(1,) + tuple(p) for p in pts]
+    return sorted((y[1:], -y[0]) for y, _ in cone_facets(lifted))
+
+
+def _vertices_from_facets(pts, plane_facets) -> list[Vector]:
+    """The corners among distinct points of a full-dimensional set.
+
+    A point is a vertex iff no other point lies on every facet through it
+    (an interior point lies on no facet, so every other point qualifies).
+    """
+    incident = [sum(1 << k for k, (a, c) in enumerate(plane_facets)
+                    if _dot(a, p) == c) for p in pts]
     verts = []
-    for p in pts:
-        active = [a for a, c in plane_facets if _dot(a, p) == c]
-        if len(active) >= d and mat_rank(active) == d:
+    for p, mp in zip(pts, incident):
+        if sum(1 for mq in incident if mq & mp == mp) == 1:
             verts.append(p)
     return verts
 
@@ -393,8 +469,8 @@ def convex_hull(points):
     if dim == 0:
         return [base], 0, []
     if dim == d:
-        planes = _facet_enum_full(uniq, d)
-        vertices = _vertices_from_facets(uniq, planes, d)
+        planes = _facet_enum_full(uniq)
+        vertices = _vertices_from_facets(uniq, planes)
         facets = [
             HullFacet(
                 tuple(i for i, p in enumerate(pts_in) if _dot(a, p) == c),
@@ -477,8 +553,8 @@ def _triangulate_full(pts, l: int):
     full-dimensional point set in Z^l; yields (l+1)-tuples of vertices."""
     if l == 0:
         return [(pts[0],)]
-    planes = _facet_enum_full(pts, l)
-    verts = _vertices_from_facets(pts, planes, l)
+    planes = _facet_enum_full(pts)
+    verts = _vertices_from_facets(pts, planes)
     if len(verts) == l + 1:
         return [tuple(verts)]
     apex = verts[0]

@@ -19,17 +19,16 @@ Verdicts:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .germ import Exponent, GermSeries, support
 from .lattice import (
-    _cross_normal,
+    InvariantViolation,
     _dot,
-    _neg,
     _sub,
+    cone_facets,
     mat_rank,
     primitive,
     smith_normal_form,
@@ -88,24 +87,11 @@ def newton_polyhedron_facets(points, d: int):
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     if not pts:
         raise ValueError("empty support")
-    units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    found: dict[tuple[tuple[int, ...], int], None] = {}
-    for size_t in range(1, min(d, len(pts)) + 1):
-        size_e = d - size_t
-        for T in itertools.combinations(range(len(pts)), size_t):
-            base = pts[T[0]]
-            tv = [_sub(pts[i], base) for i in T[1:]]
-            for E in itertools.combinations(range(d), size_e):
-                a = _cross_normal(tv + [units[i] for i in E], d)
-                if a is None:
-                    continue
-                a = primitive(a)
-                for cand in (a, _neg(a)):
-                    c = _dot(cand, base)
-                    if all(x >= 0 for x in cand) and \
-                            all(_dot(cand, p) >= c for p in pts):
-                        found[(cand, c)] = None
-                        break
+    gens = [(1,) + p for p in pts] + \
+        [(0,) * (i + 1) + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    # the normal with a = 0 is the facet at infinity, not a facet of the
+    # polyhedron
+    found = [(y[1:], -y[0]) for y, _ in cone_facets(gens) if any(y[1:])]
     out = []
     for a, c in sorted(found):
         on = frozenset(p for p in pts if _dot(a, p) == c)
@@ -222,17 +208,20 @@ def _int_inverse(M):
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
+    if any(x.denominator != 1 for row in out for x in row):
+        raise InvariantViolation("unimodular matrix has a non-integer inverse")
     return [[int(x) for x in row] for row in out]
 
 
 def _complete_unimodular(w):
     """Unimodular integer matrix whose first row is the primitive vector w."""
     _, D, V = smith_normal_form([list(w)])
-    assert D[0][0] == 1
+    if D[0][0] != 1:
+        raise InvariantViolation("edge direction is not primitive")
     if tuple(V[0]) != tuple(w):
         V = [[-x for x in V[0]]] + [list(r) for r in V[1:]]
-    assert tuple(V[0]) == tuple(w)
+    if tuple(V[0]) != tuple(w):
+        raise InvariantViolation("unimodular completion lost the edge direction")
     return [list(r) for r in V]
 
 
@@ -269,11 +258,14 @@ def _edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
         Vinv = _int_inverse(V)
         witness = tuple(root ** Vinv[i][0] for i in range(d))
         face_terms = [(p, F.terms[p]) for p in pts]
-        assert _evaluate_germ(face_terms, witness) == 0
+        if _evaluate_germ(face_terms, witness) != 0:
+            raise InvariantViolation("witness is not a zero of the face polynomial")
         for i in range(d):
             dterms = [(tuple(k - (1 if t == i else 0) for t, k in enumerate(e)),
                        c * e[i]) for e, c in face_terms if e[i]]
-            assert _evaluate_germ(dterms, witness) == 0
+            if _evaluate_germ(dterms, witness) != 0:
+                raise InvariantViolation(
+                    "witness is not a critical point of the face polynomial")
     degree_drop = len(h) - 1
     return FaceVerdict(
         pts, 1, COUNTEREXAMPLE, witness,

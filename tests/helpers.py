@@ -8,7 +8,15 @@ from math import gcd
 
 from newtonzeta.factored import FactoredZeta, factor, one
 from newtonzeta.germ import GermSeries, make_germ
-from newtonzeta.lattice import int_det, mat_rank
+from newtonzeta.lattice import (
+    _cross_normal,
+    _dot,
+    _neg,
+    _sub,
+    int_det,
+    mat_rank,
+    primitive,
+)
 from newtonzeta.randomized import (  # noqa: F401 (re-exported for tests)
     random_convenient_germ,
     random_nonzero_fraction,
@@ -24,6 +32,92 @@ def random_lattice_simplex(rng, d, l, coord_bound=6):
         diffs = [tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]]
         if mat_rank(diffs) == l:
             return pts
+
+
+def random_point_set(rng, d, count, bound, flat_share=0.0, line_share=0.0):
+    """Distinct integer points in [-bound, bound]^d.
+
+    A share ``flat_share`` of them is pushed into the hyperplane x_d = 0,
+    and a share ``line_share`` onto the line through 0 and (1, 2, ..., d),
+    so that many points are coplanar or collinear.
+    """
+    count = min(count, (2 * bound + 1) ** d)
+    pts = set()
+    while len(pts) < count:
+        u = rng.random()
+        if u < line_share:
+            k = rng.randint(-bound, bound)
+            p = tuple(k * (i + 1) for i in range(d))
+        else:
+            p = [rng.randint(-bound, bound) for _ in range(d)]
+            if u < line_share + flat_share:
+                p[-1] = 0
+            p = tuple(p)
+        pts.add(p)
+    return sorted(pts)
+
+
+def brute_facet_enum_full(pts, d):
+    """Sorted (inner normal, offset) pairs of a full-dimensional point set.
+
+    Reference for the double-description engine: every d-subset of the
+    points spans a candidate hyperplane, kept when all points lie on one
+    side of it.
+    """
+    found = set()
+    for combo in itertools.combinations(range(len(pts)), d):
+        p0 = pts[combo[0]]
+        a = _cross_normal([_sub(pts[i], p0) for i in combo[1:]], d)
+        if a is None:
+            continue
+        a = primitive(a)
+        c = _dot(a, p0)
+        values = [_dot(a, p) for p in pts]
+        if min(values) >= c:
+            found.add((a, c))
+        elif max(values) <= c:
+            found.add((_neg(a), -c))
+    return sorted(found)
+
+
+def rank_vertices(pts, plane_facets, d):
+    """Points whose incident facet normals span R^d (the rank rule)."""
+    verts = []
+    for p in pts:
+        active = [a for a, c in plane_facets if _dot(a, p) == c]
+        if len(active) >= d and mat_rank(active) == d:
+            verts.append(p)
+    return verts
+
+
+def brute_newton_polyhedron_facets(points, d):
+    """Reference for ``newton_polyhedron_facets``: facets of
+    conv(points) + R_+^d through t points and d - t unit directions, over
+    every choice of both."""
+    pts = sorted(set(tuple(p) for p in points))
+    units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    found = set()
+    for size_t in range(1, min(d, len(pts)) + 1):
+        for T in itertools.combinations(range(len(pts)), size_t):
+            base = pts[T[0]]
+            tv = [_sub(pts[i], base) for i in T[1:]]
+            for E in itertools.combinations(range(d), d - size_t):
+                a = _cross_normal(tv + [units[i] for i in E], d)
+                if a is None:
+                    continue
+                a = primitive(a)
+                for cand in (a, _neg(a)):
+                    c = _dot(cand, base)
+                    if all(x >= 0 for x in cand) and \
+                            all(_dot(cand, p) >= c for p in pts):
+                        found.add((cand, c))
+                        break
+    out = []
+    for a, c in sorted(found):
+        on = frozenset(p for p in pts if _dot(a, p) == c)
+        axes = frozenset(i for i in range(d) if a[i] == 0)
+        out.append((a, c, on, axes))
+    return out
 
 
 def random_unimodular(rng, d, steps=8):

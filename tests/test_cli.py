@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from newtonzeta.cli import main
 
 
@@ -182,3 +184,45 @@ def test_exclusive_germ_sources(capsys, tmp_path):
                        "--germ-file", str(p), "--vars", "s,z1")
     assert code == 1
     assert "not both" in err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"vars": ["s", "z1"], "terms": 5}, "'terms' must be a list"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2], "coef": "1/0"}]},
+     "nonzero denominator"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2], "coef": "x"}]},
+     "not a rational number"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2], "coef": 0.5}]},
+     "integer or a rational string"),
+    ({"vars": ["s", "s"], "terms": [{"exp": [0, 2], "coef": "1"}]},
+     "duplicate variable names"),
+    ({"vars": "s,z1", "terms": [{"exp": [0, 2], "coef": "1"}]},
+     "'vars' must be a list of strings"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2]}]},
+     "needs 'exp' and 'coef'"),
+    ({"vars": ["s", "z1"], "terms": [[0, 2]]}, "needs 'exp' and 'coef'"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2, 1], "coef": "1"}]},
+     "list of 2 integers"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, "2"], "coef": "1"}]},
+     "list of 2 integers"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": 2, "coef": "1"}]},
+     "list of 2 integers"),
+])
+def test_malformed_json_germ_is_an_input_error(capsys, doc, message):
+    code, out, err = run(capsys, "zeta", "--germ", json.dumps(doc))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_invariant_violation_exits_3(capsys, monkeypatch):
+    import newtonzeta.lattice as lattice
+
+    # a rank that calls every nonempty point set full-dimensional sends a
+    # segment in Z^2 to the facet engine, whose generators cannot span R^3
+    monkeypatch.setattr(lattice, "mat_rank",
+                        lambda rows: len(rows[0]) if rows else 0)
+    code, out, err = run(capsys, "zeta", "--germ", "z1^2-s", "--vars", "s,z1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: invariant violated")

@@ -1,0 +1,132 @@
+"""The double-description facet engine against the brute-force searches."""
+
+import random
+
+import pytest
+
+from helpers import (
+    brute_facet_enum_full,
+    brute_newton_polyhedron_facets,
+    random_point_set,
+    rank_vertices,
+)
+from newtonzeta.lattice import (
+    InvariantViolation,
+    _dot,
+    _facet_enum_full,
+    _vertices_from_facets,
+    cone_facets,
+    convex_hull,
+    mat_rank,
+    vector_gcd,
+)
+from newtonzeta.nondegeneracy import newton_polyhedron_facets
+
+
+def _full_dimensional(pts, d):
+    return mat_rank([tuple(x - y for x, y in zip(p, pts[0]))
+                     for p in pts[1:]]) == d
+
+
+def _point_sets(rng, d, count, cases):
+    """Full-dimensional sets: general, coplanar-heavy, collinear-heavy."""
+    out = []
+    shares = [(0.0, 0.0), (0.7, 0.0), (0.0, 0.6), (0.4, 0.4)]
+    while len(out) < cases:
+        flat, line = shares[len(out) % len(shares)]
+        pts = random_point_set(rng, d, rng.randint(d + 1, count),
+                               rng.choice([1, 2, 3]), flat, line)
+        if _full_dimensional(pts, d):
+            out.append(pts)
+    return out
+
+
+@pytest.mark.parametrize("d,count,cases",
+                         [(1, 6, 30), (2, 14, 60), (3, 14, 60),
+                          (4, 11, 30), (5, 9, 12)])
+def test_hull_facets_and_vertices_match_brute_force(d, count, cases):
+    rng = random.Random(1000 + d)
+    for pts in _point_sets(rng, d, count, cases):
+        planes = _facet_enum_full(pts)
+        assert planes == brute_facet_enum_full(pts, d)
+        assert _vertices_from_facets(pts, planes) == rank_vertices(pts, planes, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lattice_boxes(d):
+    # every lattice point of a box: most points lie on facets, few are
+    # corners, and many facet pairs share long collinear zero sets
+    rng = random.Random(7 + d)
+    for _ in range(3):
+        sides = [rng.randint(1, 2) for _ in range(d)]
+        pts = [()]
+        for s in sides:
+            pts = [p + (x,) for p in pts for x in range(s + 1)]
+        planes = _facet_enum_full(pts)
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        assert planes == sorted([(u, 0) for u in units]
+                                + [(tuple(-x for x in u), -s)
+                                   for u, s in zip(units, sides)])
+        verts = _vertices_from_facets(pts, planes)
+        assert verts == rank_vertices(pts, planes, d)
+        assert len(verts) == 2 ** d
+
+
+@pytest.mark.parametrize("d,count,cases",
+                         [(1, 8, 20), (2, 20, 40), (3, 20, 25),
+                          (4, 20, 6), (5, 12, 4), (6, 9, 2)])
+def test_newton_polyhedron_facets_match_brute_force(d, count, cases):
+    rng = random.Random(2000 + d)
+    for k in range(cases):
+        flat, line = [(0.0, 0.0), (0.6, 0.0), (0.0, 0.5)][k % 3]
+        pts = [tuple(abs(x) for x in p)
+               for p in random_point_set(rng, d, rng.randint(1, count),
+                                         rng.choice([2, 3, 5]), flat, line)]
+        assert newton_polyhedron_facets(pts, d) == \
+            brute_newton_polyhedron_facets(pts, d)
+
+
+@pytest.mark.parametrize("p", [(0, 3), (2, 0, 1), (1, 1, 1, 1)])
+def test_single_point(p):
+    d = len(p)
+    facets = newton_polyhedron_facets([p], d)
+    assert facets == brute_newton_polyhedron_facets([p], d)
+    # the orthant at p: one facet x_i >= p_i per axis
+    assert [(a, c) for a, c, _, _ in facets] == \
+        sorted((tuple(int(i == j) for j in range(d)), p[i]) for i in range(d))
+    assert convex_hull([p]) == ([p], 0, [])
+
+
+def test_facet_at_infinity_is_dropped():
+    rng = random.Random(3)
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        pts = [tuple(rng.randint(0, 4) for _ in range(d))
+               for _ in range(rng.randint(1, 8))]
+        pts = sorted(set(pts))
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        cone = [y for y, _ in cone_facets([(1,) + p for p in pts]
+                                          + [(0,) + u for u in units])]
+        assert (1,) + (0,) * d in cone
+        facets = newton_polyhedron_facets(pts, d)
+        assert len(facets) == len(cone) - 1
+        assert all(any(a) for a, _, _, _ in facets)
+
+
+def test_cone_facets_zero_sets_and_primitivity():
+    rng = random.Random(11)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        gens = [(1,) + p for p in random_point_set(rng, d, rng.randint(1, 9), 2)]
+        gens += [(0,) + tuple(int(i == j) for j in range(d)) for i in range(d)]
+        for y, zeros in cone_facets(gens):
+            assert vector_gcd(y) == 1
+            values = [_dot(y, g) for g in gens]
+            assert min(values) >= 0
+            assert zeros == sum(1 << i for i, v in enumerate(values) if v == 0)
+
+
+def test_cone_facets_rejects_generators_not_spanning():
+    with pytest.raises(InvariantViolation):
+        cone_facets([(1, 0, 0), (1, 1, 0), (1, 2, 0)])
+    assert not issubclass(InvariantViolation, ValueError)
