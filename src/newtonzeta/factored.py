@@ -13,12 +13,18 @@ import re
 from dataclasses import dataclass
 
 
-def _divisors(m: int):
-    out = []
-    for d in range(1, m + 1):
+def _divisors(m: int) -> list[int]:
+    """Positive divisors of |m| in increasing order (none for 0)."""
+    m = abs(m)
+    small, large = [], []
+    d = 1
+    while d * d <= m:
         if m % d == 0:
-            out.append(d)
-    return out
+            small.append(d)
+            if d * d != m:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,8 @@ def parse_factored(text: str) -> FactoredZeta:
         if m is None:
             raise ValueError(f"bad factored form at position {pos}: {s[pos:]!r}")
         base = int(m.group(1)) if m.group(1) else 1
+        if base == 0:
+            raise ValueError(f"exponent base 0 at position {pos}: {s[pos:]!r}")
         e = int(m.group(2)) if m.group(2) else 1
         acc[base] = acc.get(base, 0) + e
         pos = m.end()

@@ -2,8 +2,14 @@
 
 Convex hulls with primitive inner normals, Smith normal form, saturation
 lattices, normalized lattice volumes, Minkowski sums, and mixed volumes.
-Everything runs on Python ints and ``fractions.Fraction``; no floating
-point enters this module, so all results are exact.
+Everything runs on Python ints; ``fractions.Fraction`` appears only in the
+mixed-volume results.  No floating point enters this module, so all
+results are exact.
+
+Every exact elimination (rank, coordinates in a basis, scaled inverses,
+the interpolation solve) is one fraction-free Gauss-Jordan routine,
+``_gauss_jordan`` (Bareiss, *Sylvester's identity and multistep
+integer-preserving Gaussian elimination*, Math. Comp. 22, 1968).
 
 Facets come from one integer double-description routine (``cone_facets``,
 after Fukuda & Prodon, *Double description method revisited*, 1996): a
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 Vector = tuple[int, ...]
 
@@ -94,51 +100,60 @@ def int_det(rows) -> int:
     return sign * a[-1][-1]
 
 
-def mat_rank(rows) -> int:
-    """Rank over the rationals of a list of integer row vectors."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+def _gauss_jordan(rows, width=None):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+
+    Pivots are taken left to right in the first ``width`` columns (all by
+    default), each in the first remaining row that is nonzero there.  Every
+    step replaces each row off the pivot by (pivot * row - entry * pivot
+    row) / previous pivot, which divides exactly.  Returns ``(pivots, a,
+    p)``: the pivot columns, the reduced rows, reordered so that row i
+    holds the pivot of column ``pivots[i]``, and the common pivot value
+    ``p`` (1 without pivots).  Row i is ``p`` in column ``pivots[i]`` and
+    0 in the other pivot columns; the rows past ``len(pivots)`` are 0 in
+    the first ``width`` columns.  A nonsingular ``[B | I]`` thus ends as
+    ``[p I | p B^-1]``.
+
+    >>> _gauss_jordan([[2, 1, 1], [4, 3, 5]])
+    ([0, 1], [[2, 0, -2], [0, 2, 6]], 2)
+    >>> _gauss_jordan([[1, 2], [2, 4]])
+    ([0], [[1, 2], [0, 0]], 1)
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    if width is None:
+        width = len(a[0]) if a else 0
+    pivots: list[int] = []
+    prev = 1
+    for c in range(width):
+        k = len(pivots)
+        if k == n:
+            break
+        piv = next((i for i in range(k, n) if a[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        a[k], a[piv] = a[piv], a[k]
+        rk = a[k]
+        p = rk[c]
+        for i in range(n):
+            if i != k:
+                ri = a[i]
+                f = ri[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+        pivots.append(c)
+    return pivots, a, prev
 
 
-def _independent_indices(rows, limit: int) -> list[int]:
+def mat_rank(rows) -> int:
+    """Rank over the rationals of a list of integer row vectors."""
+    return len(_gauss_jordan(rows)[0])
+
+
+def _independent_indices(rows) -> list[int]:
     """Indices of a greedy maximal independent subset of integer rows, in
-    input order and at most ``limit`` of them (fraction-free echelon)."""
-    echelon: list[tuple[int, list[int]]] = []
-    out: list[int] = []
-    for idx, v in enumerate(rows):
-        w = list(v)
-        for pc, er in echelon:
-            f = w[pc]
-            if f:
-                e = er[pc]
-                w = [e * x - f * y for x, y in zip(w, er)]
-        pc = next((i for i, x in enumerate(w) if x), None)
-        if pc is None:
-            continue
-        g = vector_gcd(w)
-        echelon.append((pc, [x // g for x in w]))
-        out.append(idx)
-        if len(out) == limit:
-            break
-    return out
+    input order: the pivot columns of the transpose."""
+    return _gauss_jordan(list(zip(*rows)))[0]
 
 
 def _cross_normal(vecs, d: int) -> Vector | None:
@@ -155,7 +170,7 @@ def _cross_normal(vecs, d: int) -> Vector | None:
 def orthocomplement_line(vectors, d: int) -> Vector:
     """Primitive integer normal to a (d-1)-dimensional span of integer vectors."""
     rows = [tuple(int(x) for x in v) for v in vectors]
-    ind = [rows[i] for i in _independent_indices(rows, d)]
+    ind = [rows[i] for i in _independent_indices(rows)]
     if len(ind) != d - 1:
         raise ValueError("span does not have codimension one")
     a = _cross_normal(ind, d)
@@ -294,33 +309,17 @@ def coords_in_basis(basis, v) -> Vector:
         if any(v):
             raise ValueError("vector outside the span")
         return ()
-    d = len(v)
-    aug = [[Fraction(basis[i][j]) for i in range(r)] + [Fraction(v[j])]
-           for j in range(d)]
-    row = 0
-    pivots = []
-    for c in range(r):
-        pr = next((i for i in range(row, d) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = Fraction(1) / aug[row][c]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(d):
-            if i != row and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append((row, c))
-        row += 1
-    sol = [Fraction(0)] * r
-    for rr, c in pivots:
-        sol[c] = aug[rr][r]
-    for j in range(d):
-        if sum(sol[i] * basis[i][j] for i in range(r)) != v[j]:
-            raise ValueError("vector outside the span")
-    if any(x.denominator != 1 for x in sol):
-        raise ValueError("vector outside the lattice generated by the basis")
-    return tuple(int(x) for x in sol)
+    aug = [[b[j] for b in basis] + [x] for j, x in enumerate(v)]
+    pivots, a, p = _gauss_jordan(aug, r)
+    if any(row[r] for row in a[len(pivots):]):
+        raise ValueError("vector outside the span")
+    sol = [0] * r
+    for row, c in zip(a, pivots):
+        q, rem = divmod(row[r], p)
+        if rem:
+            raise ValueError("vector outside the lattice generated by the basis")
+        sol[c] = q
+    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +340,14 @@ class HullFacet:
 
 def _scaled_inverse_columns(B) -> list[list[int]]:
     """Columns r_j of lam * B^-1 for a nonsingular square integer B, where
-    lam is a nonzero integer; ``B r_j = lam e_j`` for every j.
-
-    Fraction-free Gauss-Jordan on [B | I]: each step replaces the rows off
-    the pivot by (pivot * row - entry * pivot row) / previous pivot, which
-    divides exactly, and ends with [lam I | lam B^-1].
+    lam is a nonzero integer; ``B r_j = lam e_j`` for every j.  They are
+    the right block of ``[B | I]`` after ``_gauss_jordan``.
     """
     n = len(B)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(B)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                raise InvariantViolation("basis matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-        rk = a[k]
-        p = rk[k]
-        for i in range(n):
-            if i != k:
-                ri = a[i]
-                f = ri[k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
-        prev = p
+    pivots, a, _ = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(B)], n)
+    if len(pivots) < n:
+        raise InvariantViolation("basis matrix is singular")
     return [[a[i][n + j] for i in range(n)] for j in range(n)]
 
 
@@ -386,7 +369,7 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
     """
     gens = [tuple(int(x) for x in g) for g in gens]
     D = len(gens[0])
-    basis = _independent_indices(gens, D)
+    basis = _independent_indices(gens)
     if len(basis) < D:
         raise InvariantViolation("cone generators do not span the ambient space")
     full = 0
@@ -639,20 +622,18 @@ def _lattice_volume(K: LatticePolytope, m: int) -> Fraction:
 
 
 def _solve_poly_values(vals) -> list[Fraction]:
-    """Coefficients of the polynomial taking the given values at 0..len-1."""
+    """Coefficients of the polynomial taking the given values at 0..len-1.
+
+    The values are scaled by the lcm L of their denominators, so the
+    Vandermonde system is integral; each coefficient is entry / (p L).
+    """
+    vals = [Fraction(v) for v in vals]
     n = len(vals)
-    aug = [[Fraction(s ** t) for t in range(n)] + [Fraction(vals[s])]
-           for s in range(n)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+    L = lcm(*(v.denominator for v in vals))
+    _, a, p = _gauss_jordan(
+        [[s ** t for t in range(n)] + [v.numerator * (L // v.denominator)]
+         for s, v in enumerate(vals)], n)
+    return [Fraction(row[n], p * L) for row in a]
 
 
 def _two_body_polarization(K0, K1, j: int, m: int) -> Fraction:

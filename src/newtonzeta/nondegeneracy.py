@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .factored import _divisors
 from .germ import Exponent, GermSeries, support
 from .lattice import (
     InvariantViolation,
     _dot,
+    _gauss_jordan,
     _sub,
     cone_facets,
     mat_rank,
@@ -165,6 +167,8 @@ def _poly_gcd(a, b):
 
 def _rational_root(p):
     """Some rational root of a polynomial with Fraction coefficients, or None."""
+    if len(p) == 2:  # linear: its only root, without trial division
+        return -p[0] / p[1]
     lcm = 1
     for c in p:
         lcm = lcm * c.denominator // gcd(lcm, c.denominator)
@@ -174,20 +178,8 @@ def _rational_root(p):
         g = gcd(g, abs(c))
     ip = [c // g for c in ip]
     const, lead = ip[0], ip[-1]
-
-    def divisors(n):
-        n = abs(n)
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.append(i)
-                out.append(n // i)
-            i += 1
-        return sorted(set(out))
-
-    for r in divisors(const):
-        for s in divisors(lead):
+    for r in _divisors(const):
+        for s in _divisors(lead):
             for cand in (Fraction(r, s), Fraction(-r, s)):
                 if sum(c * cand ** i for i, c in enumerate(p)) == 0:
                     return cand
@@ -195,22 +187,14 @@ def _rational_root(p):
 
 
 def _int_inverse(M):
+    """Inverse of a unimodular integer matrix: p times the right block of
+    ``[M | I]`` after ``_gauss_jordan``, whose pivot p is then +-1."""
     n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
+    pivots, a, p = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)], n)
+    if len(pivots) < n or abs(p) != 1:
         raise InvariantViolation("unimodular matrix has a non-integer inverse")
-    return [[int(x) for x in row] for row in out]
+    return [[p * x for x in row[n:]] for row in a]
 
 
 def _complete_unimodular(w):

@@ -9,6 +9,8 @@ from math import gcd
 from newtonzeta.factored import FactoredZeta, factor, one
 from newtonzeta.germ import GermSeries, make_germ
 from newtonzeta.lattice import (
+    InvariantViolation,
+    Vector,
     _cross_normal,
     _dot,
     _neg,
@@ -282,3 +284,108 @@ def nvol_boundary_recursion(points) -> int:
     if dim == 0:
         return 1
     return rec(to_full_dim(pts), dim)
+
+
+# ---------------------------------------------------------------------------
+# Fraction Gauss-Jordan eliminations: the routines the fraction-free kernel
+# ``lattice._gauss_jordan`` replaced, kept as oracles for test_elimination
+
+
+def fraction_mat_rank(rows) -> int:
+    """Rank over the rationals of a list of integer row vectors."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = Fraction(1) / m[rank][c]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def fraction_coords_in_basis(basis, v) -> Vector:
+    """Integer coordinates of v in a basis of independent integer rows.
+
+    Raises ValueError if v is outside the span or outside the lattice the
+    rows generate.
+    """
+    r = len(basis)
+    if r == 0:
+        if any(v):
+            raise ValueError("vector outside the span")
+        return ()
+    d = len(v)
+    aug = [[Fraction(basis[i][j]) for i in range(r)] + [Fraction(v[j])]
+           for j in range(d)]
+    row = 0
+    pivots = []
+    for c in range(r):
+        pr = next((i for i in range(row, d) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[row], aug[pr] = aug[pr], aug[row]
+        inv = Fraction(1) / aug[row][c]
+        aug[row] = [x * inv for x in aug[row]]
+        for i in range(d):
+            if i != row and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
+        pivots.append((row, c))
+        row += 1
+    sol = [Fraction(0)] * r
+    for rr, c in pivots:
+        sol[c] = aug[rr][r]
+    for j in range(d):
+        if sum(sol[i] * basis[i][j] for i in range(r)) != v[j]:
+            raise ValueError("vector outside the span")
+    if any(x.denominator != 1 for x in sol):
+        raise ValueError("vector outside the lattice generated by the basis")
+    return tuple(int(x) for x in sol)
+
+
+def fraction_solve_poly_values(vals) -> list[Fraction]:
+    """Coefficients of the polynomial taking the given values at 0..len-1."""
+    n = len(vals)
+    aug = [[Fraction(s ** t) for t in range(n)] + [Fraction(vals[s])]
+           for s in range(n)]
+    for c in range(n):
+        pr = next(i for i in range(c, n) if aug[i][c])
+        aug[c], aug[pr] = aug[pr], aug[c]
+        inv = Fraction(1) / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [aug[i][n] for i in range(n)]
+
+
+def fraction_int_inverse(M):
+    n = len(M)
+    aug = [[Fraction(M[i][j]) for j in range(n)]
+           + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        pr = next(i for i in range(c, n) if aug[i][c])
+        aug[c], aug[pr] = aug[pr], aug[c]
+        inv = Fraction(1) / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
+    if any(x.denominator != 1 for row in out for x in row):
+        raise InvariantViolation("unimodular matrix has a non-integer inverse")
+    return [[int(x) for x in row] for row in out]

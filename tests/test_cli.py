@@ -226,3 +226,13 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: invariant violated")
+
+
+def test_edge_witness_with_huge_coefficients(capsys):
+    # the edge gcd is linear, so its root is read off, not searched for
+    # among the divisors of a 41-digit constant
+    k = 10 ** 20
+    code, out, _ = run(capsys, "check", "--vars", "s,z1,z2",
+                       "--germ", f"z1^2 - {2 * k}*z1*z2 + {k * k}*z2^2 - s")
+    assert code == 2
+    assert f"critical torus zero at (1, {k}, 1)" in out

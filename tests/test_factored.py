@@ -114,6 +114,11 @@ def test_pretty_parse_roundtrip():
         assert parse_factored(a.pretty()) == a
 
 
+def test_parse_refuses_a_zero_base():
+    with pytest.raises(ValueError, match="exponent base 0"):
+        parse_factored("(1-t^0)^2 (1-t^3)")
+
+
 def test_power_and_product():
     a = factor(2) * factor(3, -2)
     assert a ** 3 == factor(2, 3) * factor(3, -6)
