@@ -1,11 +1,11 @@
 """Newton-diagram facets of a deformation germ and its zeta functions.
 
 For an index set I containing 0, the restricted Newton diagram is the
-union of compact faces of conv(support) + R_+^I.  Only the faces of
-dimension |I| - 1 that admit a strictly positive primitive inner normal
-contribute a factor (1 - t^m)^(sign * nvol); lower-dimensional faces
-carry normalized volume 0, so the product over all strictly positive
-covectors collapses to a finite product over these facets.
+union of compact faces of the Newton polyhedron conv(S_I) + R_+^I (S_I the
+support restricted to I).  Each facet of the polyhedron with a strictly
+positive primitive inner normal is a diagram facet and contributes a factor
+(1 - t^m)^(sign * nvol); lower-dimensional faces carry normalized volume 0
+(Varchenko, Invent. Math. 37, 1976).
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ from .germ import (
 )
 from .lattice import (
     LatticePolytope,
-    convex_hull,
+    convex_hull,  # noqa: F401 (unused here; the bench tracer tests pin it)
     minimizing_face,
     mixed_volume,
     normalized_volume,
     normalized_volume_at,
-    orthocomplement_line,
     _dot,
-    _neg,
-    _sub,
+    _vertices_from_facets,
 )
+from .nondegeneracy import newton_polyhedron_facets
 
 
 class IdentityInapplicable(ValueError):
@@ -66,38 +65,24 @@ def _normalize_index_set(F: GermSeries, I) -> tuple[int, ...]:
 
 
 def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
-    """The (|I|-1)-dimensional compact faces with strictly positive normal.
+    """The facets of conv(S_I) + R_+^I with a strictly positive normal.
 
-    Returns one facet record per face, sorted by normal; empty when the
-    restricted support is empty or too low-dimensional.
+    Each is a compact (|I|-1)-face; its vertices are the polyhedron's
+    vertices on it.  Returns one facet record per face, sorted by normal;
+    empty when the restricted support is empty.
     """
     idx = _normalize_index_set(F, I)
     d = len(idx)
     S = sorted(restrict_support(support(F), idx))
     if not S:
         return []
-    _, dim, hull_facets = convex_hull(S)
+    facets = newton_polyhedron_facets(S, d)
+    verts = _vertices_from_facets(S, [(a, c) for a, c, _, _ in facets])
     out = []
-    if dim == d:
-        for hf in hull_facets:
-            a = hf.inner_normal
-            if all(x > 0 for x in a):
-                face_pts = [p for p in S if _dot(a, p) == hf.offset]
-                face = LatticePolytope.from_points(face_pts)
-                out.append(DiagramFacet(idx, a, a[0], face,
-                                        normalized_volume(face)))
-    elif dim == d - 1:
-        # the whole hull is the only candidate; it is a diagram facet iff
-        # one of the two primitive normals of its affine span is positive
-        base = S[0]
-        w = orthocomplement_line([_sub(p, base) for p in S[1:]], d)
-        for a in (w, _neg(w)):
-            if all(x > 0 for x in a):
-                face = LatticePolytope.from_points(S)
-                out.append(DiagramFacet(idx, a, a[0], face,
-                                        normalized_volume(face)))
-                break
-    out.sort(key=lambda f: f.normal)
+    for a, _, on, _ in facets:
+        if all(x > 0 for x in a):
+            face = LatticePolytope(tuple(p for p in verts if p in on), d - 1, d)
+            out.append(DiagramFacet(idx, a, a[0], face, normalized_volume(face)))
     return out
 
 

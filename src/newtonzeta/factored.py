@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 
 def _divisors(m: int) -> list[int]:
-    """Positive divisors of |m| in increasing order (none for 0)."""
-    m = abs(m)
+    """Positive divisors of m >= 1 in increasing order."""
     small, large = [], []
     d = 1
     while d * d <= m:

@@ -304,22 +304,26 @@ def coords_in_basis(basis, v) -> Vector:
     Raises ValueError if v is outside the span or outside the lattice the
     rows generate.
     """
+    return _coords_all(basis, [v])[0]
+
+
+def _coords_all(basis, vectors) -> list[Vector]:
+    """``coords_in_basis`` of each vector, from one elimination of
+    ``[B^T | v_1 ... v_k]``; the first vector that fails raises."""
     r = len(basis)
-    if r == 0:
-        if any(v):
+    pivots, a, p = _gauss_jordan(zip(*basis, *vectors), r)
+    out = []
+    for k in range(r, r + len(vectors)):
+        if any(row[k] for row in a[len(pivots):]):
             raise ValueError("vector outside the span")
-        return ()
-    aug = [[b[j] for b in basis] + [x] for j, x in enumerate(v)]
-    pivots, a, p = _gauss_jordan(aug, r)
-    if any(row[r] for row in a[len(pivots):]):
-        raise ValueError("vector outside the span")
-    sol = [0] * r
-    for row, c in zip(a, pivots):
-        q, rem = divmod(row[r], p)
-        if rem:
-            raise ValueError("vector outside the lattice generated by the basis")
-        sol[c] = q
-    return tuple(sol)
+        sol = [0] * r
+        for row, c in zip(a, pivots):
+            q, rem = divmod(row[k], p)
+            if rem:
+                raise ValueError("vector outside the lattice generated by the basis")
+            sol[c] = q
+        out.append(tuple(sol))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +420,8 @@ def _facet_enum_full(pts) -> list[tuple[Vector, int]]:
 
 
 def _vertices_from_facets(pts, plane_facets) -> list[Vector]:
-    """The corners among distinct points of a full-dimensional set.
+    """The corners among distinct points of a full-dimensional set, or the
+    vertices of a Newton polyhedron among its support points.
 
     A point is a vertex iff no other point lies on every facet through it
     (an interior point lies on no facet, so every other point qualifies).
@@ -463,7 +468,7 @@ def convex_hull(points):
         return vertices, dim, facets
     # degenerate: recurse inside the saturation lattice of the direction span
     B = saturation_basis(diffs)
-    sat = [coords_in_basis(B, _sub(p, base)) for p in uniq]
+    sat = _coords_all(B, [_sub(p, base) for p in uniq])
     backmap = dict(zip(sat, uniq))
     sverts, _, _ = convex_hull(sat)
     vertices = sorted(backmap[v] for v in sverts)
@@ -548,9 +553,9 @@ def _triangulate_full(pts, l: int):
         fverts = [p for p in verts if _dot(a, p) == c]
         fbase = fverts[0]
         B = saturation_basis([_sub(p, fbase) for p in fverts[1:]])
-        spts = sorted(coords_in_basis(B, _sub(p, fbase)) for p in fverts)
-        backmap = {coords_in_basis(B, _sub(p, fbase)): p for p in fverts}
-        for fs in _triangulate_full(spts, l - 1):
+        coords = _coords_all(B, [_sub(p, fbase) for p in fverts])
+        backmap = dict(zip(coords, fverts))
+        for fs in _triangulate_full(sorted(coords), l - 1):
             simplices.append((apex,) + tuple(backmap[q] for q in fs))
     return simplices
 
@@ -576,9 +581,8 @@ def normalized_volume(P: LatticePolytope) -> int:
     if l == 0:
         return 1
     base = P.vertices[0]
-    B = saturation_basis([_sub(v, base) for v in P.vertices[1:]])
-    spts = [coords_in_basis(B, _sub(v, base)) for v in P.vertices]
-    return _nvol_full(spts, l)
+    diffs = [_sub(v, base) for v in P.vertices]
+    return _nvol_full(_coords_all(saturation_basis(diffs[1:]), diffs), l)
 
 
 def normalized_volume_at(P: LatticePolytope, l: int) -> int:
@@ -677,7 +681,7 @@ def mixed_volume(bodies) -> Fraction:
     for K in Ks:
         b = K.vertices[0]
         mapped.append(LatticePolytope.from_points(
-            [coords_in_basis(B, _sub(v, b)) for v in K.vertices]))
+            _coords_all(B, [_sub(v, b) for v in K.vertices])))
     distinct: list[LatticePolytope] = []
     counts: list[int] = []
     for K in mapped:

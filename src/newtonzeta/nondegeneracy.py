@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .factored import _divisors
 from .germ import Exponent, GermSeries, support
 from .lattice import (
     InvariantViolation,
@@ -165,25 +164,44 @@ def _poly_gcd(a, b):
     return a
 
 
+def _poly_value(p, x):
+    return sum(c * x ** i for i, c in enumerate(p))
+
+
 def _rational_root(p):
-    """Some rational root of a polynomial with Fraction coefficients, or None."""
-    if len(p) == 2:  # linear: its only root, without trial division
-        return -p[0] / p[1]
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ip = [int(c * lcm) for c in p]
-    g = 0
-    for c in ip:
-        g = gcd(g, abs(c))
-    ip = [c // g for c in ip]
-    const, lead = ip[0], ip[-1]
-    for r in _divisors(const):
-        for s in _divisors(lead):
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if sum(c * cand ** i for i, c in enumerate(p)) == 0:
-                    return cand
-    return None
+    """The rational root of least (|numerator|, denominator), positive
+    first, of a nonconstant polynomial with Fraction coefficients, or None.
+
+    Scaled to integers with leading coefficient L, p has the root x iff the
+    monic q(y) = L^(n-1) p(y/L) has the integer root L*x.  A Sturm chain
+    counts q's real roots between half-integers, which are never roots of
+    q; bisection to width one leaves one integer to test per real root.
+    """
+    den = lcm(*(c.denominator for c in p))
+    ip = [int(c * den) for c in p]
+    n, lead = len(ip) - 1, ip[-1]
+    q = [c * lead ** (n - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
+    chain = [q, _poly_deriv(q)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+
+    def changes(k):  # sign changes of the chain at k + 1/2
+        signs = [v > 0 for v in (_poly_value(f, Fraction(2 * k + 1, 2))
+                                 for f in chain) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in q[:-1])  # Cauchy: every root is inside
+    roots, cells = [], [(-bound - 1, changes(-bound - 1), bound, changes(bound))]
+    while cells:
+        a, va, b, vb = cells.pop()
+        if va != vb and b - a > 1:
+            m = (a + b) // 2
+            vm = changes(m)
+            cells += [(a, va, m, vm), (m, vm, b, vb)]
+        elif va != vb and _poly_value(q, b) == 0:
+            roots.append(Fraction(b, lead))
+    return min(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0),
+               default=None)
 
 
 def _int_inverse(M):

@@ -6,17 +6,22 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+from newtonzeta.diagram import DiagramFacet, _normalize_index_set
 from newtonzeta.factored import FactoredZeta, factor, one
-from newtonzeta.germ import GermSeries, make_germ
+from newtonzeta.germ import GermSeries, make_germ, restrict_support, support
 from newtonzeta.lattice import (
     InvariantViolation,
+    LatticePolytope,
     Vector,
     _cross_normal,
     _dot,
     _neg,
     _sub,
+    convex_hull,
     int_det,
     mat_rank,
+    normalized_volume,
+    orthocomplement_line,
     primitive,
 )
 from newtonzeta.randomized import (  # noqa: F401 (re-exported for tests)
@@ -389,3 +394,44 @@ def fraction_int_inverse(M):
     if any(x.denominator != 1 for row in out for x in row):
         raise InvariantViolation("unimodular matrix has a non-integer inverse")
     return [[int(x) for x in row] for row in out]
+
+
+# ---------------------------------------------------------------------------
+# diagram facets through a bounded hull: the path that reading them off the
+# Newton polyhedron replaced, kept as the oracle of test_diagram_facets
+
+
+def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
+    """The (|I|-1)-dimensional compact faces with strictly positive normal.
+
+    Returns one facet record per face, sorted by normal; empty when the
+    restricted support is empty or too low-dimensional.
+    """
+    idx = _normalize_index_set(F, I)
+    d = len(idx)
+    S = sorted(restrict_support(support(F), idx))
+    if not S:
+        return []
+    _, dim, hull_facets = convex_hull(S)
+    out = []
+    if dim == d:
+        for hf in hull_facets:
+            a = hf.inner_normal
+            if all(x > 0 for x in a):
+                face_pts = [p for p in S if _dot(a, p) == hf.offset]
+                face = LatticePolytope.from_points(face_pts)
+                out.append(DiagramFacet(idx, a, a[0], face,
+                                        normalized_volume(face)))
+    elif dim == d - 1:
+        # the whole hull is the only candidate; it is a diagram facet iff
+        # one of the two primitive normals of its affine span is positive
+        base = S[0]
+        w = orthocomplement_line([_sub(p, base) for p in S[1:]], d)
+        for a in (w, _neg(w)):
+            if all(x > 0 for x in a):
+                face = LatticePolytope.from_points(S)
+                out.append(DiagramFacet(idx, a, a[0], face,
+                                        normalized_volume(face)))
+                break
+    out.sort(key=lambda f: f.normal)
+    return out

@@ -218,10 +218,9 @@ def test_malformed_json_germ_is_an_input_error(capsys, doc, message):
 def test_invariant_violation_exits_3(capsys, monkeypatch):
     import newtonzeta.lattice as lattice
 
-    # a rank that calls every nonempty point set full-dimensional sends a
-    # segment in Z^2 to the facet engine, whose generators cannot span R^3
-    monkeypatch.setattr(lattice, "mat_rank",
-                        lambda rows: len(rows[0]) if rows else 0)
+    # with no independent generators found, the facet engine cannot span
+    # the ambient space of the Newton polyhedron
+    monkeypatch.setattr(lattice, "_independent_indices", lambda rows: [])
     code, out, err = run(capsys, "zeta", "--germ", "z1^2-s", "--vars", "s,z1")
     assert code == 3
     assert out == ""
@@ -229,10 +228,26 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 
 
 def test_edge_witness_with_huge_coefficients(capsys):
-    # the edge gcd is linear, so its root is read off, not searched for
-    # among the divisors of a 41-digit constant
+    # the root of the linear edge gcd is found by bisection, not searched
+    # for among the divisors of a 41-digit constant
     k = 10 ** 20
     code, out, _ = run(capsys, "check", "--vars", "s,z1,z2",
                        "--germ", f"z1^2 - {2 * k}*z1*z2 + {k * k}*z2^2 - s")
     assert code == 2
     assert f"critical torus zero at (1, {k}, 1)" in out
+
+
+@pytest.mark.parametrize("k,witness", [
+    (2 * 10 ** 20, None),           # gcd u^2 - k: no rational root
+    (10 ** 20, f"(1, {10 ** 10}, 1)"),
+])
+def test_edge_witness_of_a_quadratic_gcd(capsys, k, witness):
+    # the integer roots are isolated by bisection, not searched for among
+    # the divisors of a 41-digit constant
+    code, out, _ = run(capsys, "check", "--vars", "s,z1,z2", "--germ",
+                       f"z1^4 - {2 * k}*z1^2*z2^2 + {k * k}*z2^4 - s")
+    assert code == 2
+    if witness is None:
+        assert "gcd degree 2" in out and "critical torus zero" not in out
+    else:
+        assert f"critical torus zero at {witness}" in out

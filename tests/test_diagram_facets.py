@@ -1,0 +1,134 @@
+"""Diagram facets read off the Newton polyhedron against the bounded-hull path."""
+
+import random
+
+import pytest
+
+from helpers import (
+    hull_diagram_facets,
+    random_convenient_germ,
+    random_deformation_germ,
+    random_z_germ,
+)
+from newtonzeta.diagram import DiagramFacet, diagram_facets, zeta_full
+from newtonzeta.factored import factor, product
+from newtonzeta.germ import (
+    index_sets_with_zero,
+    make_germ,
+    parse_germ,
+    pencil_germ,
+    restrict_support,
+    support,
+    suspend_germ,
+)
+from newtonzeta.lattice import LatticePolytope, _sub, mat_rank
+
+
+def _shape(F, I):
+    """How the restricted support sits in R^I."""
+    S = sorted(restrict_support(support(F), I))
+    if not S:
+        return "empty"
+    dim = mat_rank([_sub(p, S[0]) for p in S[1:]])
+    d = len(I)
+    if dim == 0:
+        return "point"
+    if dim == d:
+        return "full"
+    if dim == d - 1:
+        return "codimension one"
+    return "collinear" if dim == 1 else "lower"
+
+
+def _germs(rng, n, count):
+    """Deformations with and without sigma terms, convenient or not."""
+    out = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            out.append(random_deformation_germ(rng, n, terms_count=rng.randint(1, 6)))
+        elif kind == 1:
+            out.append(suspend_germ(random_convenient_germ(
+                rng, n, max_exp=5, extra_terms=rng.randint(0, 4))))
+        elif kind == 2:
+            out.append(suspend_germ(random_z_germ(rng, n, max_terms=4)))
+        else:
+            out.append(pencil_germ(random_z_germ(rng, n, max_terms=3),
+                                   random_z_germ(rng, n, max_terms=2)))
+    return out
+
+
+@pytest.mark.parametrize("n,count", [(1, 40), (2, 60), (3, 60), (4, 30), (5, 8)])
+def test_records_match_the_hull_oracle(n, count):
+    rng = random.Random(500 + n)
+    shapes = set()
+    facets = 0
+    for F in _germs(rng, n, count):
+        for I in index_sets_with_zero(n):
+            got = diagram_facets(F, I)
+            assert got == hull_diagram_facets(F, I), (F, I)
+            shapes.add(_shape(F, I))
+            facets += len(got)
+    assert facets > 0
+    assert {"empty", "point", "codimension one", "full"} <= shapes
+    if n >= 2:
+        assert "collinear" in shapes
+
+
+V3 = ["s", "z1", "z2"]
+
+
+@pytest.mark.parametrize("text,I,shape", [
+    ("z1^2 - s", (0, 1), "codimension one"),   # segment with a positive normal
+    ("z1^2 - s*z1^2", (0, 1), "codimension one"),   # normals +-(0, 1): none
+    ("z1*z2 - s", (0, 1, 2), "collinear"),
+    ("z1*z2 - s*z1^2*z2^2 + s^2*z1^3*z2^3", (0, 1, 2), "collinear"),
+    ("z1^2 - s", (0, 2), "point"),
+    ("z1^2 + z2^3", (0, 1), "point"),
+    ("z1^2 - s*z2", (0, 1), "point"),
+    ("z1^2 + z2^3 - s*z1*z2", (0,), "empty"),
+    ("z1^2 + z2^3 - s", (0, 1, 2), "codimension one"),
+    ("z1^2 + z2^3 - s*z1 - s*z2", (0, 1, 2), "full"),
+])
+def test_shapes_of_the_restricted_support(text, I, shape):
+    F = parse_germ(text, V3)
+    assert _shape(F, I) == shape
+    assert diagram_facets(F, I) == hull_diagram_facets(F, I)
+
+
+def test_pure_deformation_powers():
+    # I = (0,): the Newton polyhedron of s^a + ... is the ray [a, oo)
+    F = make_germ(3, [((3, 0, 0), 1), ((5, 0, 0), -2), ((0, 2, 0), 1),
+                      ((2, 0, 1), 1)])
+    (facet,) = diagram_facets(F, (0,))
+    assert facet == DiagramFacet((0,), (1,), 1,
+                                 LatticePolytope(((3,),), 0, 1), 1)
+    for I in index_sets_with_zero(2):
+        assert diagram_facets(F, I) == hull_diagram_facets(F, I)
+    rng = random.Random(509)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        exps = [(rng.randint(1, 6),) + (0,) * n]
+        exps += [tuple(rng.randint(0, 3) for _ in range(n + 1))
+                 for _ in range(rng.randint(0, 3))]
+        F = make_germ(n + 1, [(e, rng.randint(1, 5)) for e in exps if any(e)])
+        for I in index_sets_with_zero(n):
+            assert diagram_facets(F, I) == hull_diagram_facets(F, I)
+
+
+def _sign(I):
+    return -1 if (len(I) - 2) % 2 else 1
+
+
+@pytest.mark.parametrize("text", [
+    "z1^2 + z2^3 - s",
+    "z1^3 + z1*z2^2 + z2^5 - s",
+    "z1^2*z2 + z2^4 - s*z1 - s*z2^2",
+    "z1^4 + z2^4 + z1^2*z2^2 - s^2 - s*z1*z2",
+])
+def test_zeta_full_is_the_oracle_product(text):
+    F = parse_germ(text, V3)
+    expected = factor(1, 1) * product(
+        factor(f.m, _sign(I) * f.nvol)
+        for I in index_sets_with_zero(2) for f in hull_diagram_facets(F, I))
+    assert zeta_full(F) == expected

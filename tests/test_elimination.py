@@ -14,6 +14,7 @@ from helpers import (
 )
 from newtonzeta.lattice import (
     InvariantViolation,
+    _coords_all,
     _gauss_jordan,
     _independent_indices,
     _scaled_inverse_columns,
@@ -120,6 +121,43 @@ def test_coordinates_match_fraction_elimination():
                     ("ValueError", "vector outside the span"),
                     ("ValueError",
                      "vector outside the lattice generated by the basis")}
+
+
+def test_batched_coordinates_match_fraction_elimination():
+    # lists of lattice vectors, some with one vector outside the span or
+    # outside the lattice: equal coordinates or the same ValueError
+    rng = random.Random(305)
+    seen = set()
+    for _ in range(300):
+        d = rng.randint(1, 6)
+        r = rng.randint(1, d)
+        B = _random_matrix(rng, r, d, 4)
+        if fraction_mat_rank(B) < r:
+            continue
+        vs = []
+        for _ in range(rng.randint(0, 6)):
+            c = [rng.randint(-5, 5) for _ in range(r)]
+            vs.append([sum(ci * b[j] for ci, b in zip(c, B)) for j in range(d)])
+        bad = None
+        if vs and rng.random() < 0.6:
+            c = [Fraction(rng.randint(-5, 5), 2) for _ in range(r)]
+            v = [sum(ci * b[j] for ci, b in zip(c, B)) for j in range(d)]
+            if rng.random() < 0.5 or any(x.denominator != 1 for x in v):
+                v = [rng.randint(-6, 6) for _ in range(d)]
+            bad = _outcome(fraction_coords_in_basis, B, [int(x) for x in v])
+            vs[rng.randrange(len(vs))] = [int(x) for x in v]
+        got = _outcome(_coords_all, B, vs)
+        assert got == _outcome(
+            lambda B, vs: [fraction_coords_in_basis(B, v) for v in vs], B, vs)
+        if bad is not None and isinstance(bad[0], str):
+            assert got == bad
+            seen.add(bad[1])
+    assert seen == {"vector outside the span",
+                    "vector outside the lattice generated by the basis"}
+    assert _coords_all([], [(0, 0), (0, 0)]) == [(), ()]
+    assert _coords_all([(1, 2)], []) == []
+    with pytest.raises(ValueError, match="outside the span"):
+        _coords_all([], [(0, 0), (0, 1)])
 
 
 def test_coordinates_in_the_empty_basis():
