@@ -109,7 +109,11 @@ def _germ_from_text(text, args):
     if not text:
         raise ValueError("empty germ input")
     if text.startswith("{"):
-        return germ_from_json(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON germ is nested too deeply") from None
+        return germ_from_json(data)
     names = _var_names(args)
     return parse_germ(text, names), names
 
@@ -296,7 +300,10 @@ def _oracle_rows_cayley(f0, f1):
 
 
 def cmd_oracle_compare(args) -> int:
-    if args.seed is not None and args.germ is None and args.germ_file is None:
+    if args.seed is not None:
+        if {args.germ, args.germ_file, args.germ2, args.germ2_file} != {None}:
+            raise ValueError("--seed runs the randomized suite; it takes no "
+                             "--germ, --germ-file, --germ2 or --germ2-file")
         results = []
         if args.mode in ("cone", "both"):
             results.append(cone_suite(args.seed))

@@ -14,7 +14,9 @@ integer-preserving Gaussian elimination*, Math. Comp. 22, 1968).
 Facets come from one integer double-description routine (``cone_facets``,
 after Fukuda & Prodon, *Double description method revisited*, 1996): a
 bounded hull is the cone over its points lifted to height one, a Newton
-polyhedron the same cone plus its recession rays at height zero.
+polyhedron the same cone plus its recession rays at height zero.  Lower
+faces, for volumes and Newton-polyhedron faces alike, are walked on the
+zero-set bitmasks it returns (``_face_facets``).
 """
 
 from __future__ import annotations
@@ -536,36 +538,34 @@ def minimizing_face(points, alpha) -> LatticePolytope:
     return LatticePolytope.from_points([p for p in pts if _dot(alpha, p) == best])
 
 
-def _triangulate_full(pts, l: int):
-    """Fan triangulation (apex = lexicographically smallest vertex) of a
-    full-dimensional point set in Z^l; yields (l+1)-tuples of vertices."""
-    if l == 0:
-        return [(pts[0],)]
-    planes = _facet_enum_full(pts)
-    verts = _vertices_from_facets(pts, planes)
-    if len(verts) == l + 1:
-        return [tuple(verts)]
-    apex = verts[0]
-    simplices = []
-    for a, c in planes:
-        if _dot(a, apex) == c:
-            continue
-        fverts = [p for p in verts if _dot(a, p) == c]
-        fbase = fverts[0]
-        B = saturation_basis([_sub(p, fbase) for p in fverts[1:]])
-        coords = _coords_all(B, [_sub(p, fbase) for p in fverts])
-        backmap = dict(zip(coords, fverts))
-        for fs in _triangulate_full(sorted(coords), l - 1):
-            simplices.append((apex,) + tuple(backmap[q] for q in fs))
-    return simplices
+def _face_facets(mask: int, facet_masks) -> list[int]:
+    """Facets of the face ``mask``: its inclusion-maximal proper
+    intersections with the polytope's ``facet_masks`` (Kaibel & Pfetsch,
+    Comput. Geom. 23, 2002), scanned largest first.
+
+    >>> sorted(_face_facets(0b0011, [0b0011, 0b0110, 0b1100, 0b1001]))
+    [1, 2]
+    """
+    found: list[int] = []
+    for m in sorted({mask & z for z in facet_masks} - {mask},
+                    key=int.bit_count, reverse=True):
+        if all(m & f != m for f in found):
+            found.append(m)
+    return found
 
 
-def _nvol_full(pts, l: int) -> int:
-    total = 0
-    for simplex in _triangulate_full(sorted(pts), l):
-        rows = [_sub(q, simplex[0]) for q in simplex[1:]]
-        total += abs(int_det(rows))
-    return total
+def _pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
+    """Sum of |det| over the pulling triangulation of the face ``mask``:
+    cone its lowest point (appended to ``apexes``) over each of its facets
+    that miss it, down to faces of ``dim + 1`` points, which are simplices
+    (De Loera, Rambau & Santos, *Triangulations*, 2010)."""
+    if mask.bit_count() == dim + 1:
+        simplex = [p for i, p in enumerate(pts) if mask >> i & 1] + list(apexes)
+        return abs(int_det([_sub(q, simplex[0]) for q in simplex[1:]]))
+    low = mask & -mask
+    apexes += (pts[low.bit_length() - 1],)
+    return sum(_pulled_volume(f, dim - 1, pts, facet_masks, apexes)
+               for f in _face_facets(mask, facet_masks) if not f & low)
 
 
 def normalized_volume(P: LatticePolytope) -> int:
@@ -582,7 +582,9 @@ def normalized_volume(P: LatticePolytope) -> int:
         return 1
     base = P.vertices[0]
     diffs = [_sub(v, base) for v in P.vertices]
-    return _nvol_full(_coords_all(saturation_basis(diffs[1:]), diffs), l)
+    pts = _coords_all(saturation_basis(diffs[1:]), diffs)
+    facets = [z for _, z in cone_facets([(1,) + p for p in pts])]
+    return _pulled_volume((1 << len(pts)) - 1, l, pts, facets, ())
 
 
 def normalized_volume_at(P: LatticePolytope, l: int) -> int:

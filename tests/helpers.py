@@ -13,17 +13,22 @@ from newtonzeta.lattice import (
     InvariantViolation,
     LatticePolytope,
     Vector,
+    _coords_all,
     _cross_normal,
     _dot,
+    _facet_enum_full,
     _neg,
     _sub,
+    _vertices_from_facets,
     convex_hull,
     int_det,
     mat_rank,
     normalized_volume,
     orthocomplement_line,
     primitive,
+    saturation_basis,
 )
+from newtonzeta.nondegeneracy import newton_polyhedron_facets
 from newtonzeta.randomized import (  # noqa: F401 (re-exported for tests)
     random_convenient_germ,
     random_nonzero_fraction,
@@ -255,7 +260,7 @@ def nvol_boundary_recursion(points) -> int:
     l! Vol(P) = sum over facets F of |a_F . q - c_F| * nvol(F) for any
     fixed vertex q, with primitive inner normals a_F; facets recurse in
     the saturation lattices of their direction spaces.  Independent of the
-    fan-triangulation decomposition used by the library.
+    pulling triangulation used by the library.
     """
     from newtonzeta.lattice import convex_hull, coords_in_basis, saturation_basis
 
@@ -435,3 +440,78 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
                 break
     out.sort(key=lambda f: f.normal)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the recursive fan triangulation and the pairwise-intersection face closure
+# that the facet-bitmask face walk replaced, kept as oracles of
+# test_face_walk
+
+
+def _triangulate_full(pts, l: int):
+    """Fan triangulation (apex = lexicographically smallest vertex) of a
+    full-dimensional point set in Z^l; yields (l+1)-tuples of vertices."""
+    if l == 0:
+        return [(pts[0],)]
+    planes = _facet_enum_full(pts)
+    verts = _vertices_from_facets(pts, planes)
+    if len(verts) == l + 1:
+        return [tuple(verts)]
+    apex = verts[0]
+    simplices = []
+    for a, c in planes:
+        if _dot(a, apex) == c:
+            continue
+        fverts = [p for p in verts if _dot(a, p) == c]
+        fbase = fverts[0]
+        B = saturation_basis([_sub(p, fbase) for p in fverts[1:]])
+        coords = _coords_all(B, [_sub(p, fbase) for p in fverts])
+        backmap = dict(zip(coords, fverts))
+        for fs in _triangulate_full(sorted(coords), l - 1):
+            simplices.append((apex,) + tuple(backmap[q] for q in fs))
+    return simplices
+
+
+def _nvol_full(pts, l: int) -> int:
+    total = 0
+    for simplex in _triangulate_full(sorted(pts), l):
+        rows = [_sub(q, simplex[0]) for q in simplex[1:]]
+        total += abs(int_det(rows))
+    return total
+
+
+def fan_normalized_volume(points) -> int:
+    """Normalized volume of the hull of the points by the fan triangulation:
+    the same saturated coordinates as ``normalized_volume``, then
+    ``_nvol_full``."""
+    P = LatticePolytope.from_points(points)
+    if P.affine_dim == 0:
+        return 1
+    base = P.vertices[0]
+    diffs = [_sub(v, base) for v in P.vertices]
+    return _nvol_full(_coords_all(saturation_basis(diffs[1:]), diffs), P.affine_dim)
+
+
+def closure_compact_faces(points, d):
+    """Sorted ``(support_points, dim)`` of the compact faces of
+    conv(points) + R_+^d: the facets closed under pairwise intersection as
+    frozensets of points and axes, each dimension a rank."""
+    facets = newton_polyhedron_facets(points, d)
+    seeds = [(on, axes) for _, _, on, axes in facets]
+    seen = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        new = []
+        for on1, ax1 in frontier:
+            for on2, ax2 in seeds:
+                on = on1 & on2
+                if not on:
+                    continue
+                key = (on, ax1 & ax2)
+                if key not in seen:
+                    seen.add(key)
+                    new.append(key)
+        frontier = new
+    faces = sorted({tuple(sorted(on)) for on, axes in seen if not axes})
+    return sorted(((pts, mat_rank([_sub(p, pts[0]) for p in pts[1:]]))
+                   for pts in faces), key=lambda face: (face[1], face[0]))

@@ -215,6 +215,27 @@ def test_malformed_json_germ_is_an_input_error(capsys, doc, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_deeply_nested_json_germ_is_an_input_error(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text('{"a":' * 200_000, encoding="utf-8")
+    code, out, err = run(capsys, "zeta", "--germ-file", str(p))
+    assert code == 1
+    assert out == ""
+    assert err == "error: JSON germ is nested too deeply\n"
+
+
+def test_oracle_compare_seed_refuses_supplied_germs(capsys, tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("z^2", encoding="utf-8")
+    for flag, value in (("--germ", "z^2-s"), ("--germ-file", str(p)),
+                        ("--germ2", "z"), ("--germ2-file", str(p))):
+        code, out, err = run(capsys, "oracle-compare", "--seed", "1",
+                             flag, value, "--vars", "s,z")
+        assert code == 1, flag
+        assert out == ""
+        assert err.startswith("error: --seed runs the randomized suite"), flag
+
+
 def test_invariant_violation_exits_3(capsys, monkeypatch):
     import newtonzeta.lattice as lattice
 

@@ -1,0 +1,122 @@
+"""The facet-bitmask face walk against the paths it replaced.
+
+``normalized_volume`` (a pulling triangulation on the zero-set masks of one
+``cone_facets`` call) is compared with the recursive fan triangulation, and
+``compact_faces`` (a top-down walk whose level is the dimension) with the
+pairwise-intersection closure plus a rank per face; both oracles live in
+``tests/helpers.py``.
+"""
+
+from math import factorial, gcd, prod
+from random import Random
+
+from helpers import closure_compact_faces, fan_normalized_volume, random_unimodular
+from newtonzeta.lattice import LatticePolytope, mat_rank, normalized_volume
+from newtonzeta.nondegeneracy import compact_faces
+
+
+def _embed(rng, pts, d):
+    """The points (in Z^l) placed in Z^d by a random affine map x -> b + xM
+    with an integer l x d matrix M of rank l, not necessarily saturated."""
+    l = len(pts[0])
+    while True:
+        M = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(l)]
+        if mat_rank(M) == l:
+            break
+    b = [rng.randint(-3, 3) for _ in range(d)]
+    return [tuple(b[j] + sum(p[i] * M[i][j] for i in range(l)) for j in range(d))
+            for p in pts]
+
+
+def _volume_cases(rng):
+    """(kind, points, known volume or None) of dimension 1..5."""
+    for l in range(1, 6):
+        sides = [rng.randint(1, 3) for _ in range(l)]
+        corners = [tuple(s * (k >> i & 1) for i, s in enumerate(sides))
+                   for k in range(1 << l)]
+        yield "box", corners, factorial(l) * prod(sides)
+        for _ in range(3):
+            d = rng.randint(1, 5)
+            v = [rng.randint(-3, 3) for _ in range(d)]
+            if not any(v):
+                v[0] = 1
+            k = rng.randint(2, 5)
+            p = [rng.randint(-4, 4) for _ in range(d)]
+            yield "segment", [tuple(p), tuple(x + k * y for x, y in zip(p, v))], \
+                k * gcd(*v)
+        for _ in range(4):
+            count = rng.randint(l + 1, l + 6)
+            pts = [tuple(rng.randint(-2, 2) for _ in range(l)) for _ in range(count)]
+            if mat_rank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts]) < l:
+                continue
+            yield "full", pts, None
+            yield "embedded", _embed(rng, pts, rng.randint(l + 1, 6)), None
+        if l <= 4:
+            grid = [tuple(k // 3 ** i % 3 for i in range(l)) for k in range(3 ** l)]
+            M = random_unimodular(rng, l)
+            yield "grid", [tuple(sum(p[i] * M[i][j] for i in range(l))
+                                 for j in range(l)) for p in grid], None
+
+
+def test_pulled_volume_matches_fan_triangulation():
+    rng = Random(20260601)
+    kinds = set()
+    for kind, pts, expected in _volume_cases(rng):
+        P = LatticePolytope.from_points(pts)
+        want = fan_normalized_volume(pts)
+        assert normalized_volume(P) == want, (kind, pts)
+        if expected is not None:
+            assert want == expected
+        # every input point kept, non-vertices included: the pulled point
+        # need not be a vertex
+        distinct = tuple(sorted(set(pts)))
+        raw = LatticePolytope(distinct, P.affine_dim, P.ambient_dim)
+        assert normalized_volume(raw) == want, (kind, pts)
+        if len(distinct) > len(P.vertices):
+            kinds.add("non-vertex points")
+        kinds.add(kind)
+    assert kinds == {"box", "segment", "full", "embedded", "grid",
+                     "non-vertex points"}
+
+
+def _support_cases(rng):
+    """(kind, points, d) with d = 2..6, nonnegative exponents."""
+    for d in range(2, 7):
+        few = 10 - d // 2
+        for _ in range(8):
+            pts = {tuple(rng.randint(1, 6) if j == i else 0 for j in range(d))
+                   for i in range(d)}
+            pts |= {tuple(rng.randint(0, 4) for _ in range(d))
+                    for _ in range(rng.randint(0, few - d // 2))}
+            yield "convenient", sorted(pts), d
+            pts = {tuple(rng.randint(0, 4) for _ in range(d))
+                   for _ in range(rng.randint(2, few))}
+            yield "not convenient", sorted(pts), d
+        yield "point", [tuple(rng.randint(0, 3) for _ in range(d))], d
+        v = [rng.randint(0, 2) for _ in range(d)]
+        v[rng.randrange(d)] = 1
+        p = [rng.randint(0, 3) for _ in range(d)]
+        yield "collinear", [tuple(x + k * y for x, y in zip(p, v))
+                            for k in rng.sample(range(6), 4)], d
+        axes = rng.sample(range(d), rng.randint(1, d))
+        yield "axes", sorted({tuple(k if j == i else 0 for j in range(d))
+                              for i in axes for k in rng.sample(range(1, 7), 2)}), d
+
+
+def test_compact_faces_match_closure():
+    rng = Random(20260602)
+    kinds = set()
+    for kind, pts, d in _support_cases(rng):
+        faces = compact_faces(pts, d)
+        assert faces == closure_compact_faces(pts, d), (kind, pts)
+        assert faces, (kind, pts)
+        kinds.add(kind)
+    assert len(kinds) == 5
+
+
+def test_compact_faces_of_a_point_and_of_a_segment():
+    assert compact_faces([(2, 1, 0)], 3) == [(((2, 1, 0),), 0)]
+    # the cusp z1^2 + z2^3: two vertices and the edge between them; the
+    # point (1, 2) lies above the edge
+    assert compact_faces([(2, 0), (0, 3), (1, 2)], 2) == [
+        (((0, 3),), 0), (((2, 0),), 0), (((0, 3), (2, 0)), 1)]

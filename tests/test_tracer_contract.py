@@ -1,7 +1,8 @@
-"""The benchmark tracer's wrap list resolves on the package.
+"""The benchmark tracer's wrap list and count hooks fit the package.
 
-``bench/tracing.py`` wraps functions by (module, attribute) name, so a
-rename in ``newtonzeta`` would break ``bench/run.py --trace 1``; this
+``bench/tracing.py`` wraps functions by (module, attribute) name and its
+hooks read each call's arguments and result, so a rename or a new return
+shape in ``newtonzeta`` would break ``bench/run.py --trace 1``; this
 catches it without running the benchmark's own slower test suite.
 """
 
@@ -10,6 +11,13 @@ import importlib.util
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _resolve(module, path):
+    owner = importlib.import_module(f"newtonzeta.{module}")
+    for name in path.split("."):
+        owner = getattr(owner, name)
+    return owner
 
 
 def _load_tracing():
@@ -25,14 +33,34 @@ def test_every_traced_name_resolves():
     targets += [(module, path) for module, path, _ in tracing.COUNT_ONLY]
     assert targets
     for module, path in targets:
-        owner = importlib.import_module(f"newtonzeta.{module}")
-        for name in path.split("."):
-            assert hasattr(owner, name), f"newtonzeta.{module}.{path}"
-            owner = getattr(owner, name)
-        assert callable(owner), f"newtonzeta.{module}.{path}"
+        assert callable(_resolve(module, path)), f"newtonzeta.{module}.{path}"
 
 
 def test_convex_hull_is_bound_in_diagram():
     from newtonzeta import diagram, lattice
 
     assert diagram.convex_hull is lattice.convex_hull
+
+
+def test_every_count_hook_reads_a_real_call():
+    from newtonzeta import LatticePolytope, parse_germ
+
+    tracing = _load_tracing()
+    F = parse_germ("z1^3 + z1*z2^2 + z2^4 - s", ["s", "z1", "z2"])
+    S = sorted(F.terms)
+    args = {
+        "lattice.hull": ([(0, 0), (2, 0), (0, 2), (1, 1)],),
+        "lattice.minkowski": (LatticePolytope.from_points([(0, 0), (1, 0)]),
+                              LatticePolytope.from_points([(0, 0), (0, 1)])),
+        "nondegeneracy.polyhedron": (S, 3),
+        "diagram.facets": (F, (0, 1, 2)),
+        "nondegeneracy.faces": (S, 3),
+    }
+    assert set(args) == set(tracing.HOOKS)
+    counts = dict.fromkeys(tracing.COUNT_NAMES, 0)
+    for group, hook in tracing.HOOKS.items():
+        for module, path in tracing.GROUPS[group]:
+            hook(counts, args[group], _resolve(module, path)(*args[group]))
+    for module, path, hook in tracing.COUNT_ONLY:
+        hook(counts, (F,), _resolve(module, path)(F))
+    assert all(counts.values()), counts
