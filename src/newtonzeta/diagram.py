@@ -24,6 +24,7 @@ from .germ import (
     suspend_germ,
 )
 from .lattice import (
+    InvariantViolation,
     LatticePolytope,
     convex_hull,  # noqa: F401 (unused here; the bench tracer tests pin it)
     minimizing_face,
@@ -31,6 +32,7 @@ from .lattice import (
     normalized_volume,
     normalized_volume_at,
     _dot,
+    _pulled_volume,
     _vertices_from_facets,
 )
 from .nondegeneracy import newton_polyhedron_facets
@@ -70,6 +72,11 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     Each is a compact (|I|-1)-face; its vertices are the polyhedron's
     vertices on it.  Returns one facet record per face, sorted by normal;
     empty when the restricted support is empty.
+
+    The volume is read off the pyramid from the origin: the normal ``a``
+    is primitive, so the origin lies at lattice height ``c`` (the offset)
+    below the facet, and the pyramid's normalized d-volume, summed over
+    the pulling triangulation of the facet's masks, is ``c * nvol``.
     """
     idx = _normalize_index_set(F, I)
     d = len(idx)
@@ -77,12 +84,17 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     if not S:
         return []
     facets = newton_polyhedron_facets(S, d)
-    verts = _vertices_from_facets(S, [(a, c) for a, c, _, _ in facets])
+    masks = [z for _, _, z in facets]
+    verts = set(_vertices_from_facets(S, [(a, c) for a, c, _ in facets]))
     out = []
-    for a, _, on, _ in facets:
+    for a, c, z in facets:
         if all(x > 0 for x in a):
-            face = LatticePolytope(tuple(p for p in verts if p in on), d - 1, d)
-            out.append(DiagramFacet(idx, a, a[0], face, normalized_volume(face)))
+            nvol, rem = divmod(_pulled_volume(z, d - 1, S, masks, ((0,) * d,)), c)
+            if rem:
+                raise InvariantViolation("pyramid volume is not a multiple of its height")
+            face = LatticePolytope(
+                tuple(p for i, p in enumerate(S) if z >> i & 1 and p in verts), d - 1, d)
+            out.append(DiagramFacet(idx, a, a[0], face, nvol))
     return out
 
 

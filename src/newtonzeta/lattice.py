@@ -16,7 +16,9 @@ after Fukuda & Prodon, *Double description method revisited*, 1996): a
 bounded hull is the cone over its points lifted to height one, a Newton
 polyhedron the same cone plus its recession rays at height zero.  Lower
 faces, for volumes and Newton-polyhedron faces alike, are walked on the
-zero-set bitmasks it returns (``_face_facets``).
+zero-set bitmasks it returns (``_face_facets``); a diagram facet's volume
+is a pulling triangulation (``_pulled_volume``) on the Newton
+polyhedron's own masks, with no second facet search.
 """
 
 from __future__ import annotations
@@ -156,29 +158,6 @@ def _independent_indices(rows) -> list[int]:
     """Indices of a greedy maximal independent subset of integer rows, in
     input order: the pivot columns of the transpose."""
     return _gauss_jordan(list(zip(*rows)))[0]
-
-
-def _cross_normal(vecs, d: int) -> Vector | None:
-    """Generalized cross product of d-1 vectors in Z^d (None if dependent)."""
-    a = []
-    for j in range(d):
-        minor = [[v[t] for t in range(d) if t != j] for v in vecs]
-        a.append((-1) ** j * int_det(minor))
-    if not any(a):
-        return None
-    return tuple(a)
-
-
-def orthocomplement_line(vectors, d: int) -> Vector:
-    """Primitive integer normal to a (d-1)-dimensional span of integer vectors."""
-    rows = [tuple(int(x) for x in v) for v in vectors]
-    ind = [rows[i] for i in _independent_indices(rows)]
-    if len(ind) != d - 1:
-        raise ValueError("span does not have codimension one")
-    a = _cross_normal(ind, d)
-    if a is None:
-        raise InvariantViolation("independent rows gave a zero normal")
-    return primitive(a)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +419,9 @@ def _vertices_from_facets(pts, plane_facets) -> list[Vector]:
 def convex_hull(points):
     """Exact hull of integer points: (vertices, affine_dim, facets).
 
-    Facets are reported for affine dimension >= 1 only: a full-dimensional
-    hull gets its proper facets with primitive inner normals; a hull of
-    codimension one is itself the single degenerate facet, reported once
-    per sign of the primitive normal of its affine span; lower-dimensional
-    hulls get no facets.
+    Facets are reported for full-dimensional hulls only, as their proper
+    facets with primitive inner normals; a lower-dimensional hull gets
+    ``[]``.
     """
     pts_in = [tuple(int(x) for x in p) for p in points]
     if not pts_in:
@@ -473,14 +450,7 @@ def convex_hull(points):
     sat = _coords_all(B, [_sub(p, base) for p in uniq])
     backmap = dict(zip(sat, uniq))
     sverts, _, _ = convex_hull(sat)
-    vertices = sorted(backmap[v] for v in sverts)
-    facets = []
-    if dim == d - 1:
-        w = orthocomplement_line(diffs, d)
-        c = _dot(w, base)
-        every = tuple(range(len(pts_in)))
-        facets = [HullFacet(every, w, c), HullFacet(every, _neg(w), -c)]
-    return vertices, dim, facets
+    return sorted(backmap[v] for v in sverts), dim, []
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +528,11 @@ def _pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
     """Sum of |det| over the pulling triangulation of the face ``mask``:
     cone its lowest point (appended to ``apexes``) over each of its facets
     that miss it, down to faces of ``dim + 1`` points, which are simplices
-    (De Loera, Rambau & Santos, *Triangulations*, 2010)."""
+    (De Loera, Rambau & Santos, *Triangulations*, 2010).
+
+    ``apexes`` may start with a point off the face's affine span, such as
+    the origin below a diagram facet; the sum is then the normalized
+    volume of the pyramid over the face with that apex."""
     if mask.bit_count() == dim + 1:
         simplex = [p for i, p in enumerate(pts) if mask >> i & 1] + list(apexes)
         return abs(int_det([_sub(q, simplex[0]) for q in simplex[1:]]))

@@ -26,7 +26,6 @@ from math import lcm
 from .germ import Exponent, GermSeries, support
 from .lattice import (
     InvariantViolation,
-    _dot,
     _face_facets,
     _gauss_jordan,
     _sub,
@@ -80,10 +79,11 @@ class NondegeneracyReport:
 def newton_polyhedron_facets(points, d: int):
     """Facets of conv(points) + R_+^d.
 
-    Returns (normal, offset, on_points, free_axes) tuples: the primitive
-    inner normal (componentwise nonnegative), its minimum value, the
-    support points lying on the facet, and the recession axes contained in
-    it (the normal's zero components).
+    Returns sorted (normal, offset, zeros) triples: the primitive inner
+    normal (componentwise nonnegative), its minimum value, and the facet's
+    zero-set mask as ``cone_facets`` returns it, with bit i for the i-th
+    sorted distinct point on the facet and bit n + j for the recession
+    axis j in it (the normal's zero components), n points in all.
     """
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     if not pts:
@@ -92,25 +92,17 @@ def newton_polyhedron_facets(points, d: int):
         [(0,) * (i + 1) + (1,) + (0,) * (d - 1 - i) for i in range(d)]
     # the normal with a = 0 is the facet at infinity, not a facet of the
     # polyhedron
-    found = [(y[1:], -y[0]) for y, _ in cone_facets(gens) if any(y[1:])]
-    out = []
-    for a, c in sorted(found):
-        on = frozenset(p for p in pts if _dot(a, p) == c)
-        axes = frozenset(i for i in range(d) if a[i] == 0)
-        out.append((a, c, on, axes))
-    return out
+    return sorted((y[1:], -y[0], z) for y, z in cone_facets(gens) if any(y[1:]))
 
 
 def compact_faces(points, d: int) -> list[tuple[tuple[Exponent, ...], int]]:
     """Sorted ``(support_points, dim)`` of the compact faces of
     conv(points) + R_+^d, walked down from the facets a dimension per level
-    on masks: bit i for the i-th point, none at infinity, and bit n + j for
-    the recession axis j, none on a compact face."""
+    on the masks of ``newton_polyhedron_facets``; a face is compact when
+    it holds no recession axis (no bit from n up), and nonempty."""
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     n = len(pts)
-    masks = [sum(1 << i for i, p in enumerate(pts) if p in on) |
-             sum(1 << n + j for j in axes)
-             for _, _, on, axes in newton_polyhedron_facets(pts, d)]
+    masks = [z for _, _, z in newton_polyhedron_facets(pts, d)]
     out = []
     level, dim = set(masks), d - 1
     while level:

@@ -14,9 +14,9 @@ from newtonzeta.lattice import (
     LatticePolytope,
     Vector,
     _coords_all,
-    _cross_normal,
     _dot,
     _facet_enum_full,
+    _independent_indices,
     _neg,
     _sub,
     _vertices_from_facets,
@@ -24,7 +24,6 @@ from newtonzeta.lattice import (
     int_det,
     mat_rank,
     normalized_volume,
-    orthocomplement_line,
     primitive,
     saturation_basis,
 )
@@ -69,6 +68,34 @@ def random_point_set(rng, d, count, bound, flat_share=0.0, line_share=0.0):
     return sorted(pts)
 
 
+# ---------------------------------------------------------------------------
+# hyperplanes through d - 1 directions: the brute-force facet searches and
+# the codimension-one branch of the bounded-hull diagram facets use them
+
+
+def _cross_normal(vecs, d: int) -> Vector | None:
+    """Generalized cross product of d-1 vectors in Z^d (None if dependent)."""
+    a = []
+    for j in range(d):
+        minor = [[v[t] for t in range(d) if t != j] for v in vecs]
+        a.append((-1) ** j * int_det(minor))
+    if not any(a):
+        return None
+    return tuple(a)
+
+
+def orthocomplement_line(vectors, d: int) -> Vector:
+    """Primitive integer normal to a (d-1)-dimensional span of integer vectors."""
+    rows = [tuple(int(x) for x in v) for v in vectors]
+    ind = [rows[i] for i in _independent_indices(rows)]
+    if len(ind) != d - 1:
+        raise ValueError("span does not have codimension one")
+    a = _cross_normal(ind, d)
+    if a is None:
+        raise InvariantViolation("independent rows gave a zero normal")
+    return primitive(a)
+
+
 def brute_facet_enum_full(pts, d):
     """Sorted (inner normal, offset) pairs of a full-dimensional point set.
 
@@ -105,7 +132,7 @@ def rank_vertices(pts, plane_facets, d):
 def brute_newton_polyhedron_facets(points, d):
     """Reference for ``newton_polyhedron_facets``: facets of
     conv(points) + R_+^d through t points and d - t unit directions, over
-    every choice of both."""
+    every choice of both, with zero-set masks taken by dot products."""
     pts = sorted(set(tuple(p) for p in points))
     units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     found = set()
@@ -124,12 +151,10 @@ def brute_newton_polyhedron_facets(points, d):
                             all(_dot(cand, p) >= c for p in pts):
                         found.add((cand, c))
                         break
-    out = []
-    for a, c in sorted(found):
-        on = frozenset(p for p in pts if _dot(a, p) == c)
-        axes = frozenset(i for i in range(d) if a[i] == 0)
-        out.append((a, c, on, axes))
-    return out
+    n = len(pts)
+    return [(a, c, sum(1 << i for i, p in enumerate(pts) if _dot(a, p) == c)
+             | sum(1 << n + j for j in range(d) if a[j] == 0))
+            for a, c in sorted(found)]
 
 
 def random_unimodular(rng, d, steps=8):
@@ -496,8 +521,11 @@ def closure_compact_faces(points, d):
     """Sorted ``(support_points, dim)`` of the compact faces of
     conv(points) + R_+^d: the facets closed under pairwise intersection as
     frozensets of points and axes, each dimension a rank."""
-    facets = newton_polyhedron_facets(points, d)
-    seeds = [(on, axes) for _, _, on, axes in facets]
+    pts = sorted(set(tuple(p) for p in points))
+    n = len(pts)
+    seeds = [(frozenset(p for i, p in enumerate(pts) if z >> i & 1),
+              frozenset(j for j in range(d) if z >> n + j & 1))
+             for _, _, z in newton_polyhedron_facets(pts, d)]
     seen = set(seeds)
     frontier = list(seeds)
     while frontier:

@@ -1,5 +1,6 @@
 """Diagram facets read off the Newton polyhedron against the bounded-hull path."""
 
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from newtonzeta.germ import (
     support,
     suspend_germ,
 )
-from newtonzeta.lattice import LatticePolytope, _sub, mat_rank
+from newtonzeta.lattice import LatticePolytope, _dot, _sub, mat_rank
 
 
 def _shape(F, I):
@@ -40,8 +41,19 @@ def _shape(F, I):
     return "collinear" if dim == 1 else "lower"
 
 
+def _homogeneous_germ(rng, n):
+    """Monomials of one total degree in z, less a power of sigma: the
+    facets through the z-part hold many points, often not a simplex."""
+    D = rng.randint(2, 4)
+    degree_D = [e for e in itertools.product(range(D + 1), repeat=n) if sum(e) == D]
+    chosen = rng.sample(degree_D, rng.randint(min(3, len(degree_D)), len(degree_D)))
+    return make_germ(n + 1, [((0,) + e, rng.randint(1, 5)) for e in chosen]
+                     + [((rng.randint(1, 3),) + (0,) * n, -1)])
+
+
 def _germs(rng, n, count):
-    """Deformations with and without sigma terms, convenient or not."""
+    """Deformations with and without sigma terms, convenient or not, then
+    ``count // 4`` homogeneous ones."""
     out = []
     for k in range(count):
         kind = k % 4
@@ -55,24 +67,37 @@ def _germs(rng, n, count):
         else:
             out.append(pencil_germ(random_z_germ(rng, n, max_terms=3),
                                    random_z_germ(rng, n, max_terms=2)))
-    return out
+    return out + [_homogeneous_germ(rng, n) for _ in range(count // 4)]
 
 
 @pytest.mark.parametrize("n,count", [(1, 40), (2, 60), (3, 60), (4, 30), (5, 8)])
 def test_records_match_the_hull_oracle(n, count):
     rng = random.Random(500 + n)
     shapes = set()
-    facets = 0
+    facets = non_vertex = thick = 0
     for F in _germs(rng, n, count):
         for I in index_sets_with_zero(n):
             got = diagram_facets(F, I)
             assert got == hull_diagram_facets(F, I), (F, I)
             shapes.add(_shape(F, I))
             facets += len(got)
+            S = restrict_support(support(F), I)
+            for f in got:
+                c = _dot(f.normal, f.face.vertices[0])
+                # a support point on the facet that is not a vertex: the
+                # pyramid walk runs on masks that hold it
+                non_vertex += sum(1 for p in S if _dot(f.normal, p) == c) \
+                    > len(f.face.vertices)
+                # the origin at lattice height >= 2 under a facet that the
+                # walk must triangulate
+                thick += c >= 2 and len(f.face.vertices) > len(I)
     assert facets > 0
     assert {"empty", "point", "codimension one", "full"} <= shapes
     if n >= 2:
         assert "collinear" in shapes
+        assert non_vertex > 0
+    if n >= 3:
+        assert thick > 0
 
 
 V3 = ["s", "z1", "z2"]

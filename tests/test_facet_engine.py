@@ -92,7 +92,7 @@ def test_single_point(p):
     facets = newton_polyhedron_facets([p], d)
     assert facets == brute_newton_polyhedron_facets([p], d)
     # the orthant at p: one facet x_i >= p_i per axis
-    assert [(a, c) for a, c, _, _ in facets] == \
+    assert [(a, c) for a, c, _ in facets] == \
         sorted((tuple(int(i == j) for j in range(d)), p[i]) for i in range(d))
     assert convex_hull([p]) == ([p], 0, [])
 
@@ -110,7 +110,7 @@ def test_facet_at_infinity_is_dropped():
         assert (1,) + (0,) * d in cone
         facets = newton_polyhedron_facets(pts, d)
         assert len(facets) == len(cone) - 1
-        assert all(any(a) for a, _, _, _ in facets)
+        assert all(any(a) for a, _, _ in facets)
 
 
 def test_cone_facets_zero_sets_and_primitivity():

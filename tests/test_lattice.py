@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     apply_matrix,
     nvol_boundary_recursion,
+    orthocomplement_line,
     random_lattice_simplex,
     random_unimodular,
     simplex_nvol_oracle,
@@ -22,7 +23,6 @@ from newtonzeta.lattice import (
     mixed_volume,
     normalized_volume,
     normalized_volume_at,
-    orthocomplement_line,
     primitive,
     saturation_basis,
     smith_normal_form,
@@ -142,15 +142,13 @@ def test_hull_degenerate_segment():
     verts, dim, facets = convex_hull([(1, 0), (0, 2)])
     assert dim == 1
     assert sorted(verts) == [(0, 2), (1, 0)]
-    assert {f.inner_normal for f in facets} == {(2, 1), (-2, -1)}
-    for f in facets:
-        assert f.point_indices == (0, 1)
+    assert facets == []
 
 
 def test_hull_degenerate_triangle_in_3d():
     verts, dim, facets = convex_hull([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
     assert dim == 2
-    assert {f.inner_normal for f in facets} == {(6, 3, 2), (-6, -3, -2)}
+    assert facets == []
 
 
 def test_hull_single_point():
