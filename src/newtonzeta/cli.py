@@ -16,14 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .diagram import (
-    IdentityInapplicable,
-    _face_sign,
-    cayley_mixed_volume_identity,
-    cone_reduction_identity,
-    diagram_facets,
-    zeta_torus_and_full,
-)
+from .diagram import _face_sign, diagram_facets, zeta_torus_and_full
 from .factored import factor
 from .germ import (
     ParseError,
@@ -31,14 +24,12 @@ from .germ import (
     germ_to_string,
     index_sets_with_zero,
     parse_germ,
-    pencil_germ,
     restrict_support,
     support,
-    suspend_germ,
 )
 from .lattice import InvariantViolation
 from .nondegeneracy import COUNTEREXAMPLE, nondegeneracy_check
-from .randomized import cayley_suite, cone_suite
+from .randomized import cayley_checks, cayley_suite, cone_checks, cone_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -253,50 +244,10 @@ def cmd_check(args) -> int:
     return EXIT_COUNTEREXAMPLE if report.status == COUNTEREXAMPLE else EXIT_OK
 
 
-def _oracle_rows_cone(f):
-    F = suspend_germ(f)
-    n = F.num_vars - 1
-    rows = []
-    for I in index_sets_with_zero(n):
-        if len(I) < 2:
-            continue
-        for fac in diagram_facets(F, I):
-            try:
-                ok = cone_reduction_identity(f, I, fac)
-                note = ""
-            except IdentityInapplicable as exc:
-                ok = None
-                note = str(exc)
-            rows.append({"identity": "cone", "indices": list(I),
-                         "normal": list(fac.normal), "ok": ok, "note": note})
-    return rows
-
-
-def _oracle_rows_cayley(f0, f1):
-    F = pencil_germ(f0, f1)
-    n = F.num_vars - 1
-    rows = []
-    applicable = False
-    for I in index_sets_with_zero(n):
-        l = len(I) - 1
-        if l <= 1:
-            continue
-        applicable = True
-        for fac in diagram_facets(F, I):
-            try:
-                ok = cayley_mixed_volume_identity(f0, f1, I, fac)
-                note = ""
-            except IdentityInapplicable as exc:
-                ok = None
-                note = str(exc)
-            rows.append({"identity": "cayley", "indices": list(I),
-                         "normal": list(fac.normal), "ok": ok, "note": note})
-    if not applicable:
-        rows.append({"identity": "cayley", "indices": None, "normal": None,
-                     "ok": None,
-                     "note": "identity not applicable "
-                             "(all faces have dimension at most 1)"})
-    return rows
+def _oracle_rows(identity, checks):
+    return [{"identity": identity, "indices": list(I),
+             "normal": list(fac.normal), "ok": ok, "note": note}
+            for I, fac, ok, note in checks]
 
 
 def cmd_oracle_compare(args) -> int:
@@ -325,7 +276,7 @@ def cmd_oracle_compare(args) -> int:
     F, names = _load_germ(args)
     rows = []
     if args.mode in ("cone", "both"):
-        rows.extend(_oracle_rows_cone(F))
+        rows.extend(_oracle_rows("cone", cone_checks(F)))
     if args.mode in ("cayley", "both"):
         text2 = _read_text(args.germ2, args.germ2_file, use_stdin_fallback=False)
         if text2 is None:
@@ -336,7 +287,12 @@ def cmd_oracle_compare(args) -> int:
                          "ok": None, "note": "skipped (no second germ given)"})
         else:
             f1, _ = _germ_from_text(text2, args)
-            rows.extend(_oracle_rows_cayley(F, f1))
+            rows.extend(_oracle_rows("cayley", cayley_checks(F, f1)))
+            if F.num_vars < 3:
+                rows.append({"identity": "cayley", "indices": None,
+                             "normal": None, "ok": None,
+                             "note": "identity not applicable "
+                                     "(all faces have dimension at most 1)"})
     elif args.germ2 is not None or args.germ2_file is not None:
         raise ValueError("--germ2 is only meaningful for the cayley mode")
     checked = [r for r in rows if r["ok"] is not None]

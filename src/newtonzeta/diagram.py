@@ -33,7 +33,7 @@ from .lattice import (
     normalized_volume_at,
     _dot,
     _pulled_volume,
-    _vertices_from_facets,
+    _vertices,
 )
 from .nondegeneracy import newton_polyhedron_facets
 
@@ -85,7 +85,7 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
         return []
     facets = newton_polyhedron_facets(S, d)
     masks = [z for _, _, z in facets]
-    verts = set(_vertices_from_facets(S, [(a, c) for a, c, _ in facets]))
+    verts = set(_vertices(S, masks))
     out = []
     for a, c, z in facets:
         if all(x > 0 for x in a):

@@ -6,26 +6,30 @@ Everything runs on Python ints; ``fractions.Fraction`` appears only in the
 mixed-volume results.  No floating point enters this module, so all
 results are exact.
 
-Every exact elimination (rank, coordinates in a basis, scaled inverses,
-the interpolation solve) is one fraction-free Gauss-Jordan routine,
-``_gauss_jordan`` (Bareiss, *Sylvester's identity and multistep
-integer-preserving Gaussian elimination*, Math. Comp. 22, 1968).
+Every exact elimination (rank, coordinates in a basis, scaled inverses)
+is one fraction-free Gauss-Jordan routine, ``_gauss_jordan`` (Bareiss,
+*Sylvester's identity and multistep integer-preserving Gaussian
+elimination*, Math. Comp. 22, 1968).
 
 Facets come from one integer double-description routine (``cone_facets``,
 after Fukuda & Prodon, *Double description method revisited*, 1996): a
 bounded hull is the cone over its points lifted to height one, a Newton
-polyhedron the same cone plus its recession rays at height zero.  Lower
-faces, for volumes and Newton-polyhedron faces alike, are walked on the
-zero-set bitmasks it returns (``_face_facets``); a diagram facet's volume
-is a pulling triangulation (``_pulled_volume``) on the Newton
-polyhedron's own masks, with no second facet search.
+polyhedron the same cone plus its recession rays at height zero.  Hulls
+and volumes share one step (``_hull_cone``): the points in saturated
+coordinates, which are the points themselves at full dimension, and one
+``cone_facets`` call on them.  Everything else is read off the zero-set
+bitmasks it returns: vertices (``_vertices``), the faces of a face
+(``_face_facets``) and volumes by a pulling triangulation
+(``_pulled_volume``), which for a diagram facet runs on the Newton
+polyhedron's own masks, with no second facet search.  Mixed volumes are
+one inclusion-exclusion over Minkowski sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd
 
 Vector = tuple[int, ...]
 
@@ -394,34 +398,55 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
     return rays
 
 
-def _facet_enum_full(pts) -> list[tuple[Vector, int]]:
-    """Sorted (inner normal, offset) pairs for a full-dimensional point set."""
-    lifted = [(1,) + tuple(p) for p in pts]
-    return sorted((y[1:], -y[0]) for y, _ in cone_facets(lifted))
+def _vertices(pts, masks) -> list[Vector]:
+    """The vertices among sorted distinct points, read off facet zero-set
+    masks (bit i for ``pts[i]``; higher bits, such as a Newton
+    polyhedron's recession axes, are ignored): point i is a vertex iff
+    the points on every facet through it are point i alone (Kaibel &
+    Pfetsch, Comput. Geom. 23, 2002).  A point on no facet is a vertex
+    only when it is the only point.
 
-
-def _vertices_from_facets(pts, plane_facets) -> list[Vector]:
-    """The corners among distinct points of a full-dimensional set, or the
-    vertices of a Newton polyhedron among its support points.
-
-    A point is a vertex iff no other point lies on every facet through it
-    (an interior point lies on no facet, so every other point qualifies).
+    >>> _vertices([(0, 0), (1, 0), (2, 0), (0, 1)], [0b0111, 0b1001, 0b1100])
+    [(0, 0), (2, 0), (0, 1)]
     """
-    incident = [sum(1 << k for k, (a, c) in enumerate(plane_facets)
-                    if _dot(a, p) == c) for p in pts]
-    verts = []
-    for p, mp in zip(pts, incident):
-        if sum(1 for mq in incident if mq & mp == mp) == 1:
-            verts.append(p)
-    return verts
+    full = (1 << len(pts)) - 1
+    out = []
+    for i, p in enumerate(pts):
+        common = full
+        for z in masks:
+            if z >> i & 1:
+                common &= z
+        if common == 1 << i:
+            out.append(p)
+    return out
+
+
+def _hull_cone(uniq):
+    """``(dim, coords, cone_facets(coords lifted to height one))`` for sorted
+    distinct points: their affine dimension and their coordinates, which
+    are the points themselves when they are full-dimensional and otherwise
+    the differences to the first point in a basis of the saturation lattice
+    of their direction space.  Bit i of each zero-set mask is ``uniq[i]``.
+    """
+    base = uniq[0]
+    diffs = [_sub(p, base) for p in uniq]
+    dim = mat_rank(diffs[1:])
+    if dim == 0:  # one point: the one facet cone_facets([(1,)]) would return
+        return 0, [()], [((1,), 0)]
+    coords = uniq if dim == len(base) else \
+        _coords_all(saturation_basis(diffs[1:]), diffs)
+    return dim, coords, cone_facets([(1,) + p for p in coords])
 
 
 def convex_hull(points):
     """Exact hull of integer points: (vertices, affine_dim, facets).
 
-    Facets are reported for full-dimensional hulls only, as their proper
-    facets with primitive inner normals; a lower-dimensional hull gets
-    ``[]``.
+    One ``cone_facets`` call on the distinct points, lifted to height one
+    in saturated coordinates (``_hull_cone``), gives the facets' zero-set
+    masks; the vertices, sorted, are read off those masks.  Facets are
+    reported for full-dimensional hulls only, sorted by (inner normal,
+    offset), each with every input index on it, duplicates included; a
+    lower-dimensional hull gets ``[]``.
     """
     pts_in = [tuple(int(x) for x in p) for p in points]
     if not pts_in:
@@ -430,27 +455,15 @@ def convex_hull(points):
     if d < 1 or any(len(p) != d for p in pts_in):
         raise ValueError("points must share a positive ambient dimension")
     uniq = sorted(set(pts_in))
-    base = uniq[0]
-    diffs = [_sub(p, base) for p in uniq[1:]]
-    dim = mat_rank(diffs)
-    if dim == 0:
-        return [base], 0, []
-    if dim == d:
-        planes = _facet_enum_full(uniq)
-        vertices = _vertices_from_facets(uniq, planes)
-        facets = [
-            HullFacet(
-                tuple(i for i, p in enumerate(pts_in) if _dot(a, p) == c),
-                a, c)
-            for a, c in planes
-        ]
-        return vertices, dim, facets
-    # degenerate: recurse inside the saturation lattice of the direction span
-    B = saturation_basis(diffs)
-    sat = _coords_all(B, [_sub(p, base) for p in uniq])
-    backmap = dict(zip(sat, uniq))
-    sverts, _, _ = convex_hull(sat)
-    return sorted(backmap[v] for v in sverts), dim, []
+    dim, _, cone = _hull_cone(uniq)
+    vertices = _vertices(uniq, [z for _, z in cone])
+    if dim < d:
+        return vertices, dim, []
+    pos = {p: i for i, p in enumerate(uniq)}
+    bits = [pos[p] for p in pts_in]
+    facets = [HullFacet(tuple(i for i, b in enumerate(bits) if z >> b & 1), a, c)
+              for a, c, z in sorted((y[1:], -y[0], z) for y, z in cone)]
+    return vertices, dim, facets
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +561,14 @@ def normalized_volume(P: LatticePolytope) -> int:
     The lattice volume is measured in the saturation lattice of the
     direction space, i.e. normalized so the minimal parallelepiped with
     integer vertices has volume 1.  A point gives 1, the empty polytope 0.
+    The vertices go through the same ``_hull_cone`` step as
+    ``convex_hull`` (no saturation basis when P is full-dimensional), and
+    the volume is a pulling triangulation on the masks it returns.
     """
     if P.is_empty:
         return 0
-    l = P.affine_dim
-    if l == 0:
-        return 1
-    base = P.vertices[0]
-    diffs = [_sub(v, base) for v in P.vertices]
-    pts = _coords_all(saturation_basis(diffs[1:]), diffs)
-    facets = [z for _, z in cone_facets([(1,) + p for p in pts])]
-    return _pulled_volume((1 << len(pts)) - 1, l, pts, facets, ())
+    l, pts, cone = _hull_cone(P.vertices)
+    return _pulled_volume((1 << len(pts)) - 1, l, pts, [z for _, z in cone], ())
 
 
 def normalized_volume_at(P: LatticePolytope, l: int) -> int:
@@ -585,42 +595,8 @@ def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
         [_add(p, q) for p in P.vertices for q in Q.vertices])
 
 
-def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
-    """k-fold dilation for k >= 0; k = 0 collapses to the origin."""
-    if k < 0:
-        raise ValueError("negative dilation")
-    if P.is_empty:
-        raise ValueError("dilation of an empty polytope")
-    if k == 0:
-        return LatticePolytope.from_points([(0,) * P.ambient_dim])
-    return LatticePolytope.from_points(
-        [tuple(k * x for x in v) for v in P.vertices])
-
-
 def _lattice_volume(K: LatticePolytope, m: int) -> Fraction:
     return Fraction(normalized_volume_at(K, m), factorial(m))
-
-
-def _solve_poly_values(vals) -> list[Fraction]:
-    """Coefficients of the polynomial taking the given values at 0..len-1.
-
-    The values are scaled by the lcm L of their denominators, so the
-    Vandermonde system is integral; each coefficient is entry / (p L).
-    """
-    vals = [Fraction(v) for v in vals]
-    n = len(vals)
-    L = lcm(*(v.denominator for v in vals))
-    _, a, p = _gauss_jordan(
-        [[s ** t for t in range(n)] + [v.numerator * (L // v.denominator)]
-         for s, v in enumerate(vals)], n)
-    return [Fraction(row[n], p * L) for row in a]
-
-
-def _two_body_polarization(K0, K1, j: int, m: int) -> Fraction:
-    vols = [_lattice_volume(minkowski_sum(K0, dilate(K1, s)), m)
-            for s in range(m + 1)]
-    coeffs = _solve_poly_values(vols)
-    return coeffs[j] / comb(m, j)
 
 
 def mixed_volume(bodies) -> Fraction:
@@ -629,9 +605,12 @@ def mixed_volume(bodies) -> Fraction:
     The bodies must fit a common m-dimensional lattice direction space;
     volumes are measured in its saturation lattice and normalized so that
     ``mixed_volume([K]*m)`` is the lattice volume of K (not multiplied by
-    m factorial).  Computed by polarization: for two distinct bodies the
-    volume of K0 + s*K1 is interpolated at s = 0..m; more distinct bodies
-    fall back to subset inclusion-exclusion.
+    m factorial).  The bodies are moved into coordinates of that
+    saturation lattice, each by its first vertex; m copies of one body
+    give its volume, and otherwise ``m! V`` is the alternating sum, over
+    the nonempty subsets J of the bodies, of ``(-1)^(m - |J|)`` times the
+    volume of the Minkowski sum of J (Schneider, *Convex Bodies: The
+    Brunn-Minkowski Theory*, 2014, section 5.1).
     """
     Ks = list(bodies)
     m = len(Ks)
@@ -658,20 +637,8 @@ def mixed_volume(bodies) -> Fraction:
         b = K.vertices[0]
         mapped.append(LatticePolytope.from_points(
             _coords_all(B, [_sub(v, b) for v in K.vertices])))
-    distinct: list[LatticePolytope] = []
-    counts: list[int] = []
-    for K in mapped:
-        for idx, K2 in enumerate(distinct):
-            if K2.vertices == K.vertices:
-                counts[idx] += 1
-                break
-        else:
-            distinct.append(K)
-            counts.append(1)
-    if len(distinct) == 1:
-        return _lattice_volume(distinct[0], m)
-    if len(distinct) == 2:
-        return _two_body_polarization(distinct[0], distinct[1], counts[1], m)
+    if all(K.vertices == mapped[0].vertices for K in mapped):
+        return _lattice_volume(mapped[0], m)
     total = Fraction(0)
     for bits in range(1, 1 << m):
         chosen = [mapped[i] for i in range(m) if bits >> i & 1]

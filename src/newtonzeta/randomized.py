@@ -68,6 +68,45 @@ class SuiteResult:
                 f"{len(self.failures)} failures)")
 
 
+def _checks(F, identity, min_size):
+    for I in index_sets_with_zero(F.num_vars - 1):
+        if len(I) < min_size:
+            continue
+        for facet in diagram_facets(F, I):
+            try:
+                ok, note = identity(I, facet), ""
+            except IdentityInapplicable as exc:
+                ok, note = None, str(exc)
+            yield I, facet, ok, note
+
+
+def cone_checks(f: GermSeries):
+    """``(I, facet, ok, note)`` for every diagram facet of F = f - sigma
+    over the index sets with |I| >= 2: ``ok`` is the cone reduction's
+    verdict, or None with the reason as ``note`` when it does not apply."""
+    return _checks(suspend_germ(f), lambda I, facet:
+                   cone_reduction_identity(f, I, facet), 2)
+
+
+def cayley_checks(f0: GermSeries, f1: GermSeries):
+    """``(I, facet, ok, note)`` for every diagram facet of F = f0 - sigma*f1
+    over the index sets with |I| >= 3, as ``cone_checks`` does for the
+    Cayley/mixed-volume reduction."""
+    return _checks(pencil_germ(f0, f1), lambda I, facet:
+                   cayley_mixed_volume_identity(f0, f1, I, facet), 3)
+
+
+def _tally(result: SuiteResult, checks):
+    result.cases += 1
+    for I, facet, ok, note in checks:
+        result.facets_checked += 1
+        if ok is None:
+            result.failures.append(f"I={I} facet {facet.normal}: {note}")
+        elif not ok:
+            result.failures.append(
+                f"I={I} facet {facet.normal}: volumes or exponents disagree")
+
+
 def cone_suite(seed: int, count: int = 100, max_n: int = 3,
                max_exp: int = 8) -> SuiteResult:
     """Check the cone reduction on every facet of count random suspensions."""
@@ -75,23 +114,7 @@ def cone_suite(seed: int, count: int = 100, max_n: int = 3,
     result = SuiteResult("cone reduction suite")
     for _ in range(count):
         n = rng.randint(1, max_n)
-        f = random_convenient_germ(rng, n, max_exp=max_exp)
-        F = suspend_germ(f)
-        result.cases += 1
-        for I in index_sets_with_zero(n):
-            if len(I) < 2:
-                continue
-            for facet in diagram_facets(F, I):
-                result.facets_checked += 1
-                try:
-                    ok = cone_reduction_identity(f, I, facet)
-                except IdentityInapplicable as exc:
-                    ok = False
-                    result.failures.append(f"I={I} facet {facet.normal}: {exc}")
-                    continue
-                if not ok:
-                    result.failures.append(
-                        f"I={I} facet {facet.normal}: volumes or exponents disagree")
+        _tally(result, cone_checks(random_convenient_germ(rng, n, max_exp=max_exp)))
     return result
 
 
@@ -106,21 +129,5 @@ def cayley_suite(seed: int, count: int = 50) -> SuiteResult:
             f1 = random_z_germ(rng, n, max_exp=2, max_terms=1)  # monomial
         else:
             f1 = random_z_germ(rng, n, max_exp=2, max_terms=2)
-        F = pencil_germ(f0, f1)
-        result.cases += 1
-        for I in index_sets_with_zero(n):
-            l = len(I) - 1
-            if l not in (2, 3):
-                continue
-            for facet in diagram_facets(F, I):
-                result.facets_checked += 1
-                try:
-                    ok = cayley_mixed_volume_identity(f0, f1, I, facet)
-                except IdentityInapplicable as exc:
-                    ok = False
-                    result.failures.append(f"I={I} facet {facet.normal}: {exc}")
-                    continue
-                if not ok:
-                    result.failures.append(
-                        f"I={I} facet {facet.normal}: volumes or exponents disagree")
+        _tally(result, cayley_checks(f0, f1))
     return result

@@ -4,25 +4,27 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 from newtonzeta.diagram import DiagramFacet, _normalize_index_set
 from newtonzeta.factored import FactoredZeta, factor, one
 from newtonzeta.germ import GermSeries, make_germ, restrict_support, support
 from newtonzeta.lattice import (
+    HullFacet,
     InvariantViolation,
     LatticePolytope,
     Vector,
     _coords_all,
     _dot,
-    _facet_enum_full,
     _independent_indices,
+    _lattice_volume,
     _neg,
     _sub,
-    _vertices_from_facets,
+    cone_facets,
     convex_hull,
     int_det,
     mat_rank,
+    minkowski_sum,
     normalized_volume,
     primitive,
     saturation_basis,
@@ -322,8 +324,153 @@ def nvol_boundary_recursion(points) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the hull by dot-product incidences and recursion into the saturation
+# lattice, and the two-body polarization mixed volume, which one
+# ``cone_facets`` call read through its masks (``lattice._hull_cone``) and
+# one inclusion-exclusion replaced; kept as oracles of test_hull_pipeline
+
+
+def _facet_enum_full(pts) -> list[tuple[Vector, int]]:
+    """Sorted (inner normal, offset) pairs for a full-dimensional point set."""
+    lifted = [(1,) + tuple(p) for p in pts]
+    return sorted((y[1:], -y[0]) for y, _ in cone_facets(lifted))
+
+
+def _vertices_from_facets(pts, plane_facets) -> list[Vector]:
+    """The corners among distinct points of a full-dimensional set, or the
+    vertices of a Newton polyhedron among its support points.
+
+    A point is a vertex iff no other point lies on every facet through it
+    (an interior point lies on no facet, so every other point qualifies).
+    """
+    incident = [sum(1 << k for k, (a, c) in enumerate(plane_facets)
+                    if _dot(a, p) == c) for p in pts]
+    verts = []
+    for p, mp in zip(pts, incident):
+        if sum(1 for mq in incident if mq & mp == mp) == 1:
+            verts.append(p)
+    return verts
+
+
+def recursive_convex_hull(points):
+    """Exact hull of integer points: (vertices, affine_dim, facets).
+
+    Facets are reported for full-dimensional hulls only, as their proper
+    facets with primitive inner normals; a lower-dimensional hull gets
+    ``[]``.
+    """
+    pts_in = [tuple(int(x) for x in p) for p in points]
+    if not pts_in:
+        raise ValueError("convex_hull needs at least one point")
+    d = len(pts_in[0])
+    if d < 1 or any(len(p) != d for p in pts_in):
+        raise ValueError("points must share a positive ambient dimension")
+    uniq = sorted(set(pts_in))
+    base = uniq[0]
+    diffs = [_sub(p, base) for p in uniq[1:]]
+    dim = mat_rank(diffs)
+    if dim == 0:
+        return [base], 0, []
+    if dim == d:
+        planes = _facet_enum_full(uniq)
+        vertices = _vertices_from_facets(uniq, planes)
+        facets = [
+            HullFacet(
+                tuple(i for i, p in enumerate(pts_in) if _dot(a, p) == c),
+                a, c)
+            for a, c in planes
+        ]
+        return vertices, dim, facets
+    # degenerate: recurse inside the saturation lattice of the direction span
+    B = saturation_basis(diffs)
+    sat = _coords_all(B, [_sub(p, base) for p in uniq])
+    backmap = dict(zip(sat, uniq))
+    sverts, _, _ = recursive_convex_hull(sat)
+    return sorted(backmap[v] for v in sverts), dim, []
+
+
+def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
+    """k-fold dilation for k >= 0; k = 0 collapses to the origin."""
+    if k < 0:
+        raise ValueError("negative dilation")
+    if P.is_empty:
+        raise ValueError("dilation of an empty polytope")
+    if k == 0:
+        return LatticePolytope.from_points([(0,) * P.ambient_dim])
+    return LatticePolytope.from_points(
+        [tuple(k * x for x in v) for v in P.vertices])
+
+
+def _two_body_polarization(K0, K1, j: int, m: int) -> Fraction:
+    vols = [_lattice_volume(minkowski_sum(K0, dilate(K1, s)), m)
+            for s in range(m + 1)]
+    coeffs = fraction_solve_poly_values(vols)
+    return coeffs[j] / comb(m, j)
+
+
+def polarization_mixed_volume(bodies) -> Fraction:
+    """Minkowski mixed volume of m lattice polytopes.
+
+    The bodies must fit a common m-dimensional lattice direction space;
+    volumes are measured in its saturation lattice and normalized so that
+    ``mixed_volume([K]*m)`` is the lattice volume of K (not multiplied by
+    m factorial).  Computed by polarization: for two distinct bodies the
+    volume of K0 + s*K1 is interpolated at s = 0..m; more distinct bodies
+    fall back to subset inclusion-exclusion.
+    """
+    Ks = list(bodies)
+    m = len(Ks)
+    if m == 0:
+        raise ValueError("need at least one body")
+    D = Ks[0].ambient_dim
+    for K in Ks:
+        if K.is_empty:
+            raise ValueError("mixed volume of an empty polytope")
+        if K.ambient_dim != D:
+            raise ValueError("ambient dimension mismatch")
+    vecs = []
+    for K in Ks:
+        b = K.vertices[0]
+        vecs.extend(_sub(v, b) for v in K.vertices[1:])
+    r = mat_rank(vecs)
+    if r > m:
+        raise ValueError("bodies do not fit a common m-dimensional direction space")
+    if r < m:
+        return Fraction(0)
+    B = saturation_basis(vecs)
+    mapped = []
+    for K in Ks:
+        b = K.vertices[0]
+        mapped.append(LatticePolytope.from_points(
+            _coords_all(B, [_sub(v, b) for v in K.vertices])))
+    distinct: list[LatticePolytope] = []
+    counts: list[int] = []
+    for K in mapped:
+        for idx, K2 in enumerate(distinct):
+            if K2.vertices == K.vertices:
+                counts[idx] += 1
+                break
+        else:
+            distinct.append(K)
+            counts.append(1)
+    if len(distinct) == 1:
+        return _lattice_volume(distinct[0], m)
+    if len(distinct) == 2:
+        return _two_body_polarization(distinct[0], distinct[1], counts[1], m)
+    total = Fraction(0)
+    for bits in range(1, 1 << m):
+        chosen = [mapped[i] for i in range(m) if bits >> i & 1]
+        T = chosen[0]
+        for K in chosen[1:]:
+            T = minkowski_sum(T, K)
+        total += (-1) ** (m - len(chosen)) * _lattice_volume(T, m)
+    return total / factorial(m)
+
+
+# ---------------------------------------------------------------------------
 # Fraction Gauss-Jordan eliminations: the routines the fraction-free kernel
-# ``lattice._gauss_jordan`` replaced, kept as oracles for test_elimination
+# ``lattice._gauss_jordan`` replaced, kept as oracles for test_elimination;
+# the interpolation solve backs the polarization oracle above
 
 
 def fraction_mat_rank(rows) -> int:

@@ -12,6 +12,7 @@ from math import comb, factorial
 
 from helpers import (
     apply_matrix,
+    dilate,
     permutation_zeta,
     random_deformation_germ,
     random_lattice_simplex,
@@ -27,7 +28,6 @@ from newtonzeta.factored import factor, one
 from newtonzeta.germ import make_germ, parse_germ
 from newtonzeta.lattice import (
     LatticePolytope,
-    dilate,
     minkowski_sum,
     mixed_volume,
     normalized_volume,

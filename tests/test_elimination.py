@@ -9,7 +9,6 @@ from helpers import (
     fraction_coords_in_basis,
     fraction_int_inverse,
     fraction_mat_rank,
-    fraction_solve_poly_values,
     random_unimodular,
 )
 from newtonzeta.lattice import (
@@ -18,7 +17,6 @@ from newtonzeta.lattice import (
     _gauss_jordan,
     _independent_indices,
     _scaled_inverse_columns,
-    _solve_poly_values,
     coords_in_basis,
     int_det,
     mat_rank,
@@ -164,25 +162,6 @@ def test_coordinates_in_the_empty_basis():
     assert coords_in_basis([], (0, 0)) == fraction_coords_in_basis([], (0, 0)) == ()
     with pytest.raises(ValueError, match="outside the span"):
         coords_in_basis([], (0, 1))
-
-
-def test_interpolation_matches_fraction_elimination():
-    rng = random.Random(305)
-    for _ in range(150):
-        n = rng.randint(1, 7)
-        vals = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-                for _ in range(n)]
-        coeffs = _solve_poly_values(vals)
-        assert coeffs == fraction_solve_poly_values(vals)
-        assert all(isinstance(c, Fraction) for c in coeffs)
-        for s, v in enumerate(vals):
-            assert sum(c * s ** t for t, c in enumerate(coeffs)) == v
-
-
-def test_interpolation_recovers_a_polynomial():
-    coeffs = [Fraction(1, 6), Fraction(-2, 3), Fraction(0), Fraction(5, 4)]
-    vals = [sum(c * s ** t for t, c in enumerate(coeffs)) for s in range(4)]
-    assert _solve_poly_values(vals) == coeffs
 
 
 def test_inverse_of_unimodular_matches_fraction_elimination():

@@ -13,8 +13,6 @@ from helpers import (
 from newtonzeta.lattice import (
     InvariantViolation,
     _dot,
-    _facet_enum_full,
-    _vertices_from_facets,
     cone_facets,
     convex_hull,
     mat_rank,
@@ -41,15 +39,22 @@ def _point_sets(rng, d, count, cases):
     return out
 
 
+def _vertices_and_planes(pts):
+    """Vertices and (inner normal, offset) facet pairs of a full-dimensional
+    set, from ``convex_hull``."""
+    verts, _, facets = convex_hull(pts)
+    return verts, [(f.inner_normal, f.offset) for f in facets]
+
+
 @pytest.mark.parametrize("d,count,cases",
                          [(1, 6, 30), (2, 14, 60), (3, 14, 60),
                           (4, 11, 30), (5, 9, 12)])
 def test_hull_facets_and_vertices_match_brute_force(d, count, cases):
     rng = random.Random(1000 + d)
     for pts in _point_sets(rng, d, count, cases):
-        planes = _facet_enum_full(pts)
+        verts, planes = _vertices_and_planes(pts)
         assert planes == brute_facet_enum_full(pts, d)
-        assert _vertices_from_facets(pts, planes) == rank_vertices(pts, planes, d)
+        assert verts == rank_vertices(pts, planes, d)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -62,12 +67,11 @@ def test_lattice_boxes(d):
         pts = [()]
         for s in sides:
             pts = [p + (x,) for p in pts for x in range(s + 1)]
-        planes = _facet_enum_full(pts)
+        verts, planes = _vertices_and_planes(pts)
         units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
         assert planes == sorted([(u, 0) for u in units]
                                 + [(tuple(-x for x in u), -s)
                                    for u, s in zip(units, sides)])
-        verts = _vertices_from_facets(pts, planes)
         assert verts == rank_vertices(pts, planes, d)
         assert len(verts) == 2 ** d
 

@@ -1,0 +1,129 @@
+"""The one-step hull pipeline against the paths it replaced.
+
+``convex_hull`` reads vertices and facets off one ``cone_facets`` call in
+saturated coordinates, ``diagram_facets`` reads vertices off the Newton
+polyhedron's masks with ``_vertices``, and ``mixed_volume`` is one
+inclusion-exclusion.  The oracles in ``tests/helpers.py`` are the old
+dot-product incidences, the recursion into the saturation lattice and
+the two-body polarization.
+"""
+
+import random
+
+from helpers import (
+    _vertices_from_facets,
+    polarization_mixed_volume,
+    random_point_set,
+    recursive_convex_hull,
+    simplex_nvol_oracle,
+)
+from newtonzeta.lattice import (
+    LatticePolytope,
+    _vertices,
+    convex_hull,
+    mat_rank,
+    mixed_volume,
+)
+from newtonzeta.nondegeneracy import newton_polyhedron_facets
+
+
+def _embed(rng, d, k):
+    """A random d x k integer matrix of rank k, as its k column vectors."""
+    while True:
+        cols = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+        if mat_rank(cols) == k:
+            return cols
+
+
+def _image(cols, shift, p):
+    return tuple(s + sum(c[i] * x for c, x in zip(cols, p))
+                 for i, s in enumerate(shift))
+
+
+def _units(k):
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+
+def _with_duplicates(rng, pts):
+    out = pts + [rng.choice(pts) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(out)
+    return out
+
+
+def test_hulls_match_the_recursive_hull():
+    rng = random.Random(811)
+    seen = {"full": 0, "lower": 0, "non-unimodular": 0, "duplicates": 0}
+    for case in range(240):
+        d = rng.randint(1, 4)
+        if case % 2:
+            k = rng.randint(0, d - 1)
+            cols = _embed(rng, d, k)
+            shift = tuple(rng.randint(-3, 3) for _ in range(d))
+            pts = [_image(cols, shift, p) for p in
+                   random_point_set(rng, max(k, 1), rng.randint(1, 8), 2)]
+            if k and simplex_nvol_oracle([shift] + [_image(cols, shift, e)
+                                         for e in _units(k)]) > 1:
+                seen["non-unimodular"] += 1
+        else:
+            pts = random_point_set(rng, d, rng.randint(1, 10), 2)
+        pts = _with_duplicates(rng, pts)
+        result = convex_hull(pts)
+        assert result == recursive_convex_hull(pts)
+        seen["full" if result[1] == d else "lower"] += 1
+        seen["duplicates"] += len(set(pts)) < len(pts)
+    assert all(seen.values()), seen
+
+
+def test_newton_polyhedron_vertices_match_the_incidence_rule():
+    rng = random.Random(812)
+    inner = 0
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        S = sorted({tuple(abs(x) for x in p)
+                    for p in random_point_set(rng, d, rng.randint(1, 12), 3)})
+        facets = newton_polyhedron_facets(S, d)
+        verts = _vertices(S, [z for _, _, z in facets])
+        assert verts == _vertices_from_facets(S, [(a, c) for a, c, _ in facets])
+        inner += len(verts) < len(S)
+    assert inner
+
+
+def _bodies(rng, m, distinct, rank):
+    """m bodies, ``distinct`` of them different up to translation, inside
+    one rank-dimensional direction space of Z^D, each translated on its
+    own."""
+    D = rng.randint(m, m + 1)
+    cols = _embed(rng, D, rank)
+    shapes = []
+    while len(shapes) < distinct:
+        verts = convex_hull(random_point_set(rng, rank, rng.randint(2, 4), 1))[0]
+        shape = [tuple(x - y for x, y in zip(v, verts[0])) for v in verts]
+        if shape not in shapes:
+            shapes.append(shape)
+    picks = shapes + [rng.choice(shapes) for _ in range(m - distinct)]
+    rng.shuffle(picks)
+    out = []
+    for shape in picks:
+        shift = tuple(rng.randint(-2, 2) for _ in range(D))
+        out.append(LatticePolytope.from_points(
+            [_image(cols, shift, p) for p in shape]))
+    return out
+
+
+def test_mixed_volumes_match_the_polarization():
+    rng = random.Random(813)
+    seen = set()
+    for case in range(120):
+        m = case % 4 + 1
+        distinct = rng.randint(1, min(3, m))
+        deficient = m > 1 and case % 5 == 0
+        bodies = _bodies(rng, m, distinct, m - 1 if deficient else m)
+        value = mixed_volume(bodies)
+        assert value == polarization_mixed_volume(bodies)
+        if deficient:
+            assert value == 0
+        seen.add((m, distinct, deficient))
+    assert {m for m, _, deficient in seen if not deficient} == {1, 2, 3, 4}
+    assert any(deficient for _, _, deficient in seen)
+    for distinct in (2, 3):
+        assert any(k == distinct < m for m, k, _ in seen), distinct

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     apply_matrix,
+    dilate,
     nvol_boundary_recursion,
     orthocomplement_line,
     random_lattice_simplex,
@@ -15,7 +16,6 @@ from newtonzeta.lattice import (
     LatticePolytope,
     convex_hull,
     coords_in_basis,
-    dilate,
     int_det,
     mat_rank,
     minimizing_face,
@@ -181,6 +181,8 @@ def test_hull_properties_randomized():
                         for p in pts]
                 assert all(v >= f.offset for v in vals)
                 on = [pts[i] for i in f.point_indices]
+                assert list(f.point_indices) == [
+                    i for i, v in enumerate(vals) if v == f.offset]
                 assert all(sum(a * x for a, x in zip(f.inner_normal, p))
                            == f.offset for p in on)
                 if dim == d:

@@ -64,3 +64,9 @@ def test_every_count_hook_reads_a_real_call():
     for module, path, hook in tracing.COUNT_ONLY:
         hook(counts, (F,), _resolve(module, path)(F))
     assert all(counts.values()), counts
+    # a lower-dimensional hull has no facets and counts nothing
+    before = dict(counts)
+    collinear = ([(0, 0), (1, 2), (3, 6)],)
+    tracing.HOOKS["lattice.hull"](counts, collinear,
+                                  _resolve("lattice", "convex_hull")(*collinear))
+    assert counts == before
