@@ -6,7 +6,10 @@ always the deformation parameter.  Coefficients live in Q: the zeta
 formulas depend only on the support, and the nondegeneracy checker works
 over the rationals (documented restriction).
 
-Expression grammar (whitespace insignificant)::
+An expression is read as tokens, whitespace between them ignored: a number
+(decimal digits), a name (a word character other than a decimal digit,
+such as a letter, ``_`` or ``²``, then word characters), or one of the
+operators ``+ - * / ^``; any other character is an error.  Grammar::
 
     expr   := [sign] term { ('+'|'-') term }
     term   := coefficient ['*'] factors | factors | coefficient
@@ -14,12 +17,18 @@ Expression grammar (whitespace insignificant)::
     factor := name ['^' positive-integer]
     coefficient := integer | integer '/' integer
 
+Every syntax error is a ``ParseError`` that carries the character position
+of the offending token (the length of the text at its end); the terms are
+collected by ``make_germ``.
+
 The JSON alternative is ``{"vars": [...], "terms": [{"exp": [k0, ..., kn],
-"coef": "p/q"}, ...]}``.
+"coef": c}, ...]}``, where ``c`` is an integer or a string ``"p"`` or
+``"p/q"`` (optional sign, decimal digits).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,53 +137,30 @@ def _require_z_only(f: GermSeries):
 # ---------------------------------------------------------------------------
 # parsing
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        elif ch in "+-*/^":
-            tokens.append(("op", ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+# One token after optional whitespace.  The end of the text is a token too,
+# at position len(text); matching it also keeps trailing whitespace from
+# being rescanned once per character.
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^])"
+                    r"|(?P<other>\S)|(?P<end>\Z))")
 
-
-class _Cursor:
-    def __init__(self, tokens, text_len):
-        self.tokens = tokens
-        self.pos = 0
-        self.text_len = text_len
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def here(self) -> int:
-        tok = self.peek()
-        return tok[2] if tok is not None else self.text_len
+# For the role of the previous token ("start" before the first): the role
+# the next token takes, looked up by its operator or its kind, and the error
+# raised at a token found in neither.  A name right after a coefficient is
+# the implicit product "2 z1".
+_GRAMMAR = {
+    "start": ({"+": "sign", "-": "sign", "num": "coef", "name": "var"}, "expected a term"),
+    "sign": ({"num": "coef", "name": "var"}, "expected a term"),
+    "coef": ({"/": "slash", "*": "star", "name": "var", "+": "sign", "-": "sign",
+              "end": "end"}, "expected '+' or '-'"),
+    "slash": ({"num": "denom"}, "expected denominator"),
+    "denom": ({"*": "star", "name": "var", "+": "sign", "-": "sign", "end": "end"},
+              "expected '+' or '-'"),
+    "star": ({"name": "var"}, "expected a variable"),
+    "var": ({"^": "caret", "*": "star", "+": "sign", "-": "sign", "end": "end"},
+            "expected '+' or '-'"),
+    "caret": ({"num": "exp"}, "expected exponent"),
+    "exp": ({"*": "star", "+": "sign", "-": "sign", "end": "end"}, "expected '+' or '-'"),
+}
 
 
 def parse_germ(text: str, var_names) -> GermSeries:
@@ -190,101 +176,48 @@ def parse_germ(text: str, var_names) -> GermSeries:
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
     index = {name: i for i, name in enumerate(names)}
-    cur = _Cursor(_tokenize(text), len(text))
-
-    def parse_factor(exps):
-        kind, value, pos = cur.next()
-        if value not in index:
-            raise ParseError(f"unknown variable {value!r}", pos)
-        k = 1
-        tok = cur.peek()
-        if tok is not None and tok[:2] == ("op", "^"):
-            cur.next()
-            tok = cur.peek()
-            if tok is not None and tok[:2] == ("op", "-"):
-                raise ParseError("negative exponent", tok[2])
-            if tok is None or tok[0] != "num":
-                raise ParseError("expected exponent", cur.here())
-            cur.next()
-            k = int(tok[1])
-            if k == 0:
-                raise ParseError("exponent must be a positive integer", tok[2])
-        exps[index[value]] += k
-
-    def parse_term():
-        coef = Fraction(1)
-        exps = [0] * len(names)
-        tok = cur.peek()
-        if tok is None:
-            raise ParseError("expected a term", cur.here())
-        if tok[0] == "num":
-            cur.next()
-            p = int(tok[1])
-            tok2 = cur.peek()
-            if tok2 is not None and tok2[:2] == ("op", "/"):
-                cur.next()
-                tok3 = cur.next()
-                if tok3 is None or tok3[0] != "num":
-                    raise ParseError("expected denominator", cur.here())
-                if int(tok3[1]) == 0:
-                    raise ParseError("zero denominator", tok3[2])
-                coef = Fraction(p, int(tok3[1]))
-            else:
-                coef = Fraction(p)
-            tok2 = cur.peek()
-            if tok2 is not None and tok2[:2] == ("op", "*"):
-                cur.next()
-                if cur.peek() is None or cur.peek()[0] != "name":
-                    raise ParseError("expected a variable", cur.here())
-            elif tok2 is not None and tok2[0] == "name":
-                pass  # implicit product like "2 z1"
-            else:
-                return coef, tuple(exps)  # bare constant
-        elif tok[0] != "name":
-            raise ParseError("expected a term", tok[2])
-        while True:
-            parse_factor(exps)
-            tok = cur.peek()
-            if tok is not None and tok[:2] == ("op", "*"):
-                cur.next()
-                if cur.peek() is None or cur.peek()[0] != "name":
-                    raise ParseError("expected a variable", cur.here())
-                continue
-            break
-        return coef, tuple(exps)
-
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "other":
+            raise ParseError(f"unexpected character {value!r}", pos)
     items = []
-    first = True
-    while cur.peek() is not None or first:
-        sign = 1
-        tok = cur.peek()
-        if first:
-            if tok is not None and tok[0] == "op" and tok[1] in "+-":
-                cur.next()
-                sign = -1 if tok[1] == "-" else 1
-        else:
-            if tok is None:
-                break
-            if tok[0] != "op" or tok[1] not in "+-":
-                raise ParseError("expected '+' or '-'", tok[2])
-            cur.next()
-            sign = -1 if tok[1] == "-" else 1
-        coef, exps = parse_term()
-        items.append((exps, sign * coef))
-        first = False
-    if not items:
-        raise ParseError("empty expression", 0)
-
-    acc: dict[Exponent, Fraction] = {}
-    for e, c in items:
-        acc[e] = acc.get(e, Fraction(0)) + c
-    acc = {e: c for e, c in acc.items() if c != 0}
-    zero = (0,) * len(names)
-    if zero in acc:
-        raise ValueError("nonzero constant term: not a germ vanishing at 0")
-    if not acc:
-        raise ValueError("empty germ after collection")
-    return GermSeries(len(names), acc)
+    role, sign, coef, exps = "start", 1, 1, [0] * len(names)
+    for kind, value, pos in tokens:
+        follow, error = _GRAMMAR[role]
+        new = follow.get(value if kind == "op" else kind)
+        if new is None:
+            if role == "caret" and value == "-":
+                error = "negative exponent"
+            raise ParseError(error, pos)
+        if kind == "num":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError("number has too many digits", pos) from None
+        if new in ("sign", "end") and role != "start":
+            items.append((exps, sign * coef))
+            coef, exps = 1, [0] * len(names)
+        if new == "sign":
+            sign = -1 if value == "-" else 1
+        elif new == "coef":
+            coef = value
+        elif new == "denom":
+            if value == 0:
+                raise ParseError("zero denominator", pos)
+            coef = Fraction(coef, value)
+        elif new == "var":
+            if value not in index:
+                raise ParseError(f"unknown variable {value!r}", pos)
+            var = index[value]
+            exps[var] += 1
+        elif new == "exp":
+            if value == 0:
+                raise ParseError("exponent must be a positive integer", pos)
+            exps[var] += value - 1
+        elif new == "end":
+            return make_germ(len(names), items)
+        role = new
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +265,22 @@ def germ_to_json(F: GermSeries, var_names) -> dict:
     }
 
 
+_RATIONAL = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
+
+
 def _json_coef(c, k: int) -> Fraction:
+    """An integer, or a string ``p`` or ``p/q`` of decimal digits with an
+    optional sign; exponents, decimal points and ``_`` are refused before
+    ``Fraction`` sees them."""
     if isinstance(c, bool) or not isinstance(c, (int, str)):
         raise ValueError(f"term {k}: 'coef' must be an integer or a rational string")
     try:
-        return Fraction(c)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"term {k}: 'coef' {c!r} is not a rational number "
-                         "with nonzero denominator") from None
+        if isinstance(c, int) or _RATIONAL.fullmatch(c):
+            return Fraction(c)
+    except (ValueError, ZeroDivisionError):  # 1/0, or too many digits for int
+        pass
+    raise ValueError(f"term {k}: 'coef' {c!r} is not a rational number "
+                     "with nonzero denominator")
 
 
 def germ_from_json(obj) -> tuple[GermSeries, list[str]]:

@@ -595,22 +595,21 @@ def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
         [_add(p, q) for p in P.vertices for q in Q.vertices])
 
 
-def _lattice_volume(K: LatticePolytope, m: int) -> Fraction:
-    return Fraction(normalized_volume_at(K, m), factorial(m))
-
-
 def mixed_volume(bodies) -> Fraction:
     """Minkowski mixed volume of m lattice polytopes.
 
     The bodies must fit a common m-dimensional lattice direction space;
     volumes are measured in its saturation lattice and normalized so that
     ``mixed_volume([K]*m)`` is the lattice volume of K (not multiplied by
-    m factorial).  The bodies are moved into coordinates of that
+    m factorial).  The bodies' vertices are moved into coordinates of that
     saturation lattice, each by its first vertex; m copies of one body
     give its volume, and otherwise ``m! V`` is the alternating sum, over
     the nonempty subsets J of the bodies, of ``(-1)^(m - |J|)`` times the
     volume of the Minkowski sum of J (Schneider, *Convex Bodies: The
-    Brunn-Minkowski Theory*, 2014, section 5.1).
+    Brunn-Minkowski Theory*, 2014, section 5.1).  A Minkowski sum is
+    taken as the set of sums of the mapped points, and one ``_hull_cone``
+    and a pulling triangulation give its normalized volume, ``m!`` times
+    its volume; hence the division by ``m!^2``.
     """
     Ks = list(bodies)
     m = len(Ks)
@@ -632,18 +631,22 @@ def mixed_volume(bodies) -> Fraction:
     if r < m:
         return Fraction(0)
     B = saturation_basis(vecs)
-    mapped = []
-    for K in Ks:
-        b = K.vertices[0]
-        mapped.append(LatticePolytope.from_points(
-            _coords_all(B, [_sub(v, b) for v in K.vertices])))
-    if all(K.vertices == mapped[0].vertices for K in mapped):
-        return _lattice_volume(mapped[0], m)
-    total = Fraction(0)
-    for bits in range(1, 1 << m):
-        chosen = [mapped[i] for i in range(m) if bits >> i & 1]
-        T = chosen[0]
-        for K in chosen[1:]:
-            T = minkowski_sum(T, K)
-        total += (-1) ** (m - len(chosen)) * _lattice_volume(T, m)
-    return total / factorial(m)
+    mapped = [set(_coords_all(B, [_sub(v, K.vertices[0]) for v in K.vertices]))
+              for K in Ks]
+    if all(P == mapped[0] for P in mapped):  # m! V is m! times vol(K)
+        sums = [(factorial(m), mapped[0])]
+    else:
+        sums = []
+        for bits in range(1, 1 << m):
+            chosen = [mapped[i] for i in range(m) if bits >> i & 1]
+            T = chosen[0]
+            for P in chosen[1:]:
+                T = {_add(p, q) for p in T for q in P}
+            sums.append(((-1) ** (m - len(chosen)), T))
+    total = 0
+    for sign, T in sums:
+        dim, pts, cone = _hull_cone(sorted(T))
+        if dim == m:
+            total += sign * _pulled_volume((1 << len(pts)) - 1, m, pts,
+                                           [z for _, z in cone], ())
+    return Fraction(total, factorial(m) ** 2)

@@ -8,7 +8,14 @@ from math import comb, factorial, gcd
 
 from newtonzeta.diagram import DiagramFacet, _normalize_index_set
 from newtonzeta.factored import FactoredZeta, factor, one
-from newtonzeta.germ import Exponent, GermSeries, make_germ, restrict_support, support
+from newtonzeta.germ import (
+    Exponent,
+    GermSeries,
+    ParseError,
+    make_germ,
+    restrict_support,
+    support,
+)
 from newtonzeta.lattice import (
     HullFacet,
     InvariantViolation,
@@ -17,7 +24,6 @@ from newtonzeta.lattice import (
     _coords_all,
     _dot,
     _independent_indices,
-    _lattice_volume,
     _neg,
     _sub,
     cone_facets,
@@ -26,6 +32,7 @@ from newtonzeta.lattice import (
     mat_rank,
     minkowski_sum,
     normalized_volume,
+    normalized_volume_at,
     primitive,
     saturation_basis,
 )
@@ -412,6 +419,10 @@ def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
         [tuple(k * x for x in v) for v in P.vertices])
 
 
+def _lattice_volume(K: LatticePolytope, m: int) -> Fraction:
+    return Fraction(normalized_volume_at(K, m), factorial(m))
+
+
 def _two_body_polarization(K0, K1, j: int, m: int) -> Fraction:
     vols = [_lattice_volume(minkowski_sum(K0, dilate(K1, s)), m)
             for s in range(m + 1)]
@@ -744,3 +755,168 @@ def dense_edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
     return FaceVerdict(
         pts, 1, COUNTEREXAMPLE, witness,
         detail=f"edge polynomial has a multiple zero (gcd degree {degree_drop})")
+
+
+# ---------------------------------------------------------------------------
+# germ expressions parsed a character at a time through a token cursor: the
+# parser that the token regex and grammar table of germ.parse_germ replaced,
+# kept as the oracle of test_parser_oracle
+
+
+def _tokenize(text: str):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("num", text[i:j], i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+        elif ch in "+-*/^":
+            tokens.append(("op", ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+class _Cursor:
+    def __init__(self, tokens, text_len):
+        self.tokens = tokens
+        self.pos = 0
+        self.text_len = text_len
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.pos += 1
+        return tok
+
+    def here(self) -> int:
+        tok = self.peek()
+        return tok[2] if tok is not None else self.text_len
+
+
+def cursor_parse_germ(text: str, var_names) -> GermSeries:
+    """Parse an expression into a germ; the first variable name is sigma.
+
+    >>> F = cursor_parse_germ("z1^2 + z2^3 - s", ["s", "z1", "z2"])
+    >>> sorted(F.terms.items())
+    [((0, 0, 3), Fraction(1, 1)), ((0, 2, 0), Fraction(1, 1)), ((1, 0, 0), Fraction(-1, 1))]
+    """
+    names = [str(v) for v in var_names]
+    if len(names) < 2:
+        raise ValueError("need the deformation parameter and at least one z-variable")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+    index = {name: i for i, name in enumerate(names)}
+    cur = _Cursor(_tokenize(text), len(text))
+
+    def parse_factor(exps):
+        kind, value, pos = cur.next()
+        if value not in index:
+            raise ParseError(f"unknown variable {value!r}", pos)
+        k = 1
+        tok = cur.peek()
+        if tok is not None and tok[:2] == ("op", "^"):
+            cur.next()
+            tok = cur.peek()
+            if tok is not None and tok[:2] == ("op", "-"):
+                raise ParseError("negative exponent", tok[2])
+            if tok is None or tok[0] != "num":
+                raise ParseError("expected exponent", cur.here())
+            cur.next()
+            k = int(tok[1])
+            if k == 0:
+                raise ParseError("exponent must be a positive integer", tok[2])
+        exps[index[value]] += k
+
+    def parse_term():
+        coef = Fraction(1)
+        exps = [0] * len(names)
+        tok = cur.peek()
+        if tok is None:
+            raise ParseError("expected a term", cur.here())
+        if tok[0] == "num":
+            cur.next()
+            p = int(tok[1])
+            tok2 = cur.peek()
+            if tok2 is not None and tok2[:2] == ("op", "/"):
+                cur.next()
+                tok3 = cur.next()
+                if tok3 is None or tok3[0] != "num":
+                    raise ParseError("expected denominator", cur.here())
+                if int(tok3[1]) == 0:
+                    raise ParseError("zero denominator", tok3[2])
+                coef = Fraction(p, int(tok3[1]))
+            else:
+                coef = Fraction(p)
+            tok2 = cur.peek()
+            if tok2 is not None and tok2[:2] == ("op", "*"):
+                cur.next()
+                if cur.peek() is None or cur.peek()[0] != "name":
+                    raise ParseError("expected a variable", cur.here())
+            elif tok2 is not None and tok2[0] == "name":
+                pass  # implicit product like "2 z1"
+            else:
+                return coef, tuple(exps)  # bare constant
+        elif tok[0] != "name":
+            raise ParseError("expected a term", tok[2])
+        while True:
+            parse_factor(exps)
+            tok = cur.peek()
+            if tok is not None and tok[:2] == ("op", "*"):
+                cur.next()
+                if cur.peek() is None or cur.peek()[0] != "name":
+                    raise ParseError("expected a variable", cur.here())
+                continue
+            break
+        return coef, tuple(exps)
+
+    items = []
+    first = True
+    while cur.peek() is not None or first:
+        sign = 1
+        tok = cur.peek()
+        if first:
+            if tok is not None and tok[0] == "op" and tok[1] in "+-":
+                cur.next()
+                sign = -1 if tok[1] == "-" else 1
+        else:
+            if tok is None:
+                break
+            if tok[0] != "op" or tok[1] not in "+-":
+                raise ParseError("expected '+' or '-'", tok[2])
+            cur.next()
+            sign = -1 if tok[1] == "-" else 1
+        coef, exps = parse_term()
+        items.append((exps, sign * coef))
+        first = False
+    if not items:
+        raise ParseError("empty expression", 0)
+
+    acc: dict[Exponent, Fraction] = {}
+    for e, c in items:
+        acc[e] = acc.get(e, Fraction(0)) + c
+    acc = {e: c for e, c in acc.items() if c != 0}
+    zero = (0,) * len(names)
+    if zero in acc:
+        raise ValueError("nonzero constant term: not a germ vanishing at 0")
+    if not acc:
+        raise ValueError("empty germ after collection")
+    return GermSeries(len(names), acc)

@@ -212,6 +212,12 @@ def test_exclusive_germ_sources(capsys, tmp_path):
      "list of 2 integers"),
     ({"vars": ["s", "z1"], "terms": [{"exp": 2, "coef": "1"}]},
      "list of 2 integers"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2], "coef": "1e10000000"}]},
+     "not a rational number"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2], "coef": "1.5"}]},
+     "not a rational number"),
+    ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2], "coef": "1_0"}]},
+     "not a rational number"),
 ])
 def test_malformed_json_germ_is_an_input_error(capsys, doc, message):
     code, out, err = run(capsys, "zeta", "--germ", json.dumps(doc))

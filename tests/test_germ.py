@@ -68,6 +68,26 @@ def test_parse_syntax_error_position():
     assert "position" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,message,position", [
+    ("z1^² - s", "expected exponent", 3),
+    ("² - s", "unknown variable '²'", 0),
+    ("1/ sz3z2 - s", "expected denominator", 3),
+    ("z1^" + "1" * 4400 + " - s", "number has too many digits", 3),
+])
+def test_parse_error_positions(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_germ(text, VARS3)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+def test_parse_long_trailing_whitespace():
+    F = parse_germ("z1 - s" + " " * 100_000, ["s", "z1"])
+    assert F.terms == {(0, 1): 1, (1, 0): -1}
+    with pytest.raises(ParseError, match=r"expected a term \(at position 100004\)"):
+        parse_germ("z1 -" + " " * 100_000, ["s", "z1"])
+
+
 def test_germ_invariants_enforced():
     with pytest.raises(ValueError):
         GermSeries(2, {})
