@@ -66,12 +66,15 @@ class GermSeries:
 
 
 def make_germ(num_vars: int, items) -> GermSeries:
-    """Collect (exponent, coefficient) pairs into a germ, dropping zeros."""
-    acc: dict[Exponent, Fraction] = {}
+    """Collect (exponent, coefficient) pairs into a germ, dropping zeros.
+
+    Coefficients are ints or ``Fraction``s; they are summed as given, and
+    each exponent's sum becomes one ``Fraction``."""
+    acc: dict[Exponent, int | Fraction] = {}
     for e, c in items:
         e = tuple(int(k) for k in e)
-        acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
-    acc = {e: c for e, c in acc.items() if c != 0}
+        acc[e] = acc.get(e, 0) + c
+    acc = {e: Fraction(c) for e, c in acc.items() if c}
     if not acc:
         raise ValueError("empty germ after collection")
     return GermSeries(num_vars, acc)

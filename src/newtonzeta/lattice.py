@@ -6,20 +6,22 @@ Everything runs on Python ints; ``fractions.Fraction`` appears only in the
 mixed-volume results.  No floating point enters this module, so all
 results are exact.
 
-Every exact elimination (rank, coordinates in a basis, scaled inverses)
-is one fraction-free Gauss-Jordan routine, ``_gauss_jordan`` (Bareiss,
-*Sylvester's identity and multistep integer-preserving Gaussian
-elimination*, Math. Comp. 22, 1968).
+Every exact elimination (rank, coordinates in a basis, the starting rays
+of the facet engine) is one fraction-free Gauss-Jordan routine,
+``_gauss_jordan`` (Bareiss, *Sylvester's identity and multistep
+integer-preserving Gaussian elimination*, Math. Comp. 22, 1968).
 
 Facets come from one integer double-description routine (``cone_facets``,
 after Fukuda & Prodon, *Double description method revisited*, 1996): a
 bounded hull is the cone over its points lifted to height one, a Newton
-polyhedron the same cone plus its recession rays at height zero.  Hulls
-and volumes share one step (``_hull_cone``): the points in saturated
-coordinates, which are the points themselves at full dimension, and one
-``cone_facets`` call on them.  Everything else is read off the zero-set
-bitmasks it returns: vertices (``_vertices``), the faces of a face
-(``_face_facets``) and volumes by a pulling triangulation
+polyhedron the same cone plus its recession rays at height zero.  It
+takes the generators in sorted order, and one elimination of them gives
+both its starting basis (the first independent ones) and that basis's
+rays.  Hulls and volumes share one step (``_hull_cone``): the points in
+saturated coordinates, which are the points themselves at full
+dimension, and one ``cone_facets`` call on them.  Everything else is read
+off the zero-set bitmasks it returns: vertices (``_vertices``), the faces
+of a face (``_face_facets``) and volumes by a pulling triangulation
 (``_pulled_volume``), which for a diagram facet runs on the Newton
 polyhedron's own masks, with no second facet search.  Mixed volumes are
 one inclusion-exclusion over Minkowski sums.
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 
 Vector = tuple[int, ...]
 
@@ -45,14 +48,6 @@ class InvariantViolation(Exception):
 # ---------------------------------------------------------------------------
 # integer vectors and small exact linear algebra
 
-def vector_gcd(v) -> int:
-    """gcd of the absolute values of the entries (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
 def primitive(v) -> Vector:
     """Divide an integer covector by the gcd of its entries, keeping signs.
 
@@ -61,14 +56,14 @@ def primitive(v) -> Vector:
     >>> primitive((-3, -6))
     (-1, -2)
     """
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(int(x) // g for x in v)
+    return tuple(x // g for x in v)
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _sub(a, b) -> Vector:
@@ -77,10 +72,6 @@ def _sub(a, b) -> Vector:
 
 def _add(a, b) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _neg(a) -> Vector:
-    return tuple(-x for x in a)
 
 
 def int_det(rows) -> int:
@@ -114,12 +105,14 @@ def _gauss_jordan(rows, width=None):
     Pivots are taken left to right in the first ``width`` columns (all by
     default), each in the first remaining row that is nonzero there.  Every
     step replaces each row off the pivot by (pivot * row - entry * pivot
-    row) / previous pivot, which divides exactly.  Returns ``(pivots, a,
-    p)``: the pivot columns, the reduced rows, reordered so that row i
-    holds the pivot of column ``pivots[i]``, and the common pivot value
-    ``p`` (1 without pivots).  Row i is ``p`` in column ``pivots[i]`` and
-    0 in the other pivot columns; the rows past ``len(pivots)`` are 0 in
-    the first ``width`` columns.  A nonsingular ``[B | I]`` thus ends as
+    row) / previous pivot, which divides exactly; a row whose entry is 0
+    is left as it is when the pivot equals the previous one, since the
+    update is then the identity.  Returns ``(pivots, a, p)``: the pivot
+    columns, the reduced rows, reordered so that row i holds the pivot of
+    column ``pivots[i]``, and the common pivot value ``p`` (1 without
+    pivots).  Row i is ``p`` in column ``pivots[i]`` and 0 in the other
+    pivot columns; the rows past ``len(pivots)`` are 0 in the first
+    ``width`` columns.  A nonsingular ``[B | I]`` thus ends as
     ``[p I | p B^-1]``.
 
     >>> _gauss_jordan([[2, 1, 1], [4, 3, 5]])
@@ -144,9 +137,9 @@ def _gauss_jordan(rows, width=None):
         rk = a[k]
         p = rk[c]
         for i in range(n):
-            if i != k:
-                ri = a[i]
-                f = ri[c]
+            ri = a[i]
+            f = ri[c]
+            if i != k and (f or p != prev):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
         prev = p
         pivots.append(c)
@@ -156,12 +149,6 @@ def _gauss_jordan(rows, width=None):
 def mat_rank(rows) -> int:
     """Rank over the rationals of a list of integer row vectors."""
     return len(_gauss_jordan(rows)[0])
-
-
-def _independent_indices(rows) -> list[int]:
-    """Indices of a greedy maximal independent subset of integer rows, in
-    input order: the pivot columns of the transpose."""
-    return _gauss_jordan(list(zip(*rows)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +314,6 @@ class HullFacet:
     offset: int
 
 
-def _scaled_inverse_columns(B) -> list[list[int]]:
-    """Columns r_j of lam * B^-1 for a nonsingular square integer B, where
-    lam is a nonzero integer; ``B r_j = lam e_j`` for every j.  They are
-    the right block of ``[B | I]`` after ``_gauss_jordan``.
-    """
-    n = len(B)
-    pivots, a, _ = _gauss_jordan(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(B)], n)
-    if len(pivots) < n:
-        raise InvariantViolation("basis matrix is singular")
-    return [[a[i][n + j] for i in range(n)] for j in range(n)]
-
-
 def cone_facets(gens) -> list[tuple[Vector, int]]:
     """Facets of the cone spanned by integer generators that span R^D.
 
@@ -348,34 +322,54 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
     the generators (bit i for ``gens[i]``) on which ``y`` vanishes.  A
     point ``p`` enters as ``(1, p)``, a recession ray ``r`` as ``(0, r)``.
 
-    Double description on the dual cone {y : y . g >= 0}: start from the
-    simplicial cone of D independent generators, whose extreme rays are the
-    columns of a scaled inverse, then add the remaining generators in
-    sorted order.  A ray on the positive and one on the negative side of
-    the new constraint are adjacent when their common zero set Z has at
-    least D - 2 generators and no third ray vanishes on all of Z; each
-    adjacent pair gives one new ray in the new hyperplane.  Integers only.
+    Double description on the dual cone {y : y . g >= 0}, with the
+    generators taken in sorted order.  One elimination of ``[G^T | I]``,
+    the columns of ``G^T`` being the sorted generators, starts it: its
+    pivot columns are the first D independent generators, and the right
+    block holds the extreme rays of their simplicial cone (row j, a
+    column of a scaled inverse, vanishes on every basis generator but the
+    j-th, and is signed by the pivot).  For a Newton polyhedron that basis
+    is the recession axes and the lowest point.  The remaining generators
+    follow in sorted order.  A ray on the positive and one on the negative
+    side of the new constraint are adjacent when their common zero set Z
+    has at least D - 2 generators and no third ray vanishes on all of Z;
+    each adjacent pair gives one new ray in the new hyperplane.  Integers
+    only.
+
+    The Newton polyhedron of the cusp ``z1^2 + z2^3 - s``: its compact
+    facet, the three coordinate facets and the facet at infinity.
+
+    >>> gens = [(1, 0, 2, 0), (1, 0, 0, 3), (1, 1, 0, 0),
+    ...         (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    >>> for y, zeros in sorted(cone_facets(gens)):
+    ...     print(y, f"{zeros:06b}")
+    (-6, 6, 3, 2) 000111
+    (0, 0, 0, 1) 011101
+    (0, 0, 1, 0) 101110
+    (0, 1, 0, 0) 110011
+    (1, 0, 0, 0) 111000
     """
     gens = [tuple(int(x) for x in g) for g in gens]
     D = len(gens[0])
-    basis = _independent_indices(gens)
-    if len(basis) < D:
+    order = sorted(range(len(gens)), key=gens.__getitem__)
+    N = len(order)
+    pivots, a, lam = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(D)]
+         for i, row in enumerate(zip(*(gens[k] for k in order)))], N)
+    if len(pivots) < D:
         raise InvariantViolation("cone generators do not span the ambient space")
-    full = 0
-    for i in basis:
-        full |= 1 << i
-    B = [gens[i] for i in basis]
+    full = sum(1 << order[c] for c in pivots)
     rays = []
-    for j, r in enumerate(_scaled_inverse_columns(B)):
-        if _dot(B[j], r) < 0:
-            r = _neg(r)
-        rays.append((primitive(r), full & ~(1 << basis[j])))
-    chosen = set(basis)
-    for g, k in sorted((g, i) for i, g in enumerate(gens) if i not in chosen):
+    for c, row in zip(pivots, a):
+        q = gcd(*row[N:]) if lam > 0 else -gcd(*row[N:])
+        rays.append((tuple(x // q for x in row[N:]), full & ~(1 << order[c])))
+    basis = set(pivots)
+    for k in (k for c, k in enumerate(order) if c not in basis):
+        g = gens[k]
         bit = 1 << k
         pos, neg, kept = [], [], []
         for r, z in rays:
-            s = _dot(g, r)
+            s = sum(map(mul, g, r))
             if s > 0:
                 pos.append((r, z, s))
                 kept.append((r, z))

@@ -23,8 +23,7 @@ from newtonzeta.lattice import (
     Vector,
     _coords_all,
     _dot,
-    _independent_indices,
-    _neg,
+    _gauss_jordan,
     _sub,
     cone_facets,
     convex_hull,
@@ -920,3 +919,91 @@ def cursor_parse_germ(text: str, var_names) -> GermSeries:
     if not acc:
         raise ValueError("empty germ after collection")
     return GermSeries(len(names), acc)
+
+
+# ---------------------------------------------------------------------------
+# the double description started from two eliminations (a greedy basis in
+# input order, then the scaled inverse of that basis): the start that one
+# elimination of the sorted generators replaced, kept as the oracle of
+# test_facet_engine and test_elimination
+
+
+def _neg(a) -> Vector:
+    return tuple(-x for x in a)
+
+
+def _independent_indices(rows) -> list[int]:
+    """Indices of a greedy maximal independent subset of integer rows, in
+    input order: the pivot columns of the transpose."""
+    return _gauss_jordan(list(zip(*rows)))[0]
+
+
+def _scaled_inverse_columns(B) -> list[list[int]]:
+    """Columns r_j of lam * B^-1 for a nonsingular square integer B, where
+    lam is a nonzero integer; ``B r_j = lam e_j`` for every j.  They are
+    the right block of ``[B | I]`` after ``_gauss_jordan``.
+    """
+    n = len(B)
+    pivots, a, _ = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(B)], n)
+    if len(pivots) < n:
+        raise InvariantViolation("basis matrix is singular")
+    return [[a[i][n + j] for i in range(n)] for j in range(n)]
+
+
+def two_elimination_cone_facets(gens) -> list[tuple[Vector, int]]:
+    """Facets of the cone spanned by integer generators that span R^D.
+
+    Returns ``(y, zeros)`` pairs: ``y`` is a primitive inner facet normal
+    (``y . g >= 0`` for every generator ``g``) and ``zeros`` the bitmask of
+    the generators (bit i for ``gens[i]``) on which ``y`` vanishes.  A
+    point ``p`` enters as ``(1, p)``, a recession ray ``r`` as ``(0, r)``.
+
+    Double description on the dual cone {y : y . g >= 0}: start from the
+    simplicial cone of D independent generators, whose extreme rays are the
+    columns of a scaled inverse, then add the remaining generators in
+    sorted order.  A ray on the positive and one on the negative side of
+    the new constraint are adjacent when their common zero set Z has at
+    least D - 2 generators and no third ray vanishes on all of Z; each
+    adjacent pair gives one new ray in the new hyperplane.  Integers only.
+    """
+    gens = [tuple(int(x) for x in g) for g in gens]
+    D = len(gens[0])
+    basis = _independent_indices(gens)
+    if len(basis) < D:
+        raise InvariantViolation("cone generators do not span the ambient space")
+    full = 0
+    for i in basis:
+        full |= 1 << i
+    B = [gens[i] for i in basis]
+    rays = []
+    for j, r in enumerate(_scaled_inverse_columns(B)):
+        if _dot(B[j], r) < 0:
+            r = _neg(r)
+        rays.append((primitive(r), full & ~(1 << basis[j])))
+    chosen = set(basis)
+    for g, k in sorted((g, i) for i, g in enumerate(gens) if i not in chosen):
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            s = _dot(g, r)
+            if s > 0:
+                pos.append((r, z, s))
+                kept.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                kept.append((r, z | bit))
+        if neg:
+            masks = [z for _, z in rays]
+            for p, zp, sp in pos:
+                for n, zn, sn in neg:
+                    z = zp & zn
+                    if z.bit_count() < D - 2 or \
+                            sum(1 for m in masks if m & z == z) > 2:
+                        continue
+                    v = [sp * x - sn * y for x, y in zip(n, p)]
+                    c = gcd(*v)
+                    kept.append((tuple(x // c for x in v), z | bit))
+        rays = kept
+    return rays

@@ -250,9 +250,10 @@ def test_oracle_compare_seed_refuses_supplied_germs(capsys, tmp_path):
 def test_invariant_violation_exits_3(capsys, monkeypatch):
     import newtonzeta.lattice as lattice
 
-    # with no independent generators found, the facet engine cannot span
-    # the ambient space of the Newton polyhedron
-    monkeypatch.setattr(lattice, "_independent_indices", lambda rows: [])
+    # an elimination that finds no pivots leaves the facet engine without a
+    # basis spanning the ambient space of the Newton polyhedron
+    monkeypatch.setattr(lattice, "_gauss_jordan",
+                        lambda rows, width=None: ([], [list(r) for r in rows], 1))
     code, out, err = run(capsys, "zeta", "--germ", "z1^2-s", "--vars", "s,z1")
     assert code == 3
     assert out == ""

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    _independent_indices,
+    _scaled_inverse_columns,
     fraction_coords_in_basis,
     fraction_int_inverse,
     fraction_mat_rank,
@@ -15,8 +17,6 @@ from newtonzeta.lattice import (
     InvariantViolation,
     _coords_all,
     _gauss_jordan,
-    _independent_indices,
-    _scaled_inverse_columns,
     coords_in_basis,
     int_det,
     mat_rank,
@@ -37,7 +37,24 @@ def _low_rank_matrix(rng, rows, cols, rank):
             for l in left]
 
 
+def _unit_column_matrix(rng, rows, cols):
+    """Mostly unit and zero columns, the rest sparse: the transposed
+    generators of a Newton polyhedron look like this, and their pivots
+    are mostly 1, so most steps leave most rows as they are."""
+    out = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        kind = rng.random()
+        if kind < 0.6:
+            out[rng.randrange(rows)][j] = rng.choice([1, 1, 1, -1, 2])
+        elif kind < 0.9:
+            for i in rng.sample(range(rows), rng.randint(1, min(rows, 2))):
+                out[i][j] = rng.randint(-3, 3)
+    return out
+
+
 def _matrices(rng, cases):
+    """Random, low-rank and (a further half of ``cases``) unit-column
+    matrices."""
     out = []
     for k in range(cases):
         rows, cols = rng.randint(0, 7), rng.randint(1, 7)
@@ -45,7 +62,27 @@ def _matrices(rng, cases):
             out.append(_low_rank_matrix(rng, rows, cols, rng.randint(1, 3)))
         else:
             out.append(_random_matrix(rng, rows, cols))
+    for _ in range(cases // 2):
+        out.append(_unit_column_matrix(rng, rng.randint(1, 7), rng.randint(1, 9)))
     return out
+
+
+def _fraction_rref(M):
+    """Pivot columns and nonzero rows of the reduced row echelon form."""
+    m = [[Fraction(x) for x in r] for r in M]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][c] for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[k])]
+        pivots.append(c)
+    return pivots, m[:len(pivots)]
 
 
 def _outcome(f, *args):
@@ -76,6 +113,22 @@ def test_kernel_shape():
                 assert row[c] == (p if i == k else 0)
             if i >= len(pivots):
                 assert not any(row[:width])
+
+
+def test_reduced_rows_are_the_pivot_times_the_echelon_form():
+    # the whole output, not only its shape: p times the Fraction reduced
+    # echelon form and zero rows below it, also where unit pivots leave
+    # rows untouched
+    rng = random.Random(309)
+    unit_pivots = 0
+    for M in _matrices(rng, 300):
+        pivots, a, p = _gauss_jordan(M)
+        want_pivots, rref = _fraction_rref(M)
+        assert pivots == want_pivots
+        assert a[:len(pivots)] == [[p * x for x in r] for r in rref]
+        assert not any(any(r) for r in a[len(pivots):])
+        unit_pivots += p == 1 and len(pivots) > 1
+    assert unit_pivots > 15
 
 
 def test_pivot_is_the_determinant_up_to_sign():

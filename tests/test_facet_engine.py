@@ -1,6 +1,7 @@
 """The double-description facet engine against the brute-force searches."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -9,6 +10,7 @@ from helpers import (
     brute_newton_polyhedron_facets,
     random_point_set,
     rank_vertices,
+    two_elimination_cone_facets,
 )
 from newtonzeta.lattice import (
     InvariantViolation,
@@ -16,7 +18,6 @@ from newtonzeta.lattice import (
     cone_facets,
     convex_hull,
     mat_rank,
-    vector_gcd,
 )
 from newtonzeta.nondegeneracy import newton_polyhedron_facets
 
@@ -124,7 +125,7 @@ def test_cone_facets_zero_sets_and_primitivity():
         gens = [(1,) + p for p in random_point_set(rng, d, rng.randint(1, 9), 2)]
         gens += [(0,) + tuple(int(i == j) for j in range(d)) for i in range(d)]
         for y, zeros in cone_facets(gens):
-            assert vector_gcd(y) == 1
+            assert gcd(*y) == 1
             values = [_dot(y, g) for g in gens]
             assert min(values) >= 0
             assert zeros == sum(1 << i for i, v in enumerate(values) if v == 0)
@@ -134,3 +135,56 @@ def test_cone_facets_rejects_generators_not_spanning():
     with pytest.raises(InvariantViolation):
         cone_facets([(1, 0, 0), (1, 1, 0), (1, 2, 0)])
     assert not issubclass(InvariantViolation, ValueError)
+
+
+def _cone_inputs(rng):
+    """Seeded generator sets with their kind: Newton polyhedra (points and
+    unit rays, shuffled), lifted bounded hulls, and random integer cones
+    with negative (or zero) generators; some of the cones do not span."""
+    out = []
+    for k in range(120):
+        d = rng.randint(1, 5)
+        if k % 3 == 0:
+            pts = [tuple(abs(x) for x in p)
+                   for p in random_point_set(rng, d, rng.randint(1, 10), 3,
+                                             0.4, 0.3)]
+            gens = [(1,) + p for p in sorted(set(pts))]
+            gens += [(0,) + tuple(int(i == j) for j in range(d))
+                     for i in range(d)]
+            rng.shuffle(gens)
+            out.append(("newton", gens))
+        elif k % 3 == 1:
+            pts = random_point_set(rng, d, rng.randint(d + 1, 11), 3, 0.4, 0.3)
+            out.append(("hull", [(1,) + p for p in sorted(set(pts))]))
+        else:
+            out.append(("cone", [tuple(rng.randint(-3, 3) for _ in range(d + 1))
+                                 for _ in range(rng.randint(1, 9))]))
+    return out
+
+
+def _facets_or_error(engine, gens):
+    try:
+        return sorted(engine(gens))
+    except InvariantViolation:
+        return "not spanning"
+
+
+def test_cone_facets_match_the_two_elimination_engine():
+    # one elimination of the sorted generators seeds the double description
+    # with another basis than the greedy one in input order; the facets and
+    # their zero sets must not change
+    rng = random.Random(4242)
+    seen = set()
+    for kind, gens in _cone_inputs(rng):
+        got = _facets_or_error(cone_facets, gens)
+        assert got == _facets_or_error(two_elimination_cone_facets, gens), gens
+        if got == "not spanning":
+            seen.add("not spanning")
+        else:
+            seen.add(kind)
+            if gens != sorted(gens):
+                seen.add(kind + " unsorted")
+            if kind == "cone" and any(x < 0 for g in gens for x in g):
+                seen.add("cone negative")
+    assert seen == {"newton", "newton unsorted", "hull", "cone", "cone unsorted",
+                    "cone negative", "not spanning"}
