@@ -91,18 +91,17 @@ def restrict_support(S, I) -> frozenset[Exponent]:
     The projection keeps the order of I (stored sorted).  The Newton
     polyhedron of a germ meets the coordinate subspace R^I exactly in the
     polyhedron of this restricted support, because all exponents are
-    nonnegative.
+    nonnegative.  S's points share one length; I is checked on the first.
     """
-    idx = tuple(sorted(set(int(i) for i in I)))
+    idx = sorted(set(map(int, I)))
     if not idx:
         raise ValueError("empty index set")
-    out = set()
-    for p in S:
-        if idx[0] < 0 or idx[-1] >= len(p):
-            raise ValueError("index set out of range")
-        if all(p[i] == 0 for i in range(len(p)) if i not in idx):
-            out.add(tuple(p[i] for i in idx))
-    return frozenset(out)
+    n = len(next(iter(S), ()))
+    if S and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError("index set out of range")
+    off = [i for i in range(n) if i not in idx]
+    return frozenset(tuple(map(p.__getitem__, idx)) for p in S
+                     if not any(map(p.__getitem__, off)))
 
 
 def index_sets_with_zero(n: int):

@@ -15,16 +15,15 @@ Facets come from one integer double-description routine (``cone_facets``,
 after Fukuda & Prodon, *Double description method revisited*, 1996): a
 bounded hull is the cone over its points lifted to height one, a Newton
 polyhedron the same cone plus its recession rays at height zero.  It
-takes the generators in sorted order, and one elimination of them gives
-both its starting basis (the first independent ones) and that basis's
-rays.  Hulls and volumes share one step (``_hull_cone``): the points in
-saturated coordinates, which are the points themselves at full
-dimension, and one ``cone_facets`` call on them.  Everything else is read
-off the zero-set bitmasks it returns: vertices (``_vertices``), the faces
-of a face (``_face_facets``) and volumes by a pulling triangulation
+takes the generators in sorted order and runs in their span, so a
+lower-dimensional hull needs no change of coordinates; one elimination
+gives both its starting basis and that basis's rays.  Everything else is
+read off the zero-set bitmasks it returns: vertices (``_vertices``), the
+faces of a face (``_face_facets``) and volumes by a pulling triangulation
 (``_pulled_volume``), which for a diagram facet runs on the Newton
-polyhedron's own masks, with no second facet search.  Mixed volumes are
-one inclusion-exclusion over Minkowski sums.
+polyhedron's own masks.  Only volumes move points into saturated
+coordinates.  Mixed volumes are one inclusion-exclusion over Minkowski
+sums.
 """
 
 from __future__ import annotations
@@ -315,24 +314,26 @@ class HullFacet:
 
 
 def cone_facets(gens) -> list[tuple[Vector, int]]:
-    """Facets of the cone spanned by integer generators that span R^D.
+    """Facets of the cone spanned by integer generators, within their span.
 
     Returns ``(y, zeros)`` pairs: ``y`` is a primitive inner facet normal
     (``y . g >= 0`` for every generator ``g``) and ``zeros`` the bitmask of
     the generators (bit i for ``gens[i]``) on which ``y`` vanishes.  A
     point ``p`` enters as ``(1, p)``, a recession ray ``r`` as ``(0, r)``.
+    Generators of rank r < D give the facets in their span, each ``y`` up to
+    its orthogonal complement; an all-zero set raises ``InvariantViolation``.
 
     Double description on the dual cone {y : y . g >= 0}, with the
     generators taken in sorted order.  One elimination of ``[G^T | I]``,
-    the columns of ``G^T`` being the sorted generators, starts it: its
-    pivot columns are the first D independent generators, and the right
+    the columns of ``G^T`` being the sorted generators, starts it: its r
+    pivot columns are the first independent generators, and the right
     block holds the extreme rays of their simplicial cone (row j, a
     column of a scaled inverse, vanishes on every basis generator but the
     j-th, and is signed by the pivot).  For a Newton polyhedron that basis
     is the recession axes and the lowest point.  The remaining generators
     follow in sorted order.  A ray on the positive and one on the negative
     side of the new constraint are adjacent when their common zero set Z
-    has at least D - 2 generators and no third ray vanishes on all of Z;
+    has at least r - 2 generators and no third ray vanishes on all of Z;
     each adjacent pair gives one new ray in the new hyperplane.  Integers
     only.
 
@@ -348,6 +349,11 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
     (0, 0, 1, 0) 101110
     (0, 1, 0, 0) 110011
     (1, 0, 0, 0) 111000
+
+    Three collinear points span a plane; its facets are the two ends:
+
+    >>> sorted(cone_facets([(1, 0, 0), (1, 1, 0), (1, 2, 0)]))
+    [((0, 1, 0), 1), ((2, -1, 0), 4)]
     """
     gens = [tuple(int(x) for x in g) for g in gens]
     D = len(gens[0])
@@ -356,8 +362,9 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
     pivots, a, lam = _gauss_jordan(
         [list(row) + [int(i == j) for j in range(D)]
          for i, row in enumerate(zip(*(gens[k] for k in order)))], N)
-    if len(pivots) < D:
-        raise InvariantViolation("cone generators do not span the ambient space")
+    if not pivots:
+        raise InvariantViolation("cone generators are all zero")
+    rank = len(pivots)
     full = sum(1 << order[c] for c in pivots)
     rays = []
     for c, row in zip(pivots, a):
@@ -382,7 +389,7 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
             for p, zp, sp in pos:
                 for n, zn, sn in neg:
                     z = zp & zn
-                    if z.bit_count() < D - 2 or \
+                    if z.bit_count() < rank - 2 or \
                             sum(1 for m in masks if m & z == z) > 2:
                         continue
                     v = [sp * x - sn * y for x, y in zip(n, p)]
@@ -415,32 +422,15 @@ def _vertices(pts, masks) -> list[Vector]:
     return out
 
 
-def _hull_cone(uniq):
-    """``(dim, coords, cone_facets(coords lifted to height one))`` for sorted
-    distinct points: their affine dimension and their coordinates, which
-    are the points themselves when they are full-dimensional and otherwise
-    the differences to the first point in a basis of the saturation lattice
-    of their direction space.  Bit i of each zero-set mask is ``uniq[i]``.
-    """
-    base = uniq[0]
-    diffs = [_sub(p, base) for p in uniq]
-    dim = mat_rank(diffs[1:])
-    if dim == 0:  # one point: the one facet cone_facets([(1,)]) would return
-        return 0, [()], [((1,), 0)]
-    coords = uniq if dim == len(base) else \
-        _coords_all(saturation_basis(diffs[1:]), diffs)
-    return dim, coords, cone_facets([(1,) + p for p in coords])
-
-
 def convex_hull(points):
     """Exact hull of integer points: (vertices, affine_dim, facets).
 
     One ``cone_facets`` call on the distinct points, lifted to height one
-    in saturated coordinates (``_hull_cone``), gives the facets' zero-set
-    masks; the vertices, sorted, are read off those masks.  Facets are
-    reported for full-dimensional hulls only, sorted by (inner normal,
-    offset), each with every input index on it, duplicates included; a
-    lower-dimensional hull gets ``[]``.
+    as they are, gives the facets' zero-set masks; the vertices, sorted,
+    are read off those masks, and the dimension is one ``mat_rank``.
+    Facets are reported for full-dimensional hulls only, sorted by (inner
+    normal, offset), each with every input index on it, duplicates
+    included; a lower-dimensional hull gets ``[]``.
     """
     pts_in = [tuple(int(x) for x in p) for p in points]
     if not pts_in:
@@ -449,7 +439,8 @@ def convex_hull(points):
     if d < 1 or any(len(p) != d for p in pts_in):
         raise ValueError("points must share a positive ambient dimension")
     uniq = sorted(set(pts_in))
-    dim, _, cone = _hull_cone(uniq)
+    cone = cone_facets([(1,) + p for p in uniq])
+    dim = mat_rank([_sub(p, uniq[0]) for p in uniq[1:]])
     vertices = _vertices(uniq, [z for _, z in cone])
     if dim < d:
         return vertices, dim, []
@@ -555,13 +546,17 @@ def normalized_volume(P: LatticePolytope) -> int:
     The lattice volume is measured in the saturation lattice of the
     direction space, i.e. normalized so the minimal parallelepiped with
     integer vertices has volume 1.  A point gives 1, the empty polytope 0.
-    The vertices go through the same ``_hull_cone`` step as
-    ``convex_hull`` (no saturation basis when P is full-dimensional), and
-    the volume is a pulling triangulation on the masks it returns.
+    A lower-dimensional P is first moved into coordinates of that
+    saturation lattice, by its first vertex; the volume is then a pulling
+    triangulation on the masks of one ``cone_facets`` call.
     """
     if P.is_empty:
         return 0
-    l, pts, cone = _hull_cone(P.vertices)
+    pts, l = P.vertices, P.affine_dim
+    if l < P.ambient_dim:
+        diffs = [_sub(p, pts[0]) for p in pts]
+        pts = _coords_all(saturation_basis(diffs[1:]), diffs)
+    cone = cone_facets([(1,) + p for p in pts])
     return _pulled_volume((1 << len(pts)) - 1, l, pts, [z for _, z in cone], ())
 
 
@@ -601,9 +596,9 @@ def mixed_volume(bodies) -> Fraction:
     the nonempty subsets J of the bodies, of ``(-1)^(m - |J|)`` times the
     volume of the Minkowski sum of J (Schneider, *Convex Bodies: The
     Brunn-Minkowski Theory*, 2014, section 5.1).  A Minkowski sum is
-    taken as the set of sums of the mapped points, and one ``_hull_cone``
-    and a pulling triangulation give its normalized volume, ``m!`` times
-    its volume; hence the division by ``m!^2``.
+    taken as the set of sums of the mapped points; one of rank m gets a
+    pulling triangulation, ``m!`` times its volume (hence the division by
+    ``m!^2``), and a lower one no facet search.
     """
     Ks = list(bodies)
     m = len(Ks)
@@ -639,8 +634,9 @@ def mixed_volume(bodies) -> Fraction:
             sums.append(((-1) ** (m - len(chosen)), T))
     total = 0
     for sign, T in sums:
-        dim, pts, cone = _hull_cone(sorted(T))
-        if dim == m:
+        pts = sorted(T)
+        if mat_rank([_sub(p, pts[0]) for p in pts[1:]]) == m:
+            cone = cone_facets([(1,) + p for p in pts])
             total += sign * _pulled_volume((1 << len(pts)) - 1, m, pts,
                                            [z for _, z in cone], ())
     return Fraction(total, factorial(m) ** 2)

@@ -37,6 +37,7 @@ from .lattice import (
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 UNCHECKED = "unchecked"
+MAX_EDGE_LENGTH = 64  # longest edge of 3+ points decided (dense gcd: 2.5 s at 64)
 
 
 @dataclass(frozen=True)
@@ -233,11 +234,14 @@ def _edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
     va, vb = min(pts), max(pts)
     w = primitive(_sub(vb, va))
     i0 = next(i for i in range(d) if w[i])
+    L = (vb[i0] - va[i0]) // w[i0]
+    if L > MAX_EDGE_LENGTH:
+        raise ValueError(f"edge from {va} to {vb} not decided: {len(pts)} support "
+                         f"points over lattice length {L} > {MAX_EDGE_LENGTH}")
     coeffs_by_j = {}
     for p in pts:
         j = (p[i0] - va[i0]) // w[i0]
         coeffs_by_j[j] = F.terms[p]
-    L = max(coeffs_by_j)
     g = [coeffs_by_j.get(j, Fraction(0)) for j in range(L + 1)]
     h = _poly_gcd(g, _poly_deriv(g))
     if len(h) <= 1:

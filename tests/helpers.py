@@ -343,8 +343,8 @@ def nvol_boundary_recursion(points) -> int:
 # ---------------------------------------------------------------------------
 # the hull by dot-product incidences and recursion into the saturation
 # lattice, and the two-body polarization mixed volume, which one
-# ``cone_facets`` call read through its masks (``lattice._hull_cone``) and
-# one inclusion-exclusion replaced; kept as oracles of test_hull_pipeline
+# ``cone_facets`` call read through its masks and one inclusion-exclusion
+# replaced; kept as oracles of test_hull_pipeline
 
 
 def _facet_enum_full(pts) -> list[tuple[Vector, int]]:
@@ -1007,3 +1007,50 @@ def two_elimination_cone_facets(gens) -> list[tuple[Vector, int]]:
                     kept.append((tuple(x // c for x in v), z | bit))
         rays = kept
     return rays
+
+
+# the hull step that moved every lower-dimensional point set into saturated
+# coordinates before its one ``cone_facets`` call, which now runs on the
+# lifted points as they are; kept as the oracle of test_hull_pipeline
+
+
+def saturated_hull_cone(uniq):
+    """``(dim, coords, cone_facets(coords lifted to height one))`` for sorted
+    distinct points: their affine dimension and their coordinates, which
+    are the points themselves when they are full-dimensional and otherwise
+    the differences to the first point in a basis of the saturation lattice
+    of their direction space.  Bit i of each zero-set mask is ``uniq[i]``.
+    """
+    base = uniq[0]
+    diffs = [_sub(p, base) for p in uniq]
+    dim = mat_rank(diffs[1:])
+    if dim == 0:  # one point: the one facet cone_facets([(1,)]) would return
+        return 0, [()], [((1,), 0)]
+    coords = uniq if dim == len(base) else \
+        _coords_all(saturation_basis(diffs[1:]), diffs)
+    return dim, coords, cone_facets([(1,) + p for p in coords])
+
+
+# the support restriction that checked the index range and ran a tuple
+# ``not in`` for every coordinate of every point; kept as the oracle of
+# test_germ
+
+
+def pointwise_restrict_support(S, I) -> frozenset[Exponent]:
+    """Points of S with zero coordinates off I, projected to the I-coordinates.
+
+    The projection keeps the order of I (stored sorted).  The Newton
+    polyhedron of a germ meets the coordinate subspace R^I exactly in the
+    polyhedron of this restricted support, because all exponents are
+    nonnegative.
+    """
+    idx = tuple(sorted(set(int(i) for i in I)))
+    if not idx:
+        raise ValueError("empty index set")
+    out = set()
+    for p in S:
+        if idx[0] < 0 or idx[-1] >= len(p):
+            raise ValueError("index set out of range")
+        if all(p[i] == 0 for i in range(len(p)) if i not in idx):
+            out.add(tuple(p[i] for i in idx))
+    return frozenset(out)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from newtonzeta import cli
 from newtonzeta.cli import main
+from newtonzeta.nondegeneracy import MAX_EDGE_LENGTH
 
 
 def run(capsys, *argv):
@@ -325,6 +327,30 @@ def test_binomial_edges_of_huge_lattice_length(capsys):
     edges = [l for l in out.splitlines() if l.startswith("dim 1 face")]
     assert len(edges) == 3
     assert all(l.endswith(": verified") for l in edges)
+
+
+def _three_point_edge(k, c=1):
+    return f"z1^{k} + {c}*z1^{k // 2}*z2^{k // 2} + z2^{k} - s"
+
+
+def test_long_edges_with_three_points_are_refused(capsys):
+    # the dense edge polynomial would have 10^6 + 1 coefficients: the edge
+    # is refused before it is built
+    k = 10 ** 6
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--vars", "s,z1,z2",
+                         "--germ", _three_point_edge(k))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: edge from") and f"lattice length {k} >" in err
+    # up to the bound, three-point edges are still decided
+    for k, c, status in ((4, 2, "counterexample"), (MAX_EDGE_LENGTH, 1, "verified"),
+                         (MAX_EDGE_LENGTH, 2, "counterexample")):
+        code, out, _ = run(capsys, "check", "--vars", "s,z1,z2",
+                           "--germ", _three_point_edge(k, c))
+        assert code == (2 if status == "counterexample" else 0)
+        edge = f"dim 1 face {{(0,0,{k}), (0,{k // 2},{k // 2}), (0,{k},0)}}: "
+        assert any(l.startswith(edge + status) for l in out.splitlines()), out
 
 
 _INVOCATIONS = [

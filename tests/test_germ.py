@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_deformation_germ
+from helpers import pointwise_restrict_support, random_deformation_germ
 from newtonzeta.germ import (
     GermSeries,
     ParseError,
@@ -129,6 +129,30 @@ def test_restrict_support_full_set_is_identity_and_monotone():
         Ssmall = frozenset(list(S)[: len(S) // 2])
         I = tuple(sorted(rng.sample(range(n + 1), rng.randint(1, n + 1))))
         assert restrict_support(Ssmall, I) <= restrict_support(S, I)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_restrict_support_matches_the_pointwise_oracle():
+    # the index set is checked once and the off-index positions found once;
+    # every result and every message must stay the pointwise one's
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        S = {tuple(rng.choice([0, 0, 0, rng.randint(1, 9)]) for _ in range(n))
+             for _ in range(rng.randint(0, 12))}
+        I = [rng.randint(-1, n) if rng.random() < 0.1 else rng.randrange(n)
+             for _ in range(rng.randint(0, n + 1))]
+        got = _outcome(restrict_support, S, I)
+        assert got == _outcome(pointwise_restrict_support, S, I), (S, I)
+        seen.add(got if isinstance(got, str) else bool(got))
+    assert seen == {True, False, "empty index set", "index set out of range"}
 
 
 def test_roundtrip_parse_pretty():

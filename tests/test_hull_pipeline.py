@@ -1,11 +1,12 @@
 """The one-step hull pipeline against the paths it replaced.
 
-``convex_hull`` reads vertices and facets off one ``cone_facets`` call in
-saturated coordinates, ``diagram_facets`` reads vertices off the Newton
-polyhedron's masks with ``_vertices``, and ``mixed_volume`` is one
+``convex_hull`` reads vertices and facets off one ``cone_facets`` call on
+the lifted points as they are, ``diagram_facets`` reads vertices off the
+Newton polyhedron's masks with ``_vertices``, and ``mixed_volume`` is one
 inclusion-exclusion.  The oracles in ``tests/helpers.py`` are the old
-dot-product incidences, the recursion into the saturation lattice and
-the two-body polarization.
+dot-product incidences, the recursion into the saturation lattice, the
+step that moved a lower-dimensional set into saturated coordinates first
+and the two-body polarization.
 """
 
 import random
@@ -15,13 +16,17 @@ from helpers import (
     polarization_mixed_volume,
     random_point_set,
     recursive_convex_hull,
+    saturated_hull_cone,
     simplex_nvol_oracle,
 )
+from newtonzeta import lattice
 from newtonzeta.lattice import (
     LatticePolytope,
     _vertices,
+    cone_facets,
     convex_hull,
     mat_rank,
+    minimizing_face,
     mixed_volume,
 )
 from newtonzeta.nondegeneracy import newton_polyhedron_facets
@@ -72,6 +77,53 @@ def test_hulls_match_the_recursive_hull():
         seen["full" if result[1] == d else "lower"] += 1
         seen["duplicates"] += len(set(pts)) < len(pts)
     assert all(seen.values()), seen
+
+
+def _embedded_set(rng, d, k):
+    """Up to 8 points of a random k-dimensional lattice set mapped into Z^d
+    by a random rank-k matrix (not always unimodular onto its image) and
+    a random shift."""
+    cols = _embed(rng, d, k)
+    shift = tuple(rng.randint(-3, 3) for _ in range(d))
+    return [_image(cols, shift, p)
+            for p in random_point_set(rng, max(k, 1), rng.randint(1, 8), 2)]
+
+
+def test_lifted_hull_masks_match_the_saturated_hull():
+    rng = random.Random(814)
+    dims = set()
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        pts = sorted(set(_embedded_set(rng, d, rng.randint(0, d))))
+        dim, _, cone = saturated_hull_cone(pts)
+        masks = [z for _, z in cone_facets([(1,) + p for p in pts])]
+        assert sorted(masks) == sorted(z for _, z in cone), pts
+        assert convex_hull(pts)[:2] == (_vertices(pts, masks), dim)
+        dims.add(dim)
+    assert dims == set(range(6))
+
+
+def test_lower_dimensional_hulls_need_no_saturation(monkeypatch):
+    rng = random.Random(815)
+    cases = []
+    for _ in range(60):
+        d = rng.randint(2, 5)
+        pts = _embedded_set(rng, d, rng.randint(0, d - 1))
+        alpha = tuple(rng.randint(1, 3) for _ in range(d))
+        cases.append((pts, alpha, recursive_convex_hull(pts),
+                      minimizing_face(pts, alpha)))
+
+    def refuse(*args):
+        raise AssertionError("a hull computed saturated coordinates")
+
+    monkeypatch.setattr(lattice, "saturation_basis", refuse)
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    for pts, alpha, hull, face in cases:
+        assert convex_hull(pts) == hull
+        assert hull[1] < len(pts[0])
+        P = LatticePolytope.from_points(pts)
+        assert (list(P.vertices), P.affine_dim) == hull[:2]
+        assert minimizing_face(pts, alpha) == face
 
 
 def test_newton_polyhedron_vertices_match_the_incidence_rule():
