@@ -207,7 +207,7 @@ def cmd_diagram(args) -> int:
                 "m": fac.m,
                 "nvol": fac.nvol,
                 "sign": sign,
-                "vertices": [list(v) for v in fac.face.vertices],
+                "vertices": [list(v) for v in fac.vertices],
                 "factor": {"m": fac.m, "e": sign * fac.nvol},
             })
         rows.append({"indices": list(I),

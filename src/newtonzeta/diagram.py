@@ -26,7 +26,7 @@ from .germ import (
 from .lattice import (
     InvariantViolation,
     LatticePolytope,
-    convex_hull,  # noqa: F401 (unused here; the bench tracer tests pin it)
+    convex_hull,
     minimizing_face,
     mixed_volume,
     normalized_volume,
@@ -47,13 +47,13 @@ class DiagramFacet:
     """A top-dimensional compact face of a restricted Newton diagram.
 
     ``normal`` is the unique strictly positive primitive inner normal,
-    ``m`` its component in the deformation direction, ``nvol`` the
-    normalized (|I|-1)-dimensional lattice volume of the face.
+    ``m`` its component in the deformation direction, ``vertices`` the
+    face's sorted vertices and ``nvol`` its normalized (|I|-1)-volume.
     """
     index_set: tuple[int, ...]
     normal: tuple[int, ...]
     m: int
-    face: LatticePolytope
+    vertices: tuple[tuple[int, ...], ...]
     nvol: int
 
 
@@ -92,9 +92,8 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
             nvol, rem = divmod(_pulled_volume(z, d - 1, S, masks, ((0,) * d,)), c)
             if rem:
                 raise InvariantViolation("pyramid volume is not a multiple of its height")
-            face = LatticePolytope(
-                tuple(p for i, p in enumerate(S) if z >> i & 1 and p in verts), d - 1, d)
-            out.append(DiagramFacet(idx, a, a[0], face, nvol))
+            out.append(DiagramFacet(idx, a, a[0], tuple(
+                p for i, p in enumerate(S) if z >> i & 1 and p in verts), nvol))
     return out
 
 
@@ -186,7 +185,7 @@ def cone_reduction_identity(f: GermSeries, I, facet: DiagramFacet) -> bool:
     if l < 1:
         raise IdentityInapplicable("the identity concerns faces of dimension at least 1")
     apex = (1,) + (0,) * l
-    if apex not in facet.face.vertices:
+    if apex not in facet.vertices:
         raise IdentityInapplicable("facet is not a cone with the deformation apex")
     alpha_z = facet.normal[1:]
     S = sorted(restrict_support(support(f), idx[1:]))
@@ -219,9 +218,9 @@ def cayley_mixed_volume_identity(f0: GermSeries, f1: GermSeries, I,
         raise IdentityInapplicable("a base support is empty; the facet is not of hull type")
     face0 = minimizing_face(S0, alpha_z)
     face1 = minimizing_face(S1, alpha_z)
-    expected = LatticePolytope.from_points(
-        [(0,) + v for v in face0.vertices] + [(1,) + v for v in face1.vertices])
-    if expected.vertices != facet.face.vertices:
+    expected = convex_hull(
+        [(0,) + v for v in face0.vertices] + [(1,) + v for v in face1.vertices])[0]
+    if tuple(expected) != facet.vertices:
         raise IdentityInapplicable("facet is not the hull of the two base faces")
     m_expected = (min(_dot(alpha_z, p) for p in S0)
                   - min(_dot(alpha_z, p) for p in S1))

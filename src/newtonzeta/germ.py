@@ -104,12 +104,19 @@ def restrict_support(S, I) -> frozenset[Exponent]:
                      if not any(map(p.__getitem__, off)))
 
 
+# 2^n index sets: `zeta` on z1^2 - s took 0.1 s at n = 10, 2.0 s at 14 and
+# 9.0 s at 16 (2 vCPUs, Python 3.11.7), about 4.5x per two variables
+MAX_Z_VARIABLES = 16
+
+
 def index_sets_with_zero(n: int):
-    """All index sets containing 0 inside {0, ..., n}, in binary order."""
-    out = []
-    for mask in range(1 << n):
-        out.append((0,) + tuple(i + 1 for i in range(n) if mask >> i & 1))
-    return out
+    """All index sets containing 0 inside {0, ..., n}, in binary order;
+    n above ``MAX_Z_VARIABLES`` raises ``ValueError``."""
+    if n > MAX_Z_VARIABLES:
+        raise ValueError(f"{n} z-variables give 2^{n} index sets; at most "
+                         f"{MAX_Z_VARIABLES} are supported")
+    return [(0,) + tuple(i + 1 for i in range(n) if mask >> i & 1)
+            for mask in range(1 << n)]
 
 
 def suspend_germ(f: GermSeries) -> GermSeries:

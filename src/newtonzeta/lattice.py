@@ -17,9 +17,10 @@ bounded hull is the cone over its points lifted to height one, a Newton
 polyhedron the same cone plus its recession rays at height zero.  It
 takes the generators in sorted order and runs in their span, so a
 lower-dimensional hull needs no change of coordinates; one elimination
-gives both its starting basis and that basis's rays.  Everything else is
-read off the zero-set bitmasks it returns: vertices (``_vertices``), the
-faces of a face (``_face_facets``) and volumes by a pulling triangulation
+gives its starting basis, that basis's rays and its rank, the only
+dimension a hull or a mixed volume needs.  Everything else is read off
+the zero-set bitmasks it returns: vertices (``_vertices``), the faces of
+a face (``_face_facets``) and volumes by a pulling triangulation
 (``_pulled_volume``), which for a diagram facet runs on the Newton
 polyhedron's own masks.  Only volumes move points into saturated
 coordinates.  Mixed volumes are one inclusion-exclusion over Minkowski
@@ -28,7 +29,7 @@ sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
@@ -313,15 +314,17 @@ class HullFacet:
     offset: int
 
 
-def cone_facets(gens) -> list[tuple[Vector, int]]:
-    """Facets of the cone spanned by integer generators, within their span.
+def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
+    """Rank and facets of the cone spanned by integer generators.
 
-    Returns ``(y, zeros)`` pairs: ``y`` is a primitive inner facet normal
-    (``y . g >= 0`` for every generator ``g``) and ``zeros`` the bitmask of
-    the generators (bit i for ``gens[i]``) on which ``y`` vanishes.  A
-    point ``p`` enters as ``(1, p)``, a recession ray ``r`` as ``(0, r)``.
-    Generators of rank r < D give the facets in their span, each ``y`` up to
-    its orthogonal complement; an all-zero set raises ``InvariantViolation``.
+    Returns ``(r, facets)``: r is the rank of the generators, the pivot
+    count of the elimination below, and each facet a ``(y, zeros)`` pair:
+    ``y`` is a primitive inner facet normal (``y . g >= 0`` for every
+    generator ``g``), ``zeros`` the bitmask of the generators (bit i for
+    ``gens[i]``) on which ``y`` vanishes.  A point ``p`` enters as
+    ``(1, p)``, a recession ray ``r`` as ``(0, r)``.  Generators of rank
+    r < D give the facets in their span, each ``y`` up to its orthogonal
+    complement; an all-zero set raises ``InvariantViolation``.
 
     Double description on the dual cone {y : y . g >= 0}, with the
     generators taken in sorted order.  One elimination of ``[G^T | I]``,
@@ -342,7 +345,7 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
 
     >>> gens = [(1, 0, 2, 0), (1, 0, 0, 3), (1, 1, 0, 0),
     ...         (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    >>> for y, zeros in sorted(cone_facets(gens)):
+    >>> for y, zeros in sorted(cone_facets(gens)[1]):
     ...     print(y, f"{zeros:06b}")
     (-6, 6, 3, 2) 000111
     (0, 0, 0, 1) 011101
@@ -350,10 +353,10 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
     (0, 1, 0, 0) 110011
     (1, 0, 0, 0) 111000
 
-    Three collinear points span a plane; its facets are the two ends:
+    Three collinear points have rank 2; their facets are the two ends:
 
-    >>> sorted(cone_facets([(1, 0, 0), (1, 1, 0), (1, 2, 0)]))
-    [((0, 1, 0), 1), ((2, -1, 0), 4)]
+    >>> cone_facets([(1, 0, 0), (1, 1, 0), (1, 2, 0)])
+    (2, [((0, 1, 0), 1), ((2, -1, 0), 4)])
     """
     gens = [tuple(int(x) for x in g) for g in gens]
     D = len(gens[0])
@@ -396,7 +399,7 @@ def cone_facets(gens) -> list[tuple[Vector, int]]:
                     c = gcd(*v)
                     kept.append((tuple(x // c for x in v), z | bit))
         rays = kept
-    return rays
+    return rank, rays
 
 
 def _vertices(pts, masks) -> list[Vector]:
@@ -426,8 +429,8 @@ def convex_hull(points):
     """Exact hull of integer points: (vertices, affine_dim, facets).
 
     One ``cone_facets`` call on the distinct points, lifted to height one
-    as they are, gives the facets' zero-set masks; the vertices, sorted,
-    are read off those masks, and the dimension is one ``mat_rank``.
+    as they are, gives the facets' zero-set masks, off which the sorted
+    vertices are read, and the rank, which is the dimension plus one.
     Facets are reported for full-dimensional hulls only, sorted by (inner
     normal, offset), each with every input index on it, duplicates
     included; a lower-dimensional hull gets ``[]``.
@@ -439,16 +442,15 @@ def convex_hull(points):
     if d < 1 or any(len(p) != d for p in pts_in):
         raise ValueError("points must share a positive ambient dimension")
     uniq = sorted(set(pts_in))
-    cone = cone_facets([(1,) + p for p in uniq])
-    dim = mat_rank([_sub(p, uniq[0]) for p in uniq[1:]])
+    rank, cone = cone_facets([(1,) + p for p in uniq])
     vertices = _vertices(uniq, [z for _, z in cone])
-    if dim < d:
-        return vertices, dim, []
+    if rank <= d:
+        return vertices, rank - 1, []
     pos = {p: i for i, p in enumerate(uniq)}
     bits = [pos[p] for p in pts_in]
     facets = [HullFacet(tuple(i for i, b in enumerate(bits) if z >> b & 1), a, c)
               for a, c, z in sorted((y[1:], -y[0], z) for y, z in cone)]
-    return vertices, dim, facets
+    return vertices, d, facets
 
 
 # ---------------------------------------------------------------------------
@@ -458,35 +460,30 @@ def convex_hull(points):
 class LatticePolytope:
     """Hull of finitely many integer points, stored by its vertex list.
 
-    Build through ``from_points`` (which reduces to the true vertices) or
-    ``empty``; the cached affine dimension is revalidated on construction.
+    ``LatticePolytope(vertices, ambient_dim)``, usually through
+    ``from_points`` (which reduces to the true vertices) or ``empty``;
+    ``affine_dim`` is one rank of the vertices, -1 without any.
     """
     vertices: tuple[Vector, ...]
-    affine_dim: int
     ambient_dim: int
+    affine_dim: int = field(init=False)
 
     def __post_init__(self):
-        if not self.vertices:
-            if self.affine_dim != -1:
-                raise ValueError("empty polytope must have affine_dim -1")
-            return
-        base = self.vertices[0]
-        if any(len(v) != self.ambient_dim for v in self.vertices):
+        verts = self.vertices
+        if any(len(v) != self.ambient_dim for v in verts):
             raise ValueError("vertex dimension mismatch")
-        if mat_rank([_sub(v, base) for v in self.vertices[1:]]) != self.affine_dim:
-            raise ValueError("cached affine dimension is wrong")
+        object.__setattr__(self, "affine_dim", mat_rank(
+            [_sub(v, verts[0]) for v in verts[1:]]) if verts else -1)
 
     @classmethod
     def from_points(cls, points) -> "LatticePolytope":
-        pts = list(points)
-        if not pts:
-            raise ValueError("use LatticePolytope.empty for the empty polytope")
-        verts, dim, _ = convex_hull(pts)
-        return cls(tuple(verts), dim, len(verts[0]))
+        """The hull of a nonempty point set, by one ``convex_hull``."""
+        verts = convex_hull(points)[0]
+        return cls(tuple(verts), len(verts[0]))
 
     @classmethod
     def empty(cls, ambient_dim: int) -> "LatticePolytope":
-        return cls((), -1, ambient_dim)
+        return cls((), ambient_dim)
 
     @property
     def is_empty(self) -> bool:
@@ -556,7 +553,7 @@ def normalized_volume(P: LatticePolytope) -> int:
     if l < P.ambient_dim:
         diffs = [_sub(p, pts[0]) for p in pts]
         pts = _coords_all(saturation_basis(diffs[1:]), diffs)
-    cone = cone_facets([(1,) + p for p in pts])
+    _, cone = cone_facets([(1,) + p for p in pts])
     return _pulled_volume((1 << len(pts)) - 1, l, pts, [z for _, z in cone], ())
 
 
@@ -596,9 +593,9 @@ def mixed_volume(bodies) -> Fraction:
     the nonempty subsets J of the bodies, of ``(-1)^(m - |J|)`` times the
     volume of the Minkowski sum of J (Schneider, *Convex Bodies: The
     Brunn-Minkowski Theory*, 2014, section 5.1).  A Minkowski sum is
-    taken as the set of sums of the mapped points; one of rank m gets a
-    pulling triangulation, ``m!`` times its volume (hence the division by
-    ``m!^2``), and a lower one no facet search.
+    taken as the set of sums of the mapped points; one of rank m + 1 in
+    its ``cone_facets`` call gets a pulling triangulation, ``m!`` times
+    its volume (hence the division by ``m!^2``), and a lower one 0.
     """
     Ks = list(bodies)
     m = len(Ks)
@@ -610,18 +607,13 @@ def mixed_volume(bodies) -> Fraction:
             raise ValueError("mixed volume of an empty polytope")
         if K.ambient_dim != D:
             raise ValueError("ambient dimension mismatch")
-    vecs = []
-    for K in Ks:
-        b = K.vertices[0]
-        vecs.extend(_sub(v, b) for v in K.vertices[1:])
-    r = mat_rank(vecs)
-    if r > m:
+    diffs = [[_sub(v, K.vertices[0]) for v in K.vertices] for K in Ks]
+    B = saturation_basis([v for ds in diffs for v in ds[1:]])
+    if len(B) > m:
         raise ValueError("bodies do not fit a common m-dimensional direction space")
-    if r < m:
+    if len(B) < m:
         return Fraction(0)
-    B = saturation_basis(vecs)
-    mapped = [set(_coords_all(B, [_sub(v, K.vertices[0]) for v in K.vertices]))
-              for K in Ks]
+    mapped = [set(_coords_all(B, ds)) for ds in diffs]
     if all(P == mapped[0] for P in mapped):  # m! V is m! times vol(K)
         sums = [(factorial(m), mapped[0])]
     else:
@@ -635,8 +627,8 @@ def mixed_volume(bodies) -> Fraction:
     total = 0
     for sign, T in sums:
         pts = sorted(T)
-        if mat_rank([_sub(p, pts[0]) for p in pts[1:]]) == m:
-            cone = cone_facets([(1,) + p for p in pts])
+        rank, cone = cone_facets([(1,) + p for p in pts])
+        if rank == m + 1:
             total += sign * _pulled_volume((1 << len(pts)) - 1, m, pts,
                                            [z for _, z in cone], ())
     return Fraction(total, factorial(m) ** 2)

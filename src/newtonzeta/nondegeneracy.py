@@ -93,7 +93,7 @@ def newton_polyhedron_facets(points, d: int):
         [(0,) * (i + 1) + (1,) + (0,) * (d - 1 - i) for i in range(d)]
     # the normal with a = 0 is the facet at infinity, not a facet of the
     # polyhedron
-    return sorted((y[1:], -y[0], z) for y, z in cone_facets(gens) if any(y[1:]))
+    return sorted((y[1:], -y[0], z) for y, z in cone_facets(gens)[1] if any(y[1:]))
 
 
 def compact_faces(points, d: int) -> list[tuple[tuple[Exponent, ...], int]]:

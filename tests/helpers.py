@@ -350,7 +350,7 @@ def nvol_boundary_recursion(points) -> int:
 def _facet_enum_full(pts) -> list[tuple[Vector, int]]:
     """Sorted (inner normal, offset) pairs for a full-dimensional point set."""
     lifted = [(1,) + tuple(p) for p in pts]
-    return sorted((y[1:], -y[0]) for y, _ in cone_facets(lifted))
+    return sorted((y[1:], -y[0]) for y, _ in cone_facets(lifted)[1])
 
 
 def _vertices_from_facets(pts, plane_facets) -> list[Vector]:
@@ -618,7 +618,7 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
             if all(x > 0 for x in a):
                 face_pts = [p for p in S if _dot(a, p) == hf.offset]
                 face = LatticePolytope.from_points(face_pts)
-                out.append(DiagramFacet(idx, a, a[0], face,
+                out.append(DiagramFacet(idx, a, a[0], face.vertices,
                                         normalized_volume(face)))
     elif dim == d - 1:
         # the whole hull is the only candidate; it is a diagram facet iff
@@ -628,7 +628,7 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
         for a in (w, _neg(w)):
             if all(x > 0 for x in a):
                 face = LatticePolytope.from_points(S)
-                out.append(DiagramFacet(idx, a, a[0], face,
+                out.append(DiagramFacet(idx, a, a[0], face.vertices,
                                         normalized_volume(face)))
                 break
     out.sort(key=lambda f: f.normal)
@@ -1015,11 +1015,12 @@ def two_elimination_cone_facets(gens) -> list[tuple[Vector, int]]:
 
 
 def saturated_hull_cone(uniq):
-    """``(dim, coords, cone_facets(coords lifted to height one))`` for sorted
-    distinct points: their affine dimension and their coordinates, which
-    are the points themselves when they are full-dimensional and otherwise
-    the differences to the first point in a basis of the saturation lattice
-    of their direction space.  Bit i of each zero-set mask is ``uniq[i]``.
+    """``(dim, coords, facets)`` for sorted distinct points: their affine
+    dimension, their coordinates, which are the points themselves when
+    they are full-dimensional and otherwise the differences to the first
+    point in a basis of the saturation lattice of their direction space,
+    and the ``cone_facets`` facets of those coordinates lifted to height
+    one.  Bit i of each zero-set mask is ``uniq[i]``.
     """
     base = uniq[0]
     diffs = [_sub(p, base) for p in uniq]
@@ -1028,7 +1029,7 @@ def saturated_hull_cone(uniq):
         return 0, [()], [((1,), 0)]
     coords = uniq if dim == len(base) else \
         _coords_all(saturation_basis(diffs[1:]), diffs)
-    return dim, coords, cone_facets([(1,) + p for p in coords])
+    return dim, coords, cone_facets([(1,) + p for p in coords])[1]
 
 
 # the support restriction that checked the index range and ran a tuple

@@ -9,6 +9,7 @@ import pytest
 
 from newtonzeta import cli
 from newtonzeta.cli import main
+from newtonzeta.germ import MAX_Z_VARIABLES
 from newtonzeta.nondegeneracy import MAX_EDGE_LENGTH
 
 
@@ -389,6 +390,20 @@ def _python_m(*argv):
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-m", "newtonzeta", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("sub,germ", [("zeta", "z1^2 - s"),
+                                      ("diagram", "z1^2 - s"),
+                                      ("oracle-compare", "z1^2")])
+def test_too_many_variables_are_refused_at_once(capsys, sub, germ):
+    # 2^40 index sets: refused before any work, not left to run
+    names = ",".join(["s"] + [f"z{i}" for i in range(1, 41)])
+    start = time.perf_counter()
+    code, out, err = run(capsys, sub, "--germ", germ, "--vars", names)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "40 z-variables" in err and f"at most {MAX_Z_VARIABLES}" in err
 
 
 def test_console_entry_point():

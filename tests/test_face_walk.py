@@ -70,7 +70,8 @@ def test_pulled_volume_matches_fan_triangulation():
         # every input point kept, non-vertices included: the pulled point
         # need not be a vertex
         distinct = tuple(sorted(set(pts)))
-        raw = LatticePolytope(distinct, P.affine_dim, P.ambient_dim)
+        raw = LatticePolytope(distinct, P.ambient_dim)
+        assert raw.affine_dim == P.affine_dim, (kind, pts)
         assert normalized_volume(raw) == want, (kind, pts)
         if len(distinct) > len(P.vertices):
             kinds.add("non-vertex points")

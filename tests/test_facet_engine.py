@@ -113,7 +113,7 @@ def test_facet_at_infinity_is_dropped():
         pts = sorted(set(pts))
         units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
         cone = [y for y, _ in cone_facets([(1,) + p for p in pts]
-                                          + [(0,) + u for u in units])]
+                                          + [(0,) + u for u in units])[1]]
         assert (1,) + (0,) * d in cone
         facets = newton_polyhedron_facets(pts, d)
         assert len(facets) == len(cone) - 1
@@ -126,7 +126,7 @@ def test_cone_facets_zero_sets_and_primitivity():
         d = rng.randint(1, 4)
         gens = [(1,) + p for p in random_point_set(rng, d, rng.randint(1, 9), 2)]
         gens += [(0,) + tuple(int(i == j) for j in range(d)) for i in range(d)]
-        for y, zeros in cone_facets(gens):
+        for y, zeros in cone_facets(gens)[1]:
             assert gcd(*y) == 1
             values = [_dot(y, g) for g in gens]
             assert min(values) >= 0
@@ -138,8 +138,9 @@ def test_cone_facets_rejects_only_all_zero_generators():
         cone_facets([(0, 0, 0), (0, 0, 0)])
     assert not issubclass(InvariantViolation, ValueError)
     # three collinear points span a plane: its cone has the endpoints as facets
-    assert sorted(z for _, z in cone_facets([(1, 0, 0), (1, 1, 0), (1, 2, 0)])) \
-        == [0b001, 0b100]
+    rank, facets = cone_facets([(1, 0, 0), (1, 1, 0), (1, 2, 0)])
+    assert rank == 2
+    assert sorted(z for _, z in facets) == [0b001, 0b100]
 
 
 def _cone_inputs(rng):
@@ -177,7 +178,9 @@ def test_cone_facets_match_the_two_elimination_engine():
     rng = random.Random(4242)
     seen = set()
     for kind, gens in _cone_inputs(rng):
-        got = sorted(cone_facets(gens))
+        rank, facets = cone_facets(gens)
+        assert rank == mat_rank(gens), gens
+        got = sorted(facets)
         for y, zeros in got:
             assert gcd(*y) == 1
             values = [_dot(y, g) for g in gens]

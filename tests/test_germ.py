@@ -5,6 +5,7 @@ import pytest
 
 from helpers import pointwise_restrict_support, random_deformation_germ
 from newtonzeta.germ import (
+    MAX_Z_VARIABLES,
     GermSeries,
     ParseError,
     germ_from_json,
@@ -176,6 +177,14 @@ def test_json_roundtrip():
 
 def test_index_sets_binary_order():
     assert index_sets_with_zero(2) == [(0,), (0, 1), (0, 2), (0, 1, 2)]
+
+
+def test_index_sets_up_to_the_variable_bound():
+    sets = index_sets_with_zero(MAX_Z_VARIABLES)
+    assert len(sets) == 2 ** MAX_Z_VARIABLES
+    assert sets[-1] == tuple(range(MAX_Z_VARIABLES + 1))
+    with pytest.raises(ValueError, match=f"{MAX_Z_VARIABLES + 1} z-variables"):
+        index_sets_with_zero(MAX_Z_VARIABLES + 1)
 
 
 def test_suspend_and_pencil():

@@ -10,6 +10,9 @@ and the two-body polarization.
 """
 
 import random
+from fractions import Fraction
+
+import pytest
 
 from helpers import (
     _vertices_from_facets,
@@ -20,6 +23,8 @@ from helpers import (
     simplex_nvol_oracle,
 )
 from newtonzeta import lattice
+from newtonzeta.diagram import diagram_facets
+from newtonzeta.germ import parse_germ
 from newtonzeta.lattice import (
     LatticePolytope,
     _vertices,
@@ -74,9 +79,42 @@ def test_hulls_match_the_recursive_hull():
         pts = _with_duplicates(rng, pts)
         result = convex_hull(pts)
         assert result == recursive_convex_hull(pts)
+        # a polytope derives its dimension, on its vertices or on every
+        # distinct point, non-vertices included
+        assert LatticePolytope.from_points(pts).affine_dim == result[1]
+        assert LatticePolytope(tuple(set(pts)), d).affine_dim == result[1]
         seen["full" if result[1] == d else "lower"] += 1
         seen["duplicates"] += len(set(pts)) < len(pts)
     assert all(seen.values()), seen
+    assert LatticePolytope.empty(3).affine_dim == -1
+    with pytest.raises(ValueError, match="vertex dimension mismatch"):
+        LatticePolytope(((0, 0), (1, 0, 0)), 2)
+
+
+def test_only_a_polytope_ranks_its_vertices(monkeypatch):
+    # the facet engine's elimination is the rank of every hull, diagram
+    # facet and Minkowski sum; only a LatticePolytope ranks its vertices
+    calls = []
+    rank = lattice.mat_rank
+    monkeypatch.setattr(lattice, "mat_rank",
+                        lambda rows: calls.append(1) or rank(rows))
+    square = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
+    segment = [(0, 0, 0), (1, 2, 3), (2, 4, 6)]
+    bodies = [LatticePolytope.from_points(b) for b in
+              ([(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 1)],
+               [(0, 0), (1, 0)], [(0, 0), (3, 0)])]
+    assert len(calls) == 4
+    cusp = parse_germ("z1^2+z2^3-s", ["s", "z1", "z2"])
+    calls.clear()
+    assert convex_hull(square)[1] == 2
+    assert convex_hull(segment)[1] == 1
+    assert [(f.m, f.nvol) for f in diagram_facets(cusp, (0, 1, 2))] == [(6, 1)]
+    # a triangle and a segment: the segment alone is a lower-dimensional sum
+    assert mixed_volume(bodies[:2]) == Fraction(3, 2)
+    assert mixed_volume(bodies[2:]) == 0
+    assert calls == []
+    assert LatticePolytope.from_points(square).affine_dim == 2
+    assert len(calls) == 1
 
 
 def _embedded_set(rng, d, k):
@@ -96,7 +134,9 @@ def test_lifted_hull_masks_match_the_saturated_hull():
         d = rng.randint(1, 5)
         pts = sorted(set(_embedded_set(rng, d, rng.randint(0, d))))
         dim, _, cone = saturated_hull_cone(pts)
-        masks = [z for _, z in cone_facets([(1,) + p for p in pts])]
+        rank, facets = cone_facets([(1,) + p for p in pts])
+        masks = [z for _, z in facets]
+        assert rank == dim + 1, pts
         assert sorted(masks) == sorted(z for _, z in cone), pts
         assert convex_hull(pts)[:2] == (_vertices(pts, masks), dim)
         dims.add(dim)

@@ -27,7 +27,7 @@ from newtonzeta.germ import (
     support,
     suspend_germ,
 )
-from newtonzeta.lattice import LatticePolytope, minimizing_face
+from newtonzeta.lattice import LatticePolytope, mat_rank, minimizing_face
 from newtonzeta.nondegeneracy import (
     COUNTEREXAMPLE,
     UNCHECKED,
@@ -81,14 +81,16 @@ def test_facet_minimization_is_exact_on_support():
                 level = min(vals.values())
                 on_face = {p for p, v in vals.items() if v == level}
                 assert all(v >= level for v in vals.values())
-                assert set(fac.face.vertices) <= on_face
+                assert set(fac.vertices) <= on_face
                 # the stored face is exactly the minimizing face: equality
                 # holds on its support points and nowhere else
-                assert fac.face.vertices == \
+                assert fac.vertices == \
                     minimizing_face(sorted(S), fac.normal).vertices
                 assert fac.m == fac.normal[0] >= 1
                 assert fac.nvol >= 1
-                assert fac.face.affine_dim == len(I) - 1
+                base = fac.vertices[0]
+                assert mat_rank([tuple(x - y for x, y in zip(v, base))
+                                 for v in fac.vertices[1:]]) == len(I) - 1
 
 
 # ---------------------------------------------------------------------------
