@@ -109,12 +109,17 @@ def restrict_support(S, I) -> frozenset[Exponent]:
 MAX_Z_VARIABLES = 16
 
 
-def index_sets_with_zero(n: int):
-    """All index sets containing 0 inside {0, ..., n}, in binary order;
-    n above ``MAX_Z_VARIABLES`` raises ``ValueError``."""
+def check_z_variables(n: int) -> None:
+    """Raise ``ValueError`` for n above ``MAX_Z_VARIABLES`` z-variables."""
     if n > MAX_Z_VARIABLES:
         raise ValueError(f"{n} z-variables give 2^{n} index sets; at most "
                          f"{MAX_Z_VARIABLES} are supported")
+
+
+def index_sets_with_zero(n: int):
+    """All index sets containing 0 inside {0, ..., n}, in binary order;
+    n above ``MAX_Z_VARIABLES`` raises ``ValueError``."""
+    check_z_variables(n)
     return [(0,) + tuple(i + 1 for i in range(n) if mask >> i & 1)
             for mask in range(1 << n)]
 

@@ -10,6 +10,9 @@ Every exact elimination (rank, coordinates in a basis, the starting rays
 of the facet engine) is one fraction-free Gauss-Jordan routine,
 ``_gauss_jordan`` (Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, Math. Comp. 22, 1968).
+Saturation lattices come from one Smith normal form loop
+(``smith_normal_form``) whose every step takes the smallest nonzero entry
+of the remaining block as its pivot.
 
 Facets come from one integer double-description routine (``cone_facets``,
 after Fukuda & Prodon, *Double description method revisited*, 1996): a
@@ -154,15 +157,19 @@ def mat_rank(rows) -> int:
 # ---------------------------------------------------------------------------
 # Smith normal form and saturation lattices
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(M):
     """Smith normal form decomposition of an integer matrix.
 
     Returns ``(U, D, V)`` with ``M = U @ D @ V``, ``U`` and ``V`` unimodular
     and ``D`` diagonal with nonnegative entries, each dividing the next.
+
+    One pivot rule fills each diagonal position s.  A pass moves the
+    smallest nonzero entry of the remaining block, rows and columns s
+    onward (the first in row-major order), to ``(s, s)``, negates its row
+    if it is negative and reduces its column and its row by floor
+    division.  The remainders are smaller than the pivot, so the passes
+    end with both clear; then an entry of the block that the pivot does
+    not divide has its row added to the pivot row, and the passes go on.
     """
     k = len(M)
     d = len(M[0]) if k else 0
@@ -170,88 +177,50 @@ def smith_normal_form(M):
     for row in A:
         if len(row) != d:
             raise ValueError("ragged matrix")
-    U = _identity(k)
-    V = _identity(d)
-
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    V = [[int(i == j) for j in range(d)] for i in range(d)]
     # Row operations on A are compensated on U's columns and column
     # operations on V's rows so that M == U @ A @ V holds throughout.
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    def row_sub(i, q, j):  # row_i -= q * row_j
-        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
-        for r in U:
-            r[j] += q * r[i]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-        for r in U:
-            r[i] = -r[i]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
-
-    def col_sub(i, q, j):  # col_i -= q * col_j
-        for r in A:
-            r[i] -= q * r[j]
-        V[j] = [x + q * y for x, y in zip(V[j], V[i])]
-
     s = 0
-    limit = min(k, d)
-    while s < limit:
-        best = None
-        pr = pc = -1
-        for i in range(s, k):
-            for j in range(s, d):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pr, pc = i, j
-        if best is None:
+    while s < min(k, d):
+        pivot = min(((abs(A[i][j]), i, j) for i in range(s, k)
+                     for j in range(s, d) if A[i][j]), default=None)
+        if pivot is None:
             break
-        if pr != s:
-            row_swap(s, pr)
-        if pc != s:
-            col_swap(s, pc)
-        while True:
-            if A[s][s] < 0:
-                row_neg(s)
-            # clear column s, re-pivoting on any nonzero remainder
-            while True:
-                for i in range(s + 1, k):
-                    if A[i][s]:
-                        row_sub(i, A[i][s] // A[s][s], s)
-                rem = [i for i in range(s + 1, k) if A[i][s]]
-                if rem:
-                    row_swap(s, min(rem, key=lambda i: abs(A[i][s])))
-                    if A[s][s] < 0:
-                        row_neg(s)
-                    continue
-                for j in range(s + 1, d):
-                    if A[s][j]:
-                        col_sub(j, A[s][j] // A[s][s], s)
-                rem = [j for j in range(s + 1, d) if A[s][j]]
-                if rem:
-                    col_swap(s, min(rem, key=lambda j: abs(A[s][j])))
-                    if A[s][s] < 0:
-                        row_neg(s)
-                    continue
-                break
-            viol = None
-            for i in range(s + 1, k):
-                for j in range(s + 1, d):
-                    if A[i][j] % A[s][s] != 0:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
-            if viol is None:
-                break
-            row_sub(s, -1, viol)  # pull a non-divisible entry into row s
-        s += 1
+        _, pr, pc = pivot
+        A[s], A[pr] = A[pr], A[s]
+        for r in U:
+            r[s], r[pr] = r[pr], r[s]
+        for r in A:
+            r[s], r[pc] = r[pc], r[s]
+        V[s], V[pc] = V[pc], V[s]
+        if A[s][s] < 0:
+            A[s] = [-x for x in A[s]]
+            for r in U:
+                r[s] = -r[s]
+        p = A[s][s]
+        for i in range(s + 1, k):
+            q = A[i][s] // p
+            if q:  # row_i -= q * row_s
+                A[i] = [x - q * y for x, y in zip(A[i], A[s])]
+                for r in U:
+                    r[s] += q * r[i]
+        for j in range(s + 1, d):
+            q = A[s][j] // p
+            if q:  # col_j -= q * col_s
+                for r in A:
+                    r[j] -= q * r[s]
+                V[s] = [x + q * y for x, y in zip(V[s], V[j])]
+        if any(A[i][s] for i in range(s + 1, k)) or any(A[s][s + 1:]):
+            continue
+        bad = next((i for i in range(s + 1, k)
+                    if any(x % p for x in A[i][s + 1:])), None)
+        if bad is None:
+            s += 1
+        else:  # row_s += row_bad
+            A[s] = [x + y for x, y in zip(A[s], A[bad])]
+            for r in U:
+                r[bad] -= r[s]
     return U, A, V
 
 

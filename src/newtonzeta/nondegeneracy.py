@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .germ import Exponent, GermSeries, support
+from .germ import Exponent, GermSeries, check_z_variables, support
 from .lattice import (
     InvariantViolation,
     _face_facets,
@@ -275,8 +275,10 @@ def nondegeneracy_check(F: GermSeries) -> NondegeneracyReport:
     """Classify every compact face of the Newton polyhedron of F.
 
     Dimension-0 faces are verified, dimension-1 faces decided exactly,
-    higher-dimensional faces reported unchecked.
+    higher-dimensional faces reported unchecked.  More than
+    ``germ.MAX_Z_VARIABLES`` z-variables raise ``ValueError`` before any work.
     """
+    check_z_variables(F.num_vars - 1)
     verdicts = []
     for pts, dim in compact_faces(support(F), F.num_vars):
         if dim == 0:

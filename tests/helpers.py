@@ -595,6 +595,113 @@ def fraction_int_inverse(M):
 
 
 # ---------------------------------------------------------------------------
+# Smith normal form with separate Euclidean re-pivots on the column and the
+# row: the loop ``lattice.smith_normal_form`` replaced, kept as its oracle
+# in test_lattice
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def euclid_smith_normal_form(M):
+    """Smith normal form decomposition of an integer matrix.
+
+    Returns ``(U, D, V)`` with ``M = U @ D @ V``, ``U`` and ``V`` unimodular
+    and ``D`` diagonal with nonnegative entries, each dividing the next.
+    """
+    k = len(M)
+    d = len(M[0]) if k else 0
+    A = [[int(x) for x in row] for row in M]
+    for row in A:
+        if len(row) != d:
+            raise ValueError("ragged matrix")
+    U = _identity(k)
+    V = _identity(d)
+
+    # Row operations on A are compensated on U's columns and column
+    # operations on V's rows so that M == U @ A @ V holds throughout.
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        for r in U:
+            r[i], r[j] = r[j], r[i]
+
+    def row_sub(i, q, j):  # row_i -= q * row_j
+        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
+        for r in U:
+            r[j] += q * r[i]
+
+    def row_neg(i):
+        A[i] = [-x for x in A[i]]
+        for r in U:
+            r[i] = -r[i]
+
+    def col_swap(i, j):
+        for r in A:
+            r[i], r[j] = r[j], r[i]
+        V[i], V[j] = V[j], V[i]
+
+    def col_sub(i, q, j):  # col_i -= q * col_j
+        for r in A:
+            r[i] -= q * r[j]
+        V[j] = [x + q * y for x, y in zip(V[j], V[i])]
+
+    s = 0
+    limit = min(k, d)
+    while s < limit:
+        best = None
+        pr = pc = -1
+        for i in range(s, k):
+            for j in range(s, d):
+                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
+                    best = abs(A[i][j])
+                    pr, pc = i, j
+        if best is None:
+            break
+        if pr != s:
+            row_swap(s, pr)
+        if pc != s:
+            col_swap(s, pc)
+        while True:
+            if A[s][s] < 0:
+                row_neg(s)
+            # clear column s, re-pivoting on any nonzero remainder
+            while True:
+                for i in range(s + 1, k):
+                    if A[i][s]:
+                        row_sub(i, A[i][s] // A[s][s], s)
+                rem = [i for i in range(s + 1, k) if A[i][s]]
+                if rem:
+                    row_swap(s, min(rem, key=lambda i: abs(A[i][s])))
+                    if A[s][s] < 0:
+                        row_neg(s)
+                    continue
+                for j in range(s + 1, d):
+                    if A[s][j]:
+                        col_sub(j, A[s][j] // A[s][s], s)
+                rem = [j for j in range(s + 1, d) if A[s][j]]
+                if rem:
+                    col_swap(s, min(rem, key=lambda j: abs(A[s][j])))
+                    if A[s][s] < 0:
+                        row_neg(s)
+                    continue
+                break
+            viol = None
+            for i in range(s + 1, k):
+                for j in range(s + 1, d):
+                    if A[i][j] % A[s][s] != 0:
+                        viol = i
+                        break
+                if viol is not None:
+                    break
+            if viol is None:
+                break
+            row_sub(s, -1, viol)  # pull a non-divisible entry into row s
+        s += 1
+    return U, A, V
+
+
+# ---------------------------------------------------------------------------
 # diagram facets through a bounded hull: the path that reading them off the
 # Newton polyhedron replaced, kept as the oracle of test_diagram_facets
 

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from newtonzeta import cli
+from newtonzeta import cli, randomized
 from newtonzeta.cli import main
-from newtonzeta.germ import MAX_Z_VARIABLES
-from newtonzeta.nondegeneracy import MAX_EDGE_LENGTH
+from newtonzeta.germ import MAX_Z_VARIABLES, parse_germ
+from newtonzeta.nondegeneracy import MAX_EDGE_LENGTH, nondegeneracy_check
 
 
 def run(capsys, *argv):
@@ -168,6 +168,62 @@ def test_oracle_compare_seeded_suite(capsys):
                        "--seed", "7")
     assert code == 0
     assert "cone reduction suite: pass" in out
+    code, out_json, _ = run(capsys, "oracle-compare", "--mode", "cone",
+                            "--seed", "7", "--format", "json")
+    assert code == 0
+    [suite] = json.loads(out_json)
+    assert (suite["suite"], suite["failures"], suite["passed"]) == (
+        "cone reduction suite", [], True)
+    assert (f"({suite['cases']} germs, {suite['facets_checked']} facets "
+            "checked, 0 failures)") in out
+
+
+def test_failing_seeded_suite_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(randomized, "cone_reduction_identity",
+                        lambda *args: False)
+    code, out, _ = run(capsys, "oracle-compare", "--seed", "7", "--mode", "cone")
+    assert code == 3
+    summary, *failures = out.splitlines()
+    assert summary == ("cone reduction suite: FAIL "
+                       "(100 germs, 388 facets checked, 388 failures)")
+    assert len(failures) == 10  # the first ten of them
+    assert all(l.endswith(": volumes or exponents disagree") for l in failures)
+
+
+def test_oracle_compare_both_without_second_germ(capsys):
+    argv = ("oracle-compare", "--germ", "z1^2+z2^3", "--vars", "s,z1,z2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    skipped = [l for l in out.splitlines() if l.startswith("cayley: skipped")]
+    assert len(skipped) == 1 and "no second germ given" in skipped[0]
+    assert out.endswith("overall: pass (3 facet(s) checked)\n")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["rows"][-1] == {"identity": "cayley", "indices": None,
+                               "normal": None, "ok": None,
+                               "note": "skipped (no second germ given)"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["zeta", "--germ", "z1^2 - s"], "--vars is required for expression input"),
+    (["oracle-compare", "--mode", "cone", "--germ", "z1^2", "--germ2", "z1",
+      "--vars", "s,z1"], "--germ2 is only meaningful for the cayley mode"),
+])
+def test_inconsistent_input_is_an_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def fail(F):
+        raise RuntimeError("no report")
+
+    monkeypatch.setattr(cli, "nondegeneracy_check", fail)
+    code, out, err = run(capsys, "check", "--germ", "z1^2 - s", "--vars", "s,z1")
+    assert (code, out, err) == (3, "", "internal error: no report\n")
 
 
 def test_germ_file_and_stdin(tmp_path, capsys, monkeypatch):
@@ -394,6 +450,7 @@ def _python_m(*argv):
 
 @pytest.mark.parametrize("sub,germ", [("zeta", "z1^2 - s"),
                                       ("diagram", "z1^2 - s"),
+                                      ("check", "z1^2 - s"),
                                       ("oracle-compare", "z1^2")])
 def test_too_many_variables_are_refused_at_once(capsys, sub, germ):
     # 2^40 index sets: refused before any work, not left to run
@@ -404,6 +461,13 @@ def test_too_many_variables_are_refused_at_once(capsys, sub, germ):
     assert code == 1
     assert out == ""
     assert "40 z-variables" in err and f"at most {MAX_Z_VARIABLES}" in err
+
+
+def test_nondegeneracy_check_refuses_too_many_variables():
+    names = ["s"] + [f"z{i}" for i in range(1, MAX_Z_VARIABLES + 2)]
+    F = parse_germ("z1^2 - s", names)
+    with pytest.raises(ValueError, match=f"{MAX_Z_VARIABLES + 1} z-variables"):
+        nondegeneracy_check(F)
 
 
 def test_console_entry_point():

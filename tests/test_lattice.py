@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     apply_matrix,
     dilate,
+    euclid_smith_normal_form,
     nvol_boundary_recursion,
     orthocomplement_line,
     random_lattice_simplex,
@@ -96,6 +97,37 @@ def test_snf_random():
         d = rng.randint(1, 4)
         M = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(k)]
         _check_snf(M)
+
+
+def _random_matrix(rng, k, d, bound):
+    M = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(k)]
+    if rng.random() < 0.3:
+        M[rng.randrange(k)] = [0] * d
+    if rng.random() < 0.3:
+        j = rng.randrange(d)
+        for row in M:
+            row[j] = 0
+    return M
+
+
+def test_snf_matches_euclid_oracle():
+    rng = random.Random(14)
+    for bound in (9, 1000):
+        for _ in range(300):
+            M = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6), bound)
+            diag = _check_snf(M)
+            D = euclid_smith_normal_form(M)[1]
+            assert diag == [D[i][i] for i in range(len(diag))], M
+    # on one row both loops make the same column operations, so the
+    # unimodular completions of edge directions keep their witnesses
+    for _ in range(2000):
+        row = _random_matrix(rng, 1, rng.randint(1, 8), rng.choice((3, 9, 1000)))
+        assert smith_normal_form(row) == euclid_smith_normal_form(row), row
+
+
+def test_snf_ragged_matrix_rejected():
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 2], [3]])
 
 
 # ---------------------------------------------------------------------------
