@@ -316,7 +316,10 @@ def cmd_oracle_compare(args) -> int:
     else:
         for r in rows:
             if r["ok"] is None:
-                print(f"{r['identity']}: skipped ({r['note']})")
+                note = r["note"]
+                if not note.startswith("skipped"):
+                    note = f"skipped ({note})"
+                print(f"{r['identity']}: {note}")
                 continue
             idx = "{" + ",".join(str(i) for i in r["indices"]) + "}"
             state = "pass" if r["ok"] else "FAIL"

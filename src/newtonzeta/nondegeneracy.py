@@ -11,8 +11,11 @@ Verdicts:
   * dimension 0: verified automatically (a monomial has no torus critical
     zero);
   * dimension 1: decided exactly by reducing the face polynomial to a
-    univariate polynomial along the primitive edge direction and testing
-    squarefreeness away from zero (a binomial, without building it);
+    univariate polynomial along the primitive edge direction, scaled once
+    to integer coefficients, and testing squarefreeness away from zero
+    with a primitive remainder sequence (a binomial, without building it);
+    a multiple rational root becomes a torus witness through one integer
+    solve;
   * dimension >= 2: returned unchecked (deciding would need elimination
     theory).  The report never falsely claims a face verified.
 """
@@ -21,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from .germ import Exponent, GermSeries, check_z_variables, support
 from .lattice import (
     InvariantViolation,
+    _coords_all,
     _face_facets,
-    _gauss_jordan,
     _sub,
     cone_facets,
     primitive,
@@ -37,7 +41,10 @@ from .lattice import (
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 UNCHECKED = "unchecked"
-MAX_EDGE_LENGTH = 64  # longest edge of 3+ points decided (dense gcd: 2.5 s at 64)
+# longest edge of 3+ points decided; an edge through every lattice point,
+# coefficients p/q with |p|, q <= 9, costs 0.03 s at 64, 0.5 s at 128 and
+# 9 s at 256 (the integer gcd; 2 vCPUs, Python 3.11.7)
+MAX_EDGE_LENGTH = 64
 
 
 @dataclass(frozen=True)
@@ -104,13 +111,15 @@ def compact_faces(points, d: int) -> list[tuple[tuple[Exponent, ...], int]]:
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     n = len(pts)
     masks = [z for _, _, z in newton_polyhedron_facets(pts, d)]
-    out = []
+    out, low = [], (1 << n) - 1
     level, dim = set(masks), d - 1
     while level:
         out += [(tuple(p for i, p in enumerate(pts) if m >> i & 1), dim)
                 for m in level if m >> n == 0]
-        level = {f for m in level for f in _face_facets(m, masks)
-                 if f & ((1 << n) - 1)}
+        # the compact faces inside a face are those on its support points,
+        # so one face per point part of a level is expanded
+        level = {f for m in {m & low: m for m in level}.values()
+                 for f in _face_facets(m, masks) if f & low}
         dim -= 1
     return sorted(out, key=lambda face: (face[1], face[0]))
 
@@ -118,37 +127,32 @@ def compact_faces(points, d: int) -> list[tuple[tuple[Exponent, ...], int]]:
 # ---------------------------------------------------------------------------
 # exact check for one-dimensional faces
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _poly_deriv(p):
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv
-        q[i] = f
-        for j, bc in enumerate(b):
-            a[i + j] -= f * bc
-    return q, _poly_trim(a)
+def _poly_rem(a, b):
+    """The remainder of c*a by b for some integer c > 0, over its content;
+    each step scales by |lead(b)|, so the remainder's sign is kept.
+
+    >>> _poly_rem([2, -3, 0, 1], [-3, 0, 3])   # (u-1)^2 (u+2) by 3u^2 - 3
+    [1, -1]
+    """
+    a, sign = list(a), 1 if b[-1] > 0 else -1
+    while len(a) >= len(b):
+        f, k = sign * a.pop(), len(a) + 1 - len(b)
+        a = [abs(b[-1]) * x for x in a]
+        for j, c in enumerate(b[:-1]):
+            a[k + j] -= f * c
+    while a and a[-1] == 0:
+        a.pop()
+    g = gcd(*a)
+    return [x // g for x in a]
 
 
 def _poly_gcd(a, b):
-    a = _poly_trim([Fraction(c) for c in a])
-    b = _poly_trim([Fraction(c) for c in b])
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = [c * inv for c in a]
+        a, b = b, _poly_rem(a, b)
     return a
 
 
@@ -158,20 +162,22 @@ def _poly_value(p, x):
 
 def _rational_root(p):
     """The rational root of least (|numerator|, denominator), positive
-    first, of a nonconstant polynomial with Fraction coefficients, or None.
+    first, of a nonconstant integer polynomial, or None.
 
-    Scaled to integers with leading coefficient L, p has the root x iff the
-    monic q(y) = L^(n-1) p(y/L) has the integer root L*x.  A Sturm chain
-    counts q's real roots between half-integers, which are never roots of
-    q; bisection to width one leaves one integer to test per real root.
+    With leading coefficient L, p has the root x iff the monic
+    q(y) = L^(n-1) p(y/L) has the integer root L*x.  A Sturm chain counts
+    q's real roots between half-integers, which are never roots of q;
+    bisection to width one leaves one integer to test per real root.
+
+    >>> g = [1, -4, 4]                   # (2u - 1)^2, and u^2 - 2
+    >>> _rational_root(_poly_gcd(g, _poly_deriv(g))), _rational_root([-2, 0, 1])
+    (Fraction(1, 2), None)
     """
-    den = lcm(*(c.denominator for c in p))
-    ip = [int(c * den) for c in p]
-    n, lead = len(ip) - 1, ip[-1]
-    q = [c * lead ** (n - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
+    n, lead = len(p) - 1, p[-1]
+    q = [c * lead ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1]
     chain = [q, _poly_deriv(q)]
     while len(chain[-1]) > 1:
-        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+        chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
 
     def changes(k):  # sign changes of the chain at k + 1/2
         signs = [v > 0 for v in (_poly_value(f, Fraction(2 * k + 1, 2))
@@ -192,39 +198,6 @@ def _rational_root(p):
                default=None)
 
 
-def _int_inverse(M):
-    """Inverse of a unimodular integer matrix: p times the right block of
-    ``[M | I]`` after ``_gauss_jordan``, whose pivot p is then +-1."""
-    n = len(M)
-    pivots, a, p = _gauss_jordan(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)], n)
-    if len(pivots) < n or abs(p) != 1:
-        raise InvariantViolation("unimodular matrix has a non-integer inverse")
-    return [[p * x for x in row[n:]] for row in a]
-
-
-def _complete_unimodular(w):
-    """Unimodular integer matrix whose first row is the primitive vector w."""
-    _, D, V = smith_normal_form([list(w)])
-    if D[0][0] != 1:
-        raise InvariantViolation("edge direction is not primitive")
-    if tuple(V[0]) != tuple(w):
-        V = [[-x for x in V[0]]] + [list(r) for r in V[1:]]
-    if tuple(V[0]) != tuple(w):
-        raise InvariantViolation("unimodular completion lost the edge direction")
-    return [list(r) for r in V]
-
-
-def _evaluate_germ(terms, x):
-    total = Fraction(0)
-    for e, c in terms:
-        v = c
-        for xi, k in zip(x, e):
-            v *= xi ** k
-        total += v
-    return total
-
-
 def _edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
     if len(pts) == 2:
         # a binomial a + b*u^L has no multiple zero off u = 0, whatever the
@@ -238,11 +211,10 @@ def _edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
     if L > MAX_EDGE_LENGTH:
         raise ValueError(f"edge from {va} to {vb} not decided: {len(pts)} support "
                          f"points over lattice length {L} > {MAX_EDGE_LENGTH}")
-    coeffs_by_j = {}
+    den = lcm(*(F.terms[p].denominator for p in pts))  # integer coefficients
+    g = [0] * (L + 1)
     for p in pts:
-        j = (p[i0] - va[i0]) // w[i0]
-        coeffs_by_j[j] = F.terms[p]
-    g = [coeffs_by_j.get(j, Fraction(0)) for j in range(L + 1)]
+        g[(p[i0] - va[i0]) // w[i0]] = int(F.terms[p] * den)
     h = _poly_gcd(g, _poly_deriv(g))
     if len(h) <= 1:
         return FaceVerdict(pts, 1, VERIFIED)
@@ -251,18 +223,19 @@ def _edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
     root = _rational_root(h)
     witness = None
     if root is not None:
-        V = _complete_unimodular(w)
-        Vinv = _int_inverse(V)
-        witness = tuple(root ** Vinv[i][0] for i in range(d))
-        face_terms = [(p, F.terms[p]) for p in pts]
-        if _evaluate_germ(face_terms, witness) != 0:
-            raise InvariantViolation("witness is not a zero of the face polynomial")
-        for i in range(d):
-            dterms = [(tuple(k - (1 if t == i else 0) for t, k in enumerate(e)),
-                       c * e[i]) for e, c in face_terms if e[i]]
-            if _evaluate_germ(dterms, witness) != 0:
-                raise InvariantViolation(
-                    "witness is not a critical point of the face polynomial")
+        # w = U V[0] with V unimodular: x_i = root^k_i for k = U V^-1 e_1
+        # (so w.k = 1) puts root on the edge's monomial x^w
+        U, _, V = smith_normal_form([list(w)])
+        (c,) = _coords_all(list(zip(*V)), [(1,) + (0,) * (d - 1)])
+        ks = [U[0][0] * k for k in c]
+        if sum(map(mul, w, ks)) != 1:
+            raise InvariantViolation("edge direction has no unimodular completion")
+        witness = tuple(root ** k for k in ks)
+        # a critical torus zero: the face polynomial f and each x_i df/dx_i vanish
+        vals = [F.terms[p] * prod(map(pow, witness, p)) for p in pts]
+        if any(sum(map(mul, vals, col)) for col in [(1,) * len(pts), *zip(*pts)]):
+            raise InvariantViolation(
+                "witness is not a critical zero of the face polynomial")
     degree_drop = len(h) - 1
     return FaceVerdict(
         pts, 1, COUNTEREXAMPLE, witness,

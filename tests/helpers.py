@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from newtonzeta.diagram import DiagramFacet, _normalize_index_set
 from newtonzeta.factored import FactoredZeta, factor, one
@@ -34,17 +34,12 @@ from newtonzeta.lattice import (
     normalized_volume_at,
     primitive,
     saturation_basis,
+    smith_normal_form,
 )
 from newtonzeta.nondegeneracy import (
     COUNTEREXAMPLE,
     VERIFIED,
     FaceVerdict,
-    _complete_unimodular,
-    _evaluate_germ,
-    _int_inverse,
-    _poly_deriv,
-    _poly_gcd,
-    _rational_root,
     newton_polyhedron_facets,
 )
 from newtonzeta.randomized import (  # noqa: F401 (re-exported for tests)
@@ -821,9 +816,118 @@ def closure_compact_faces(points, d):
 
 
 # ---------------------------------------------------------------------------
-# edge verdicts through the dense edge polynomial for every edge: the path
-# that deciding binomial edges without it replaced, kept as the oracle of
-# test_edge_verdicts
+# edge verdicts through the dense edge polynomial for every edge, over
+# Fractions: the path that deciding binomial edges without it, the integer
+# remainder sequence of nondegeneracy._poly_rem, the one-solve witness and
+# its one critical-zero check replaced, kept as the oracle of
+# test_edge_verdicts (``_int_inverse`` also of test_elimination)
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_deriv(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _poly_value(p, x):
+    return sum(c * x ** i for i, c in enumerate(p))
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv = Fraction(1) / b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        f = a[i + len(b) - 1] * inv
+        q[i] = f
+        for j, bc in enumerate(b):
+            a[i + j] -= f * bc
+    return q, _poly_trim(a)
+
+
+def fraction_poly_gcd(a, b):
+    a = _poly_trim([Fraction(c) for c in a])
+    b = _poly_trim([Fraction(c) for c in b])
+    while b:
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        inv = Fraction(1) / a[-1]
+        a = [c * inv for c in a]
+    return a
+
+
+def fraction_rational_root(p):
+    """The rational root of least (|numerator|, denominator), positive
+    first, of a nonconstant polynomial with Fraction coefficients, or None.
+
+    Scaled to integers with leading coefficient L, p has the root x iff the
+    monic q(y) = L^(n-1) p(y/L) has the integer root L*x.  A Sturm chain
+    counts q's real roots between half-integers, which are never roots of
+    q; bisection to width one leaves one integer to test per real root.
+    """
+    den = lcm(*(c.denominator for c in p))
+    ip = [int(c * den) for c in p]
+    n, lead = len(ip) - 1, ip[-1]
+    q = [c * lead ** (n - 1 - i) for i, c in enumerate(ip[:-1])] + [1]
+    chain = [q, _poly_deriv(q)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+
+    def changes(k):  # sign changes of the chain at k + 1/2
+        signs = [v > 0 for v in (_poly_value(f, Fraction(2 * k + 1, 2))
+                                 for f in chain) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in q[:-1])  # Cauchy: every root is inside
+    roots, cells = [], [(-bound - 1, changes(-bound - 1), bound, changes(bound))]
+    while cells:
+        a, va, b, vb = cells.pop()
+        if va != vb and b - a > 1:
+            m = (a + b) // 2
+            vm = changes(m)
+            cells += [(a, va, m, vm), (m, vm, b, vb)]
+        elif va != vb and _poly_value(q, b) == 0:
+            roots.append(Fraction(b, lead))
+    return min(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0),
+               default=None)
+
+
+def _evaluate_germ(terms, x):
+    total = Fraction(0)
+    for e, c in terms:
+        v = c
+        for xi, k in zip(x, e):
+            v *= xi ** k
+        total += v
+    return total
+
+
+def _int_inverse(M):
+    """Inverse of a unimodular integer matrix: p times the right block of
+    ``[M | I]`` after ``_gauss_jordan``, whose pivot p is then +-1."""
+    n = len(M)
+    pivots, a, p = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)], n)
+    if len(pivots) < n or abs(p) != 1:
+        raise InvariantViolation("unimodular matrix has a non-integer inverse")
+    return [[p * x for x in row[n:]] for row in a]
+
+
+def _complete_unimodular(w):
+    """Unimodular integer matrix whose first row is the primitive vector w."""
+    _, D, V = smith_normal_form([list(w)])
+    if D[0][0] != 1:
+        raise InvariantViolation("edge direction is not primitive")
+    if tuple(V[0]) != tuple(w):
+        V = [[-x for x in V[0]]] + [list(r) for r in V[1:]]
+    if tuple(V[0]) != tuple(w):
+        raise InvariantViolation("unimodular completion lost the edge direction")
+    return [list(r) for r in V]
 
 
 def dense_edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
@@ -837,12 +941,12 @@ def dense_edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
         coeffs_by_j[j] = F.terms[p]
     L = max(coeffs_by_j)
     g = [coeffs_by_j.get(j, Fraction(0)) for j in range(L + 1)]
-    h = _poly_gcd(g, _poly_deriv(g))
+    h = fraction_poly_gcd(g, _poly_deriv(g))
     if len(h) <= 1:
         return FaceVerdict(pts, 1, VERIFIED)
     # the face polynomial has a multiple torus zero; try to exhibit it as
     # an explicit rational torus point
-    root = _rational_root(h)
+    root = fraction_rational_root(h)
     witness = None
     if root is not None:
         V = _complete_unimodular(w)

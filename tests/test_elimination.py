@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     _independent_indices,
+    _int_inverse,
     _scaled_inverse_columns,
     fraction_coords_in_basis,
     fraction_int_inverse,
@@ -21,7 +22,6 @@ from newtonzeta.lattice import (
     int_det,
     mat_rank,
 )
-from newtonzeta.nondegeneracy import _int_inverse
 
 
 def _random_matrix(rng, rows, cols, bound=5):
