@@ -17,10 +17,11 @@ import json
 import sys
 from pathlib import Path
 
-from .diagram import _face_sign, diagram_facets, zeta_torus_and_full
+from .diagram import _face_sign, _facet_reader, zeta_torus_and_full
 from .factored import factor
 from .germ import (
     ParseError,
+    check_z_variables,
     germ_from_json,
     germ_to_string,
     index_sets_with_zero,
@@ -29,7 +30,11 @@ from .germ import (
     support,
 )
 from .lattice import InvariantViolation
-from .nondegeneracy import COUNTEREXAMPLE, nondegeneracy_check
+from .nondegeneracy import (
+    COUNTEREXAMPLE,
+    newton_polyhedron_facets,
+    nondegeneracy_check,
+)
 from .randomized import cayley_checks, cayley_suite, cone_checks, cone_suite
 
 EXIT_OK = 0
@@ -171,8 +176,11 @@ def _warn_nondegeneracy(report):
 
 def cmd_zeta(args) -> int:
     F, names = _load_germ(args)
-    torus, affine = zeta_torus_and_full(F)
-    report = nondegeneracy_check(F)
+    check_z_variables(F.num_vars - 1)
+    # one Newton polyhedron for both zeta functions and the check
+    facets = newton_polyhedron_facets(support(F), F.num_vars)
+    torus, affine = zeta_torus_and_full(F, facets)
+    report = nondegeneracy_check(F, facets)
     if args.format == "json":
         print(json.dumps({
             "vars": names,
@@ -194,14 +202,16 @@ def cmd_zeta(args) -> int:
 
 def cmd_diagram(args) -> int:
     F, names = _load_germ(args)
-    n = F.num_vars - 1
+    index_sets = index_sets_with_zero(F.num_vars - 1)
+    pts = sorted(support(F))
+    read = _facet_reader(pts, newton_polyhedron_facets(pts, F.num_vars))
     rows = []
-    for I in index_sets_with_zero(n):
-        S = sorted(restrict_support(support(F), I))
+    for I in index_sets:
+        S = sorted(restrict_support(pts, I))
         l = len(I) - 1
         sign = _face_sign(l)
         facets = []
-        for fac in diagram_facets(F, I):
+        for fac in read(I, I):
             facets.append({
                 "normal": list(fac.normal),
                 "m": fac.m,
@@ -304,8 +314,8 @@ def cmd_oracle_compare(args) -> int:
             if F.num_vars < 3:
                 rows.append({"identity": "cayley", "indices": None,
                              "normal": None, "ok": None,
-                             "note": "identity not applicable "
-                                     "(all faces have dimension at most 1)"})
+                             "note": "identity not applicable: "
+                                     "all faces have dimension at most 1"})
     elif args.germ2 is not None or args.germ2_file is not None:
         raise ValueError("--germ2 is only meaningful for the cayley mode")
     checked = [r for r in rows if r["ok"] is not None]

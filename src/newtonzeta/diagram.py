@@ -6,6 +6,15 @@ support restricted to I).  Each facet of the polyhedron with a strictly
 positive primitive inner normal is a diagram facet and contributes a factor
 (1 - t^m)^(sign * nvol); lower-dimensional faces carry normalized volume 0
 (Varchenko, Invent. Math. 37, 1976).
+
+Every index set is read off the one Newton polyhedron P = conv(S) + R_+^d
+of the whole support.  For I with S_I nonempty, conv(S_I) + R_+^I is the
+face of P where sum_{j not in I} x_j takes its minimum 0; its generators
+are the points with zero coordinates off I and the recession axes in I.
+The facets of that face are its maximal proper intersections with P's
+facets (Kaibel & Pfetsch, Comput. Geom. 23, 2002), and the compact ones
+are I's diagram facets.  ``diagram_facets(F, I)`` reads one index set off
+the smaller polyhedron of S_I instead.
 """
 
 from __future__ import annotations
@@ -32,8 +41,10 @@ from .lattice import (
     normalized_volume,
     normalized_volume_at,
     _dot,
+    _face_facets,
     _pulled_volume,
     _vertices,
+    primitive,
 )
 from .nondegeneracy import newton_polyhedron_facets
 
@@ -66,35 +77,73 @@ def _normalize_index_set(F: GermSeries, I) -> tuple[int, ...]:
     return idx
 
 
+def _facet_reader(pts, facets):
+    """Read index sets' diagram facets off one Newton polyhedron.
+
+    ``pts`` are the sorted distinct points of P = conv(pts) + R_+^d and
+    ``facets`` its ``newton_polyhedron_facets``.  Returns a function of
+    ``(label, coords)``: the records, sorted by normal, of the index set
+    whose coordinate positions in R^d are ``coords`` (labelled ``label``).
+
+    A facet of P that cuts out a diagram facet G of the face P ∩ R^I has
+    a normal y nonzero on I, so y on I is a positive multiple of G's
+    normal ``a``.  The volume is read off the pyramid from the origin: the
+    primitive ``a`` puts the origin at lattice height ``c`` (the offset)
+    below G, and the pyramid's normalized |I|-volume, summed over the
+    pulling triangulation of G's mask, is ``c * nvol``.
+    """
+    n, d = len(pts), len(pts[0])
+    masks = [z for _, _, z in facets]
+    verts = set(_vertices(pts, masks))
+
+    def read(label, coords) -> list[DiagramFacet]:
+        if len(coords) == d:  # I is every coordinate: P's own compact facets
+            proj, found = pts, [f for f in facets if not f[2] >> n]
+        else:
+            inside = set(coords)
+            off = [j for j in range(d) if j not in inside]
+            face = sum(1 << i for i, p in enumerate(pts) if not any(p[j] for j in off))
+            # a compact facet of P ∩ R^I holds at least |I| points
+            if face.bit_count() < len(coords):
+                return []
+            face |= sum(1 << (n + j) for j in coords)
+            cut = {}  # a facet of P cutting out each face of P ∩ R^I
+            for y, _, z in facets:
+                cut.setdefault(z & face, y)
+            proj = [tuple(p[j] for j in coords) for p in pts]
+            found = []
+            for g in _face_facets(face, masks):
+                if not g >> n:
+                    a = primitive([cut[g][j] for j in coords])
+                    found.append((a, _dot(a, proj[(g & -g).bit_length() - 1]), g))
+            found.sort()
+        origin = ((0,) * len(coords),)
+        out = []
+        for a, c, g in found:
+            nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, masks, origin), c)
+            if rem:
+                raise InvariantViolation("pyramid volume is not a multiple of its height")
+            out.append(DiagramFacet(label, a, a[0], tuple(
+                p for i, p in enumerate(proj) if g >> i & 1 and pts[i] in verts), nvol))
+        return out
+
+    return read
+
+
 def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     """The facets of conv(S_I) + R_+^I with a strictly positive normal.
 
     Each is a compact (|I|-1)-face; its vertices are the polyhedron's
     vertices on it.  Returns one facet record per face, sorted by normal;
-    empty when the restricted support is empty.
-
-    The volume is read off the pyramid from the origin: the normal ``a``
-    is primitive, so the origin lies at lattice height ``c`` (the offset)
-    below the facet, and the pyramid's normalized d-volume, summed over
-    the pulling triangulation of the facet's masks, is ``c * nvol``.
+    empty when the restricted support is empty.  Read off the polyhedron
+    of S_I alone (``_facet_reader`` with I as the full index set).
     """
     idx = _normalize_index_set(F, I)
     d = len(idx)
     S = sorted(restrict_support(support(F), idx))
     if not S:
         return []
-    facets = newton_polyhedron_facets(S, d)
-    masks = [z for _, _, z in facets]
-    verts = set(_vertices(S, masks))
-    out = []
-    for a, c, z in facets:
-        if all(x > 0 for x in a):
-            nvol, rem = divmod(_pulled_volume(z, d - 1, S, masks, ((0,) * d,)), c)
-            if rem:
-                raise InvariantViolation("pyramid volume is not a multiple of its height")
-            out.append(DiagramFacet(idx, a, a[0], tuple(
-                p for i, p in enumerate(S) if z >> i & 1 and p in verts), nvol))
-    return out
+    return _facet_reader(S, newton_polyhedron_facets(S, d))(idx, range(d))
 
 
 def _face_sign(l: int) -> int:
@@ -104,11 +153,15 @@ def _face_sign(l: int) -> int:
     return -1 if (l - 1) % 2 else 1
 
 
+def _contribution(I, facets) -> FactoredZeta:
+    sign = _face_sign(len(I) - 1)
+    return product(factor(f.m, sign * f.nvol) for f in facets)
+
+
 def zeta_I(F: GermSeries, I) -> FactoredZeta:
     """Factored zeta contribution of one index set."""
     idx = _normalize_index_set(F, I)
-    sign = _face_sign(len(idx) - 1)
-    return product(factor(f.m, sign * f.nvol) for f in diagram_facets(F, idx))
+    return _contribution(idx, diagram_facets(F, idx))
 
 
 def zeta_torus(F: GermSeries) -> FactoredZeta:
@@ -120,14 +173,22 @@ def zeta_torus(F: GermSeries) -> FactoredZeta:
     return zeta_I(F, range(F.num_vars))
 
 
-def zeta_torus_and_full(F: GermSeries) -> tuple[FactoredZeta, FactoredZeta]:
-    """``(zeta_torus(F), zeta_full(F))``, each index set computed once.
+def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, FactoredZeta]:
+    """``(zeta_torus(F), zeta_full(F))``, every index set read off the one
+    Newton polyhedron of F.
 
-    The torus zeta function is the contribution of the full index set,
-    which is also one of the factors of the affine one.
+    ``facets``, when given, are ``newton_polyhedron_facets(support(F),
+    F.num_vars)``, built by the caller to share with the nondegeneracy
+    check.  The torus zeta function is the contribution of the full index
+    set, which is also one of the factors of the affine one.
     """
     n = F.num_vars - 1
-    parts = {I: zeta_I(F, I) for I in index_sets_with_zero(n)}
+    index_sets = index_sets_with_zero(n)
+    S = sorted(support(F))
+    if facets is None:
+        facets = newton_polyhedron_facets(S, F.num_vars)
+    read = _facet_reader(S, facets)
+    parts = {I: _contribution(I, read(I, I)) for I in index_sets}
     return parts[tuple(range(n + 1))], factor(1, 1) * product(parts.values())
 
 

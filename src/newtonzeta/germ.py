@@ -104,8 +104,9 @@ def restrict_support(S, I) -> frozenset[Exponent]:
                      if not any(map(p.__getitem__, off)))
 
 
-# 2^n index sets: `zeta` on z1^2 - s took 0.1 s at n = 10, 2.0 s at 14 and
-# 9.0 s at 16 (2 vCPUs, Python 3.11.7), about 4.5x per two variables
+# 2^n index sets, and `diagram` prints a row for each: `zeta` on z1^2 - s
+# takes 0.11 s at n = 10, 0.28 s at 14 and 1.0 s at 16 (whole process,
+# 2 vCPUs, Python 3.11.7), about 3.6x per two variables at the top
 MAX_Z_VARIABLES = 16
 
 

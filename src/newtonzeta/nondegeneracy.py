@@ -103,14 +103,17 @@ def newton_polyhedron_facets(points, d: int):
     return sorted((y[1:], -y[0], z) for y, z in cone_facets(gens)[1] if any(y[1:]))
 
 
-def compact_faces(points, d: int) -> list[tuple[tuple[Exponent, ...], int]]:
+def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...], int]]:
     """Sorted ``(support_points, dim)`` of the compact faces of
     conv(points) + R_+^d, walked down from the facets a dimension per level
-    on the masks of ``newton_polyhedron_facets``; a face is compact when
-    it holds no recession axis (no bit from n up), and nonempty."""
+    on the masks of ``newton_polyhedron_facets(points, d)`` (``facets``,
+    when the caller has them); a face is compact when it holds no recession
+    axis (no bit from n up), and nonempty."""
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     n = len(pts)
-    masks = [z for _, _, z in newton_polyhedron_facets(pts, d)]
+    if facets is None:
+        facets = newton_polyhedron_facets(pts, d)
+    masks = [z for _, _, z in facets]
     out, low = [], (1 << n) - 1
     level, dim = set(masks), d - 1
     while level:
@@ -244,16 +247,18 @@ def _edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
 
 # ---------------------------------------------------------------------------
 
-def nondegeneracy_check(F: GermSeries) -> NondegeneracyReport:
+def nondegeneracy_check(F: GermSeries, facets=None) -> NondegeneracyReport:
     """Classify every compact face of the Newton polyhedron of F.
 
     Dimension-0 faces are verified, dimension-1 faces decided exactly,
-    higher-dimensional faces reported unchecked.  More than
+    higher-dimensional faces reported unchecked.  ``facets``, when given,
+    are ``newton_polyhedron_facets(support(F), F.num_vars)``, which a
+    caller shares with ``diagram.zeta_torus_and_full``.  More than
     ``germ.MAX_Z_VARIABLES`` z-variables raise ``ValueError`` before any work.
     """
     check_z_variables(F.num_vars - 1)
     verdicts = []
-    for pts, dim in compact_faces(support(F), F.num_vars):
+    for pts, dim in compact_faces(support(F), F.num_vars, facets):
         if dim == 0:
             verdicts.append(FaceVerdict(pts, 0, VERIFIED))
         elif dim == 1:

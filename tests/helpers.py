@@ -6,12 +6,13 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from newtonzeta.diagram import DiagramFacet, _normalize_index_set
-from newtonzeta.factored import FactoredZeta, factor, one
+from newtonzeta.diagram import DiagramFacet, _normalize_index_set, zeta_I
+from newtonzeta.factored import FactoredZeta, factor, one, product
 from newtonzeta.germ import (
     Exponent,
     GermSeries,
     ParseError,
+    index_sets_with_zero,
     make_germ,
     restrict_support,
     support,
@@ -735,6 +736,15 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
                 break
     out.sort(key=lambda f: f.normal)
     return out
+
+
+def per_index_set_zeta(F: GermSeries) -> tuple[FactoredZeta, FactoredZeta]:
+    """``(zeta_torus(F), zeta_full(F))`` with a Newton polyhedron per index
+    set (``zeta_I``), the path that reading every index set's facets off
+    F's one polyhedron replaced."""
+    n = F.num_vars - 1
+    parts = {I: zeta_I(F, I) for I in index_sets_with_zero(n)}
+    return parts[tuple(range(n + 1))], factor(1, 1) * product(parts.values())
 
 
 # ---------------------------------------------------------------------------

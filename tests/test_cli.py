@@ -154,7 +154,8 @@ def test_oracle_compare_cayley_low_dimension(capsys):
     code, out, _ = run(capsys, "oracle-compare", "--mode", "cayley",
                        "--germ", "z^2", "--germ2", "z", "--vars", "s,z")
     assert code == 0
-    assert "not applicable" in out
+    assert "cayley: skipped (identity not applicable: all faces have dimension " \
+        "at most 1)" in out.splitlines()
 
 
 def test_oracle_compare_missing_second_germ(capsys):
@@ -445,6 +446,30 @@ def test_unused_variables_do_not_slow_the_face_walk(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("dim ")]) == 7
+
+
+@pytest.mark.parametrize("sub", ["zeta", "diagram"])
+def test_one_newton_polyhedron_per_command(capsys, monkeypatch, sub):
+    # every index set's facets, and the check's faces, come off the germ's
+    # one Newton polyhedron
+    from newtonzeta import nondegeneracy
+
+    orig = nondegeneracy.newton_polyhedron_facets
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "newtonzeta" or name.startswith("newtonzeta."):
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, counted)
+    code, _, _ = run(capsys, sub, "--germ", "z1^3 + z2^4 + z3^5 + z1*z2*z3 - s",
+                     "--vars", "s,z1,z2,z3")
+    assert code == 0
+    assert len(calls) == 1
 
 
 _INVOCATIONS = [

@@ -1,4 +1,6 @@
-"""Diagram facets read off the Newton polyhedron against the bounded-hull path."""
+"""Diagram facets read off the Newton polyhedron against the bounded-hull path,
+and every index set's facets read off the germ's one polyhedron against the
+polyhedron of each restricted support."""
 
 import itertools
 import random
@@ -7,11 +9,18 @@ import pytest
 
 from helpers import (
     hull_diagram_facets,
+    per_index_set_zeta,
     random_convenient_germ,
     random_deformation_germ,
     random_z_germ,
 )
-from newtonzeta.diagram import DiagramFacet, diagram_facets, zeta_full
+from newtonzeta.diagram import (
+    DiagramFacet,
+    _facet_reader,
+    diagram_facets,
+    zeta_full,
+    zeta_torus_and_full,
+)
 from newtonzeta.factored import factor, product
 from newtonzeta.germ import (
     index_sets_with_zero,
@@ -23,6 +32,7 @@ from newtonzeta.germ import (
     suspend_germ,
 )
 from newtonzeta.lattice import _dot, _sub, mat_rank
+from newtonzeta.nondegeneracy import newton_polyhedron_facets
 
 
 def _shape(F, I):
@@ -98,6 +108,30 @@ def test_records_match_the_hull_oracle(n, count):
         assert non_vertex > 0
     if n >= 3:
         assert thick > 0
+
+
+@pytest.mark.parametrize("n,count", [(1, 40), (2, 60), (3, 60), (4, 30), (5, 8)])
+def test_one_polyhedron_gives_every_index_set(n, count):
+    rng = random.Random(600 + n)
+    germs = _germs(rng, n, count) + [
+        pencil_germ(random_convenient_germ(rng, n, max_exp=4, extra_terms=2),
+                    random_z_germ(rng, n, max_terms=3))
+        for _ in range(count // 4)]
+    cases = set()
+    for F in germs:
+        S = sorted(support(F))
+        read = _facet_reader(S, newton_polyhedron_facets(S, F.num_vars))
+        for I in index_sets_with_zero(n):
+            got = read(I, I)
+            assert got == diagram_facets(F, I) == hull_diagram_facets(F, I), (F, I)
+            if not restrict_support(support(F), I):
+                cases.add("empty")
+            elif not got:
+                cases.add("factor 1")
+            elif I == (0,):
+                cases.add("deformation axis")
+        assert zeta_torus_and_full(F) == per_index_set_zeta(F), F
+    assert cases == {"empty", "factor 1", "deformation axis"}
 
 
 V3 = ["s", "z1", "z2"]
