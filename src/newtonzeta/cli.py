@@ -17,14 +17,13 @@ import json
 import sys
 from pathlib import Path
 
-from .diagram import _face_sign, _facet_reader, zeta_torus_and_full
+from .diagram import _face_sign, _index_set_facets, zeta_torus_and_full
 from .factored import factor
 from .germ import (
     ParseError,
     check_z_variables,
     germ_from_json,
     germ_to_string,
-    index_sets_with_zero,
     parse_germ,
     restrict_support,
     support,
@@ -202,27 +201,17 @@ def cmd_zeta(args) -> int:
 
 def cmd_diagram(args) -> int:
     F, names = _load_germ(args)
-    index_sets = index_sets_with_zero(F.num_vars - 1)
-    pts = sorted(support(F))
-    read = _facet_reader(pts, newton_polyhedron_facets(pts, F.num_vars))
+    pts = support(F)
     rows = []
-    for I in index_sets:
-        S = sorted(restrict_support(pts, I))
-        l = len(I) - 1
-        sign = _face_sign(l)
-        facets = []
-        for fac in read(I, I):
-            facets.append({
-                "normal": list(fac.normal),
-                "m": fac.m,
-                "nvol": fac.nvol,
-                "sign": sign,
-                "vertices": [list(v) for v in fac.vertices],
-                "factor": {"m": fac.m, "e": sign * fac.nvol},
-            })
+    for I, records in _index_set_facets(F):
+        sign = _face_sign(len(I) - 1)
         rows.append({"indices": list(I),
-                     "support": [list(p) for p in S],
-                     "facets": facets})
+                     "support": [list(p) for p in sorted(restrict_support(pts, I))],
+                     "facets": [{"normal": list(fac.normal), "m": fac.m,
+                                 "nvol": fac.nvol, "sign": sign,
+                                 "vertices": [list(v) for v in fac.vertices],
+                                 "factor": {"m": fac.m, "e": sign * fac.nvol}}
+                                for fac in records]})
     if args.format == "json":
         print(json.dumps({"vars": names,
                           "germ": germ_to_string(F, names),

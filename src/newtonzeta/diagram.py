@@ -13,8 +13,9 @@ face of P where sum_{j not in I} x_j takes its minimum 0; its generators
 are the points with zero coordinates off I and the recession axes in I.
 The facets of that face are its maximal proper intersections with P's
 facets (Kaibel & Pfetsch, Comput. Geom. 23, 2002), and the compact ones
-are I's diagram facets.  ``diagram_facets(F, I)`` reads one index set off
-the smaller polyhedron of S_I instead.
+are I's diagram facets.  ``_index_set_facets`` reads every index set
+this way for the zeta functions, the CLI and the identity checks.
+``diagram_facets(F, I)`` reads one index set off the polyhedron of S_I.
 """
 
 from __future__ import annotations
@@ -146,6 +147,18 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     return _facet_reader(S, newton_polyhedron_facets(S, d))(idx, range(d))
 
 
+def _index_set_facets(F: GermSeries, facets=None):
+    """``(I, diagram facets of I)`` in ``index_sets_with_zero`` order (the
+    full index set last), read off F's one Newton polyhedron ``facets``,
+    built here unless given; too many z-variables are refused first."""
+    index_sets = index_sets_with_zero(F.num_vars - 1)
+    S = sorted(support(F))
+    if facets is None:
+        facets = newton_polyhedron_facets(S, F.num_vars)
+    read = _facet_reader(S, facets)
+    return [(I, read(I, I)) for I in index_sets]
+
+
 def _face_sign(l: int) -> int:
     # (-1)^(l-1); l = 0 gives -1, matching the conventions for the
     # pure-deformation axis where a nonempty restricted diagram
@@ -174,22 +187,16 @@ def zeta_torus(F: GermSeries) -> FactoredZeta:
 
 
 def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, FactoredZeta]:
-    """``(zeta_torus(F), zeta_full(F))``, every index set read off the one
-    Newton polyhedron of F.
+    """``(zeta_torus(F), zeta_full(F))``, a product over the index-set
+    table ``_index_set_facets(F, facets)``.
 
     ``facets``, when given, are ``newton_polyhedron_facets(support(F),
     F.num_vars)``, built by the caller to share with the nondegeneracy
-    check.  The torus zeta function is the contribution of the full index
-    set, which is also one of the factors of the affine one.
+    check.  The torus zeta function is the table's last entry, the full
+    index set, which is also one of the factors of the affine one.
     """
-    n = F.num_vars - 1
-    index_sets = index_sets_with_zero(n)
-    S = sorted(support(F))
-    if facets is None:
-        facets = newton_polyhedron_facets(S, F.num_vars)
-    read = _facet_reader(S, facets)
-    parts = {I: _contribution(I, read(I, I)) for I in index_sets}
-    return parts[tuple(range(n + 1))], factor(1, 1) * product(parts.values())
+    parts = [_contribution(I, records) for I, records in _index_set_facets(F, facets)]
+    return parts[-1], factor(1, 1) * product(parts)
 
 
 def zeta_full(F: GermSeries) -> FactoredZeta:

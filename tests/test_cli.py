@@ -448,10 +448,9 @@ def test_unused_variables_do_not_slow_the_face_walk(capsys):
     assert len([l for l in out.splitlines() if l.startswith("dim ")]) == 7
 
 
-@pytest.mark.parametrize("sub", ["zeta", "diagram"])
-def test_one_newton_polyhedron_per_command(capsys, monkeypatch, sub):
-    # every index set's facets, and the check's faces, come off the germ's
-    # one Newton polyhedron
+@pytest.fixture
+def polyhedron_calls(monkeypatch):
+    """The argument tuples of every ``newton_polyhedron_facets`` call."""
     from newtonzeta import nondegeneracy
 
     orig = nondegeneracy.newton_polyhedron_facets
@@ -466,10 +465,32 @@ def test_one_newton_polyhedron_per_command(capsys, monkeypatch, sub):
             for attr, value in list(vars(module).items()):
                 if value is orig:
                     monkeypatch.setattr(module, attr, counted)
-    code, _, _ = run(capsys, sub, "--germ", "z1^3 + z2^4 + z3^5 + z1*z2*z3 - s",
-                     "--vars", "s,z1,z2,z3")
-    assert code == 0
-    assert len(calls) == 1
+    return calls
+
+
+_CUBIC = "z1^3 + z2^4 + z3^5 + z1*z2*z3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--germ", _CUBIC + " - s"],
+    ["diagram", "--germ", _CUBIC + " - s"],
+    ["oracle-compare", "--mode", "cone", "--germ", _CUBIC],
+    ["oracle-compare", "--mode", "cayley", "--germ", _CUBIC,
+     "--germ2", "z1 + z2*z3"],
+], ids=["zeta", "diagram", "oracle-compare-cone", "oracle-compare-cayley"])
+def test_one_newton_polyhedron_per_command(capsys, polyhedron_calls, argv):
+    # every index set's facets (and for zeta the check's faces) come off
+    # the germ's one Newton polyhedron
+    code, out, _ = run(capsys, *argv, "--vars", "s,z1,z2,z3")
+    assert code == 0 and "FAIL" not in out
+    assert len(polyhedron_calls) == 1
+
+
+@pytest.mark.parametrize("suite", [randomized.cone_suite, randomized.cayley_suite])
+def test_one_newton_polyhedron_per_suite_germ(polyhedron_calls, suite):
+    result = suite(7, count=5)
+    assert result.passed and result.facets_checked > 0
+    assert len(polyhedron_calls) == 5
 
 
 _INVOCATIONS = [

@@ -16,7 +16,7 @@ from helpers import (
 )
 from newtonzeta.diagram import (
     DiagramFacet,
-    _facet_reader,
+    _index_set_facets,
     diagram_facets,
     zeta_full,
     zeta_torus_and_full,
@@ -32,7 +32,6 @@ from newtonzeta.germ import (
     suspend_germ,
 )
 from newtonzeta.lattice import _dot, _sub, mat_rank
-from newtonzeta.nondegeneracy import newton_polyhedron_facets
 
 
 def _shape(F, I):
@@ -119,10 +118,10 @@ def test_one_polyhedron_gives_every_index_set(n, count):
         for _ in range(count // 4)]
     cases = set()
     for F in germs:
-        S = sorted(support(F))
-        read = _facet_reader(S, newton_polyhedron_facets(S, F.num_vars))
-        for I in index_sets_with_zero(n):
-            got = read(I, I)
+        table = _index_set_facets(F)
+        assert [I for I, _ in table] == index_sets_with_zero(n)
+        assert table[-1][0] == tuple(range(n + 1))
+        for I, got in table:
             assert got == diagram_facets(F, I) == hull_diagram_facets(F, I), (F, I)
             if not restrict_support(support(F), I):
                 cases.add("empty")
