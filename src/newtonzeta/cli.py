@@ -3,7 +3,9 @@
 Subcommands: ``zeta`` (both zeta functions of a deformation germ),
 ``diagram`` (per-index-set facet data), ``check`` (nondegeneracy report),
 ``oracle-compare`` (the two reduction identities, either on supplied germs
-or as a seeded randomized suite).
+or as a seeded randomized suite).  Each has a handler ``cmd_*`` that builds
+its result once, as the document that ``--format json`` prints, and a
+printer ``print_*`` that renders that document alone as the pretty output.
 
 Exit codes: 0 success, 1 input error (a malformed command line included),
 2 nondegeneracy counterexample, 3 internal invariant violation (including a
@@ -31,6 +33,7 @@ from .germ import (
 from .lattice import InvariantViolation
 from .nondegeneracy import (
     COUNTEREXAMPLE,
+    UNCHECKED,
     newton_polyhedron_facets,
     nondegeneracy_check,
 )
@@ -60,8 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "of hypersurface germs, from their Newton diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, handler):
-        p.set_defaults(handler=handler)
+    def add(name, help, handler, printer):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, printer=printer)
         p.add_argument("--germ", help="germ as an expression or a JSON object")
         p.add_argument("--germ-file", help="file containing the germ "
                                            "(expression or JSON); stdin when "
@@ -71,16 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
                                       "for expression input)")
         p.add_argument("--format", choices=("pretty", "json"),
                        default="pretty")
+        return p
 
-    p_zeta = sub.add_parser("zeta", help="compute both monodromy zeta functions")
-    add_common(p_zeta, cmd_zeta)
-    p_diag = sub.add_parser("diagram", help="list diagram facets per index set")
-    add_common(p_diag, cmd_diagram)
-    p_check = sub.add_parser("check", help="nondegeneracy report per face")
-    add_common(p_check, cmd_check)
-    p_oc = sub.add_parser("oracle-compare",
-                          help="check the reduction identities")
-    add_common(p_oc, cmd_oracle_compare)
+    add("zeta", "compute both monodromy zeta functions", cmd_zeta, print_zeta)
+    add("diagram", "list diagram facets per index set", cmd_diagram, print_diagram)
+    add("check", "nondegeneracy report per face", cmd_check, print_check)
+    p_oc = add("oracle-compare", "check the reduction identities",
+               cmd_oracle_compare, print_oracle_compare)
     p_oc.add_argument("--mode", choices=("cone", "cayley", "both"),
                       default="both")
     p_oc.add_argument("--germ2", help="second germ (pencil denominator) "
@@ -92,24 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(inline, path, use_stdin_fallback=True):
+def _read_text(inline, path):
     if inline is not None and path is not None:
         raise ValueError("give the germ inline or as a file, not both")
-    if inline is not None:
-        return inline
     if path is not None:
         return Path(path).read_text(encoding="utf-8")
-    if not use_stdin_fallback:
-        return None
-    return sys.stdin.read()
-
-
-def _var_names(args):
-    if not args.vars:
-        raise ValueError("--vars is required for expression input "
-                         "(deformation parameter first)")
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    return names
+    return inline
 
 
 def _germ_from_text(text, args):
@@ -122,88 +111,49 @@ def _germ_from_text(text, args):
         except RecursionError:
             raise ValueError("JSON germ is nested too deeply") from None
         return germ_from_json(data)
-    names = _var_names(args)
+    if not args.vars:
+        raise ValueError("--vars is required for expression input "
+                         "(deformation parameter first)")
+    names = [v.strip() for v in args.vars.split(",") if v.strip()]
     return parse_germ(text, names), names
 
 
 def _load_germ(args):
-    return _germ_from_text(_read_text(args.germ, args.germ_file), args)
-
-
-def _fmt_point(p) -> str:
-    return "(" + ",".join(str(x) for x in p) + ")"
-
-
-def _fmt_points(ps) -> str:
-    return "{" + ", ".join(_fmt_point(p) for p in ps) + "}"
+    text = _read_text(args.germ, args.germ_file)
+    return _germ_from_text(sys.stdin.read() if text is None else text, args)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# handlers: each returns (document, exit code) and prints nothing
 
-def _nondeg_json(report) -> dict:
-    return {
-        "status": report.status,
-        "faces": [
-            {
-                "support": [list(p) for p in f.support_points],
-                "dim": f.dim,
-                "status": f.status,
-                "witness": None if f.witness is None
-                else [str(x) for x in f.witness],
-                "detail": f.detail,
-            }
-            for f in report.faces
-        ],
-    }
+def _with_report(doc, report):
+    # doc with the nondegeneracy report as its last key, and the exit code
+    doc["nondegeneracy"] = {"status": report.status, "faces": [
+        {"support": [list(p) for p in f.support_points], "dim": f.dim,
+         "status": f.status,
+         "witness": None if f.witness is None else [str(x) for x in f.witness],
+         "detail": f.detail} for f in report.faces]}
+    return doc, EXIT_COUNTEREXAMPLE if report.status == COUNTEREXAMPLE else EXIT_OK
 
 
-def _fmt_witness(witness) -> str:
-    return "(" + ", ".join(str(x) for x in witness) + ")"
-
-
-def _warn_nondegeneracy(report):
-    if report.unchecked:
-        print(f"warning: {len(report.unchecked)} face(s) of dimension >= 2 "
-              "left unchecked; the formulas assume nondegeneracy",
-              file=sys.stderr)
-    for f in report.counterexamples:
-        where = f" at {_fmt_witness(f.witness)}" if f.witness is not None else ""
-        print("warning: degenerate face "
-              f"{_fmt_points(f.support_points)}{where}", file=sys.stderr)
-
-
-def cmd_zeta(args) -> int:
+def cmd_zeta(args):
     F, names = _load_germ(args)
     check_z_variables(F.num_vars - 1)
     # one Newton polyhedron for both zeta functions and the check
     facets = newton_polyhedron_facets(support(F), F.num_vars)
     torus, affine = zeta_torus_and_full(F, facets)
-    report = nondegeneracy_check(F, facets)
-    if args.format == "json":
-        print(json.dumps({
-            "vars": names,
-            "germ": germ_to_string(F, names),
-            "torus": torus.as_json_dict(),
-            "affine": affine.as_json_dict(),
-            "nondegeneracy": _nondeg_json(report),
-        }, indent=2))
-    else:
-        print(f"germ: {germ_to_string(F, names)}")
-        print(f"zeta on the torus fibre:  {torus.pretty()}   "
-              f"[degree {torus.degree()}]")
-        print(f"zeta on the affine fibre: {affine.pretty()}   "
-              f"[degree {affine.degree()}]")
-        print(f"nondegeneracy: {report.status} ({len(report.faces)} faces)")
-        _warn_nondegeneracy(report)
-    return EXIT_COUNTEREXAMPLE if report.status == COUNTEREXAMPLE else EXIT_OK
+    return _with_report({"vars": names, "germ": germ_to_string(F, names),
+                         "torus": torus.as_json_dict(),
+                         "affine": affine.as_json_dict()},
+                        nondegeneracy_check(F, facets))
 
 
-def cmd_diagram(args) -> int:
+def cmd_diagram(args):
     F, names = _load_germ(args)
     pts = support(F)
+    index_sets, read = _index_set_facets(F)
     rows = []
-    for I, records in _index_set_facets(F):
+    for I in index_sets:
         sign = _face_sign(len(I) - 1)
         rows.append({"indices": list(I),
                      "support": [list(p) for p in sorted(restrict_support(pts, I))],
@@ -211,49 +161,15 @@ def cmd_diagram(args) -> int:
                                  "nvol": fac.nvol, "sign": sign,
                                  "vertices": [list(v) for v in fac.vertices],
                                  "factor": {"m": fac.m, "e": sign * fac.nvol}}
-                                for fac in records]})
-    if args.format == "json":
-        print(json.dumps({"vars": names,
-                          "germ": germ_to_string(F, names),
-                          "index_sets": rows}, indent=2))
-        return EXIT_OK
-    print(f"germ: {germ_to_string(F, names)}")
-    for row in rows:
-        idx = "{" + ",".join(str(i) for i in row["indices"]) + "}"
-        sup = _fmt_points(row["support"])
-        print(f"I = {idx}: restricted support {sup}")
-        if not row["facets"]:
-            print("  no facets (factor 1)")
-            continue
-        for fac in row["facets"]:
-            z = factor(fac["m"], fac["factor"]["e"])
-            print(f"  facet normal {_fmt_point(fac['normal'])}: "
-                  f"m {fac['m']}, nvol {fac['nvol']}, "
-                  f"sign {fac['sign']:+d}, "
-                  f"vertices {_fmt_points(fac['vertices'])}, "
-                  f"factor {z.pretty()}")
-    return EXIT_OK
+                                for fac in read(I, I)]})
+    return {"vars": names, "germ": germ_to_string(F, names),
+            "index_sets": rows}, EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     F, names = _load_germ(args)
-    report = nondegeneracy_check(F)
-    if args.format == "json":
-        print(json.dumps({"vars": names,
-                          "germ": germ_to_string(F, names),
-                          "nondegeneracy": _nondeg_json(report)}, indent=2))
-    else:
-        print(f"germ: {germ_to_string(F, names)}")
-        for f in report.faces:
-            line = (f"dim {f.dim} face {_fmt_points(f.support_points)}: "
-                    f"{f.status}")
-            if f.witness is not None:
-                line += f" (critical torus zero at {_fmt_witness(f.witness)})"
-            elif f.detail:
-                line += f" ({f.detail})"
-            print(line)
-        print(f"overall: {report.status}")
-    return EXIT_COUNTEREXAMPLE if report.status == COUNTEREXAMPLE else EXIT_OK
+    return _with_report({"vars": names, "germ": germ_to_string(F, names)},
+                        nondegeneracy_check(F))
 
 
 def _oracle_rows(identity, checks):
@@ -262,35 +178,27 @@ def _oracle_rows(identity, checks):
             for I, fac, ok, note in checks]
 
 
-def cmd_oracle_compare(args) -> int:
+def cmd_oracle_compare(args):
     if args.seed is not None:
-        if {args.germ, args.germ_file, args.germ2, args.germ2_file} != {None}:
+        if {args.germ, args.germ_file, args.germ2, args.germ2_file,
+                args.vars} != {None}:
             raise ValueError("--seed runs the randomized suite; it takes no "
-                             "--germ, --germ-file, --germ2 or --germ2-file")
-        results = []
-        if args.mode in ("cone", "both"):
-            results.append(cone_suite(args.seed))
-        if args.mode in ("cayley", "both"):
-            results.append(cayley_suite(args.seed))
-        if args.format == "json":
-            print(json.dumps([{
-                "suite": r.name, "cases": r.cases,
-                "facets_checked": r.facets_checked,
-                "failures": r.failures, "passed": r.passed,
-            } for r in results], indent=2))
-        else:
-            for r in results:
-                print(r.summary())
-                for fail in r.failures[:10]:
-                    print(f"  {fail}")
-        return EXIT_OK if all(r.passed for r in results) else EXIT_INTERNAL
+                             "--germ, --germ-file, --germ2, --germ2-file "
+                             "or --vars")
+        suites = [suite(args.seed) for mode, suite in
+                  (("cone", cone_suite), ("cayley", cayley_suite))
+                  if args.mode in (mode, "both")]
+        return ([{"suite": r.name, "cases": r.cases,
+                  "facets_checked": r.facets_checked,
+                  "failures": r.failures, "passed": r.passed} for r in suites],
+                EXIT_OK if all(r.passed for r in suites) else EXIT_INTERNAL)
 
     F, names = _load_germ(args)
     rows = []
     if args.mode in ("cone", "both"):
         rows.extend(_oracle_rows("cone", cone_checks(F)))
     if args.mode in ("cayley", "both"):
-        text2 = _read_text(args.germ2, args.germ2_file, use_stdin_fallback=False)
+        text2 = _read_text(args.germ2, args.germ2_file)
         if text2 is None:
             if args.mode == "cayley":
                 raise ValueError("the cayley mode needs a second germ "
@@ -307,26 +215,92 @@ def cmd_oracle_compare(args) -> int:
                                      "all faces have dimension at most 1"})
     elif args.germ2 is not None or args.germ2_file is not None:
         raise ValueError("--germ2 is only meaningful for the cayley mode")
-    checked = [r for r in rows if r["ok"] is not None]
-    all_ok = all(r["ok"] for r in checked)
-    if args.format == "json":
-        print(json.dumps({"vars": names, "rows": rows,
-                          "passed": all_ok}, indent=2))
-    else:
-        for r in rows:
-            if r["ok"] is None:
-                note = r["note"]
-                if not note.startswith("skipped"):
-                    note = f"skipped ({note})"
-                print(f"{r['identity']}: {note}")
-                continue
-            idx = "{" + ",".join(str(i) for i in r["indices"]) + "}"
-            state = "pass" if r["ok"] else "FAIL"
-            print(f"{r['identity']} I = {idx} "
-                  f"normal {_fmt_point(r['normal'])}: {state}")
-        print(f"overall: {'pass' if all_ok else 'FAIL'} "
-              f"({len(checked)} facet(s) checked)")
-    return EXIT_OK if all_ok else EXIT_INTERNAL
+    passed = all(r["ok"] for r in rows if r["ok"] is not None)
+    return ({"vars": names, "rows": rows, "passed": passed},
+            EXIT_OK if passed else EXIT_INTERNAL)
+
+
+# ---------------------------------------------------------------------------
+# printers: each renders a handler's document and reads nothing else
+
+def _fmt_point(p, sep=",") -> str:
+    return "(" + sep.join(str(x) for x in p) + ")"
+
+
+def _fmt_points(ps) -> str:
+    return "{" + ", ".join(_fmt_point(p) for p in ps) + "}"
+
+
+def _fmt_indices(indices) -> str:
+    return "{" + ",".join(str(i) for i in indices) + "}"
+
+
+def print_zeta(doc):
+    print(f"germ: {doc['germ']}")
+    torus, affine = doc["torus"], doc["affine"]
+    print(f"zeta on the torus fibre:  {torus['pretty']}   [degree {torus['degree']}]")
+    print(f"zeta on the affine fibre: {affine['pretty']}   [degree {affine['degree']}]")
+    faces = doc["nondegeneracy"]["faces"]
+    print(f"nondegeneracy: {doc['nondegeneracy']['status']} ({len(faces)} faces)")
+    unchecked = sum(f["status"] == UNCHECKED for f in faces)
+    if unchecked:
+        print(f"warning: {unchecked} face(s) of dimension >= 2 left unchecked; "
+              "the formulas assume nondegeneracy", file=sys.stderr)
+    for f in faces:
+        if f["status"] == COUNTEREXAMPLE:
+            where = ("" if f["witness"] is None
+                     else f" at {_fmt_point(f['witness'], ', ')}")
+            print(f"warning: degenerate face {_fmt_points(f['support'])}{where}",
+                  file=sys.stderr)
+
+
+def print_diagram(doc):
+    print(f"germ: {doc['germ']}")
+    for row in doc["index_sets"]:
+        print(f"I = {_fmt_indices(row['indices'])}: "
+              f"restricted support {_fmt_points(row['support'])}")
+        if not row["facets"]:
+            print("  no facets (factor 1)")
+        for fac in row["facets"]:
+            print(f"  facet normal {_fmt_point(fac['normal'])}: "
+                  f"m {fac['m']}, nvol {fac['nvol']}, sign {fac['sign']:+d}, "
+                  f"vertices {_fmt_points(fac['vertices'])}, "
+                  f"factor {factor(fac['m'], fac['factor']['e']).pretty()}")
+
+
+def print_check(doc):
+    print(f"germ: {doc['germ']}")
+    for f in doc["nondegeneracy"]["faces"]:
+        line = f"dim {f['dim']} face {_fmt_points(f['support'])}: {f['status']}"
+        if f["witness"] is not None:
+            line += f" (critical torus zero at {_fmt_point(f['witness'], ', ')})"
+        elif f["detail"]:
+            line += f" ({f['detail']})"
+        print(line)
+    print(f"overall: {doc['nondegeneracy']['status']}")
+
+
+def print_oracle_compare(doc):
+    if isinstance(doc, list):  # the seeded suites
+        for r in doc:
+            print(f"{r['suite']}: {'pass' if r['passed'] else 'FAIL'} "
+                  f"({r['cases']} germs, {r['facets_checked']} facets checked, "
+                  f"{len(r['failures'])} failures)")
+            for fail in r["failures"][:10]:
+                print(f"  {fail}")
+        return
+    for r in doc["rows"]:
+        if r["ok"] is None:
+            note = r["note"] if r["note"].startswith("skipped") \
+                else f"skipped ({r['note']})"
+            print(f"{r['identity']}: {note}")
+        else:
+            print(f"{r['identity']} I = {_fmt_indices(r['indices'])} "
+                  f"normal {_fmt_point(r['normal'])}: "
+                  f"{'pass' if r['ok'] else 'FAIL'}")
+    checked = sum(r["ok"] is not None for r in doc["rows"])
+    print(f"overall: {'pass' if doc['passed'] else 'FAIL'} "
+          f"({checked} facet(s) checked)")
 
 
 # built once per process: parsing leaves the parser unchanged, so every
@@ -341,7 +315,12 @@ def main(argv=None) -> int:
         print(exc, end="", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.handler(args)
+        doc, code = args.handler(args)
+        if args.format == "json":
+            print(json.dumps(doc, indent=2))
+        else:
+            args.printer(doc)
+        return code
     except InvariantViolation as exc:
         print(f"internal error: invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

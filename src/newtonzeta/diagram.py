@@ -13,8 +13,8 @@ face of P where sum_{j not in I} x_j takes its minimum 0; its generators
 are the points with zero coordinates off I and the recession axes in I.
 The facets of that face are its maximal proper intersections with P's
 facets (Kaibel & Pfetsch, Comput. Geom. 23, 2002), and the compact ones
-are I's diagram facets.  ``_index_set_facets`` reads every index set
-this way for the zeta functions, the CLI and the identity checks.
+are I's diagram facets.  ``_index_set_facets`` reads index sets this
+way for the zeta functions, the CLI and the identity checks.
 ``diagram_facets(F, I)`` reads one index set off the polyhedron of S_I.
 """
 
@@ -148,15 +148,15 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
 
 
 def _index_set_facets(F: GermSeries, facets=None):
-    """``(I, diagram facets of I)`` in ``index_sets_with_zero`` order (the
-    full index set last), read off F's one Newton polyhedron ``facets``,
-    built here unless given; too many z-variables are refused first."""
+    """``(index sets, read)``: the index sets in ``index_sets_with_zero``
+    order (the full index set last), and ``read(I, I)`` gives I's diagram
+    facets off F's one Newton polyhedron ``facets``, built here unless
+    given; too many z-variables are refused first."""
     index_sets = index_sets_with_zero(F.num_vars - 1)
     S = sorted(support(F))
     if facets is None:
         facets = newton_polyhedron_facets(S, F.num_vars)
-    read = _facet_reader(S, facets)
-    return [(I, read(I, I)) for I in index_sets]
+    return index_sets, _facet_reader(S, facets)
 
 
 def _face_sign(l: int) -> int:
@@ -195,7 +195,8 @@ def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, Facto
     check.  The torus zeta function is the table's last entry, the full
     index set, which is also one of the factors of the affine one.
     """
-    parts = [_contribution(I, records) for I, records in _index_set_facets(F, facets)]
+    index_sets, read = _index_set_facets(F, facets)
+    parts = [_contribution(I, read(I, I)) for I in index_sets]
     return parts[-1], factor(1, 1) * product(parts)
 
 

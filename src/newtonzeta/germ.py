@@ -178,6 +178,14 @@ _GRAMMAR = {
 }
 
 
+def _check_names(names) -> None:
+    """Refuse a variable list without a z-variable or with a repeat."""
+    if len(names) < 2:
+        raise ValueError("need the deformation parameter and at least one z-variable")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+
+
 def parse_germ(text: str, var_names) -> GermSeries:
     """Parse an expression into a germ; the first variable name is sigma.
 
@@ -186,10 +194,7 @@ def parse_germ(text: str, var_names) -> GermSeries:
     [((0, 0, 3), Fraction(1, 1)), ((0, 2, 0), Fraction(1, 1)), ((1, 0, 0), Fraction(-1, 1))]
     """
     names = [str(v) for v in var_names]
-    if len(names) < 2:
-        raise ValueError("need the deformation parameter and at least one z-variable")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate variable names")
+    _check_names(names)
     index = {name: i for i, name in enumerate(names)}
     tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
               for m in _TOKEN.finditer(text)]
@@ -308,10 +313,7 @@ def germ_from_json(obj) -> tuple[GermSeries, list[str]]:
     names = obj["vars"]
     if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
         raise ValueError("germ JSON 'vars' must be a list of strings")
-    if len(names) < 2:
-        raise ValueError("need the deformation parameter and at least one z-variable")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate variable names")
+    _check_names(names)
     terms = obj["terms"]
     if not isinstance(terms, list):
         raise ValueError("germ JSON 'terms' must be a list of term objects")

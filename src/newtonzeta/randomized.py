@@ -62,19 +62,15 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def summary(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        return (f"{self.name}: {state} "
-                f"({self.cases} germs, {self.facets_checked} facets checked, "
-                f"{len(self.failures)} failures)")
-
 
 def _checks(F, identity, min_size):
-    # every index set with at least min_size elements, off one polyhedron
-    for I, records in _index_set_facets(F):
+    # every index set with at least min_size elements, off one polyhedron;
+    # the smaller ones are not read
+    index_sets, read = _index_set_facets(F)
+    for I in index_sets:
         if len(I) < min_size:
             continue
-        for facet in records:
+        for facet in read(I, I):
             try:
                 ok, note = identity(I, facet), ""
             except IdentityInapplicable as exc:

@@ -68,6 +68,32 @@ def test_json_and_pretty_agree(capsys):
         {"m": 2, "e": 1}, {"m": 3, "e": 1}, {"m": 6, "e": -1}]
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--germ", "z1^2-2*s*z1+s^2", "--vars", "s,z1"],   # counterexample
+    ["zeta", "--germ", "z1^3+z2^3+z1*z2*s", "--vars", "s,z1,z2"],   # unchecked
+    ["diagram", "--germ", "z1*z2 + z1^2 - s^3", "--vars", "s,z1,z2"],
+    ["check", "--germ", "z1^2-2*s*z1+s^2", "--vars", "s,z1"],
+    ["check", "--germ", "z1^3+z2^3+z1*z2*s", "--vars", "s,z1,z2"],
+    ["oracle-compare", "--germ", "z1^2+z2^3", "--vars", "s,z1,z2"],
+    ["oracle-compare", "--mode", "cayley", "--germ", "z^2", "--germ2", "z",
+     "--vars", "s,z"],
+    ["oracle-compare", "--seed", "7", "--mode", "cone"],
+], ids=["zeta-counterexample", "zeta-unchecked", "diagram", "check-counterexample",
+        "check-unchecked", "oracle-compare-no-second-germ",
+        "oracle-compare-not-applicable", "oracle-compare-failing-suite"])
+def test_pretty_output_renders_the_json_document(capsys, monkeypatch, argv):
+    # the pretty stdout and stderr come from the JSON document alone
+    if "--seed" in argv:
+        monkeypatch.setattr(randomized, "cone_reduction_identity",
+                            lambda *args: False)
+    code, out, err = run(capsys, *argv)
+    json_code, doc, json_err = run(capsys, *argv, "--format", "json")
+    assert (json_code, json_err) == (code, "")
+    cli.PARSER.parse_args(argv).printer(json.loads(doc))
+    assert capsys.readouterr() == (out, err)
+    assert out
+
+
 def test_json_germ_input(capsys):
     germ = json.dumps({"vars": ["s", "z1"],
                        "terms": [{"exp": [0, 2], "coef": "1"},
@@ -300,9 +326,10 @@ def test_oracle_compare_seed_refuses_supplied_germs(capsys, tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("z^2", encoding="utf-8")
     for flag, value in (("--germ", "z^2-s"), ("--germ-file", str(p)),
-                        ("--germ2", "z"), ("--germ2-file", str(p))):
+                        ("--germ2", "z"), ("--germ2-file", str(p)),
+                        ("--vars", "s,z")):
         code, out, err = run(capsys, "oracle-compare", "--seed", "1",
-                             flag, value, "--vars", "s,z")
+                             flag, value)
         assert code == 1, flag
         assert out == ""
         assert err.startswith("error: --seed runs the randomized suite"), flag

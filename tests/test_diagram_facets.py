@@ -118,10 +118,11 @@ def test_one_polyhedron_gives_every_index_set(n, count):
         for _ in range(count // 4)]
     cases = set()
     for F in germs:
-        table = _index_set_facets(F)
-        assert [I for I, _ in table] == index_sets_with_zero(n)
-        assert table[-1][0] == tuple(range(n + 1))
-        for I, got in table:
+        index_sets, read = _index_set_facets(F)
+        assert index_sets == index_sets_with_zero(n)
+        assert index_sets[-1] == tuple(range(n + 1))
+        for I in index_sets:
+            got = read(I, I)
             assert got == diagram_facets(F, I) == hull_diagram_facets(F, I), (F, I)
             if not restrict_support(support(F), I):
                 cases.add("empty")
