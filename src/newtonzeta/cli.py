@@ -193,28 +193,25 @@ def cmd_oracle_compare(args):
                   "failures": r.failures, "passed": r.passed} for r in suites],
                 EXIT_OK if all(r.passed for r in suites) else EXIT_INTERNAL)
 
-    F, names = _load_germ(args)
-    rows = []
-    if args.mode in ("cone", "both"):
-        rows.extend(_oracle_rows("cone", cone_checks(F)))
-    if args.mode in ("cayley", "both"):
-        text2 = _read_text(args.germ2, args.germ2_file)
-        if text2 is None:
-            if args.mode == "cayley":
-                raise ValueError("the cayley mode needs a second germ "
-                                 "(--germ2 or --germ2-file)")
-            rows.append({"identity": "cayley", "indices": None, "normal": None,
-                         "ok": None, "note": "skipped (no second germ given)"})
-        else:
-            f1, _ = _germ_from_text(text2, args)
-            rows.extend(_oracle_rows("cayley", cayley_checks(F, f1)))
-            if F.num_vars < 3:
-                rows.append({"identity": "cayley", "indices": None,
-                             "normal": None, "ok": None,
-                             "note": "identity not applicable: "
-                                     "all faces have dimension at most 1"})
-    elif args.germ2 is not None or args.germ2_file is not None:
+    if args.mode == "cone" and {args.germ2, args.germ2_file} != {None}:
         raise ValueError("--germ2 is only meaningful for the cayley mode")
+    text2 = _read_text(args.germ2, args.germ2_file)
+    if text2 is None and args.mode == "cayley":
+        raise ValueError("the cayley mode needs a second germ "
+                         "(--germ2 or --germ2-file)")
+    f1 = None if text2 is None else _germ_from_text(text2, args)[0]
+    F, names = _load_germ(args)
+    rows = [] if args.mode == "cayley" else _oracle_rows("cone", cone_checks(F))
+    if f1 is not None:
+        rows.extend(_oracle_rows("cayley", cayley_checks(F, f1)))
+        if F.num_vars < 3:
+            rows.append({"identity": "cayley", "indices": None,
+                         "normal": None, "ok": None,
+                         "note": "identity not applicable: "
+                                 "all faces have dimension at most 1"})
+    elif args.mode == "both":
+        rows.append({"identity": "cayley", "indices": None, "normal": None,
+                     "ok": None, "note": "skipped (no second germ given)"})
     passed = all(r["ok"] for r in rows if r["ok"] is not None)
     return ({"vars": names, "rows": rows, "passed": passed},
             EXIT_OK if passed else EXIT_INTERNAL)

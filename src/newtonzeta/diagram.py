@@ -37,13 +37,14 @@ from .lattice import (
     InvariantViolation,
     LatticePolytope,
     convex_hull,
-    minimizing_face,
     mixed_volume,
-    normalized_volume,
     normalized_volume_at,
     _dot,
     _face_facets,
+    _measure,
+    _minimizers,
     _pulled_volume,
+    _saturate,
     _vertices,
     primitive,
 )
@@ -216,14 +217,8 @@ def zeta_classical(f: GermSeries) -> FactoredZeta:
 
 def face_polynomial(F: GermSeries, alpha) -> GermSeries:
     """Sub-germ supported on the face where the positive covector is minimal."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != F.num_vars:
-        raise ValueError("covector dimension mismatch")
-    if any(a <= 0 for a in alpha):
-        raise ValueError("covector must be strictly positive in all components")
-    best = min(_dot(alpha, e) for e in F.terms)
-    return make_germ(F.num_vars,
-                     [(e, c) for e, c in F.terms.items() if _dot(alpha, e) == best])
+    _, face = _minimizers(list(F.terms), tuple(int(a) for a in alpha))
+    return make_germ(F.num_vars, [(e, F.terms[e]) for e in face])
 
 
 def euler_char_torus_hypersurface(P: LatticePolytope) -> int:
@@ -232,10 +227,10 @@ def euler_char_torus_hypersurface(P: LatticePolytope) -> int:
     n = P.ambient_dim
     if n < 1:
         raise ValueError("ambient dimension must be positive")
-    if P.is_empty or P.affine_dim != n:
+    nvol = normalized_volume_at(P, n)  # 0 unless P is full-dimensional
+    if not nvol:
         raise ValueError("polytope is not full-dimensional in its ambient space")
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    return sign * normalized_volume(P)
+    return (-1) ** (n - 1) * nvol
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +255,9 @@ def cone_reduction_identity(f: GermSeries, I, facet: DiagramFacet) -> bool:
     S = sorted(restrict_support(support(f), idx[1:]))
     if not S:
         raise IdentityInapplicable("the function germ has empty restricted support")
-    m_expected = min(_dot(alpha_z, p) for p in S)
-    base_face = minimizing_face(S, alpha_z)
-    return (facet.nvol == normalized_volume_at(base_face, l - 1)
-            and facet.m == m_expected)
+    m_expected, base = _minimizers(S, alpha_z)
+    _, (pts,) = _saturate([base])
+    return facet.nvol == _measure(pts, l - 1) and facet.m == m_expected
 
 
 def cayley_mixed_volume_identity(f0: GermSeries, f1: GermSeries, I,
@@ -285,15 +279,13 @@ def cayley_mixed_volume_identity(f0: GermSeries, f1: GermSeries, I,
     S1 = sorted(restrict_support(support(f1), J))
     if not S0 or not S1:
         raise IdentityInapplicable("a base support is empty; the facet is not of hull type")
-    face0 = minimizing_face(S0, alpha_z)
-    face1 = minimizing_face(S1, alpha_z)
-    expected = convex_hull(
-        [(0,) + v for v in face0.vertices] + [(1,) + v for v in face1.vertices])[0]
+    m0, base0 = _minimizers(S0, alpha_z)
+    m1, base1 = _minimizers(S1, alpha_z)
+    expected = convex_hull([(0,) + v for v in base0] + [(1,) + v for v in base1])[0]
     if tuple(expected) != facet.vertices:
         raise IdentityInapplicable("facet is not the hull of the two base faces")
-    m_expected = (min(_dot(alpha_z, p) for p in S0)
-                  - min(_dot(alpha_z, p) for p in S1))
+    face0, face1 = LatticePolytope.from_points(base0), LatticePolytope.from_points(base1)
     lhs = Fraction(facet.nvol, factorial(l - 1))  # = l * V_l(facet)
     rhs = sum(mixed_volume([face0] * (l - 1 - j) + [face1] * j)
               for j in range(l))
-    return lhs == rhs and facet.m == m_expected
+    return lhs == rhs and facet.m == m0 - m1

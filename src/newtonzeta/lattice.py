@@ -9,30 +9,23 @@ results are exact.
 Every exact elimination (rank, coordinates in a basis, the starting rays
 of the facet engine) is one fraction-free Gauss-Jordan routine,
 ``_gauss_jordan`` (Bareiss, *Sylvester's identity and multistep
-integer-preserving Gaussian elimination*, Math. Comp. 22, 1968).
-Saturation lattices come from one Smith normal form loop
-(``smith_normal_form``) whose every step takes the smallest nonzero entry
-of the remaining block as its pivot.
+integer-preserving Gaussian elimination*, Math. Comp. 22, 1968), and
+saturation lattices come from one Smith normal form loop.
 
 Facets come from one integer double-description routine (``cone_facets``,
 after Fukuda & Prodon, *Double description method revisited*, 1996): a
 bounded hull is the cone over its points lifted to height one, a Newton
 polyhedron the same cone plus its recession rays at height zero.  It
-takes the generators in sorted order and runs in their span, so a
-lower-dimensional hull needs no change of coordinates; one elimination
-gives its starting basis, that basis's rays and its rank, the only
-dimension a hull or a mixed volume needs.  Everything else is read off
-the zero-set bitmasks it returns: vertices (``_vertices``), the faces of
-a face (``_face_facets``) and volumes by a pulling triangulation
-(``_pulled_volume``), which for a diagram facet runs on the Newton
-polyhedron's own masks.  Only volumes move points into saturated
-coordinates.  Mixed volumes are one inclusion-exclusion over Minkowski
-sums.
+runs in the span of its generators, whose rank it returns.  Vertices
+(``_vertices``), the faces of a face (``_face_facets``) and volumes by a
+pulling triangulation (``_pulled_volume``) are read off its zero-set
+bitmasks.  A diagram facet is pulled on the Newton polyhedron's own
+masks, any other point set by one path: ``_saturate``, then ``_measure``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
@@ -430,19 +423,20 @@ class LatticePolytope:
     """Hull of finitely many integer points, stored by its vertex list.
 
     ``LatticePolytope(vertices, ambient_dim)``, usually through
-    ``from_points`` (which reduces to the true vertices) or ``empty``;
-    ``affine_dim`` is one rank of the vertices, -1 without any.
+    ``from_points`` (which reduces to the true vertices) or ``empty``.
     """
     vertices: tuple[Vector, ...]
     ambient_dim: int
-    affine_dim: int = field(init=False)
 
     def __post_init__(self):
-        verts = self.vertices
-        if any(len(v) != self.ambient_dim for v in verts):
+        if any(len(v) != self.ambient_dim for v in self.vertices):
             raise ValueError("vertex dimension mismatch")
-        object.__setattr__(self, "affine_dim", mat_rank(
-            [_sub(v, verts[0]) for v in verts[1:]]) if verts else -1)
+
+    @property
+    def affine_dim(self) -> int:
+        """One rank of the vertices, taken when read; -1 without any."""
+        verts = self.vertices
+        return mat_rank([_sub(v, verts[0]) for v in verts[1:]]) if verts else -1
 
     @classmethod
     def from_points(cls, points) -> "LatticePolytope":
@@ -459,17 +453,27 @@ class LatticePolytope:
         return not self.vertices
 
 
-def minimizing_face(points, alpha) -> LatticePolytope:
-    """Hull of the points where the strictly positive covector is minimal."""
-    pts = [tuple(int(x) for x in p) for p in points]
-    if not pts:
+def _minimizers(points, alpha) -> tuple[int, list]:
+    """The minimum of a strictly positive covector and the points at it.
+
+    >>> _minimizers([(1, 0), (0, 2), (2, 1)], (2, 1))
+    (2, [(1, 0), (0, 2)])
+    """
+    if not points:
         raise ValueError("empty point set")
-    if len(alpha) != len(pts[0]):
+    if len(alpha) != len(points[0]):
         raise ValueError("covector dimension mismatch")
     if any(a <= 0 for a in alpha):
         raise ValueError("covector must be strictly positive in all components")
-    best = min(_dot(alpha, p) for p in pts)
-    return LatticePolytope.from_points([p for p in pts if _dot(alpha, p) == best])
+    values = [_dot(alpha, p) for p in points]
+    m = min(values)
+    return m, [p for p, v in zip(points, values) if v == m]
+
+
+def minimizing_face(points, alpha) -> LatticePolytope:
+    """Hull of the points where the strictly positive covector is minimal."""
+    pts = [tuple(int(x) for x in p) for p in points]
+    return LatticePolytope.from_points(_minimizers(pts, alpha)[1])
 
 
 def _face_facets(mask: int, facet_masks) -> list[int]:
@@ -506,24 +510,44 @@ def _pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
                for f in _face_facets(mask, facet_masks) if not f & low)
 
 
+def _saturate(point_sets) -> tuple[int, list[list[Vector]]]:
+    """``(r, mapped)``: the rank of the sets' common direction space and
+    each set, moved by its first point, in coordinates of that space's
+    saturation lattice (its real span intersected with Z^D).
+
+    >>> r, (segment,) = _saturate([[(2, 0), (0, 2)]])
+    >>> r, segment, _measure(segment, r)
+    (1, [(0,), (-2,)], 2)
+    """
+    diffs = [[_sub(p, ps[0]) for p in ps] for ps in point_sets]
+    B = saturation_basis([v for ds in diffs for v in ds[1:]])
+    return len(B), [_coords_all(B, ds) for ds in diffs]
+
+
+def _measure(pts, m: int) -> int:
+    """m! vol_m of the hull of distinct points of Z^k, k <= m, pulled on
+    the masks of one ``cone_facets`` call; 0 below dimension m.
+
+    >>> r, (tri,) = _saturate([[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+    >>> r, _measure(tri, r)
+    (2, 1)
+    """
+    rank, cone = cone_facets([(1,) + p for p in pts])
+    return 0 if rank <= m else _pulled_volume(
+        (1 << len(pts)) - 1, m, pts, [z for _, z in cone], ())
+
+
 def normalized_volume(P: LatticePolytope) -> int:
     """l! times the lattice volume of P, l = affine dimension.
 
     The lattice volume is measured in the saturation lattice of the
     direction space, i.e. normalized so the minimal parallelepiped with
     integer vertices has volume 1.  A point gives 1, the empty polytope 0.
-    A lower-dimensional P is first moved into coordinates of that
-    saturation lattice, by its first vertex; the volume is then a pulling
-    triangulation on the masks of one ``cone_facets`` call.
     """
     if P.is_empty:
         return 0
-    pts, l = P.vertices, P.affine_dim
-    if l < P.ambient_dim:
-        diffs = [_sub(p, pts[0]) for p in pts]
-        pts = _coords_all(saturation_basis(diffs[1:]), diffs)
-    _, cone = cone_facets([(1,) + p for p in pts])
-    return _pulled_volume((1 << len(pts)) - 1, l, pts, [z for _, z in cone], ())
+    l, (pts,) = _saturate([P.vertices])
+    return _measure(pts, l)
 
 
 def normalized_volume_at(P: LatticePolytope, l: int) -> int:
@@ -531,11 +555,12 @@ def normalized_volume_at(P: LatticePolytope, l: int) -> int:
     when P is empty or has affine dimension below l."""
     if l < 0:
         raise ValueError("dimension must be nonnegative")
-    if P.is_empty or P.affine_dim < l:
+    if P.is_empty:
         return 0
-    if P.affine_dim > l:
+    r, (pts,) = _saturate([P.vertices])
+    if r > l:
         raise ValueError("polytope dimension exceeds the requested dimension")
-    return normalized_volume(P)
+    return _measure(pts, l)
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +581,10 @@ def mixed_volume(bodies) -> Fraction:
     The bodies must fit a common m-dimensional lattice direction space;
     volumes are measured in its saturation lattice and normalized so that
     ``mixed_volume([K]*m)`` is the lattice volume of K (not multiplied by
-    m factorial).  The bodies' vertices are moved into coordinates of that
-    saturation lattice, each by its first vertex; m copies of one body
-    give its volume, and otherwise ``m! V`` is the alternating sum, over
-    the nonempty subsets J of the bodies, of ``(-1)^(m - |J|)`` times the
-    volume of the Minkowski sum of J (Schneider, *Convex Bodies: The
-    Brunn-Minkowski Theory*, 2014, section 5.1).  A Minkowski sum is
-    taken as the set of sums of the mapped points; one of rank m + 1 in
-    its ``cone_facets`` call gets a pulling triangulation, ``m!`` times
-    its volume (hence the division by ``m!^2``), and a lower one 0.
+    m factorial).  In general ``m!^2 V`` is the alternating sum, over the
+    nonempty subsets J of the bodies, of ``(-1)^(m - |J|)`` times ``m!``
+    times the volume of the Minkowski sum of J (Schneider, *Convex Bodies:
+    The Brunn-Minkowski Theory*, 2014, section 5.1).
     """
     Ks = list(bodies)
     m = len(Ks)
@@ -576,28 +596,19 @@ def mixed_volume(bodies) -> Fraction:
             raise ValueError("mixed volume of an empty polytope")
         if K.ambient_dim != D:
             raise ValueError("ambient dimension mismatch")
-    diffs = [[_sub(v, K.vertices[0]) for v in K.vertices] for K in Ks]
-    B = saturation_basis([v for ds in diffs for v in ds[1:]])
-    if len(B) > m:
+    r, mapped = _saturate([K.vertices for K in Ks])
+    if r > m:
         raise ValueError("bodies do not fit a common m-dimensional direction space")
-    if len(B) < m:
+    if r < m:
         return Fraction(0)
-    mapped = [set(_coords_all(B, ds)) for ds in diffs]
-    if all(P == mapped[0] for P in mapped):  # m! V is m! times vol(K)
-        sums = [(factorial(m), mapped[0])]
-    else:
-        sums = []
-        for bits in range(1, 1 << m):
-            chosen = [mapped[i] for i in range(m) if bits >> i & 1]
-            T = chosen[0]
-            for P in chosen[1:]:
-                T = {_add(p, q) for p in T for q in P}
-            sums.append(((-1) ** (m - len(chosen)), T))
+    mapped = [set(ps) for ps in mapped]
+    if all(P == mapped[0] for P in mapped):  # V is the volume of K
+        return Fraction(_measure(sorted(mapped[0]), m), factorial(m))
     total = 0
-    for sign, T in sums:
-        pts = sorted(T)
-        rank, cone = cone_facets([(1,) + p for p in pts])
-        if rank == m + 1:
-            total += sign * _pulled_volume((1 << len(pts)) - 1, m, pts,
-                                           [z for _, z in cone], ())
+    for bits in range(1, 1 << m):
+        chosen = [mapped[i] for i in range(m) if bits >> i & 1]
+        T = chosen[0]
+        for P in chosen[1:]:
+            T = {_add(p, q) for p in T for q in P}
+        total += (-1) ** (m - len(chosen)) * _measure(sorted(T), m)
     return Fraction(total, factorial(m) ** 2)

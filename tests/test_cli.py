@@ -245,6 +245,21 @@ def test_inconsistent_input_is_an_input_error(capsys, argv, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "cone", "--germ2", "z1"],
+     "--germ2 is only meaningful for the cayley mode"),
+    (["--mode", "both", "--germ2", "z1^"], "expected exponent"),
+])
+def test_oracle_compare_refuses_second_germ_before_any_check(
+        capsys, monkeypatch, argv, message):
+    calls = []
+    monkeypatch.setattr(cli, "cone_checks", lambda F: calls.append(F) or [])
+    code, out, err = run(capsys, "oracle-compare", "--germ", "z1^2+z2^3",
+                         "--vars", "s,z1,z2", *argv)
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith(f"error: {message}")
+
+
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def fail(F):
         raise RuntimeError("no report")

@@ -93,7 +93,8 @@ def test_hulls_match_the_recursive_hull():
 
 def test_only_a_polytope_ranks_its_vertices(monkeypatch):
     # the facet engine's elimination is the rank of every hull, diagram
-    # facet and Minkowski sum; only a LatticePolytope ranks its vertices
+    # facet and Minkowski sum; a LatticePolytope ranks its vertices only
+    # when its affine_dim is read
     calls = []
     rank = lattice.mat_rank
     monkeypatch.setattr(lattice, "mat_rank",
@@ -103,7 +104,7 @@ def test_only_a_polytope_ranks_its_vertices(monkeypatch):
     bodies = [LatticePolytope.from_points(b) for b in
               ([(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 1)],
                [(0, 0), (1, 0)], [(0, 0), (3, 0)])]
-    assert len(calls) == 4
+    assert calls == []
     cusp = parse_germ("z1^2+z2^3-s", ["s", "z1", "z2"])
     calls.clear()
     assert convex_hull(square)[1] == 2

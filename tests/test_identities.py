@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from newtonzeta import diagram, lattice
 from newtonzeta.diagram import (
     IdentityInapplicable,
     cayley_mixed_volume_identity,
@@ -40,6 +41,27 @@ def test_cone_identity_cusp_triangle():
     (facet,) = diagram_facets(F, (0, 1, 2))
     assert facet.nvol == 1  # triangle, equals the base segment's length
     assert cone_reduction_identity(f, (0, 1, 2), facet)
+
+
+@pytest.mark.parametrize("text,names,nvol", [
+    # the base segment from (2, 0) to (0, 2) passes through (1, 1)
+    ("z1^2+z1*z2+z2^2", V3, 2),
+    # (1, 1, 1) lies inside the base triangle
+    ("z1^3+z2^3+z3^3+z1*z2*z3", ["s", "z1", "z2", "z3"], 9),
+])
+def test_cone_identity_measures_base_points_without_a_hull(monkeypatch, text,
+                                                           names, nvol):
+    f = parse_germ(text, names)
+    I = tuple(range(len(names)))
+    (facet,) = diagram_facets(suspend_germ(f), I)
+    assert facet.nvol == nvol
+    calls = []
+    hull = lattice.convex_hull
+    for module in (lattice, diagram):
+        monkeypatch.setattr(module, "convex_hull",
+                            lambda pts: calls.append(1) or hull(pts))
+    assert cone_reduction_identity(f, I, facet)
+    assert calls == []
 
 
 def test_cone_identity_vacuous_when_no_restriction():
