@@ -22,7 +22,6 @@ from pathlib import Path
 from .diagram import _face_sign, _index_set_facets, zeta_torus_and_full
 from .factored import factor
 from .germ import (
-    ParseError,
     check_z_variables,
     germ_from_json,
     germ_to_string,
@@ -321,7 +320,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

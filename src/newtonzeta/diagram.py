@@ -37,12 +37,12 @@ from .lattice import (
     InvariantViolation,
     LatticePolytope,
     convex_hull,
-    mixed_volume,
     normalized_volume_at,
     _dot,
     _face_facets,
     _measure,
     _minimizers,
+    _mixed,
     _pulled_volume,
     _saturate,
     _vertices,
@@ -281,11 +281,10 @@ def cayley_mixed_volume_identity(f0: GermSeries, f1: GermSeries, I,
         raise IdentityInapplicable("a base support is empty; the facet is not of hull type")
     m0, base0 = _minimizers(S0, alpha_z)
     m1, base1 = _minimizers(S1, alpha_z)
-    expected = convex_hull([(0,) + v for v in base0] + [(1,) + v for v in base1])[0]
-    if tuple(expected) != facet.vertices:
+    expected, dim, _ = convex_hull([(0,) + v for v in base0] + [(1,) + v for v in base1])
+    if dim != l or tuple(expected) != facet.vertices:  # so the bases have rank l - 1
         raise IdentityInapplicable("facet is not the hull of the two base faces")
-    face0, face1 = LatticePolytope.from_points(base0), LatticePolytope.from_points(base1)
+    _, (pts0, pts1) = _saturate([base0, base1])
     lhs = Fraction(facet.nvol, factorial(l - 1))  # = l * V_l(facet)
-    rhs = sum(mixed_volume([face0] * (l - 1 - j) + [face1] * j)
-              for j in range(l))
+    rhs = sum(_mixed([pts0] * (l - 1 - j) + [pts1] * j) for j in range(l))
     return lhs == rhs and facet.m == m0 - m1

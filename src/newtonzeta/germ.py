@@ -179,9 +179,12 @@ _GRAMMAR = {
 
 
 def _check_names(names) -> None:
-    """Refuse a variable list without a z-variable or with a repeat."""
+    """Refuse a variable list without a z-variable, a non-name or a repeat."""
     if len(names) < 2:
         raise ValueError("need the deformation parameter and at least one z-variable")
+    for v in names:
+        if _TOKEN.match(v)["name"] != v:  # the whole string is one name token
+            raise ValueError(f"variable name {v!r} is not a name the germ grammar reads")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
 

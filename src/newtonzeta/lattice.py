@@ -20,7 +20,9 @@ runs in the span of its generators, whose rank it returns.  Vertices
 (``_vertices``), the faces of a face (``_face_facets``) and volumes by a
 pulling triangulation (``_pulled_volume``) are read off its zero-set
 bitmasks.  A diagram facet is pulled on the Newton polyhedron's own
-masks, any other point set by one path: ``_saturate``, then ``_measure``.
+masks, any other point set by one path: ``_saturate``, then ``_measure``,
+summed by ``_mixed`` for mixed volumes (the Cayley oracle's included).
+Points are coerced once, at entry; ``cone_facets`` takes them as built.
 """
 
 from __future__ import annotations
@@ -224,12 +226,10 @@ def saturation_basis(vectors) -> list[Vector]:
     returned rows; they realize the lattice in which face volumes are
     normalized.
     """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    if not vecs:
+    if not vectors:
         return []
-    _, D, V = smith_normal_form([list(v) for v in vecs])
-    r = sum(1 for i in range(min(len(vecs), len(vecs[0]))) if D[i][i] != 0)
-    return [tuple(V[i]) for i in range(r)]
+    _, D, V = smith_normal_form(vectors)
+    return [tuple(v) for i, (v, row) in enumerate(zip(V, D)) if row[i]]
 
 
 def coords_in_basis(basis, v) -> Vector:
@@ -277,7 +277,7 @@ class HullFacet:
 
 
 def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
-    """Rank and facets of the cone spanned by integer generators.
+    """Rank and facets of the cone spanned by a list of integer vectors.
 
     Returns ``(r, facets)``: r is the rank of the generators, the pivot
     count of the elimination below, and each facet a ``(y, zeros)`` pair:
@@ -320,7 +320,6 @@ def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
     >>> cone_facets([(1, 0, 0), (1, 1, 0), (1, 2, 0)])
     (2, [((0, 1, 0), 1), ((2, -1, 0), 4)])
     """
-    gens = [tuple(int(x) for x in g) for g in gens]
     D = len(gens[0])
     order = sorted(range(len(gens)), key=gens.__getitem__)
     N = len(order)
@@ -599,14 +598,18 @@ def mixed_volume(bodies) -> Fraction:
     r, mapped = _saturate([K.vertices for K in Ks])
     if r > m:
         raise ValueError("bodies do not fit a common m-dimensional direction space")
-    if r < m:
-        return Fraction(0)
-    mapped = [set(ps) for ps in mapped]
-    if all(P == mapped[0] for P in mapped):  # V is the volume of K
-        return Fraction(_measure(sorted(mapped[0]), m), factorial(m))
+    return _mixed(mapped)
+
+
+def _mixed(point_sets) -> Fraction:
+    """``mixed_volume`` of m point sets in ``_saturate`` coordinates; 0 below rank m."""
+    sets = [set(ps) for ps in point_sets]
+    m = len(sets)
+    if all(P == sets[0] for P in sets):  # V is the volume of K
+        return Fraction(_measure(sorted(sets[0]), m), factorial(m))
     total = 0
     for bits in range(1, 1 << m):
-        chosen = [mapped[i] for i in range(m) if bits >> i & 1]
+        chosen = [sets[i] for i in range(m) if bits >> i & 1]
         T = chosen[0]
         for P in chosen[1:]:
             T = {_add(p, q) for p in T for q in P}

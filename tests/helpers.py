@@ -6,7 +6,12 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from newtonzeta.diagram import DiagramFacet, _normalize_index_set, zeta_I
+from newtonzeta.diagram import (
+    DiagramFacet,
+    IdentityInapplicable,
+    _normalize_index_set,
+    zeta_I,
+)
 from newtonzeta.factored import FactoredZeta, factor, one, product
 from newtonzeta.germ import (
     Exponent,
@@ -25,12 +30,14 @@ from newtonzeta.lattice import (
     _coords_all,
     _dot,
     _gauss_jordan,
+    _minimizers,
     _sub,
     cone_facets,
     convex_hull,
     int_det,
     mat_rank,
     minkowski_sum,
+    mixed_volume,
     normalized_volume,
     normalized_volume_at,
     primitive,
@@ -745,6 +752,39 @@ def per_index_set_zeta(F: GermSeries) -> tuple[FactoredZeta, FactoredZeta]:
     n = F.num_vars - 1
     parts = {I: zeta_I(F, I) for I in index_sets_with_zero(n)}
     return parts[tuple(range(n + 1))], factor(1, 1) * product(parts.values())
+
+
+# ---------------------------------------------------------------------------
+# the Cayley identity through lattice polytopes: every base face hulled
+# again and one mixed_volume per term, each saturating both faces anew;
+# the path that one saturation and the point-set core replaced, kept as the
+# oracle of test_identities
+
+
+def polytope_cayley_identity(f0: GermSeries, f1: GermSeries, I,
+                             facet: DiagramFacet) -> bool:
+    """``cayley_mixed_volume_identity`` with the right side summed over
+    ``mixed_volume`` of the two base faces as ``LatticePolytope``s."""
+    idx = _normalize_index_set(f0, I)
+    l = len(idx) - 1
+    if l <= 1:
+        raise IdentityInapplicable("the identity is stated for faces of dimension above 1")
+    alpha_z = facet.normal[1:]
+    J = idx[1:]
+    S0 = sorted(restrict_support(support(f0), J))
+    S1 = sorted(restrict_support(support(f1), J))
+    if not S0 or not S1:
+        raise IdentityInapplicable("a base support is empty; the facet is not of hull type")
+    m0, base0 = _minimizers(S0, alpha_z)
+    m1, base1 = _minimizers(S1, alpha_z)
+    expected = convex_hull([(0,) + v for v in base0] + [(1,) + v for v in base1])[0]
+    if tuple(expected) != facet.vertices:
+        raise IdentityInapplicable("facet is not the hull of the two base faces")
+    face0, face1 = LatticePolytope.from_points(base0), LatticePolytope.from_points(base1)
+    lhs = Fraction(facet.nvol, factorial(l - 1))  # = l * V_l(facet)
+    rhs = sum(mixed_volume([face0] * (l - 1 - j) + [face1] * j)
+              for j in range(l))
+    return lhs == rhs and facet.m == m0 - m1
 
 
 # ---------------------------------------------------------------------------

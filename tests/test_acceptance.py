@@ -88,7 +88,7 @@ def test_criterion_4_trivial_germ():
 
 def test_criterion_5_cone_identity_suite():
     t0 = time.monotonic()
-    result = cone_suite(20240817, count=100, max_n=3, max_exp=8)
+    result = cone_suite(20240817, count=100)
     elapsed = time.monotonic() - t0
     assert result.passed, result.failures[:5]
     assert result.cases == 100

@@ -238,6 +238,19 @@ def test_oracle_compare_both_without_second_germ(capsys):
     (["zeta", "--germ", "z1^2 - s"], "--vars is required for expression input"),
     (["oracle-compare", "--mode", "cone", "--germ", "z1^2", "--germ2", "z1",
       "--vars", "s,z1"], "--germ2 is only meaningful for the cayley mode"),
+    (["zeta", "--germ", "{"], "Expecting property name enclosed in double quotes"),
+    (["zeta", "--germ", "s", "--vars", "s"],
+     "need the deformation parameter and at least one z-variable"),
+    (["oracle-compare", "--mode", "cayley", "--germ", "z1^2+z2^2", "--vars",
+      "s,z1,z2", "--germ2", '{"vars": ["s", "x"], "terms": [{"exp": [0, 1], "coef": 1}]}'],
+     "germs live in different variable counts"),
+    # names the expression grammar cannot read back
+    (["zeta", "--germ", "z1^2 - s", "--vars", "s,z 1"],
+     "variable name 'z 1' is not a name the germ grammar reads"),
+    (["zeta", "--germ", "z1^2 - s", "--vars", "s,z1,2"],
+     "variable name '2' is not a name the germ grammar reads"),
+    (["check", "--germ", "z1^2 - s", "--vars", "s,z1,z1*z2"],
+     "variable name 'z1*z2' is not a name the germ grammar reads"),
 ])
 def test_inconsistent_input_is_an_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -320,6 +333,18 @@ def test_exclusive_germ_sources(capsys, tmp_path):
      "not a rational number"),
     ({"vars": ["s", "z1"], "terms": [{"exp": [0, 2], "coef": "1_0"}]},
      "not a rational number"),
+    ({}, "germ JSON needs 'vars' and 'terms' fields"),
+    ({"vars": ["s"], "terms": [{"exp": [1], "coef": 1}]},
+     "need the deformation parameter and at least one z-variable"),
+    # printed, z1*z2^2 - s would read as another germ
+    ({"vars": ["s", "z1*z2"], "terms": [{"exp": [0, 2], "coef": 1}]},
+     "variable name 'z1*z2' is not a name the germ grammar reads"),
+    ({"vars": ["s", ""], "terms": [{"exp": [0, 2], "coef": 1}]},
+     "variable name '' is not a name"),
+    ({"vars": ["s", "2"], "terms": [{"exp": [0, 2], "coef": 1}]},
+     "variable name '2' is not a name"),
+    ({"vars": ["s", "z 1"], "terms": [{"exp": [0, 2], "coef": 1}]},
+     "variable name 'z 1' is not a name"),
 ])
 def test_malformed_json_germ_is_an_input_error(capsys, doc, message):
     code, out, err = run(capsys, "zeta", "--germ", json.dumps(doc))

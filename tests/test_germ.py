@@ -175,6 +175,27 @@ def test_json_roundtrip():
     assert G.terms == F.terms
 
 
+@pytest.mark.parametrize("name", ["z1*z2", "", "2", "z 1", " z1", "z1^2", "z-1",
+                                  "1z", "s'", "x\n"])
+def test_names_the_grammar_cannot_read_are_refused(name):
+    message = f"variable name {name!r} is not a name the germ grammar reads"
+    with pytest.raises(ValueError) as expression:
+        parse_germ("z1^2 - s", ["s", "z1", name])
+    with pytest.raises(ValueError) as json_germ:
+        germ_from_json({"vars": ["s", "z1", name],
+                        "terms": [{"exp": [0, 2, 0], "coef": 1}]})
+    assert str(expression.value) == str(json_germ.value) == message
+
+
+def test_every_accepted_name_reads_back():
+    # a name token of the grammar: a word character other than a decimal
+    # digit, then word characters; the printed germ parses to itself
+    names = ["s", "z1", "_x", "Z_2", "\u03c3", "x\u00b2", "\u00b2"]
+    F = parse_germ(" + ".join(f"{v}^2" for v in names[1:]) + " - s", names)
+    assert len(F.terms) == 7
+    assert parse_germ(germ_to_string(F, names), names) == F
+
+
 def test_index_sets_binary_order():
     assert index_sets_with_zero(2) == [(0,), (0, 1), (0, 2), (0, 1, 2)]
 

@@ -1,7 +1,10 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from helpers import polytope_cayley_identity, random_convenient_germ, random_z_germ
 from newtonzeta import diagram, lattice
 from newtonzeta.diagram import (
     IdentityInapplicable,
@@ -19,6 +22,7 @@ from newtonzeta.randomized import cayley_suite, cone_suite
 
 V2 = ["s", "z"]
 V3 = ["s", "z1", "z2"]
+V4 = ["s", "z1", "z2", "z3"]
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,68 @@ def test_cayley_identity_inapplicable_for_curves():
             if len(I) - 1 <= 1:
                 with pytest.raises(IdentityInapplicable):
                     cayley_mixed_volume_identity(f0, f1, I, facet)
+
+
+def test_cayley_identity_hulls_once_and_saturates_once(monkeypatch):
+    # the one hull is the applicability check; the base faces are not
+    # hulled again, and every mixed volume of the sum shares one saturation
+    f0 = parse_germ("z1^3+z2^3+z3^3+z1*z2*z3", V4)
+    f1 = parse_germ("z1+z2+z3", V4)
+    I = (0, 1, 2, 3)
+    (facet,) = diagram_facets(pencil_germ(f0, f1), I)
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    hull = counted("convex_hull", lattice.convex_hull)
+    monkeypatch.setattr(lattice, "convex_hull", hull)
+    monkeypatch.setattr(diagram, "convex_hull", hull)
+    monkeypatch.setattr(lattice, "saturation_basis",
+                        counted("saturation_basis", lattice.saturation_basis))
+    mixed = counted("mixed_volume", lattice.mixed_volume)
+    monkeypatch.setattr(lattice, "mixed_volume", mixed)
+    monkeypatch.setattr(diagram, "mixed_volume", mixed, raising=False)
+    from_points = counted("from_points", lattice.LatticePolytope.from_points)
+    monkeypatch.setattr(lattice.LatticePolytope, "from_points",
+                        classmethod(lambda cls, pts: from_points(pts)))
+    assert cayley_mixed_volume_identity(f0, f1, I, facet)
+    assert calls == {"convex_hull": 1, "saturation_basis": 1}
+
+
+def _verdict(identity, f0, f1, I, facet):
+    try:
+        return identity(f0, f1, I, facet)
+    except IdentityInapplicable as exc:
+        return str(exc)
+
+
+def test_cayley_identity_matches_the_polytope_path():
+    # every facet of random pencils in 2 to 4 z-variables, with monomial and
+    # point-shaped base faces of f1: the point-set core and the polytope
+    # path give the same verdict, and both refuse a facet one volume unit off
+    rng = random.Random(31)
+    seen = Counter()
+    for k in range(60):
+        n = 2 + k % 3
+        f0 = random_convenient_germ(rng, n, max_exp=4, extra_terms=2)
+        f1 = random_z_germ(rng, n, max_exp=2, max_terms=1 + k % 2 * 2)
+        index_sets, read = diagram._index_set_facets(pencil_germ(f0, f1))
+        for I in (I for I in index_sets if len(I) >= 3):
+            for facet in read(I, I):
+                got = _verdict(cayley_mixed_volume_identity, f0, f1, I, facet)
+                assert got == _verdict(polytope_cayley_identity, f0, f1, I, facet)
+                if got is True:
+                    point = sum(v[0] for v in facet.vertices) == 1
+                    seen[len(f1.terms) == 1, point, n] += 1
+                    off = replace(facet, nvol=facet.nvol + 1)
+                    assert cayley_mixed_volume_identity(f0, f1, I, off) is False
+                    assert polytope_cayley_identity(f0, f1, I, off) is False
+    # passing facets for every n and both kinds of f1; a monomial f1 gives
+    # a point, a longer one a point on some facets
+    assert {(monomial, n) for monomial, _, n in seen} == {
+        (monomial, n) for monomial in (False, True) for n in (2, 3, 4)}
+    assert {point for monomial, point, _ in seen if not monomial} == {False, True}
 
 
 # ---------------------------------------------------------------------------
