@@ -6,6 +6,8 @@ Subcommands: ``zeta`` (both zeta functions of a deformation germ),
 or as a seeded randomized suite).  Each has a handler ``cmd_*`` that builds
 its result once, as the document that ``--format json`` prints, and a
 printer ``print_*`` that renders that document alone as the pretty output.
+``_json_text`` writes the JSON document, exactly as
+``json.dumps(document, indent=2)`` would.
 
 Exit codes: 0 success, 1 input error (a malformed command line included),
 2 nondegeneracy counterexample, 3 internal invariant violation (including a
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .diagram import _face_sign, _index_set_facets, zeta_torus_and_full
@@ -84,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--mode", choices=("cone", "cayley", "both"),
                       default="both")
     p_oc.add_argument("--germ2", help="second germ (pencil denominator) "
-                                      "for the cayley mode")
+                                      "for the cayley mode, in the first "
+                                      "germ's variables")
     p_oc.add_argument("--germ2-file")
     p_oc.add_argument("--seed", type=int,
                       help="run the seeded randomized suite instead of "
@@ -198,8 +202,13 @@ def cmd_oracle_compare(args):
     if text2 is None and args.mode == "cayley":
         raise ValueError("the cayley mode needs a second germ "
                          "(--germ2 or --germ2-file)")
-    f1 = None if text2 is None else _germ_from_text(text2, args)[0]
+    f1, names2 = (None, None) if text2 is None else _germ_from_text(text2, args)
     F, names = _load_germ(args)
+    # the pencil pairs the germs' variables by position
+    if f1 is not None and names2 != names:
+        what = "counts" if len(names2) != len(names) else "names"
+        raise ValueError(f"germs live in different variable {what}: the "
+                         f"first in {names}, the second in {names2}")
     rows = [] if args.mode == "cayley" else _oracle_rows("cone", cone_checks(F))
     if f1 is not None:
         rows.extend(_oracle_rows("cayley", cayley_checks(F, f1)))
@@ -299,6 +308,66 @@ def print_oracle_compare(doc):
           f"({checked} facet(s) checked)")
 
 
+# ---------------------------------------------------------------------------
+# JSON output
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _bad_key(key):
+    raise TypeError(f"JSON document key {key!r} is not a str")
+
+
+def _json_text(doc, newline="\n") -> str:
+    """``doc`` written exactly as ``json.dumps(doc, indent=2)`` writes it.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
+    this writer joins each container once and encodes strings with the C
+    function ``json.dumps`` uses.  It takes only what the documents hold:
+    dicts with ``str`` keys, lists, strings, ints, bools and ``None``; any
+    other value or key raises ``TypeError``.
+
+    >>> print(_json_text({"a": [1, True], "b": {}, "c": None}))
+    {
+      "a": [
+        1,
+        true
+      ],
+      "b": {},
+      "c": null
+    }
+    """
+    kind = type(doc)
+    if kind is dict:
+        if not doc:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            (encode_basestring_ascii(k) if type(k) is str else _bad_key(k))
+            + ": " + (encode_basestring_ascii(v) if type(v) is str
+                      else repr(v) if type(v) is int
+                      else _json_text(v, inner))
+            for k, v in doc.items()]) + newline + "}"
+    if kind is list:
+        if not doc:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            encode_basestring_ascii(v) if type(v) is str
+            else repr(v) if type(v) is int
+            else _json_text(v, inner)
+            for v in doc]) + newline + "]"
+    # exact type tests: True is an int that must read true, and the table
+    # is keyed by value, so 1.0 or Fraction(1) must not reach it
+    if kind is str:
+        return encode_basestring_ascii(doc)
+    if kind is int:
+        return repr(doc)
+    if kind is bool or doc is None:
+        return _CONSTANTS[doc]
+    raise TypeError(f"a JSON document holds no {kind.__name__} values")
+
+
 # built once per process: parsing leaves the parser unchanged, so every
 # ``main`` call pays only for parsing its own argv
 PARSER = build_parser()
@@ -313,7 +382,7 @@ def main(argv=None) -> int:
     try:
         doc, code = args.handler(args)
         if args.format == "json":
-            print(json.dumps(doc, indent=2))
+            print(_json_text(doc))
         else:
             args.printer(doc)
         return code

@@ -89,6 +89,7 @@ def test_pretty_output_renders_the_json_document(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     json_code, doc, json_err = run(capsys, *argv, "--format", "json")
     assert (json_code, json_err) == (code, "")
+    assert doc == json.dumps(json.loads(doc), indent=2) + "\n"
     cli.PARSER.parse_args(argv).printer(json.loads(doc))
     assert capsys.readouterr() == (out, err)
     assert out
@@ -101,6 +102,16 @@ def test_json_germ_input(capsys):
     code, out, _ = run(capsys, "zeta", "--germ", germ)
     assert code == 0
     assert "(1-t^2)" in out
+
+
+def test_json_output_escapes_non_ascii_names(capsys):
+    germ = json.dumps({"vars": ["s", "zé"],
+                       "terms": [{"exp": [0, 2], "coef": "1"},
+                                 {"exp": [1, 0], "coef": "-1"}]})
+    code, out, _ = run(capsys, "zeta", "--germ", germ, "--format", "json")
+    assert code == 0
+    assert '"germ": "z\\u00e9^2 - s"' in out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_diagram_rows(capsys):
@@ -251,6 +262,12 @@ def test_oracle_compare_both_without_second_germ(capsys):
      "variable name '2' is not a name the germ grammar reads"),
     (["check", "--germ", "z1^2 - s", "--vars", "s,z1,z1*z2"],
      "variable name 'z1*z2' is not a name the germ grammar reads"),
+    # the pencil would read x as z1 and y as z2
+    (["oracle-compare", "--mode", "cayley", "--germ", "z1^2+z2^2", "--vars",
+      "s,z1,z2", "--germ2",
+      '{"vars": ["s", "x", "y"], "terms": [{"exp": [0, 1, 0], "coef": 1}]}'],
+     "germs live in different variable names: the first in ['s', 'z1', 'z2'], "
+     "the second in ['s', 'x', 'y']"),
 ])
 def test_inconsistent_input_is_an_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -262,6 +279,10 @@ def test_inconsistent_input_is_an_input_error(capsys, argv, message):
     (["--mode", "cone", "--germ2", "z1"],
      "--germ2 is only meaningful for the cayley mode"),
     (["--mode", "both", "--germ2", "z1^"], "expected exponent"),
+    (["--mode", "both", "--germ2",
+      '{"vars": ["s", "x"], "terms": [{"exp": [0, 1], "coef": 1}]}'],
+     "germs live in different variable counts: the first in ['s', 'z1', 'z2'], "
+     "the second in ['s', 'x']"),
 ])
 def test_oracle_compare_refuses_second_germ_before_any_check(
         capsys, monkeypatch, argv, message):

@@ -1,5 +1,6 @@
 """Property-based fuzzing of the command line: every input ends in exit 0,
-1 or 2, never in an internal error (exit 3) or an escaping exception."""
+1 or 2, never in an internal error (exit 3) or an escaping exception, and
+every JSON document is printed as ``json.dumps(..., indent=2)`` prints it."""
 
 import io
 import json
@@ -69,6 +70,10 @@ def invocations(draw):
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(invocations())
 def test_cli_never_fails_internally(argv):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
+    if "json" in argv and code != 1:
+        # the CLI's writer against the encoder it replaced
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
