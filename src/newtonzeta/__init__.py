@@ -30,10 +30,8 @@ from .germ import (
     suspend_germ,
 )
 from .lattice import (
-    HullFacet,
     LatticePolytope,
     convex_hull,
-    minimizing_face,
     minkowski_sum,
     mixed_volume,
     normalized_volume,
@@ -51,4 +49,4 @@ from .nondegeneracy import (
     nondegeneracy_check,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import index
 
 from .factored import FactoredZeta, factor, product
 from .germ import (
@@ -71,7 +72,7 @@ class DiagramFacet:
 
 
 def _normalize_index_set(F: GermSeries, I) -> tuple[int, ...]:
-    idx = tuple(sorted(set(int(i) for i in I)))
+    idx = tuple(sorted(set(map(index, I))))
     if not idx or idx[0] != 0:
         raise ValueError("index set must contain 0")
     if idx[-1] >= F.num_vars:
@@ -217,7 +218,7 @@ def zeta_classical(f: GermSeries) -> FactoredZeta:
 
 def face_polynomial(F: GermSeries, alpha) -> GermSeries:
     """Sub-germ supported on the face where the positive covector is minimal."""
-    _, face = _minimizers(list(F.terms), tuple(int(a) for a in alpha))
+    _, face = _minimizers(list(F.terms), tuple(map(index, alpha)))
     return make_germ(F.num_vars, [(e, F.terms[e]) for e in face])
 
 

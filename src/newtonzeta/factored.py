@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 
 
 def _divisors(m: int) -> list[int]:
@@ -118,7 +119,7 @@ def one() -> FactoredZeta:
 def factor(m: int, e: int = 1) -> FactoredZeta:
     if m < 1:
         raise ValueError("exponent base must be a positive integer")
-    return _from_map({int(m): int(e)})
+    return _from_map({index(m): index(e)})
 
 
 def product(zs) -> FactoredZeta:

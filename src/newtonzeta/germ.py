@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 Exponent = tuple[int, ...]
 
@@ -72,7 +73,7 @@ def make_germ(num_vars: int, items) -> GermSeries:
     each exponent's sum becomes one ``Fraction``."""
     acc: dict[Exponent, int | Fraction] = {}
     for e, c in items:
-        e = tuple(int(k) for k in e)
+        e = tuple(map(index, e))
         acc[e] = acc.get(e, 0) + c
     acc = {e: Fraction(c) for e, c in acc.items() if c}
     if not acc:
@@ -93,7 +94,7 @@ def restrict_support(S, I) -> frozenset[Exponent]:
     polyhedron of this restricted support, because all exponents are
     nonnegative.  S's points share one length; I is checked on the first.
     """
-    idx = sorted(set(map(int, I)))
+    idx = sorted(set(map(index, I)))
     if not idx:
         raise ValueError("empty index set")
     n = len(next(iter(S), ()))

@@ -22,7 +22,8 @@ pulling triangulation (``_pulled_volume``) are read off its zero-set
 bitmasks.  A diagram facet is pulled on the Newton polyhedron's own
 masks, any other point set by one path: ``_saturate``, then ``_measure``,
 summed by ``_mixed`` for mixed volumes (the Cayley oracle's included).
-Points are coerced once, at entry; ``cone_facets`` takes them as built.
+Points are checked once, at entry, where ``operator.index`` refuses
+anything but integers; ``cone_facets`` takes them as built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from operator import mul
+from operator import index, mul
 
 Vector = tuple[int, ...]
 
@@ -77,7 +78,7 @@ def int_det(rows) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    a = [[int(x) for x in r] for r in rows]
+    a = [list(map(index, r)) for r in rows]
     sign = 1
     prev = 1
     for i in range(n - 1):
@@ -168,7 +169,7 @@ def smith_normal_form(M):
     """
     k = len(M)
     d = len(M[0]) if k else 0
-    A = [[int(x) for x in row] for row in M]
+    A = [list(map(index, row)) for row in M]
     for row in A:
         if len(row) != d:
             raise ValueError("ragged matrix")
@@ -262,19 +263,6 @@ def _coords_all(basis, vectors) -> list[Vector]:
 
 # ---------------------------------------------------------------------------
 # convex hulls
-
-@dataclass(frozen=True)
-class HullFacet:
-    """A supporting hyperplane of the hull with its primitive inner normal.
-
-    ``inner_normal . p >= offset`` holds for every input point, with
-    equality exactly for the points listed in ``point_indices`` (indices
-    into the input list).
-    """
-    point_indices: tuple[int, ...]
-    inner_normal: Vector
-    offset: int
-
 
 def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
     """Rank and facets of the cone spanned by a list of integer vectors.
@@ -387,31 +375,30 @@ def _vertices(pts, masks) -> list[Vector]:
 
 
 def convex_hull(points):
-    """Exact hull of integer points: (vertices, affine_dim, facets).
+    """Exact hull of integer points: (vertices, dim, facets).
 
-    One ``cone_facets`` call on the distinct points, lifted to height one
-    as they are, gives the facets' zero-set masks, off which the sorted
-    vertices are read, and the rank, which is the dimension plus one.
-    Facets are reported for full-dimensional hulls only, sorted by (inner
-    normal, offset), each with every input index on it, duplicates
-    included; a lower-dimensional hull gets ``[]``.
+    One ``cone_facets`` call on the sorted distinct points, lifted to
+    height one as they are, gives the facets' zero-set masks, off which
+    the vertices are read, and the rank, which is the dimension plus one.
+    Facets are reported for full-dimensional hulls only, as the sorted
+    ``(normal, offset, zeros)`` triples of ``newton_polyhedron_facets``,
+    bit i of ``zeros`` for the i-th sorted distinct point; a
+    lower-dimensional hull gets ``[]``.
+
+    >>> convex_hull([(2, 0), (0, 2), (1, 1), (0, 0), (2, 0)])
+    ([(0, 0), (0, 2), (2, 0)], 2, [((-1, -1), -2, 14), ((0, 1), 0, 9), ((1, 0), 0, 3)])
     """
-    pts_in = [tuple(int(x) for x in p) for p in points]
-    if not pts_in:
+    pts = sorted({tuple(map(index, p)) for p in points})
+    if not pts:
         raise ValueError("convex_hull needs at least one point")
-    d = len(pts_in[0])
-    if d < 1 or any(len(p) != d for p in pts_in):
+    d = len(pts[0])
+    if d < 1 or any(len(p) != d for p in pts):
         raise ValueError("points must share a positive ambient dimension")
-    uniq = sorted(set(pts_in))
-    rank, cone = cone_facets([(1,) + p for p in uniq])
-    vertices = _vertices(uniq, [z for _, z in cone])
+    rank, cone = cone_facets([(1,) + p for p in pts])
+    vertices = _vertices(pts, [z for _, z in cone])
     if rank <= d:
         return vertices, rank - 1, []
-    pos = {p: i for i, p in enumerate(uniq)}
-    bits = [pos[p] for p in pts_in]
-    facets = [HullFacet(tuple(i for i, b in enumerate(bits) if z >> b & 1), a, c)
-              for a, c, z in sorted((y[1:], -y[0], z) for y, z in cone)]
-    return vertices, d, facets
+    return vertices, d, sorted((y[1:], -y[0], z) for y, z in cone)
 
 
 # ---------------------------------------------------------------------------
@@ -421,35 +408,26 @@ def convex_hull(points):
 class LatticePolytope:
     """Hull of finitely many integer points, stored by its vertex list.
 
-    ``LatticePolytope(vertices, ambient_dim)``, usually through
-    ``from_points`` (which reduces to the true vertices) or ``empty``.
+    ``LatticePolytope(vertices)`` takes a nonempty tuple of points of one
+    length, the ambient dimension; ``from_points`` reduces a point set to
+    its true vertices.
     """
     vertices: tuple[Vector, ...]
-    ambient_dim: int
 
     def __post_init__(self):
+        if not self.vertices:
+            raise ValueError("a polytope needs at least one vertex")
         if any(len(v) != self.ambient_dim for v in self.vertices):
             raise ValueError("vertex dimension mismatch")
 
     @property
-    def affine_dim(self) -> int:
-        """One rank of the vertices, taken when read; -1 without any."""
-        verts = self.vertices
-        return mat_rank([_sub(v, verts[0]) for v in verts[1:]]) if verts else -1
+    def ambient_dim(self) -> int:
+        return len(self.vertices[0])
 
     @classmethod
     def from_points(cls, points) -> "LatticePolytope":
         """The hull of a nonempty point set, by one ``convex_hull``."""
-        verts = convex_hull(points)[0]
-        return cls(tuple(verts), len(verts[0]))
-
-    @classmethod
-    def empty(cls, ambient_dim: int) -> "LatticePolytope":
-        return cls((), ambient_dim)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
+        return cls(tuple(convex_hull(points)[0]))
 
 
 def _minimizers(points, alpha) -> tuple[int, list]:
@@ -467,12 +445,6 @@ def _minimizers(points, alpha) -> tuple[int, list]:
     values = [_dot(alpha, p) for p in points]
     m = min(values)
     return m, [p for p, v in zip(points, values) if v == m]
-
-
-def minimizing_face(points, alpha) -> LatticePolytope:
-    """Hull of the points where the strictly positive covector is minimal."""
-    pts = [tuple(int(x) for x in p) for p in points]
-    return LatticePolytope.from_points(_minimizers(pts, alpha)[1])
 
 
 def _face_facets(mask: int, facet_masks) -> list[int]:
@@ -541,21 +513,17 @@ def normalized_volume(P: LatticePolytope) -> int:
 
     The lattice volume is measured in the saturation lattice of the
     direction space, i.e. normalized so the minimal parallelepiped with
-    integer vertices has volume 1.  A point gives 1, the empty polytope 0.
+    integer vertices has volume 1.  A point gives 1.
     """
-    if P.is_empty:
-        return 0
     l, (pts,) = _saturate([P.vertices])
     return _measure(pts, l)
 
 
 def normalized_volume_at(P: LatticePolytope, l: int) -> int:
     """Like normalized_volume but measured in target dimension l: returns 0
-    when P is empty or has affine dimension below l."""
+    when P has affine dimension below l."""
     if l < 0:
         raise ValueError("dimension must be nonnegative")
-    if P.is_empty:
-        return 0
     r, (pts,) = _saturate([P.vertices])
     if r > l:
         raise ValueError("polytope dimension exceeds the requested dimension")
@@ -568,8 +536,6 @@ def normalized_volume_at(P: LatticePolytope, l: int) -> int:
 def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if P.is_empty or Q.is_empty:
-        raise ValueError("Minkowski sum of an empty polytope")
     return LatticePolytope.from_points(
         [_add(p, q) for p in P.vertices for q in Q.vertices])
 
@@ -589,12 +555,8 @@ def mixed_volume(bodies) -> Fraction:
     m = len(Ks)
     if m == 0:
         raise ValueError("need at least one body")
-    D = Ks[0].ambient_dim
-    for K in Ks:
-        if K.is_empty:
-            raise ValueError("mixed volume of an empty polytope")
-        if K.ambient_dim != D:
-            raise ValueError("ambient dimension mismatch")
+    if any(K.ambient_dim != Ks[0].ambient_dim for K in Ks):
+        raise ValueError("ambient dimension mismatch")
     r, mapped = _saturate([K.vertices for K in Ks])
     if r > m:
         raise ValueError("bodies do not fit a common m-dimensional direction space")

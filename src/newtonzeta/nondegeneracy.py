@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 
 from .germ import Exponent, GermSeries, check_z_variables, support
 from .lattice import (
@@ -93,7 +93,7 @@ def newton_polyhedron_facets(points, d: int):
     sorted distinct point on the facet and bit n + j for the recession
     axis j in it (the normal's zero components), n points in all.
     """
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    pts = sorted({tuple(map(index, p)) for p in points})
     if not pts:
         raise ValueError("empty support")
     gens = [(1,) + p for p in pts] + \
@@ -109,7 +109,7 @@ def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...
     on the masks of ``newton_polyhedron_facets(points, d)`` (``facets``,
     when the caller has them); a face is compact when it holds no recession
     axis (no bit from n up), and nonempty."""
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
+    pts = sorted({tuple(map(index, p)) for p in points})
     n = len(pts)
     if facets is None:
         facets = newton_polyhedron_facets(pts, d)

@@ -23,7 +23,6 @@ from newtonzeta.germ import (
     support,
 )
 from newtonzeta.lattice import (
-    HullFacet,
     InvariantViolation,
     LatticePolytope,
     Vector,
@@ -327,12 +326,11 @@ def nvol_boundary_recursion(points) -> int:
             return max(p[0] for p in verts) - min(p[0] for p in verts)
         q = verts[0]
         total = 0
-        for f in facets:
-            dist = sum(a * x for a, x in zip(f.inner_normal, q)) - f.offset
+        for a, c, _ in facets:
+            dist = _dot(a, q) - c
             if dist == 0:
                 continue
-            fpts = [p for p in verts
-                    if sum(a * x for a, x in zip(f.inner_normal, p)) == f.offset]
+            fpts = [p for p in verts if _dot(a, p) == c]
             total += dist * rec(to_full_dim(fpts), l - 1)
         return total
 
@@ -373,11 +371,12 @@ def _vertices_from_facets(pts, plane_facets) -> list[Vector]:
 
 
 def recursive_convex_hull(points):
-    """Exact hull of integer points: (vertices, affine_dim, facets).
+    """Exact hull of integer points: (vertices, dim, facets).
 
-    Facets are reported for full-dimensional hulls only, as their proper
-    facets with primitive inner normals; a lower-dimensional hull gets
-    ``[]``.
+    Facets are reported for full-dimensional hulls only, as sorted
+    ``(normal, offset, zeros)`` triples: the primitive inner normal, its
+    minimum and the bitmask of the sorted distinct points on the facet,
+    found by dot products; a lower-dimensional hull gets ``[]``.
     """
     pts_in = [tuple(int(x) for x in p) for p in points]
     if not pts_in:
@@ -394,12 +393,8 @@ def recursive_convex_hull(points):
     if dim == d:
         planes = _facet_enum_full(uniq)
         vertices = _vertices_from_facets(uniq, planes)
-        facets = [
-            HullFacet(
-                tuple(i for i, p in enumerate(pts_in) if _dot(a, p) == c),
-                a, c)
-            for a, c in planes
-        ]
+        facets = [(a, c, sum(1 << i for i, p in enumerate(uniq) if _dot(a, p) == c))
+                  for a, c in planes]
         return vertices, dim, facets
     # degenerate: recurse inside the saturation lattice of the direction span
     B = saturation_basis(diffs)
@@ -413,8 +408,6 @@ def dilate(P: LatticePolytope, k: int) -> LatticePolytope:
     """k-fold dilation for k >= 0; k = 0 collapses to the origin."""
     if k < 0:
         raise ValueError("negative dilation")
-    if P.is_empty:
-        raise ValueError("dilation of an empty polytope")
     if k == 0:
         return LatticePolytope.from_points([(0,) * P.ambient_dim])
     return LatticePolytope.from_points(
@@ -448,8 +441,6 @@ def polarization_mixed_volume(bodies) -> Fraction:
         raise ValueError("need at least one body")
     D = Ks[0].ambient_dim
     for K in Ks:
-        if K.is_empty:
-            raise ValueError("mixed volume of an empty polytope")
         if K.ambient_dim != D:
             raise ValueError("ambient dimension mismatch")
     vecs = []
@@ -723,10 +714,9 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     _, dim, hull_facets = convex_hull(S)
     out = []
     if dim == d:
-        for hf in hull_facets:
-            a = hf.inner_normal
+        for a, c, _ in hull_facets:
             if all(x > 0 for x in a):
-                face_pts = [p for p in S if _dot(a, p) == hf.offset]
+                face_pts = [p for p in S if _dot(a, p) == c]
                 face = LatticePolytope.from_points(face_pts)
                 out.append(DiagramFacet(idx, a, a[0], face.vertices,
                                         normalized_volume(face)))
@@ -829,12 +819,12 @@ def fan_normalized_volume(points) -> int:
     """Normalized volume of the hull of the points by the fan triangulation:
     the same saturated coordinates as ``normalized_volume``, then
     ``_nvol_full``."""
-    P = LatticePolytope.from_points(points)
-    if P.affine_dim == 0:
+    verts, dim, _ = convex_hull(points)
+    if dim == 0:
         return 1
-    base = P.vertices[0]
-    diffs = [_sub(v, base) for v in P.vertices]
-    return _nvol_full(_coords_all(saturation_basis(diffs[1:]), diffs), P.affine_dim)
+    base = verts[0]
+    diffs = [_sub(v, base) for v in verts]
+    return _nvol_full(_coords_all(saturation_basis(diffs[1:]), diffs), dim)
 
 
 def closure_compact_faces(points, d):

@@ -46,7 +46,7 @@ def _vertices_and_planes(pts):
     """Vertices and (inner normal, offset) facet pairs of a full-dimensional
     set, from ``convex_hull``."""
     verts, _, facets = convex_hull(pts)
-    return verts, [(f.inner_normal, f.offset) for f in facets]
+    return verts, [(a, c) for a, c, _ in facets]
 
 
 @pytest.mark.parametrize("d,count,cases",

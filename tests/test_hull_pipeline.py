@@ -27,11 +27,11 @@ from newtonzeta.diagram import diagram_facets
 from newtonzeta.germ import parse_germ
 from newtonzeta.lattice import (
     LatticePolytope,
+    _minimizers,
     _vertices,
     cone_facets,
     convex_hull,
     mat_rank,
-    minimizing_face,
     mixed_volume,
 )
 from newtonzeta.nondegeneracy import newton_polyhedron_facets
@@ -79,22 +79,23 @@ def test_hulls_match_the_recursive_hull():
         pts = _with_duplicates(rng, pts)
         result = convex_hull(pts)
         assert result == recursive_convex_hull(pts)
-        # a polytope derives its dimension, on its vertices or on every
-        # distinct point, non-vertices included
-        assert LatticePolytope.from_points(pts).affine_dim == result[1]
-        assert LatticePolytope(tuple(set(pts)), d).affine_dim == result[1]
+        # the dimension is the same on the vertices as on every distinct
+        # point, non-vertices included
+        P = LatticePolytope.from_points(pts)
+        assert convex_hull(P.vertices)[1] == result[1]
+        assert convex_hull(set(pts))[1] == result[1]
         seen["full" if result[1] == d else "lower"] += 1
         seen["duplicates"] += len(set(pts)) < len(pts)
     assert all(seen.values()), seen
-    assert LatticePolytope.empty(3).affine_dim == -1
+    with pytest.raises(ValueError, match="a polytope needs at least one vertex"):
+        LatticePolytope(())
     with pytest.raises(ValueError, match="vertex dimension mismatch"):
-        LatticePolytope(((0, 0), (1, 0, 0)), 2)
+        LatticePolytope(((0, 0), (1, 0, 0)))
 
 
-def test_only_a_polytope_ranks_its_vertices(monkeypatch):
+def test_no_hull_or_volume_calls_mat_rank(monkeypatch):
     # the facet engine's elimination is the rank of every hull, diagram
-    # facet and Minkowski sum; a LatticePolytope ranks its vertices only
-    # when its affine_dim is read
+    # facet and Minkowski sum, and building a LatticePolytope ranks nothing
     calls = []
     rank = lattice.mat_rank
     monkeypatch.setattr(lattice, "mat_rank",
@@ -113,9 +114,8 @@ def test_only_a_polytope_ranks_its_vertices(monkeypatch):
     # a triangle and a segment: the segment alone is a lower-dimensional sum
     assert mixed_volume(bodies[:2]) == Fraction(3, 2)
     assert mixed_volume(bodies[2:]) == 0
+    assert LatticePolytope.from_points(square).vertices == ((0, 0), (0, 2), (2, 0), (2, 2))
     assert calls == []
-    assert LatticePolytope.from_points(square).affine_dim == 2
-    assert len(calls) == 1
 
 
 def _embedded_set(rng, d, k):
@@ -152,7 +152,7 @@ def test_lower_dimensional_hulls_need_no_saturation(monkeypatch):
         pts = _embedded_set(rng, d, rng.randint(0, d - 1))
         alpha = tuple(rng.randint(1, 3) for _ in range(d))
         cases.append((pts, alpha, recursive_convex_hull(pts),
-                      minimizing_face(pts, alpha)))
+                      recursive_convex_hull(_minimizers(pts, alpha)[1])[0]))
 
     def refuse(*args):
         raise AssertionError("a hull computed saturated coordinates")
@@ -162,9 +162,9 @@ def test_lower_dimensional_hulls_need_no_saturation(monkeypatch):
     for pts, alpha, hull, face in cases:
         assert convex_hull(pts) == hull
         assert hull[1] < len(pts[0])
-        P = LatticePolytope.from_points(pts)
-        assert (list(P.vertices), P.affine_dim) == hull[:2]
-        assert minimizing_face(pts, alpha) == face
+        assert list(LatticePolytope.from_points(pts).vertices) == hull[0]
+        face_pts = _minimizers(pts, alpha)[1]
+        assert list(LatticePolytope.from_points(face_pts).vertices) == face
 
 
 def test_newton_polyhedron_vertices_match_the_incidence_rule():

@@ -15,11 +15,12 @@ from helpers import (
 )
 from newtonzeta.lattice import (
     LatticePolytope,
+    _dot,
+    _minimizers,
     convex_hull,
     coords_in_basis,
     int_det,
     mat_rank,
-    minimizing_face,
     minkowski_sum,
     mixed_volume,
     normalized_volume,
@@ -194,8 +195,10 @@ def test_hull_square_with_interior_point():
     assert dim == 2
     assert verts == [(0, 0), (0, 2), (2, 0), (2, 2)]
     assert len(facets) == 4
-    for f in facets:
-        assert 4 not in f.point_indices  # interior point on no facet
+    uniq = sorted(set(pts))
+    for a, c, zeros in facets:
+        assert zeros == sum(1 << i for i, p in enumerate(uniq) if _dot(a, p) == c)
+        assert not zeros >> uniq.index((1, 1)) & 1  # interior point on no facet
 
 
 def test_hull_properties_randomized():
@@ -208,15 +211,13 @@ def test_hull_properties_randomized():
             verts, dim, facets = convex_hull(pts)
             assert 0 <= dim <= d
             assert set(verts) <= set(pts)
-            for f in facets:
-                vals = [sum(a * x for a, x in zip(f.inner_normal, p))
-                        for p in pts]
-                assert all(v >= f.offset for v in vals)
-                on = [pts[i] for i in f.point_indices]
-                assert list(f.point_indices) == [
-                    i for i, v in enumerate(vals) if v == f.offset]
-                assert all(sum(a * x for a, x in zip(f.inner_normal, p))
-                           == f.offset for p in on)
+            uniq = sorted(set(pts))
+            for a, c, zeros in facets:
+                vals = [_dot(a, p) for p in uniq]
+                assert all(v >= c for v in vals)
+                on = [p for i, p in enumerate(uniq) if zeros >> i & 1]
+                assert zeros == sum(1 << i for i, v in enumerate(vals) if v == c)
+                assert all(_dot(a, p) == c for p in on)
                 if dim == d:
                     base = on[0]
                     assert mat_rank([tuple(x - y for x, y in zip(p, base))
@@ -224,30 +225,34 @@ def test_hull_properties_randomized():
 
 
 # ---------------------------------------------------------------------------
-# minimizing faces
+# minimizing faces: the hull of the points where a covector is minimal
+
+def _minimizing_face(points, alpha):
+    return LatticePolytope.from_points(_minimizers(points, alpha)[1])
+
 
 def test_minimizing_face_tie():
-    face = minimizing_face([(1, 0), (0, 2)], (2, 1))
+    face = _minimizing_face([(1, 0), (0, 2)], (2, 1))
     assert face.vertices == ((0, 2), (1, 0))
-    assert face.affine_dim == 1
+    assert convex_hull(face.vertices)[1] == 1
 
 
 def test_minimizing_face_unique():
-    face = minimizing_face([(1, 0), (0, 2)], (1, 1))
+    face = _minimizing_face([(1, 0), (0, 2)], (1, 1))
     assert face.vertices == ((1, 0),)
-    assert face.affine_dim == 0
+    assert convex_hull(face.vertices)[1] == 0
 
 
 def test_minimizing_face_value_six():
-    face = minimizing_face([(3, 0), (0, 2)], (2, 3))
+    face = _minimizing_face([(3, 0), (0, 2)], (2, 3))
     assert face.vertices == ((0, 2), (3, 0))
 
 
 def test_minimizing_face_rejects_nonpositive():
     with pytest.raises(ValueError):
-        minimizing_face([(1, 0)], (1, 0))
+        _minimizers([(1, 0)], (1, 0))
     with pytest.raises(ValueError):
-        minimizing_face([(1, 0)], (-1, 2))
+        _minimizers([(1, 0)], (-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +273,9 @@ def test_volume_point_and_empty():
     assert normalized_volume(pt) == 1
     assert normalized_volume_at(pt, 0) == 1
     assert normalized_volume_at(pt, 1) == 0
-    empty = LatticePolytope.empty(2)
-    assert normalized_volume(empty) == 0
-    for l in range(4):
-        assert normalized_volume_at(empty, l) == 0
+    # there is no empty polytope to measure: it is refused when built
+    with pytest.raises(ValueError, match="a polytope needs at least one vertex"):
+        LatticePolytope(())
 
 
 def test_volume_imprimitive_segment():
@@ -286,7 +290,7 @@ def test_volume_simplices_against_minor_gcd_oracle():
         l = rng.randint(1, d)
         pts = random_lattice_simplex(rng, d, l)
         P = LatticePolytope.from_points(pts)
-        assert P.affine_dim == l
+        assert convex_hull(pts)[1] == l
         assert normalized_volume(P) == simplex_nvol_oracle(pts)
 
 

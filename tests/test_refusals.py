@@ -13,18 +13,28 @@ from newtonzeta.diagram import (
     cone_reduction_identity,
     diagram_facets,
     euler_char_torus_hypersurface,
+    face_polynomial,
 )
 from newtonzeta.factored import factor, parse_factored
-from newtonzeta.germ import GermSeries, parse_germ, pencil_germ, suspend_germ
+from newtonzeta.germ import (
+    GermSeries,
+    make_germ,
+    parse_germ,
+    pencil_germ,
+    restrict_support,
+    support,
+    suspend_germ,
+)
 from newtonzeta.lattice import (
     LatticePolytope,
+    _minimizers,
     convex_hull,
-    minimizing_face,
-    minkowski_sum,
+    int_det,
     mixed_volume,
     normalized_volume_at,
+    smith_normal_form,
 )
-from newtonzeta.nondegeneracy import newton_polyhedron_facets
+from newtonzeta.nondegeneracy import compact_faces, newton_polyhedron_facets
 
 V3 = ["s", "z1", "z2"]
 V4 = ["s", "z1", "z2", "z3"]
@@ -36,6 +46,7 @@ LINEAR = parse_germ("z1+z2+z3", V4)
 (AXIS_FACET,) = diagram_facets(suspend_germ(parse_germ("z1^2", V3)), (0, 1))
 POINT = LatticePolytope.from_points([(0, 0)])
 TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
+NOT_INT = "'%s' object cannot be interpreted as an integer"
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -53,23 +64,20 @@ TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
     # a facet of the suspended cusp is not a Cayley hull of the pencil's bases
     (lambda: cayley_mixed_volume_identity(CUBIC, LINEAR, (0, 1, 2), CUSP_FACET),
      IdentityInapplicable, "facet is not the hull of the two base faces"),
-    (lambda: euler_char_torus_hypersurface(LatticePolytope(((),), 0)),
+    (lambda: euler_char_torus_hypersurface(LatticePolytope(((),))),
      ValueError, "ambient dimension must be positive"),
     (lambda: convex_hull([]), ValueError, "convex_hull needs at least one point"),
     (lambda: convex_hull([(0, 0), (1,)]),
      ValueError, "points must share a positive ambient dimension"),
-    (lambda: minimizing_face([], (1, 1)), ValueError, "empty point set"),
-    (lambda: minimizing_face([(1, 0)], (1, 1, 1)),
+    (lambda: _minimizers([], (1, 1)), ValueError, "empty point set"),
+    (lambda: face_polynomial(CUSP, (1, 1, 1, 1)),
      ValueError, "covector dimension mismatch"),
     (lambda: normalized_volume_at(POINT, -1),
      ValueError, "dimension must be nonnegative"),
     (lambda: normalized_volume_at(TRIANGLE, 1),
      ValueError, "polytope dimension exceeds the requested dimension"),
-    (lambda: minkowski_sum(LatticePolytope.empty(2), POINT),
-     ValueError, "Minkowski sum of an empty polytope"),
+    (lambda: LatticePolytope(()), ValueError, "a polytope needs at least one vertex"),
     (lambda: mixed_volume([]), ValueError, "need at least one body"),
-    (lambda: mixed_volume([POINT, LatticePolytope.empty(2)]),
-     ValueError, "mixed volume of an empty polytope"),
     (lambda: mixed_volume([POINT, LatticePolytope.from_points([(0, 0, 0)])]),
      ValueError, "ambient dimension mismatch"),
     (lambda: factor(2, 1).expand_series(-1), ValueError, "order must be nonnegative"),
@@ -78,6 +86,25 @@ TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
      ValueError, "exponent (1,) has wrong length"),
     (lambda: GermSeries(2, {(0, 1): Fraction(0)}), ValueError, "zero coefficient stored"),
     (lambda: newton_polyhedron_facets([], 2), ValueError, "empty support"),
+    # a non-integer is refused, never truncated to the integer below it
+    *[pytest.param(call, TypeError, NOT_INT % kind, id=f"TypeError-{name}")
+      for name, kind, call in [
+          ("convex_hull", "float", lambda: convex_hull([(0.5, 0), (2, 0), (0, 2)])),
+          ("int_det", "Fraction", lambda: int_det([[Fraction(1, 2), 0], [0, 2]])),
+          ("smith_normal_form", "Fraction",
+           lambda: smith_normal_form([[Fraction(3, 2), 1]])),
+          ("newton_polyhedron_facets", "float",
+           lambda: newton_polyhedron_facets([(1.5, 0), (0, 2)], 2)),
+          ("compact_faces", "float", lambda: compact_faces([(0, 2.5), (2, 0)], 2)),
+          ("make_germ", "float",
+           lambda: make_germ(3, [((0, 1.5, 0), 1), ((1, 0, 0), -1)])),
+          ("restrict_support", "float",
+           lambda: restrict_support(support(CUSP), (0, 1.5))),
+          ("_normalize_index_set", "float",
+           lambda: diagram_facets(suspend_germ(CUSP), (0, 1.5))),
+          ("face_polynomial", "float", lambda: face_polynomial(CUSP, (1, 2.9, 1))),
+          ("factor", "float", lambda: factor(2.5)),
+      ]],
 ])
 def test_library_refusals(call, error, message):
     with pytest.raises(error) as refused:

@@ -27,7 +27,7 @@ from newtonzeta.germ import (
     support,
     suspend_germ,
 )
-from newtonzeta.lattice import LatticePolytope, mat_rank, minimizing_face
+from newtonzeta.lattice import LatticePolytope, _minimizers, mat_rank
 from newtonzeta.nondegeneracy import (
     COUNTEREXAMPLE,
     UNCHECKED,
@@ -84,8 +84,8 @@ def test_facet_minimization_is_exact_on_support():
                 assert set(fac.vertices) <= on_face
                 # the stored face is exactly the minimizing face: equality
                 # holds on its support points and nowhere else
-                assert fac.vertices == \
-                    minimizing_face(sorted(S), fac.normal).vertices
+                assert fac.vertices == LatticePolytope.from_points(
+                    _minimizers(sorted(S), fac.normal)[1]).vertices
                 assert fac.m == fac.normal[0] >= 1
                 assert fac.nvol >= 1
                 base = fac.vertices[0]
