@@ -30,6 +30,7 @@ from newtonzeta.lattice import (
     _minimizers,
     convex_hull,
     int_det,
+    minkowski_sum,
     mixed_volume,
     normalized_volume_at,
     smith_normal_form,
@@ -77,7 +78,15 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
     (lambda: normalized_volume_at(TRIANGLE, 1),
      ValueError, "polytope dimension exceeds the requested dimension"),
     (lambda: LatticePolytope(()), ValueError, "a polytope needs at least one vertex"),
+    # an empty polytope never reaches a Minkowski sum or a mixed volume:
+    # it is refused when it is built
+    pytest.param(lambda: minkowski_sum(LatticePolytope(()), POINT),
+                 ValueError, "a polytope needs at least one vertex",
+                 id="<lambda>-ValueError-Minkowski sum of an empty polytope"),
     (lambda: mixed_volume([]), ValueError, "need at least one body"),
+    pytest.param(lambda: mixed_volume([POINT, LatticePolytope(())]),
+                 ValueError, "a polytope needs at least one vertex",
+                 id="<lambda>-ValueError-mixed volume of an empty polytope"),
     (lambda: mixed_volume([POINT, LatticePolytope.from_points([(0, 0, 0)])]),
      ValueError, "ambient dimension mismatch"),
     (lambda: factor(2, 1).expand_series(-1), ValueError, "order must be nonnegative"),
