@@ -157,7 +157,7 @@ def cmd_diagram(args):
     index_sets, read = _index_set_facets(F)
     rows = []
     for I in index_sets:
-        sign = _face_sign(len(I) - 1)
+        sign = _face_sign(I)
         rows.append({"indices": list(I),
                      "support": [list(p) for p in sorted(restrict_support(pts, I))],
                      "facets": [{"normal": list(fac.normal), "m": fac.m,

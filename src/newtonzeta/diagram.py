@@ -7,15 +7,15 @@ positive primitive inner normal is a diagram facet and contributes a factor
 (1 - t^m)^(sign * nvol); lower-dimensional faces carry normalized volume 0
 (Varchenko, Invent. Math. 37, 1976).
 
-Every index set is read off the one Newton polyhedron P = conv(S) + R_+^d
-of the whole support.  For I with S_I nonempty, conv(S_I) + R_+^I is the
-face of P where sum_{j not in I} x_j takes its minimum 0; its generators
-are the points with zero coordinates off I and the recession axes in I.
-The facets of that face are its maximal proper intersections with P's
-facets (Kaibel & Pfetsch, Comput. Geom. 23, 2002), and the compact ones
-are I's diagram facets.  ``_index_set_facets`` reads index sets this
-way for the zeta functions, the CLI and the identity checks.
-``diagram_facets(F, I)`` reads one index set off the polyhedron of S_I.
+Every index set, the full one too, is read off the one Newton polyhedron
+P = conv(S) + R_+^d down one path.  For S_I nonempty, conv(S_I) + R_+^I is
+the face of P where sum_{j not in I} x_j is 0 (P for the full I); its
+generators are the points with zero coordinates off I and the recession
+axes in I.  The facets of that face are its maximal proper intersections
+with P's facets (Kaibel & Pfetsch, Comput. Geom. 23, 2002), and the
+compact ones are I's diagram facets, so ``_index_set_facets`` serves the
+zeta functions, the CLI and the identity checks; ``diagram_facets(F, I)``
+reads I as the full index set of the polyhedron of S_I.
 """
 
 from __future__ import annotations
@@ -88,47 +88,45 @@ def _facet_reader(pts, facets):
     ``(label, coords)``: the records, sorted by normal, of the index set
     whose coordinate positions in R^d are ``coords`` (labelled ``label``).
 
-    A facet of P that cuts out a diagram facet G of the face P ∩ R^I has
-    a normal y nonzero on I, so y on I is a positive multiple of G's
-    normal ``a``.  The volume is read off the pyramid from the origin: the
-    primitive ``a`` puts the origin at lattice height ``c`` (the offset)
-    below G, and the pyramid's normalized |I|-volume, summed over the
-    pulling triangulation of G's mask, is ``c * nvol``.
+    Every index set takes one path.  With each point's coordinate support
+    a bitmask, computed once, the face P ∩ R^I is the points whose support
+    lies in I plus the recession axes in I: all of P for the full I.
+    A facet of P that cuts out a diagram facet G of P ∩ R^I has a normal
+    y nonzero on I, so y on I is a positive multiple of G's normal ``a``.
+    The volume is read off the pyramid from the origin: the primitive
+    ``a`` puts the origin at lattice height ``c`` (the offset) below G,
+    and the pyramid's normalized |I|-volume, summed over the pulling
+    triangulation of G's mask, is ``c * nvol``.
     """
-    n, d = len(pts), len(pts[0])
+    n = len(pts)
     masks = [z for _, _, z in facets]
     verts = set(_vertices(pts, masks))
+    supports = [sum(1 << j for j, x in enumerate(p) if x) for p in pts]
 
     def read(label, coords) -> list[DiagramFacet]:
-        if len(coords) == d:  # I is every coordinate: P's own compact facets
-            proj, found = pts, [f for f in facets if not f[2] >> n]
-        else:
-            inside = set(coords)
-            off = [j for j in range(d) if j not in inside]
-            face = sum(1 << i for i, p in enumerate(pts) if not any(p[j] for j in off))
-            # a compact facet of P ∩ R^I holds at least |I| points
-            if face.bit_count() < len(coords):
-                return []
-            face |= sum(1 << (n + j) for j in coords)
-            cut = {}  # a facet of P cutting out each face of P ∩ R^I
-            for y, _, z in facets:
-                cut.setdefault(z & face, y)
-            proj = [tuple(p[j] for j in coords) for p in pts]
-            found = []
-            for g in _face_facets(face, masks):
-                if not g >> n:
-                    a = primitive([cut[g][j] for j in coords])
-                    found.append((a, _dot(a, proj[(g & -g).bit_length() - 1]), g))
-            found.sort()
+        keep = sum(1 << j for j in coords)
+        face = sum(1 << i for i, s in enumerate(supports) if not s & ~keep)
+        # a compact facet of P ∩ R^I holds at least |I| points
+        if face.bit_count() < len(coords):
+            return []
+        face |= keep << n
+        cut = {}  # a facet of P cutting out each face of P ∩ R^I
+        for y, _, z in facets:
+            cut.setdefault(z & face, y)
+        proj = [tuple(map(p.__getitem__, coords)) for p in pts]
         origin = ((0,) * len(coords),)
         out = []
-        for a, c, g in found:
+        for g in _face_facets(face, masks):
+            if g >> n:
+                continue
+            a = primitive(tuple(map(cut[g].__getitem__, coords)))
+            c = _dot(a, proj[(g & -g).bit_length() - 1])
             nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, masks, origin), c)
             if rem:
                 raise InvariantViolation("pyramid volume is not a multiple of its height")
             out.append(DiagramFacet(label, a, a[0], tuple(
                 p for i, p in enumerate(proj) if g >> i & 1 and pts[i] in verts), nvol))
-        return out
+        return sorted(out, key=lambda f: f.normal)
 
     return read
 
@@ -161,22 +159,20 @@ def _index_set_facets(F: GermSeries, facets=None):
     return index_sets, _facet_reader(S, facets)
 
 
-def _face_sign(l: int) -> int:
-    # (-1)^(l-1); l = 0 gives -1, matching the conventions for the
-    # pure-deformation axis where a nonempty restricted diagram
-    # contributes (1-t)^-1
-    return -1 if (l - 1) % 2 else 1
+def _face_sign(I) -> int:
+    # (-1)^(|I|-2) for the facets of index set I; I = (0,) gives -1,
+    # matching the conventions for the pure-deformation axis where a
+    # nonempty restricted diagram contributes (1-t)^-1
+    return -1 if len(I) % 2 else 1
 
 
-def _contribution(I, facets) -> FactoredZeta:
-    sign = _face_sign(len(I) - 1)
-    return product(factor(f.m, sign * f.nvol) for f in facets)
+def _contribution(facets) -> FactoredZeta:
+    return product(factor(f.m, _face_sign(f.index_set) * f.nvol) for f in facets)
 
 
 def zeta_I(F: GermSeries, I) -> FactoredZeta:
     """Factored zeta contribution of one index set."""
-    idx = _normalize_index_set(F, I)
-    return _contribution(idx, diagram_facets(F, idx))
+    return _contribution(diagram_facets(F, I))
 
 
 def zeta_torus(F: GermSeries) -> FactoredZeta:
@@ -198,7 +194,7 @@ def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, Facto
     index set, which is also one of the factors of the affine one.
     """
     index_sets, read = _index_set_facets(F, facets)
-    parts = [_contribution(I, read(I, I)) for I in index_sets]
+    parts = [_contribution(read(I, I)) for I in index_sets]
     return parts[-1], factor(1, 1) * product(parts)
 
 

@@ -408,13 +408,15 @@ def convex_hull(points):
 class LatticePolytope:
     """Hull of finitely many integer points, stored by its vertex list.
 
-    ``LatticePolytope(vertices)`` takes a nonempty tuple of points of one
-    length, the ambient dimension; ``from_points`` reduces a point set to
-    its true vertices.
+    ``LatticePolytope(vertices)`` takes a nonempty sequence of integer
+    points of one length, the ambient dimension, and stores them as
+    tuples; ``from_points`` reduces a point set to its true vertices.
     """
     vertices: tuple[Vector, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices",
+                           tuple(tuple(map(index, v)) for v in self.vertices))
         if not self.vertices:
             raise ValueError("a polytope needs at least one vertex")
         if any(len(v) != self.ambient_dim for v in self.vertices):

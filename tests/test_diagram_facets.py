@@ -130,8 +130,11 @@ def test_one_polyhedron_gives_every_index_set(n, count):
                 cases.add("factor 1")
             elif I == (0,):
                 cases.add("deformation axis")
+            elif I == index_sets[-1]:
+                # the full index set: the polyhedron's own compact facets
+                cases.add("full index set")
         assert zeta_torus_and_full(F) == per_index_set_zeta(F), F
-    assert cases == {"empty", "factor 1", "deformation axis"}
+    assert cases == {"empty", "factor 1", "deformation axis", "full index set"}
 
 
 V3 = ["s", "z1", "z2"]

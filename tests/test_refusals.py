@@ -32,6 +32,7 @@ from newtonzeta.lattice import (
     int_det,
     minkowski_sum,
     mixed_volume,
+    normalized_volume,
     normalized_volume_at,
     smith_normal_form,
 )
@@ -89,6 +90,9 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
                  id="<lambda>-ValueError-mixed volume of an empty polytope"),
     (lambda: mixed_volume([POINT, LatticePolytope.from_points([(0, 0, 0)])]),
      ValueError, "ambient dimension mismatch"),
+    # the command line refuses this pair first, with its own message
+    (lambda: pencil_germ(CUSP, parse_germ("z1^3", ["s", "z1"])),
+     ValueError, "germs live in different variable counts"),
     (lambda: factor(2, 1).expand_series(-1), ValueError, "order must be nonnegative"),
     (lambda: parse_factored("x"), ValueError, "bad factored form at position 0: 'x'"),
     (lambda: GermSeries(2, {(1,): Fraction(1)}),
@@ -113,6 +117,12 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
            lambda: diagram_facets(suspend_germ(CUSP), (0, 1.5))),
           ("face_polynomial", "float", lambda: face_polynomial(CUSP, (1, 2.9, 1))),
           ("factor", "float", lambda: factor(2.5)),
+          ("LatticePolytope", "Fraction",
+           lambda: LatticePolytope(((0, 0), (Fraction(1, 2), 1)))),
+          ("normalized_volume", "float",
+           lambda: normalized_volume(LatticePolytope(((0.5, 0),)))),
+          ("mixed_volume", "float", lambda: mixed_volume(
+              [LatticePolytope(((0.5, 0),)), LatticePolytope(((0.25, 1),))])),
       ]],
 ])
 def test_library_refusals(call, error, message):
