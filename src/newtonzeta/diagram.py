@@ -105,7 +105,15 @@ def _facet_reader(pts, facets):
 
     def read(label, coords) -> list[DiagramFacet]:
         keep = sum(1 << j for j in coords)
-        face = sum(1 << i for i, s in enumerate(supports) if not s & ~keep)
+        # the points of P ∩ R^I, projected to R^I; every mask read below
+        # lies inside ``face``, so the other points keep None
+        face, proj = 0, []
+        for i, (p, s) in enumerate(zip(pts, supports)):
+            if s & ~keep:
+                proj.append(None)
+            else:
+                face |= 1 << i
+                proj.append(tuple(map(p.__getitem__, coords)))
         # a compact facet of P ∩ R^I holds at least |I| points
         if face.bit_count() < len(coords):
             return []
@@ -113,7 +121,6 @@ def _facet_reader(pts, facets):
         cut = {}  # a facet of P cutting out each face of P ∩ R^I
         for y, _, z in facets:
             cut.setdefault(z & face, y)
-        proj = [tuple(map(p.__getitem__, coords)) for p in pts]
         origin = ((0,) * len(coords),)
         out = []
         for g in _face_facets(face, masks):

@@ -123,10 +123,13 @@ def factor(m: int, e: int = 1) -> FactoredZeta:
 
 
 def product(zs) -> FactoredZeta:
-    out = one()
+    """The product of the factored forms ``zs`` (``one()`` when empty),
+    summed into one map and sorted once."""
+    acc: dict[int, int] = {}
     for z in zs:
-        out = out * z
-    return out
+        for m, e in z.factors:
+            acc[m] = acc.get(m, 0) + e
+    return _from_map(acc)
 
 
 _FACTOR_RE = re.compile(r"\(1-t(?:\^(\d+))?\)(?:\^(-?\d+))?")

@@ -460,7 +460,10 @@ def _face_facets(mask: int, facet_masks) -> list[int]:
     found: list[int] = []
     for m in sorted({mask & z for z in facet_masks} - {mask},
                     key=int.bit_count, reverse=True):
-        if all(m & f != m for f in found):
+        for f in found:
+            if m & f == m:
+                break
+        else:
             found.append(m)
     return found
 

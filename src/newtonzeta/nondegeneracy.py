@@ -6,6 +6,9 @@ compact faces of the restricted diagrams over every index set; every such
 face is also a compact face of the full Newton polyhedron (extend the
 strictly positive covector by sufficiently large entries off the index
 set), so one walk down the full polyhedron's face lattice covers them all.
+The walk cuts a face by the polyhedron's facet bitmasks only when it is
+not a simplicial cone; a simplicial face's facets are its bitmask with one
+bit cleared.
 
 Verdicts:
   * dimension 0: verified automatically (a monomial has no torus critical
@@ -103,12 +106,31 @@ def newton_polyhedron_facets(points, d: int):
     return sorted((y[1:], -y[0], z) for y, z in cone_facets(gens)[1] if any(y[1:]))
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first.
+
+    >>> _bits(0b10110)
+    [1, 2, 4]
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...], int]]:
     """Sorted ``(support_points, dim)`` of the compact faces of
     conv(points) + R_+^d, walked down from the facets a dimension per level
     on the masks of ``newton_polyhedron_facets(points, d)`` (``facets``,
     when the caller has them); a face is compact when it holds no recession
-    axis (no bit from n up), and nonempty."""
+    axis (no bit from n up), and nonempty.
+
+    A face of dimension k whose mask has k + 1 bits (points and recession
+    axes) is a simplicial cone: its facets are the k + 1 masks with one
+    bit cleared, so it is split without a scan of the facet masks; every
+    other face is cut by them (``_face_facets``)."""
     pts = sorted({tuple(map(index, p)) for p in points})
     n = len(pts)
     if facets is None:
@@ -117,12 +139,14 @@ def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...
     out, low = [], (1 << n) - 1
     level, dim = set(masks), d - 1
     while level:
-        out += [(tuple(p for i, p in enumerate(pts) if m >> i & 1), dim)
+        out += [(tuple(map(pts.__getitem__, _bits(m))), dim)
                 for m in level if m >> n == 0]
         # the compact faces inside a face are those on its support points,
         # so one face per point part of a level is expanded
         level = {f for m in {m & low: m for m in level}.values()
-                 for f in _face_facets(m, masks) if f & low}
+                 for f in ([m ^ 1 << i for i in _bits(m)] if m.bit_count() == dim + 1
+                           else _face_facets(m, masks))
+                 if f & low}
         dim -= 1
     return sorted(out, key=lambda face: (face[1], face[0]))
 

@@ -28,6 +28,7 @@ from newtonzeta.lattice import (
     Vector,
     _coords_all,
     _dot,
+    _face_facets,
     _gauss_jordan,
     _minimizers,
     _sub,
@@ -853,6 +854,23 @@ def closure_compact_faces(points, d):
     faces = sorted({tuple(sorted(on)) for on, axes in seen if not axes})
     return sorted(((pts, mat_rank([_sub(p, pts[0]) for p in pts[1:]]))
                    for pts in faces), key=lambda face: (face[1], face[0]))
+
+
+def full_scan_compact_faces(points, d):
+    """``compact_faces`` as the walk that cuts every face, simplicial or
+    not, by all facet masks of the polyhedron (``_face_facets``)."""
+    pts = sorted(set(tuple(p) for p in points))
+    n = len(pts)
+    masks = [z for _, _, z in newton_polyhedron_facets(pts, d)]
+    out, low = [], (1 << n) - 1
+    level, dim = set(masks), d - 1
+    while level:
+        out += [(tuple(p for i, p in enumerate(pts) if m >> i & 1), dim)
+                for m in level if m >> n == 0]
+        level = {f for m in {m & low: m for m in level}.values()
+                 for f in _face_facets(m, masks) if f & low}
+        dim -= 1
+    return sorted(out, key=lambda face: (face[1], face[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,32 @@
 ``normalized_volume`` (a pulling triangulation on the zero-set masks of one
 ``cone_facets`` call) is compared with the recursive fan triangulation, and
 ``compact_faces`` (a top-down walk whose level is the dimension) with the
-pairwise-intersection closure plus a rank per face; both oracles live in
-``tests/helpers.py``.
+pairwise-intersection closure plus a rank per face, and with the walk that
+cuts every face, simplicial ones too, by all facet masks; the oracles live
+in ``tests/helpers.py``.
 """
 
+from itertools import chain
 from math import factorial, gcd, prod
 from random import Random
 
-from helpers import closure_compact_faces, fan_normalized_volume, random_unimodular
-from newtonzeta.lattice import LatticePolytope, convex_hull, mat_rank, normalized_volume
-from newtonzeta.nondegeneracy import compact_faces
+import helpers
+from helpers import (
+    closure_compact_faces,
+    fan_normalized_volume,
+    full_scan_compact_faces,
+    random_unimodular,
+)
+from newtonzeta import nondegeneracy
+from newtonzeta.germ import parse_germ, support
+from newtonzeta.lattice import (
+    LatticePolytope,
+    _face_facets,
+    convex_hull,
+    mat_rank,
+    normalized_volume,
+)
+from newtonzeta.nondegeneracy import compact_faces, newton_polyhedron_facets
 
 
 def _embed(rng, pts, d):
@@ -121,3 +137,73 @@ def test_compact_faces_of_a_point_and_of_a_segment():
     # point (1, 2) lies above the edge
     assert compact_faces([(2, 0), (0, 3), (1, 2)], 2) == [
         (((0, 3),), 0), (((2, 0),), 0), (((0, 3), (2, 0)), 1)]
+
+
+def _sparse_cases(rng):
+    """(kind, points, d) with d = 2..7: a few points with one or two
+    nonzero coordinates, rarely convenient, so that many noncompact faces
+    are simplicial cones."""
+    for d in range(2, 8):
+        for _ in range(6):
+            pts = set()
+            for _ in range(rng.randint(2, d + 3)):
+                p = [0] * d
+                for j in rng.sample(range(d), rng.randint(1, 2)):
+                    p[j] = rng.randint(1, 5)
+                pts.add(tuple(p))
+            yield "sparse", sorted(pts), d
+
+
+def _counting(monkeypatch, module):
+    """Count the calls ``module`` makes to ``_face_facets``, keeping each
+    mask it cuts."""
+    cut = []
+
+    def counted(mask, facet_masks):
+        cut.append(mask)
+        return _face_facets(mask, facet_masks)
+
+    monkeypatch.setattr(module, "_face_facets", counted)
+    return cut
+
+
+def test_compact_faces_split_simplicial_faces(monkeypatch):
+    """Equal to the full-scan walk; no simplicial face (as many mask bits
+    as generators of rank dim + 1) is cut by the facet masks, and the
+    split replaces scans on compact and noncompact faces alike."""
+    walk = _counting(monkeypatch, nondegeneracy)
+    oracle = _counting(monkeypatch, helpers)
+    rng = Random(20261019)
+    skipped = {"compact": 0, "noncompact": 0}
+    for kind, pts, d in chain(_support_cases(rng), _sparse_cases(rng)):
+        walk.clear()
+        oracle.clear()
+        faces = compact_faces(pts, d)
+        assert faces == full_scan_compact_faces(pts, d), (kind, pts)
+        pts = sorted(set(pts))
+        n = len(pts)
+        gens = [(1,) + p for p in pts] + [
+            (0,) * j + (1,) + (0,) * (d - j) for j in range(1, d + 1)]
+
+        def simplicial(m):
+            return m.bit_count() == mat_rank([g for i, g in enumerate(gens) if m >> i & 1])
+
+        assert not any(map(simplicial, walk)), (kind, pts)
+        # both walks expand one face per point part of each level
+        assert len(walk) <= len(oracle), (kind, pts)
+        for m in oracle:
+            if simplicial(m):
+                skipped["noncompact" if m >> n else "compact"] += 1
+    assert all(skipped.values()), skipped
+
+
+def test_scans_on_a_named_germ(monkeypatch):
+    # the Brieskorn-Pham suspension's polyhedron: a compact tetrahedron,
+    # which is split down to its vertices, and four coordinate facets, each
+    # through three points and three recession axes; the full-scan walk
+    # cuts 29 faces
+    walk = _counting(monkeypatch, nondegeneracy)
+    F = parse_germ("z1^2+z2^3+z3^5 - s", ["s", "z1", "z2", "z3"])
+    assert len(newton_polyhedron_facets(support(F), 4)) == 5
+    assert len(compact_faces(support(F), 4)) == 15
+    assert len(walk) == 10

@@ -127,6 +127,25 @@ def test_power_and_product():
         factor(2, 2) * factor(5, -1)
 
 
+def test_product_is_the_left_fold_of_mul():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        zs = [_random_zeta(rng) for _ in range(rng.randint(0, 6))]
+        # a repeated base, and a factor's inverse cancelling it
+        if zs and rng.random() < 0.5:
+            zs.append(zs[rng.randrange(len(zs))])
+        if zs and rng.random() < 0.3:
+            zs.append(zs[rng.randrange(len(zs))].inv())
+        want = one()
+        for z in zs:
+            want = want * z
+        assert product(zs) == want, zs
+        assert product(iter(zs)) == want
+    assert product([]) == one()
+    assert product([factor(3, 2), factor(5), factor(3, -2), factor(5, -1)]) == one()
+    assert product([factor(4)] * 3 + [factor(2, -1)]).factors == ((2, -1), (4, 3))
+
+
 def test_json_shape():
     z = factor(2) * factor(6, -1)
     obj = z.as_json_dict()
