@@ -19,9 +19,11 @@ polyhedron the same cone plus its recession rays at height zero.  It
 runs in the span of its generators, whose rank it returns.  Vertices
 (``_vertices``), the faces of a face (``_face_facets``) and volumes by a
 pulling triangulation (``_pulled_volume``) are read off its zero-set
-bitmasks.  A diagram facet is pulled on the Newton polyhedron's own
-masks, any other point set by one path: ``_saturate``, then ``_measure``,
-summed by ``_mixed`` for mixed volumes (the Cayley oracle's included).
+bitmasks; a simplex is its own triangulation, and is measured by one
+determinant without them.  A diagram facet is pulled on the Newton
+polyhedron's own masks, any other point set by one path: ``_saturate``,
+then ``_measure``, summed by ``_mixed`` for mixed volumes (the Cayley
+oracle's included).
 Points are checked once, at entry, where ``operator.index`` refuses
 anything but integers; ``cone_facets`` takes them as built.
 """
@@ -311,19 +313,24 @@ def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
     D = len(gens[0])
     order = sorted(range(len(gens)), key=gens.__getitem__)
     N = len(order)
-    pivots, a, lam = _gauss_jordan(
-        [list(row) + [int(i == j) for j in range(D)]
-         for i, row in enumerate(zip(*(gens[k] for k in order)))], N)
+    rows = [[*row, *[0] * D] for row in zip(*(gens[k] for k in order))]
+    for i, row in enumerate(rows):
+        row[N + i] = 1
+    pivots, a, lam = _gauss_jordan(rows, N)
     if not pivots:
         raise InvariantViolation("cone generators are all zero")
     rank = len(pivots)
     full = sum(1 << order[c] for c in pivots)
+    sign = 1 if lam > 0 else -1
     rays = []
     for c, row in zip(pivots, a):
-        q = gcd(*row[N:]) if lam > 0 else -gcd(*row[N:])
-        rays.append((tuple(x // q for x in row[N:]), full & ~(1 << order[c])))
+        y = row[N:]
+        q = sign * gcd(*y)
+        rays.append((tuple([x // q for x in y]), full & ~(1 << order[c])))
     basis = set(pivots)
-    for k in (k for c, k in enumerate(order) if c not in basis):
+    for c, k in enumerate(order):
+        if c in basis:
+            continue
         g = gens[k]
         bit = 1 << k
         pos, neg, kept = [], [], []
@@ -336,17 +343,23 @@ def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
                 neg.append((r, z, s))
             else:
                 kept.append((r, z | bit))
-        if neg:
+        if pos and neg:
             masks = [z for _, z in rays]
             for p, zp, sp in pos:
                 for n, zn, sn in neg:
                     z = zp & zn
-                    if z.bit_count() < rank - 2 or \
-                            sum(1 for m in masks if m & z == z) > 2:
+                    if z.bit_count() < rank - 2:
                         continue
-                    v = [sp * x - sn * y for x, y in zip(n, p)]
-                    c = gcd(*v)
-                    kept.append((tuple(x // c for x in v), z | bit))
+                    seen = 0  # rays vanishing on z: adjacent iff only p and n
+                    for m in masks:
+                        if m & z == z:
+                            seen += 1
+                            if seen > 2:
+                                break
+                    else:
+                        v = [sp * x - sn * y for x, y in zip(n, p)]
+                        q = gcd(*v)
+                        kept.append((tuple([x // q for x in v]), z | bit))
         rays = kept
     return rank, rays
 
@@ -501,13 +514,24 @@ def _saturate(point_sets) -> tuple[int, list[list[Vector]]]:
 
 
 def _measure(pts, m: int) -> int:
-    """m! vol_m of the hull of distinct points of Z^k, k <= m, pulled on
-    the masks of one ``cone_facets`` call; 0 below dimension m.
+    """m! vol_m of the hull of distinct points of Z^k, k <= m; 0 below
+    dimension m.  Fewer than m + 1 points, or k < m, give 0 at once; m + 1
+    points are a simplex, or flat with determinant 0, and take one
+    ``|det|``; larger sets are pulled on the masks of one ``cone_facets``
+    call.
 
     >>> r, (tri,) = _saturate([[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
     >>> r, _measure(tri, r)
     (2, 1)
+    >>> _measure([(0, 0), (2, 1), (1, 3)], 2)
+    5
+    >>> _measure([(0,), (1,), (2,)], 2)  # three points of a line
+    0
     """
+    if len(pts) <= m or len(pts[0]) < m:
+        return 0
+    if len(pts) == m + 1:
+        return abs(int_det([_sub(p, pts[0]) for p in pts[1:]]))
     rank, cone = cone_facets([(1,) + p for p in pts])
     return 0 if rank <= m else _pulled_volume(
         (1 << len(pts)) - 1, m, pts, [z for _, z in cone], ())

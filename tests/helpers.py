@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from newtonzeta.diagram import (
     DiagramFacet,
@@ -31,6 +32,7 @@ from newtonzeta.lattice import (
     _face_facets,
     _gauss_jordan,
     _minimizers,
+    _pulled_volume,
     _sub,
     cone_facets,
     convex_hull,
@@ -1324,3 +1326,63 @@ def pointwise_restrict_support(S, I) -> frozenset[Exponent]:
         if all(p[i] == 0 for i in range(len(p)) if i not in idx):
             out.add(tuple(p[i] for i in idx))
     return frozenset(out)
+
+
+# the facet engine as it was before its fixed cost was trimmed, and the
+# volume step that sent every point set through it, simplices included;
+# kept as the oracles of test_facet_engine and test_lattice
+
+
+def reference_cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
+    """``lattice.cone_facets`` before the trim: the same rank, rays, ray
+    order and masks."""
+    D = len(gens[0])
+    order = sorted(range(len(gens)), key=gens.__getitem__)
+    N = len(order)
+    pivots, a, lam = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(D)]
+         for i, row in enumerate(zip(*(gens[k] for k in order)))], N)
+    if not pivots:
+        raise InvariantViolation("cone generators are all zero")
+    rank = len(pivots)
+    full = sum(1 << order[c] for c in pivots)
+    rays = []
+    for c, row in zip(pivots, a):
+        q = gcd(*row[N:]) if lam > 0 else -gcd(*row[N:])
+        rays.append((tuple(x // q for x in row[N:]), full & ~(1 << order[c])))
+    basis = set(pivots)
+    for k in (k for c, k in enumerate(order) if c not in basis):
+        g = gens[k]
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            s = sum(map(mul, g, r))
+            if s > 0:
+                pos.append((r, z, s))
+                kept.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                kept.append((r, z | bit))
+        if neg:
+            masks = [z for _, z in rays]
+            for p, zp, sp in pos:
+                for n, zn, sn in neg:
+                    z = zp & zn
+                    if z.bit_count() < rank - 2 or \
+                            sum(1 for m in masks if m & z == z) > 2:
+                        continue
+                    v = [sp * x - sn * y for x, y in zip(n, p)]
+                    c = gcd(*v)
+                    kept.append((tuple(x // c for x in v), z | bit))
+        rays = kept
+    return rank, rays
+
+
+def engine_measure(pts, m: int) -> int:
+    """``lattice._measure`` before the simplex shortcut: m! vol_m of the
+    hull of distinct points of Z^k, k <= m, pulled on the masks of one
+    facet-engine call whatever the number of points; 0 below dimension m."""
+    rank, cone = reference_cone_facets([(1,) + p for p in pts])
+    return 0 if rank <= m else _pulled_volume(
+        (1 << len(pts)) - 1, m, pts, [z for _, z in cone], ())

@@ -10,6 +10,7 @@ from helpers import (
     brute_newton_polyhedron_facets,
     random_point_set,
     rank_vertices,
+    reference_cone_facets,
     two_elimination_cone_facets,
 )
 from newtonzeta.lattice import (
@@ -200,3 +201,25 @@ def test_cone_facets_match_the_two_elimination_engine():
             seen.add("cone negative")
     assert seen == {"newton", "newton unsorted", "hull", "cone", "cone unsorted",
                     "cone negative", "not spanning"}
+
+
+
+def test_cone_facets_equal_the_reference_engine_in_order():
+    # the trimmed engine returns the rank and the very ray list of the
+    # engine it replaced: the same normals and masks in the same order;
+    # each set also runs with some of its generators repeated
+    rng = random.Random(4242)
+    seen = set()
+    for kind, gens in _cone_inputs(rng):
+        repeated = gens + rng.sample(gens, min(3, len(gens)))
+        rng.shuffle(repeated)
+        for g in (gens, repeated):
+            rank, rays = cone_facets(g)
+            assert (rank, rays) == reference_cone_facets(g), g
+            seen.add(kind if rank == len(g[0]) else "not spanning")
+    assert seen == {"newton", "hull", "cone", "not spanning"}
+    for gens in ([(0, 0, 0), (0, 0, 0)], [(0,)], [(0, 0)] * 4):
+        with pytest.raises(InvariantViolation, match="all zero"):
+            cone_facets(gens)
+        with pytest.raises(InvariantViolation, match="all zero"):
+            reference_cone_facets(gens)

@@ -6,16 +6,20 @@ import pytest
 from helpers import (
     apply_matrix,
     dilate,
+    engine_measure,
     euclid_smith_normal_form,
     nvol_boundary_recursion,
     orthocomplement_line,
     random_lattice_simplex,
+    random_point_set,
     random_unimodular,
     simplex_nvol_oracle,
 )
+from newtonzeta import lattice
 from newtonzeta.lattice import (
     LatticePolytope,
     _dot,
+    _measure,
     _minimizers,
     convex_hull,
     coords_in_basis,
@@ -292,6 +296,49 @@ def test_volume_simplices_against_minor_gcd_oracle():
         P = LatticePolytope.from_points(pts)
         assert convex_hull(pts)[1] == l
         assert normalized_volume(P) == simplex_nvol_oracle(pts)
+
+
+def _small_sets(rng):
+    """Seeded sets of at most m + 1 distinct points of Z^k, k <= m, with
+    their kind: full simplices, flat ones (collinear or coplanar, moved by
+    a unimodular map), m + 1 points of Z^k with k < m, and fewer than
+    m + 1 points."""
+    out = [("simplex", [()], 0)]
+    for i in range(400):
+        kind = ("simplex", "flat", "low", "few")[i % 4]
+        m = rng.randint(2 if kind in ("flat", "low") else 1, 5)
+        if kind == "simplex":
+            pts = random_lattice_simplex(rng, m, m, 4)
+        elif kind == "flat":
+            # in the plane x_m = 0 or on one line
+            shares = rng.choice([(1.0, 0.0), (0.0, 1.0)])
+            M = random_unimodular(rng, m)
+            pts = [apply_matrix(M, p)
+                   for p in random_point_set(rng, m, m + 1, 3, *shares)]
+        elif kind == "low":
+            pts = random_point_set(rng, rng.randint(1, m - 1), m + 1, 3)
+        else:
+            pts = random_point_set(rng, m, rng.randint(1, m), 3)
+        rng.shuffle(pts)
+        out.append((kind, pts, m))
+    return out
+
+
+def test_measure_takes_small_sets_without_the_facet_engine(monkeypatch):
+    calls = []
+    engine = lattice.cone_facets
+    monkeypatch.setattr(lattice, "cone_facets",
+                        lambda gens: calls.append(1) or engine(gens))
+    for kind, pts, m in _small_sets(random.Random(53)):
+        got = _measure(pts, m)
+        assert got == engine_measure(pts, m), (kind, pts, m)
+        if len(pts) == m + 1:
+            assert got == simplex_nvol_oracle(pts), (kind, pts, m)
+        assert (got > 0) == (kind == "simplex"), (kind, pts, m)
+    assert calls == []
+    # the counter sees the engine: m + 2 points still take one call
+    assert _measure([(0, 0), (2, 0), (0, 2), (1, 1)], 2) == 4
+    assert calls == [1]
 
 
 def test_volume_translation_and_unimodular_invariance():
