@@ -6,11 +6,12 @@ Everything runs on Python ints; ``fractions.Fraction`` appears only in the
 mixed-volume results.  No floating point enters this module, so all
 results are exact.
 
-Every exact elimination (rank, coordinates in a basis, the starting rays
-of the facet engine) is one fraction-free Gauss-Jordan routine,
+Every exact elimination (rank, coordinates in a given basis, the starting
+rays of the facet engine) is one fraction-free Gauss-Jordan routine,
 ``_gauss_jordan`` (Bareiss, *Sylvester's identity and multistep
-integer-preserving Gaussian elimination*, Math. Comp. 22, 1968), and
-saturation lattices come from one Smith normal form loop.
+integer-preserving Gaussian elimination*, Math. Comp. 22, 1968); a
+saturation lattice, and the coordinates in it of the vectors that span
+it, come from one Smith normal form.
 
 Facets come from one integer double-description routine (``cone_facets``,
 after Fukuda & Prodon, *Double description method revisited*, 1996): a
@@ -229,8 +230,6 @@ def saturation_basis(vectors) -> list[Vector]:
     returned rows; they realize the lattice in which face volumes are
     normalized.
     """
-    if not vectors:
-        return []
     _, D, V = smith_normal_form(vectors)
     return [tuple(v) for i, (v, row) in enumerate(zip(V, D)) if row[i]]
 
@@ -238,29 +237,22 @@ def saturation_basis(vectors) -> list[Vector]:
 def coords_in_basis(basis, v) -> Vector:
     """Integer coordinates of v in a basis of independent integer rows.
 
-    Raises ValueError if v is outside the span or outside the lattice the
-    rows generate.
+    Raises ValueError if v and the rows differ in length, or if v is
+    outside the span or outside the lattice the rows generate.
     """
-    return _coords_all(basis, [v])[0]
-
-
-def _coords_all(basis, vectors) -> list[Vector]:
-    """``coords_in_basis`` of each vector, from one elimination of
-    ``[B^T | v_1 ... v_k]``; the first vector that fails raises."""
+    if any(len(b) != len(v) for b in basis):
+        raise ValueError("basis rows and vector differ in length")
     r = len(basis)
-    pivots, a, p = _gauss_jordan(zip(*basis, *vectors), r)
-    out = []
-    for k in range(r, r + len(vectors)):
-        if any(row[k] for row in a[len(pivots):]):
-            raise ValueError("vector outside the span")
-        sol = [0] * r
-        for row, c in zip(a, pivots):
-            q, rem = divmod(row[k], p)
-            if rem:
-                raise ValueError("vector outside the lattice generated by the basis")
-            sol[c] = q
-        out.append(tuple(sol))
-    return out
+    pivots, a, p = _gauss_jordan(zip(*basis, v), r)
+    if any(row[r] for row in a[len(pivots):]):
+        raise ValueError("vector outside the span")
+    sol = [0] * r
+    for row, c in zip(a, pivots):
+        q, rem = divmod(row[r], p)
+        if rem:
+            raise ValueError("vector outside the lattice generated by the basis")
+        sol[c] = q
+    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +443,6 @@ def _minimizers(points, alpha) -> tuple[int, list]:
     >>> _minimizers([(1, 0), (0, 2), (2, 1)], (2, 1))
     (2, [(1, 0), (0, 2)])
     """
-    if not points:
-        raise ValueError("empty point set")
     if len(alpha) != len(points[0]):
         raise ValueError("covector dimension mismatch")
     if any(a <= 0 for a in alpha):
@@ -500,17 +490,24 @@ def _pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
 
 
 def _saturate(point_sets) -> tuple[int, list[list[Vector]]]:
-    """``(r, mapped)``: the rank of the sets' common direction space and
-    each set, moved by its first point, in coordinates of that space's
-    saturation lattice (its real span intersected with Z^D).
+    """``(r, mapped)``: the rank of the nonempty sets' common direction
+    space and each set, moved by its first point, in coordinates of that
+    space's saturation lattice (its real span intersected with Z^D).
+
+    One Smith normal form ``M = U D V`` of the stacked differences gives
+    both: the basis is ``saturation_basis``'s, the first r rows of V, and
+    row i of M has coordinates ``U[i][s] D[s][s]``, s < r, in it.
 
     >>> r, (segment,) = _saturate([[(2, 0), (0, 2)]])
     >>> r, segment, _measure(segment, r)
     (1, [(0,), (-2,)], 2)
     """
-    diffs = [[_sub(p, ps[0]) for p in ps] for ps in point_sets]
-    B = saturation_basis([v for ds in diffs for v in ds[1:]])
-    return len(B), [_coords_all(B, ds) for ds in diffs]
+    diffs = [[_sub(p, ps[0]) for p in ps[1:]] for ps in point_sets]
+    U, D, _ = smith_normal_form([v for ds in diffs for v in ds])
+    diag = [row[s] for s, row in enumerate(D) if s < len(row) and row[s]]
+    r = len(diag)
+    coords = iter([tuple(map(mul, u, diag)) for u in U])
+    return r, [[(0,) * r] + [next(coords) for _ in ds] for ds in diffs]
 
 
 def _measure(pts, m: int) -> int:

@@ -33,10 +33,10 @@ from operator import index, mul
 from .germ import Exponent, GermSeries, check_z_variables, support
 from .lattice import (
     InvariantViolation,
-    _coords_all,
     _face_facets,
     _sub,
     cone_facets,
+    coords_in_basis,
     primitive,
     smith_normal_form,
 )
@@ -99,6 +99,8 @@ def newton_polyhedron_facets(points, d: int):
     pts = sorted({tuple(map(index, p)) for p in points})
     if not pts:
         raise ValueError("empty support")
+    if any(len(p) != d for p in pts):
+        raise ValueError(f"support points must have {d} coordinates")
     gens = [(1,) + p for p in pts] + \
         [(0,) * (i + 1) + (1,) + (0,) * (d - 1 - i) for i in range(d)]
     # the normal with a = 0 is the facet at infinity, not a facet of the
@@ -253,7 +255,7 @@ def _edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
         # w = U V[0] with V unimodular: x_i = root^k_i for k = U V^-1 e_1
         # (so w.k = 1) puts root on the edge's monomial x^w
         U, _, V = smith_normal_form([list(w)])
-        (c,) = _coords_all(list(zip(*V)), [(1,) + (0,) * (d - 1)])
+        c = coords_in_basis(list(zip(*V)), (1,) + (0,) * (d - 1))
         ks = [U[0][0] * k for k in c]
         if sum(map(mul, w, ks)) != 1:
             raise InvariantViolation("edge direction has no unimodular completion")

@@ -27,7 +27,6 @@ from newtonzeta.lattice import (
     InvariantViolation,
     LatticePolytope,
     Vector,
-    _coords_all,
     _dot,
     _face_facets,
     _gauss_jordan,
@@ -36,6 +35,7 @@ from newtonzeta.lattice import (
     _sub,
     cone_facets,
     convex_hull,
+    coords_in_basis,
     int_det,
     mat_rank,
     minkowski_sum,
@@ -311,8 +311,6 @@ def nvol_boundary_recursion(points) -> int:
     the saturation lattices of their direction spaces.  Independent of the
     pulling triangulation used by the library.
     """
-    from newtonzeta.lattice import convex_hull, coords_in_basis, saturation_basis
-
     def to_full_dim(pts):
         base = pts[0]
         diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
@@ -401,7 +399,7 @@ def recursive_convex_hull(points):
         return vertices, dim, facets
     # degenerate: recurse inside the saturation lattice of the direction span
     B = saturation_basis(diffs)
-    sat = _coords_all(B, [_sub(p, base) for p in uniq])
+    sat = [coords_in_basis(B, _sub(p, base)) for p in uniq]
     backmap = dict(zip(sat, uniq))
     sverts, _, _ = recursive_convex_hull(sat)
     return sorted(backmap[v] for v in sverts), dim, []
@@ -460,7 +458,7 @@ def polarization_mixed_volume(bodies) -> Fraction:
     for K in Ks:
         b = K.vertices[0]
         mapped.append(LatticePolytope.from_points(
-            _coords_all(B, [_sub(v, b) for v in K.vertices])))
+            [coords_in_basis(B, _sub(v, b)) for v in K.vertices]))
     distinct: list[LatticePolytope] = []
     counts: list[int] = []
     for K in mapped:
@@ -803,7 +801,7 @@ def _triangulate_full(pts, l: int):
         fverts = [p for p in verts if _dot(a, p) == c]
         fbase = fverts[0]
         B = saturation_basis([_sub(p, fbase) for p in fverts[1:]])
-        coords = _coords_all(B, [_sub(p, fbase) for p in fverts])
+        coords = [coords_in_basis(B, _sub(p, fbase)) for p in fverts]
         backmap = dict(zip(coords, fverts))
         for fs in _triangulate_full(sorted(coords), l - 1):
             simplices.append((apex,) + tuple(backmap[q] for q in fs))
@@ -827,7 +825,8 @@ def fan_normalized_volume(points) -> int:
         return 1
     base = verts[0]
     diffs = [_sub(v, base) for v in verts]
-    return _nvol_full(_coords_all(saturation_basis(diffs[1:]), diffs), dim)
+    B = saturation_basis(diffs[1:])
+    return _nvol_full([coords_in_basis(B, v) for v in diffs], dim)
 
 
 def closure_compact_faces(points, d):
@@ -1298,8 +1297,10 @@ def saturated_hull_cone(uniq):
     dim = mat_rank(diffs[1:])
     if dim == 0:  # one point: the one facet cone_facets([(1,)]) would return
         return 0, [()], [((1,), 0)]
-    coords = uniq if dim == len(base) else \
-        _coords_all(saturation_basis(diffs[1:]), diffs)
+    coords = uniq
+    if dim < len(base):
+        B = saturation_basis(diffs[1:])
+        coords = [coords_in_basis(B, v) for v in diffs]
     return dim, coords, cone_facets([(1,) + p for p in coords])[1]
 
 
@@ -1386,3 +1387,12 @@ def engine_measure(pts, m: int) -> int:
     rank, cone = reference_cone_facets([(1,) + p for p in pts])
     return 0 if rank <= m else _pulled_volume(
         (1 << len(pts)) - 1, m, pts, [z for _, z in cone], ())
+
+
+def two_step_saturate(point_sets):
+    """``lattice._saturate`` as two eliminations: ``saturation_basis`` of
+    the stacked differences to each set's first point, then
+    ``coords_in_basis`` of every difference in that basis."""
+    diffs = [[_sub(p, ps[0]) for p in ps] for ps in point_sets]
+    B = saturation_basis([v for ds in diffs for v in ds[1:]])
+    return len(B), [[coords_in_basis(B, v) for v in ds] for ds in diffs]

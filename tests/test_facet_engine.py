@@ -15,10 +15,10 @@ from helpers import (
 )
 from newtonzeta.lattice import (
     InvariantViolation,
-    _coords_all,
     _dot,
     cone_facets,
     convex_hull,
+    coords_in_basis,
     mat_rank,
     saturation_basis,
 )
@@ -191,7 +191,8 @@ def test_cone_facets_match_the_two_elimination_engine():
             assert got == sorted(two_elimination_cone_facets(gens)), gens
             seen.add(kind)
         else:
-            coords = _coords_all(saturation_basis(gens), gens)
+            B = saturation_basis(gens)
+            coords = [coords_in_basis(B, g) for g in gens]
             assert sorted(z for _, z in got) == \
                 sorted(z for _, z in two_elimination_cone_facets(coords)), gens
             seen.add("not spanning")

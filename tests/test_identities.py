@@ -135,8 +135,8 @@ def test_cayley_identity_hulls_once_and_saturates_once(monkeypatch):
     hull = counted("convex_hull", lattice.convex_hull)
     monkeypatch.setattr(lattice, "convex_hull", hull)
     monkeypatch.setattr(diagram, "convex_hull", hull)
-    monkeypatch.setattr(lattice, "saturation_basis",
-                        counted("saturation_basis", lattice.saturation_basis))
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        counted("smith_normal_form", lattice.smith_normal_form))
     mixed = counted("mixed_volume", lattice.mixed_volume)
     monkeypatch.setattr(lattice, "mixed_volume", mixed)
     monkeypatch.setattr(diagram, "mixed_volume", mixed, raising=False)
@@ -144,7 +144,7 @@ def test_cayley_identity_hulls_once_and_saturates_once(monkeypatch):
     monkeypatch.setattr(lattice.LatticePolytope, "from_points",
                         classmethod(lambda cls, pts: from_points(pts)))
     assert cayley_mixed_volume_identity(f0, f1, I, facet)
-    assert calls == {"convex_hull": 1, "saturation_basis": 1}
+    assert calls == {"convex_hull": 1, "smith_normal_form": 1}
 
 
 def _verdict(identity, f0, f1, I, facet):

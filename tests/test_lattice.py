@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     random_point_set,
     random_unimodular,
     simplex_nvol_oracle,
+    two_step_saturate,
 )
 from newtonzeta import lattice
 from newtonzeta.lattice import (
@@ -21,6 +23,7 @@ from newtonzeta.lattice import (
     _dot,
     _measure,
     _minimizers,
+    _saturate,
     convex_hull,
     coords_in_basis,
     int_det,
@@ -170,6 +173,69 @@ def test_saturation_contains_all_integer_span_points():
         B = saturation_basis(vecs)
         for v in vecs:
             coords_in_basis(B, v)
+
+
+def _saturate_cases(rng, count):
+    """``count`` tuples of 1 to 3 point sets in one Z^D, each with the
+    kinds it holds: single points, one point repeated (rank 0), and sets
+    in the span of k <= D shared integer vectors, scaled so that they
+    often generate less than the saturation of their span."""
+    for _ in range(count):
+        D = rng.randint(1, 5)
+        gens = []
+        for _ in range(rng.randint(0, D)):
+            f = rng.choice([1, 1, 2, 3])
+            gens.append([f * rng.randint(-3, 3) for _ in range(D)])
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            base = [rng.randint(-4, 4) for _ in range(D)]
+            size = rng.choice([1, rng.randint(2, 6)])
+            repeated = rng.random() < 0.2
+            pts = []
+            for _ in range(size):
+                c = [0 if repeated else rng.randint(-2, 2) for _ in gens]
+                pts.append(tuple(b + sum(ci * g[j] for ci, g in zip(c, gens))
+                                 for j, b in enumerate(base)))
+            sets.append(pts)
+        diffs = [tuple(x - y for x, y in zip(p, ps[0]))
+                 for ps in sets for p in ps[1:]]
+        rank = mat_rank(diffs)
+        smith_D = euclid_smith_normal_form(diffs)[1] if diffs else []
+        kinds = {"single point" for ps in sets if len(ps) == 1}
+        kinds |= {"rank 0" for ps in sets if len(ps) > 1 and len(set(ps)) == 1}
+        kinds.add("several sets" if len(sets) > 1 else "one set")
+        kinds.add("full rank" if rank == D else "lower rank" if rank else "all rank 0")
+        if any(i < len(row) and row[i] > 1 for i, row in enumerate(smith_D)):
+            kinds.add("coarser than the saturation")
+        yield sets, kinds
+
+
+def test_saturate_matches_the_two_step_saturation():
+    # one Smith normal form answers what saturation_basis and then
+    # coords_in_basis of each difference gave
+    seen = set()
+    for sets, kinds in _saturate_cases(random.Random(26), 2400):
+        assert _saturate(sets) == two_step_saturate(sets), sets
+        seen |= kinds
+    assert seen == {"single point", "rank 0", "several sets", "one set",
+                    "full rank", "lower rank", "all rank 0",
+                    "coarser than the saturation"}
+
+
+def test_saturate_makes_one_smith_normal_form_and_no_elimination(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        counted("smith_normal_form", lattice.smith_normal_form))
+    monkeypatch.setattr(lattice, "_gauss_jordan",
+                        counted("_gauss_jordan", lattice._gauss_jordan))
+    for sets, _ in _saturate_cases(random.Random(27), 200):
+        calls.clear()
+        _saturate(sets)
+        assert calls == {"smith_normal_form": 1}, sets
 
 
 # ---------------------------------------------------------------------------

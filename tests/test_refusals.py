@@ -27,8 +27,8 @@ from newtonzeta.germ import (
 )
 from newtonzeta.lattice import (
     LatticePolytope,
-    _minimizers,
     convex_hull,
+    coords_in_basis,
     int_det,
     minkowski_sum,
     mixed_volume,
@@ -71,7 +71,6 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
     (lambda: convex_hull([]), ValueError, "convex_hull needs at least one point"),
     (lambda: convex_hull([(0, 0), (1,)]),
      ValueError, "points must share a positive ambient dimension"),
-    (lambda: _minimizers([], (1, 1)), ValueError, "empty point set"),
     (lambda: face_polynomial(CUSP, (1, 1, 1, 1)),
      ValueError, "covector dimension mismatch"),
     (lambda: normalized_volume_at(POINT, -1),
@@ -99,6 +98,25 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
      ValueError, "exponent (1,) has wrong length"),
     (lambda: GermSeries(2, {(0, 1): Fraction(0)}), ValueError, "zero coefficient stored"),
     (lambda: newton_polyhedron_facets([], 2), ValueError, "empty support"),
+    # vectors of unequal length are refused, never truncated to the shorter
+    *[pytest.param(call, ValueError, message, id=f"ValueError-{name}-{case}")
+      for name, case, message, call in [
+          ("coords_in_basis", "vector longer than the basis rows",
+           "basis rows and vector differ in length",
+           lambda: coords_in_basis([(1, 0)], (1, 0, 5))),
+          ("coords_in_basis", "basis rows of two lengths",
+           "basis rows and vector differ in length",
+           lambda: coords_in_basis([(1, 0), (0, 1, 3)], (1, 1))),
+          ("newton_polyhedron_facets", "points in Z^3",
+           "support points must have 2 coordinates",
+           lambda: newton_polyhedron_facets([(1, 0, 0), (0, 1, 0)], 2)),
+          ("newton_polyhedron_facets", "points of two lengths",
+           "support points must have 2 coordinates",
+           lambda: newton_polyhedron_facets([(1, 0), (0,)], 2)),
+          ("compact_faces", "points in Z^3",
+           "support points must have 2 coordinates",
+           lambda: compact_faces([(1, 0, 0), (0, 1, 0)], 2)),
+      ]],
     # a non-integer is refused, never truncated to the integer below it
     *[pytest.param(call, TypeError, NOT_INT % kind, id=f"TypeError-{name}")
       for name, kind, call in [
