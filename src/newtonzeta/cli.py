@@ -154,9 +154,8 @@ def cmd_zeta(args):
 def cmd_diagram(args):
     F, names = _load_germ(args)
     pts = support(F)
-    index_sets, read = _index_set_facets(F)
     rows = []
-    for I in index_sets:
+    for I, facets in _index_set_facets(F).items():
         sign = _face_sign(I)
         rows.append({"indices": list(I),
                      "support": [list(p) for p in sorted(restrict_support(pts, I))],
@@ -164,7 +163,7 @@ def cmd_diagram(args):
                                  "nvol": fac.nvol, "sign": sign,
                                  "vertices": [list(v) for v in fac.vertices],
                                  "factor": {"m": fac.m, "e": sign * fac.nvol}}
-                                for fac in read(I, I)]})
+                                for fac in facets]})
     return {"vars": names, "germ": germ_to_string(F, names),
             "index_sets": rows}, EXIT_OK
 

@@ -8,14 +8,17 @@ positive primitive inner normal is a diagram facet and contributes a factor
 (Varchenko, Invent. Math. 37, 1976).
 
 Every index set, the full one too, is read off the one Newton polyhedron
-P = conv(S) + R_+^d down one path.  For S_I nonempty, conv(S_I) + R_+^I is
-the face of P where sum_{j not in I} x_j is 0 (P for the full I); its
-generators are the points with zero coordinates off I and the recession
-axes in I.  The facets of that face are its maximal proper intersections
-with P's facets (Kaibel & Pfetsch, Comput. Geom. 23, 2002), and the
-compact ones are I's diagram facets, so ``_index_set_facets`` serves the
-zeta functions, the CLI and the identity checks; ``diagram_facets(F, I)``
-reads I as the full index set of the polyhedron of S_I.
+P = conv(S) + R_+^d.  For S_I nonempty, conv(S_I) + R_+^I is the face
+P ∩ R^I of P (P for the full I); its generators are the points with zero
+coordinates off I and the recession axes in I, and P ∩ R^(I∖j), when it
+holds a point, is a facet of it.  So ``_index_set_facets`` reads every
+index set in one walk down the subset lattice from P: a face's facets are
+its maximal proper intersections with the facets of the face above it
+(Kaibel & Pfetsch, Comput. Geom. 23, 2002), each cut out by a facet of P
+whose normal gives its own, and the compact ones are I's diagram facets.
+The table serves the zeta functions, the CLI and the identity checks;
+``diagram_facets(F, I)`` reads the facets of the polyhedron of S_I as
+they are and cuts no face.
 """
 
 from __future__ import annotations
@@ -80,62 +83,37 @@ def _normalize_index_set(F: GermSeries, I) -> tuple[int, ...]:
     return idx
 
 
-def _facet_reader(pts, facets):
-    """Read index sets' diagram facets off one Newton polyhedron.
+def _records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
+    """The diagram facets, sorted by normal, of the face P ∩ R^I of a
+    Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask,
+    ``coords`` are the positions of I in R^d and ``label`` names I.
 
-    ``pts`` are the sorted distinct points of P = conv(pts) + R_+^d and
-    ``facets`` its ``newton_polyhedron_facets``.  Returns a function of
-    ``(label, coords)``: the records, sorted by normal, of the index set
-    whose coordinate positions in R^d are ``coords`` (labelled ``label``).
-
-    Every index set takes one path.  With each point's coordinate support
-    a bitmask, computed once, the face P ∩ R^I is the points whose support
-    lies in I plus the recession axes in I: all of P for the full I.
-    A facet of P that cuts out a diagram facet G of P ∩ R^I has a normal
-    y nonzero on I, so y on I is a positive multiple of G's normal ``a``.
-    The volume is read off the pyramid from the origin: the primitive
-    ``a`` puts the origin at lattice height ``c`` (the offset) below G,
-    and the pyramid's normalized |I|-volume, summed over the pulling
-    triangulation of G's mask, is ``c * nvol``.
+    ``cut`` maps each facet mask of the face to the normal y of a facet of
+    P that cuts it out, ``verts`` is the set of P's vertices.  A compact
+    facet G (no recession axis) has y nonzero on ``coords``, and y there
+    is a positive multiple of G's normal ``a``.  The volume is read off the
+    pyramid from the origin: the primitive ``a`` puts the origin at
+    lattice height ``c`` (the offset) below G, and the pyramid's
+    normalized |I|-volume, summed over the pulling triangulation of G on
+    the face's facet masks, is ``c * nvol``.
     """
-    n = len(pts)
-    masks = [z for _, _, z in facets]
-    verts = set(_vertices(pts, masks))
-    supports = [sum(1 << j for j, x in enumerate(p) if x) for p in pts]
-
-    def read(label, coords) -> list[DiagramFacet]:
-        keep = sum(1 << j for j in coords)
-        # the points of P ∩ R^I, projected to R^I; every mask read below
-        # lies inside ``face``, so the other points keep None
-        face, proj = 0, []
-        for i, (p, s) in enumerate(zip(pts, supports)):
-            if s & ~keep:
-                proj.append(None)
-            else:
-                face |= 1 << i
-                proj.append(tuple(map(p.__getitem__, coords)))
-        # a compact facet of P ∩ R^I holds at least |I| points
-        if face.bit_count() < len(coords):
-            return []
-        face |= keep << n
-        cut = {}  # a facet of P cutting out each face of P ∩ R^I
-        for y, _, z in facets:
-            cut.setdefault(z & face, y)
-        origin = ((0,) * len(coords),)
-        out = []
-        for g in _face_facets(face, masks):
-            if g >> n:
-                continue
-            a = primitive(tuple(map(cut[g].__getitem__, coords)))
-            c = _dot(a, proj[(g & -g).bit_length() - 1])
-            nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, masks, origin), c)
-            if rem:
-                raise InvariantViolation("pyramid volume is not a multiple of its height")
-            out.append(DiagramFacet(label, a, a[0], tuple(
-                p for i, p in enumerate(proj) if g >> i & 1 and pts[i] in verts), nvol))
-        return sorted(out, key=lambda f: f.normal)
-
-    return read
+    # the points of the face, projected to R^I; every mask read below
+    # lies inside ``face``, so the other points keep None
+    proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
+            for i, p in enumerate(pts)]
+    origin = ((0,) * len(coords),)
+    out = []
+    for g, y in cut.items():
+        if g >> len(pts):
+            continue
+        a = primitive(tuple(map(y.__getitem__, coords)))
+        c = _dot(a, proj[(g & -g).bit_length() - 1])
+        nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, cut, origin), c)
+        if rem:
+            raise InvariantViolation("pyramid volume is not a multiple of its height")
+        out.append(DiagramFacet(label, a, a[0], tuple(
+            p for i, p in enumerate(proj) if g >> i & 1 and pts[i] in verts), nvol))
+    return sorted(out, key=lambda f: f.normal)
 
 
 def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
@@ -143,27 +121,56 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
 
     Each is a compact (|I|-1)-face; its vertices are the polyhedron's
     vertices on it.  Returns one facet record per face, sorted by normal;
-    empty when the restricted support is empty.  Read off the polyhedron
-    of S_I alone (``_facet_reader`` with I as the full index set).
+    empty when the restricted support is empty.  Read off the facets of
+    the polyhedron of S_I alone, which cuts no face.
     """
     idx = _normalize_index_set(F, I)
-    d = len(idx)
     S = sorted(restrict_support(support(F), idx))
     if not S:
         return []
-    return _facet_reader(S, newton_polyhedron_facets(S, d))(idx, range(d))
+    cut = {z: y for y, _, z in newton_polyhedron_facets(S, len(idx))}
+    return _records(idx, range(len(idx)), S, (1 << len(S)) - 1, cut, set(_vertices(S, cut)))
 
 
-def _index_set_facets(F: GermSeries, facets=None):
-    """``(index sets, read)``: the index sets in ``index_sets_with_zero``
-    order (the full index set last), and ``read(I, I)`` gives I's diagram
-    facets off F's one Newton polyhedron ``facets``, built here unless
-    given; too many z-variables are refused first."""
-    index_sets = index_sets_with_zero(F.num_vars - 1)
-    S = sorted(support(F))
+def _index_set_facets(F: GermSeries, facets=None) -> dict:
+    """``{I: diagram facets of I}`` in ``index_sets_with_zero`` order (the
+    full index set last), read off F's one Newton polyhedron P with the
+    facets ``facets``, built here unless given, in one ``_walk``; too many
+    z-variables are refused first."""
+    table = {I: [] for I in index_sets_with_zero(F.num_vars - 1)}
+    pts = sorted(support(F))
+    n, d = len(pts), F.num_vars
     if facets is None:
-        facets = newton_polyhedron_facets(S, F.num_vars)
-    return index_sets, _facet_reader(S, facets)
+        facets = newton_polyhedron_facets(pts, d)
+    cut = {z: y for y, _, z in facets}
+    off = [sum(1 << i for i, p in enumerate(pts) if p[j]) | 1 << n + j for j in range(d)]
+    verts = set(_vertices(pts, cut))
+    _walk(table, pts, off, verts, tuple(range(d)), (1 << n + d) - 1, cut, d)
+    return table
+
+
+def _walk(table, pts, off, verts, I, face, cut, top) -> None:
+    """Fill ``table`` with the records of I and of the index sets below it.
+
+    A depth-first walk down the subset lattice from P: it drops one
+    coordinate j >= 1 at a time, in decreasing position (those before
+    position ``top``), so that each I is visited once.  With ``off[j]``
+    the points with x_j > 0 and the recession axis j, P ∩ R^(I∖j) is the
+    face ``face`` of P ∩ R^I minus ``off[j]``; a face with no point ends
+    its subtree.  Every facet of a face is its intersection with one facet
+    of any face above it, cut out by the same facet of P, so each mask of
+    ``cut`` keeps that P-normal on the way down.  A face is cut only when
+    it holds |I| points, which a compact facet needs, and then on the
+    facets of the nearest face above it that was cut (P's own at the top).
+    """
+    if face.bit_count() >= 2 * len(I):  # |I| points besides the |I| axes
+        if len(I) < len(off):
+            meet = {g & face: y for g, y in cut.items()}
+            cut = {g: meet[g] for g in _face_facets(face, meet)}
+        table[I] = _records(I, I, pts, face, cut, verts)
+    for k in range(top - 1, 0, -1):
+        if (below := face & ~off[I[k]]).bit_count() >= len(I):  # a point
+            _walk(table, pts, off, verts, I[:k] + I[k + 1:], below, cut, k)
 
 
 def _face_sign(I) -> int:
@@ -200,8 +207,7 @@ def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, Facto
     check.  The torus zeta function is the table's last entry, the full
     index set, which is also one of the factors of the affine one.
     """
-    index_sets, read = _index_set_facets(F, facets)
-    parts = [_contribution(read(I, I)) for I in index_sets]
+    parts = [_contribution(fs) for fs in _index_set_facets(F, facets).values()]
     return parts[-1], factor(1, 1) * product(parts)
 
 

@@ -32,6 +32,17 @@ class FactoredZeta:
     """Map from exponent base m >= 1 to a nonzero integer power e_m."""
     factors: tuple[tuple[int, int], ...]  # sorted by m, zero powers pruned
 
+    def __post_init__(self):
+        # one pass: a tuple of integer pairs (m, e), m >= 1 strictly
+        # increasing and e != 0, the one factor list of its rational
+        # function; anything but a tuple fails as its own first factor
+        fs, prev = self.factors, 0
+        for f in fs if type(fs) is tuple else (fs,):
+            if not (type(f) is tuple and len(f) == 2 and type(f[0]) is type(f[1]) is int
+                    and f[0] > prev and f[1]):
+                raise ValueError("factors must be int pairs (m, e), m > 0 rising, e != 0")
+            prev = f[0]
+
     def __mul__(self, other: "FactoredZeta") -> "FactoredZeta":
         acc = dict(self.factors)
         for m, e in other.factors:

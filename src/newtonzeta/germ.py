@@ -106,8 +106,8 @@ def restrict_support(S, I) -> frozenset[Exponent]:
 
 
 # 2^n index sets, and `diagram` prints a row for each: `zeta` on z1^2 - s
-# takes 0.13 s at n = 10, 0.28 s at 14 and 0.8 s at 16 (whole process,
-# 2 vCPUs, Python 3.11.7), about 3x per two variables at the top
+# takes 0.10 s at n = 10, 0.18 s at 14 and 0.47 s at 16 (whole process,
+# 2 vCPUs, Python 3.11.7), about 2.6x per two variables at the top
 MAX_Z_VARIABLES = 16
 
 

@@ -21,10 +21,11 @@ runs in the span of its generators, whose rank it returns.  Vertices
 (``_vertices``), the faces of a face (``_face_facets``) and volumes by a
 pulling triangulation (``_pulled_volume``) are read off its zero-set
 bitmasks; a simplex is its own triangulation, and is measured by one
-determinant without them.  A diagram facet is pulled on the Newton
-polyhedron's own masks, any other point set by one path: ``_saturate``,
-then ``_measure``, summed by ``_mixed`` for mixed volumes (the Cayley
-oracle's included).
+determinant without them.  Each level of a triangulation is cut on the
+facets the level above found.  A diagram facet is pulled on the facet
+masks of its face of the Newton polyhedron, any other point set by one
+path: ``_saturate``, then ``_measure``, summed by ``_mixed`` for mixed
+volumes (the Cayley oracle's included).
 Points are checked once, at entry, where ``operator.index`` refuses
 anything but integers; ``cone_facets`` takes them as built.
 """
@@ -477,16 +478,19 @@ def _pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
     that miss it, down to faces of ``dim + 1`` points, which are simplices
     (De Loera, Rambau & Santos, *Triangulations*, 2010).
 
-    ``apexes`` may start with a point off the face's affine span, such as
-    the origin below a diagram facet; the sum is then the normalized
-    volume of the pyramid over the face with that apex."""
+    ``facet_masks`` are the facets of a face that ``mask`` lies on: every
+    facet of ``mask`` is its intersection with one of them, so each level
+    is cut on the facets that the level above found.  ``apexes`` may start
+    with a point off the face's affine span, such as the origin below a
+    diagram facet; the sum is then the normalized volume of the pyramid
+    over the face with that apex."""
     if mask.bit_count() == dim + 1:
         simplex = [p for i, p in enumerate(pts) if mask >> i & 1] + list(apexes)
         return abs(int_det([_sub(q, simplex[0]) for q in simplex[1:]]))
     low = mask & -mask
     apexes += (pts[low.bit_length() - 1],)
-    return sum(_pulled_volume(f, dim - 1, pts, facet_masks, apexes)
-               for f in _face_facets(mask, facet_masks) if not f & low)
+    found = _face_facets(mask, facet_masks)
+    return sum(_pulled_volume(f, dim - 1, pts, found, apexes) for f in found if not f & low)
 
 
 def _saturate(point_sets) -> tuple[int, list[list[Vector]]]:

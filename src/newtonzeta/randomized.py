@@ -64,18 +64,15 @@ class SuiteResult:
 
 
 def _checks(F, identity, min_size):
-    # every index set with at least min_size elements, off one polyhedron;
-    # the smaller ones are not read
-    index_sets, read = _index_set_facets(F)
-    for I in index_sets:
-        if len(I) < min_size:
-            continue
-        for facet in read(I, I):
-            try:
-                ok, note = identity(I, facet), ""
-            except IdentityInapplicable as exc:
-                ok, note = None, str(exc)
-            yield I, facet, ok, note
+    # every index set with at least min_size elements, off one polyhedron
+    for I, facets in _index_set_facets(F).items():
+        if len(I) >= min_size:
+            for facet in facets:
+                try:
+                    ok, note = identity(I, facet), ""
+                except IdentityInapplicable as exc:
+                    ok, note = None, str(exc)
+                yield I, facet, ok, note
 
 
 def cone_checks(f: GermSeries):

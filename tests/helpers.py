@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, sqrt
 from operator import mul
+from random import Random
 
 from newtonzeta.diagram import (
     DiagramFacet,
@@ -33,6 +34,7 @@ from newtonzeta.lattice import (
     _minimizers,
     _pulled_volume,
     _sub,
+    _vertices,
     cone_facets,
     convex_hull,
     coords_in_basis,
@@ -1396,3 +1398,120 @@ def two_step_saturate(point_sets):
     diffs = [[_sub(p, ps[0]) for p in ps] for ps in point_sets]
     B = saturation_basis([v for ds in diffs for v in ds[1:]])
     return len(B), [[coords_in_basis(B, v) for v in ds] for ds in diffs]
+
+
+# ---------------------------------------------------------------------------
+# the diagram reader that intersected every index set's face with all of
+# the Newton polyhedron's facets, once for its ``cut`` map and once in
+# ``_face_facets``, and handed each pulling triangulation all of their
+# masks: the path that the subset-lattice walk of
+# ``diagram._index_set_facets`` replaced, kept as the oracle of
+# test_diagram_facets
+
+
+def facet_reader(pts, facets):
+    """Read index sets' diagram facets off one Newton polyhedron.
+
+    ``pts`` are the sorted distinct points of P = conv(pts) + R_+^d and
+    ``facets`` its ``newton_polyhedron_facets``.  Returns a function of
+    ``(label, coords)``: the records, sorted by normal, of the index set
+    whose coordinate positions in R^d are ``coords`` (labelled ``label``).
+
+    Every index set takes one path.  With each point's coordinate support
+    a bitmask, computed once, the face P ∩ R^I is the points whose support
+    lies in I plus the recession axes in I: all of P for the full I.
+    A facet of P that cuts out a diagram facet G of P ∩ R^I has a normal
+    y nonzero on I, so y on I is a positive multiple of G's normal ``a``.
+    The volume is read off the pyramid from the origin: the primitive
+    ``a`` puts the origin at lattice height ``c`` (the offset) below G,
+    and the pyramid's normalized |I|-volume, summed over the pulling
+    triangulation of G's mask, is ``c * nvol``.
+    """
+    n = len(pts)
+    masks = [z for _, _, z in facets]
+    verts = set(_vertices(pts, masks))
+    supports = [sum(1 << j for j, x in enumerate(p) if x) for p in pts]
+
+    def read(label, coords) -> list[DiagramFacet]:
+        keep = sum(1 << j for j in coords)
+        # the points of P ∩ R^I, projected to R^I; every mask read below
+        # lies inside ``face``, so the other points keep None
+        face, proj = 0, []
+        for i, (p, s) in enumerate(zip(pts, supports)):
+            if s & ~keep:
+                proj.append(None)
+            else:
+                face |= 1 << i
+                proj.append(tuple(map(p.__getitem__, coords)))
+        # a compact facet of P ∩ R^I holds at least |I| points
+        if face.bit_count() < len(coords):
+            return []
+        face |= keep << n
+        cut = {}  # a facet of P cutting out each face of P ∩ R^I
+        for y, _, z in facets:
+            cut.setdefault(z & face, y)
+        origin = ((0,) * len(coords),)
+        out = []
+        for g in _face_facets(face, masks):
+            if g >> n:
+                continue
+            a = primitive(tuple(map(cut[g].__getitem__, coords)))
+            c = _dot(a, proj[(g & -g).bit_length() - 1])
+            nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, masks, origin), c)
+            if rem:
+                raise InvariantViolation("pyramid volume is not a multiple of its height")
+            out.append(DiagramFacet(label, a, a[0], tuple(
+                p for i, p in enumerate(proj) if g >> i & 1 and pts[i] in verts), nvol))
+        return sorted(out, key=lambda f: f.normal)
+
+    return read
+
+
+def reader_index_set_facets(F: GermSeries, facets=None):
+    """``(index sets, read)``: the index sets in ``index_sets_with_zero``
+    order (the full index set last), and ``read(I, I)`` gives I's diagram
+    facets off F's one Newton polyhedron ``facets``, built here unless
+    given; too many z-variables are refused first."""
+    index_sets = index_sets_with_zero(F.num_vars - 1)
+    S = sorted(support(F))
+    if facets is None:
+        facets = newton_polyhedron_facets(S, F.num_vars)
+    return index_sets, facet_reader(S, facets)
+
+
+def reader_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
+    """``diagram.diagram_facets`` through ``facet_reader``: the polyhedron
+    of S_I read as its own full index set."""
+    idx = _normalize_index_set(F, I)
+    d = len(idx)
+    S = sorted(restrict_support(support(F), idx))
+    if not S:
+        return []
+    return facet_reader(S, newton_polyhedron_facets(S, d))(idx, range(d))
+
+
+# ---------------------------------------------------------------------------
+# germs in convex position at scale, for timings that later changes repeat
+
+
+def scale_support(n: int, points: int) -> GermSeries:
+    """The convex-position germ with n z-variables and ``points`` terms.
+
+    The terms are ``-s``, the axis points ``16 e_i`` with coefficient 1,
+    and random exponents e with 1 to 4 nonzero coordinates in 1..16 and
+    4 <= sum of sqrt(e_i) <= 4.25, drawn from ``Random(1000 n)``: for each
+    e, ``k = randint(1, 4)``, then ``randint(1, 16)`` for each position of
+    ``sample(range(n), k)``; an accepted e is followed by its coefficient
+    ``choice((-1, 1))`` from the same generator, and a repeated e keeps its
+    first one.  Draws stop at ``points`` terms."""
+    rng = Random(1000 * n)
+    terms = {(1,) + (0,) * n: -1}
+    for i in range(n):
+        terms[(0,) + tuple(16 if j == i else 0 for j in range(n))] = 1
+    while len(terms) < points:
+        e = [0] * (n + 1)
+        for j in rng.sample(range(n), rng.randint(1, 4)):
+            e[j + 1] = rng.randint(1, 16)
+        if 4 <= sum(map(sqrt, e)) <= 4.25:
+            terms.setdefault(tuple(e), rng.choice((-1, 1)))
+    return make_germ(n + 1, terms.items())

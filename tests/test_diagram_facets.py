@@ -1,19 +1,25 @@
 """Diagram facets read off the Newton polyhedron against the bounded-hull path,
 and every index set's facets read off the germ's one polyhedron against the
-polyhedron of each restricted support."""
+polyhedron of each restricted support and against the reader that cut every
+index set's face by all of the polyhedron's facets."""
 
 import itertools
 import random
 
 import pytest
 
+import helpers
 from helpers import (
     hull_diagram_facets,
     per_index_set_zeta,
     random_convenient_germ,
     random_deformation_germ,
     random_z_germ,
+    reader_diagram_facets,
+    reader_index_set_facets,
+    scale_support,
 )
+from newtonzeta import diagram, lattice
 from newtonzeta.diagram import (
     DiagramFacet,
     _index_set_facets,
@@ -31,7 +37,8 @@ from newtonzeta.germ import (
     support,
     suspend_germ,
 )
-from newtonzeta.lattice import _dot, _sub, mat_rank
+from newtonzeta.lattice import _dot, _face_facets, _sub, mat_rank
+from test_face_walk import _support_cases
 
 
 def _shape(F, I):
@@ -118,11 +125,11 @@ def test_one_polyhedron_gives_every_index_set(n, count):
         for _ in range(count // 4)]
     cases = set()
     for F in germs:
-        index_sets, read = _index_set_facets(F)
+        table = _index_set_facets(F)
+        index_sets = list(table)
         assert index_sets == index_sets_with_zero(n)
         assert index_sets[-1] == tuple(range(n + 1))
-        for I in index_sets:
-            got = read(I, I)
+        for I, got in table.items():
             assert got == diagram_facets(F, I) == hull_diagram_facets(F, I), (F, I)
             if not restrict_support(support(F), I):
                 cases.add("empty")
@@ -193,3 +200,68 @@ def test_zeta_full_is_the_oracle_product(text):
         factor(f.m, _sign(I) * f.nvol)
         for I in index_sets_with_zero(2) for f in hull_diagram_facets(F, I))
     assert zeta_full(F) == expected
+
+
+def test_walk_equals_the_reader_oracle():
+    """The subset-lattice walk gives the reader's table, in its order, on
+    the face-walk point sets (as germs with unit coefficients; a germ
+    vanishes at 0, so the origin is left out) and on two scale germs;
+    ``diagram_facets``, which cuts no face, gives the reader's records of
+    each restricted polyhedron read as its full index set."""
+    germs = [(kind, make_germ(d, [(p, 1) for p in pts if any(p)]))
+             for kind, pts, d in _support_cases(random.Random(20261101))
+             if any(map(any, pts))]
+    germs += [("scale", scale_support(n, points)) for n, points in ((6, 65), (7, 64))]
+    for kind, F in germs:
+        index_sets, read = reader_index_set_facets(F)
+        table = _index_set_facets(F)
+        assert list(table) == index_sets, kind
+        assert table == {I: read(I, I) for I in index_sets}, (kind, F)
+        # every restricted polyhedron, the scale germs' full one only
+        for I in index_sets[-1:] if kind == "scale" else index_sets:
+            assert diagram_facets(F, I) == reader_diagram_facets(F, I), (kind, F, I)
+        # no two entries, empty ones included, are one shared list
+        assert all(a is not b for a, b in itertools.combinations(table.values(), 2))
+    assert {kind for kind, _ in germs} == {
+        "convenient", "not convenient", "point", "collinear", "axes", "scale"}
+
+
+def _scans(monkeypatch, *modules):
+    """The facet masks handed to ``_face_facets`` through each module's
+    binding, one entry per call."""
+    handed = []
+
+    def counted(mask, facet_masks):
+        facet_masks = list(facet_masks)
+        handed.append(len(facet_masks))
+        return _face_facets(mask, facet_masks)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_face_facets", counted)
+    return handed
+
+
+@pytest.mark.parametrize("text,names", [
+    ("z1^2+z2^3-s", ["s", "z1", "z2"]),
+    ("z1^2+z2^3+z3^5-s", ["s", "z1", "z2", "z3"]),
+])
+def test_diagram_facets_cuts_no_face(monkeypatch, text, names):
+    # the polyhedron's one compact facet is a simplex, and its own facets
+    # are the polyhedron's: nothing is left to scan
+    handed = _scans(monkeypatch, diagram, lattice)
+    (facet,) = diagram_facets(parse_germ(text, names), range(len(names)))
+    assert facet.nvol == 1
+    assert handed == []
+
+
+def test_walk_scans_fewer_masks_than_the_reader(monkeypatch):
+    # each cut scans the facets of the nearest face above it that was cut,
+    # and each pulling level the facets that the level above found
+    handed = _scans(monkeypatch, diagram, lattice, helpers)
+    F = parse_germ("z1^3+z2^3+z3^3+z1*z2*z3+z1^2*z2-s", ["s", "z1", "z2", "z3"])
+    table = _index_set_facets(F)
+    walk = sum(handed)
+    handed.clear()
+    index_sets, read = reader_index_set_facets(F)
+    assert table == {I: read(I, I) for I in index_sets}
+    assert 0 < walk < sum(handed)

@@ -5,12 +5,15 @@
 ``compact_faces`` (a top-down walk whose level is the dimension) with the
 pairwise-intersection closure plus a rank per face, and with the walk that
 cuts every face, simplicial ones too, by all facet masks; the oracles live
-in ``tests/helpers.py``.
+in ``tests/helpers.py``.  The triangulation's scans and the sizes of the
+scale-recipe germs (``helpers.scale_support``) are pinned here too.
 """
 
 from itertools import chain
 from math import factorial, gcd, prod
 from random import Random
+
+import pytest
 
 import helpers
 from helpers import (
@@ -19,7 +22,7 @@ from helpers import (
     full_scan_compact_faces,
     random_unimodular,
 )
-from newtonzeta import nondegeneracy
+from newtonzeta import lattice, nondegeneracy
 from newtonzeta.germ import parse_germ, support
 from newtonzeta.lattice import (
     LatticePolytope,
@@ -94,6 +97,21 @@ def test_pulled_volume_matches_fan_triangulation():
         kinds.add(kind)
     assert kinds == {"box", "segment", "full", "embedded", "grid",
                      "non-vertex points"}
+
+
+def test_pulled_volume_cuts_each_level_on_the_facets_above(monkeypatch):
+    # the 4-cube has 8 facets; each of its 3-cubes is cut on them, and each
+    # square on the 6 facets of its 3-cube, not on all 8
+    handed = []
+
+    def counted(mask, facet_masks):
+        handed.append(len(facet_masks))
+        return _face_facets(mask, facet_masks)
+
+    monkeypatch.setattr(lattice, "_face_facets", counted)
+    cube = tuple(tuple(k >> i & 1 for i in range(4)) for k in range(16))
+    assert normalized_volume(LatticePolytope(cube)) == factorial(4)
+    assert sorted(handed) == [6] * 12 + [8] * 5
 
 
 def _support_cases(rng):
@@ -207,3 +225,12 @@ def test_scans_on_a_named_germ(monkeypatch):
     assert len(newton_polyhedron_facets(support(F), 4)) == 5
     assert len(compact_faces(support(F), 4)) == 15
     assert len(walk) == 10
+
+
+@pytest.mark.parametrize("n,points,facets,faces", [(6, 65, 159, 6331), (7, 64, 143, 11599)])
+def test_scale_recipe_germs(n, points, facets, faces):
+    # the germ sizes that timings at scale are quoted on
+    F = helpers.scale_support(n, points)
+    assert len(F.terms) == points
+    assert len(newton_polyhedron_facets(support(F), n + 1)) == facets
+    assert len(compact_faces(support(F), n + 1)) == faces

@@ -164,9 +164,10 @@ def test_cayley_identity_matches_the_polytope_path():
         n = 2 + k % 3
         f0 = random_convenient_germ(rng, n, max_exp=4, extra_terms=2)
         f1 = random_z_germ(rng, n, max_exp=2, max_terms=1 + k % 2 * 2)
-        index_sets, read = diagram._index_set_facets(pencil_germ(f0, f1))
-        for I in (I for I in index_sets if len(I) >= 3):
-            for facet in read(I, I):
+        for I, facets in diagram._index_set_facets(pencil_germ(f0, f1)).items():
+            if len(I) < 3:
+                continue
+            for facet in facets:
                 got = _verdict(cayley_mixed_volume_identity, f0, f1, I, facet)
                 assert got == _verdict(polytope_cayley_identity, f0, f1, I, facet)
                 if got is True:

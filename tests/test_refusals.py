@@ -15,7 +15,7 @@ from newtonzeta.diagram import (
     euler_char_torus_hypersurface,
     face_polynomial,
 )
-from newtonzeta.factored import factor, parse_factored
+from newtonzeta.factored import FactoredZeta, factor, parse_factored
 from newtonzeta.germ import (
     GermSeries,
     make_germ,
@@ -94,6 +94,13 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
      ValueError, "germs live in different variable counts"),
     (lambda: factor(2, 1).expand_series(-1), ValueError, "order must be nonnegative"),
     (lambda: parse_factored("x"), ValueError, "bad factored form at position 0: 'x'"),
+    # a factor list that no constructor makes: unsorted, m = 0, a float m,
+    # e = 0, a list
+    *[pytest.param(lambda factors=factors: FactoredZeta(factors), ValueError,
+                   "factors must be int pairs (m, e), m > 0 rising, e != 0",
+                   id=f"ValueError-FactoredZeta-{factors}")
+      for factors in [((2, 1), (1, 1)), ((0, 2),), ((2.5, 1),), ((1, 0),),
+                      ((1, 1), (1, 2)), ((1, 1, 1),), [(1, 1)]]],
     (lambda: GermSeries(2, {(1,): Fraction(1)}),
      ValueError, "exponent (1,) has wrong length"),
     (lambda: GermSeries(2, {(0, 1): Fraction(0)}), ValueError, "zero coefficient stored"),
