@@ -42,6 +42,7 @@ from .lattice import (
     LatticePolytope,
     convex_hull,
     normalized_volume_at,
+    _as_is,
     _dot,
     _face_facets,
     _measure,
@@ -266,8 +267,9 @@ def cone_reduction_identity(f: GermSeries, I, facet: DiagramFacet) -> bool:
     if not S:
         raise IdentityInapplicable("the function germ has empty restricted support")
     m_expected, base = _minimizers(S, alpha_z)
-    _, (pts,) = _saturate([base])
-    return facet.nvol == _measure(pts, l - 1) and facet.m == m_expected
+    if not _as_is(base, l - 1):
+        _, (base,) = _saturate([base])
+    return facet.nvol == _measure(base, l - 1) and facet.m == m_expected
 
 
 def cayley_mixed_volume_identity(f0: GermSeries, f1: GermSeries, I,

@@ -44,12 +44,15 @@ class FactoredZeta:
             prev = f[0]
 
     def __mul__(self, other: "FactoredZeta") -> "FactoredZeta":
+        if not isinstance(other, FactoredZeta):
+            return NotImplemented
         acc = dict(self.factors)
         for m, e in other.factors:
             acc[m] = acc.get(m, 0) + e
         return _from_map(acc)
 
     def __pow__(self, k: int) -> "FactoredZeta":
+        k = index(k)
         return _from_map({m: e * k for m, e in self.factors})
 
     def inv(self) -> "FactoredZeta":
@@ -128,9 +131,10 @@ def one() -> FactoredZeta:
 
 
 def factor(m: int, e: int = 1) -> FactoredZeta:
+    m = index(m)
     if m < 1:
         raise ValueError("exponent base must be a positive integer")
-    return _from_map({index(m): index(e)})
+    return _from_map({m: index(e)})
 
 
 def product(zs) -> FactoredZeta:

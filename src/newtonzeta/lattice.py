@@ -20,12 +20,15 @@ polyhedron the same cone plus its recession rays at height zero.  It
 runs in the span of its generators, whose rank it returns.  Vertices
 (``_vertices``), the faces of a face (``_face_facets``) and volumes by a
 pulling triangulation (``_pulled_volume``) are read off its zero-set
-bitmasks; a simplex is its own triangulation, and is measured by one
-determinant without them.  Each level of a triangulation is cut on the
-facets the level above found.  A diagram facet is pulled on the facet
-masks of its face of the Newton polyhedron, any other point set by one
-path: ``_saturate``, then ``_measure``, summed by ``_mixed`` for mixed
-volumes (the Cayley oracle's included).
+bitmasks.  Each level of a triangulation is cut on the facets the level
+above found.  A diagram facet is pulled on the facet masks of its face of
+the Newton polyhedron.  A simplex of m + 1 points of Z^k, k <= m + 1,
+needs neither facets nor saturation: it is measured by the gcd of the
+m x m minors of its edge matrix (``_measure``), which for k = m is one
+determinant; the cone oracle's base faces are taken so when ``_as_is``
+holds.  Every other point set takes one path: ``_saturate``, then
+``_measure``, summed by ``_mixed`` for mixed volumes (the Cayley oracle's
+included).
 Points are checked once, at entry, where ``operator.index`` refuses
 anything but integers; ``cone_facets`` takes them as built.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd
 from operator import index, mul
 
@@ -514,25 +518,50 @@ def _saturate(point_sets) -> tuple[int, list[list[Vector]]]:
     return r, [[(0,) * r] + [next(coords) for _ in ds] for ds in diffs]
 
 
+def _as_is(pts, m: int) -> bool:
+    """Whether ``_measure`` takes pts at dimension m as they are, saturated
+    or not: m + 1 points of Z^k with k <= m + 1, which have at most m + 1
+    maximal minors.  Above that the minors number C(k, m) (24 310 for an
+    8-simplex in Z^17), so larger ambient spaces are saturated first."""
+    return len(pts) == m + 1 and len(pts[0]) <= m + 1
+
+
 def _measure(pts, m: int) -> int:
-    """m! vol_m of the hull of distinct points of Z^k, k <= m; 0 below
-    dimension m.  Fewer than m + 1 points, or k < m, give 0 at once; m + 1
-    points are a simplex, or flat with determinant 0, and take one
-    ``|det|``; larger sets are pulled on the masks of one ``cone_facets``
-    call.
+    """m! vol_m of the hull of distinct points of Z^k; 0 below dimension m.
+
+    Exactly m + 1 points, with k <= m + 1 (``_as_is``), take one rule
+    whether their coordinates are saturated or not: the gcd of the m x m
+    minors of their edge matrix, its m-th determinantal divisor, is the
+    index of the edge lattice in its saturation, which is the simplex's
+    normalized volume, and 0 when the points are flat (Newman, *Integral
+    Matrices*, 1972).
+    For k = m that is one ``|det|``; for k = m + 1 there are at most m + 1
+    minors, and the loop stops once the gcd is 1.  Any other set must lie
+    in Z^k with k <= m: fewer than m + 1 points, or k < m, give 0 at once,
+    and larger sets are pulled on the masks of one ``cone_facets`` call.
 
     >>> r, (tri,) = _saturate([[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
     >>> r, _measure(tri, r)
     (2, 1)
+    >>> _measure([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2)  # the same, in Z^3
+    1
+    >>> _measure([(0, 0, 0), (2, 0, 2), (0, 2, 2)], 2)  # a triangle in Z^3
+    4
     >>> _measure([(0, 0), (2, 1), (1, 3)], 2)
     5
     >>> _measure([(0,), (1,), (2,)], 2)  # three points of a line
     0
     """
+    if _as_is(pts, m):
+        edges = [_sub(p, pts[0]) for p in pts[1:]]
+        g = 0
+        for cols in combinations(range(len(pts[0])), m):
+            g = gcd(g, int_det([[e[c] for c in cols] for e in edges]))
+            if g == 1:
+                break
+        return g
     if len(pts) <= m or len(pts[0]) < m:
         return 0
-    if len(pts) == m + 1:
-        return abs(int_det([_sub(p, pts[0]) for p in pts[1:]]))
     rank, cone = cone_facets([(1,) + p for p in pts])
     return 0 if rank <= m else _pulled_volume(
         (1 << len(pts)) - 1, m, pts, [z for _, z in cone], ())

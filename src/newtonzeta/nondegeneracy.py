@@ -6,9 +6,9 @@ compact faces of the restricted diagrams over every index set; every such
 face is also a compact face of the full Newton polyhedron (extend the
 strictly positive covector by sufficiently large entries off the index
 set), so one walk down the full polyhedron's face lattice covers them all.
-The walk cuts a face by the polyhedron's facet bitmasks only when it is
-not a simplicial cone; a simplicial face's facets are its bitmask with one
-bit cleared.
+The walk cuts a face that is not a simplicial cone on the facet bitmasks
+of the face it was split from (the polyhedron's own at the top); a
+simplicial face's facets are its bitmask with one bit cleared.
 
 Verdicts:
   * dimension 0: verified automatically (a monomial has no torus critical
@@ -129,26 +129,33 @@ def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...
     when the caller has them); a face is compact when it holds no recession
     axis (no bit from n up), and nonempty.
 
-    A face of dimension k whose mask has k + 1 bits (points and recession
-    axes) is a simplicial cone: its facets are the k + 1 masks with one
-    bit cleared, so it is split without a scan of the facet masks; every
-    other face is cut by them (``_face_facets``)."""
+    Each face of a level keeps the facet list of the face it was split
+    from (P's masks at the top): every facet of a face G is G's
+    intersection with a facet of a face that G is a facet of, so a face
+    that is not a simplicial cone is cut on that list alone
+    (``_face_facets``).  A face of dimension k whose mask has k + 1 bits
+    (points and recession axes) is a simplicial cone: its facets are the
+    k + 1 masks with one bit cleared, so it is split with no scan."""
     pts = sorted({tuple(map(index, p)) for p in points})
     n = len(pts)
     if facets is None:
         facets = newton_polyhedron_facets(pts, d)
     masks = [z for _, _, z in facets]
     out, low = [], (1 << n) - 1
-    level, dim = set(masks), d - 1
+    level, dim = dict.fromkeys(masks, masks), d - 1
     while level:
         out += [(tuple(map(pts.__getitem__, _bits(m))), dim)
                 for m in level if m >> n == 0]
         # the compact faces inside a face are those on its support points,
         # so one face per point part of a level is expanded
-        level = {f for m in {m & low: m for m in level}.values()
-                 for f in ([m ^ 1 << i for i in _bits(m)] if m.bit_count() == dim + 1
-                           else _face_facets(m, masks))
-                 if f & low}
+        below = {}
+        for m in {m & low: m for m in level}.values():
+            found = ([m ^ 1 << i for i in _bits(m)] if m.bit_count() == dim + 1
+                     else _face_facets(m, level[m]))
+            for f in found:
+                if f & low:
+                    below[f] = found
+        level = below
         dim -= 1
     return sorted(out, key=lambda face: (face[1], face[0]))
 

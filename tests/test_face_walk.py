@@ -173,24 +173,25 @@ def _sparse_cases(rng):
 
 
 def _counting(monkeypatch, module):
-    """Count the calls ``module`` makes to ``_face_facets``, keeping each
-    mask it cuts."""
-    cut = []
+    """Count the calls ``module`` makes to ``_face_facets``: each mask it
+    cuts, and how many facet masks it hands that cut."""
+    cut, handed = [], []
 
     def counted(mask, facet_masks):
         cut.append(mask)
+        handed.append(len(facet_masks))
         return _face_facets(mask, facet_masks)
 
     monkeypatch.setattr(module, "_face_facets", counted)
-    return cut
+    return cut, handed
 
 
 def test_compact_faces_split_simplicial_faces(monkeypatch):
     """Equal to the full-scan walk; no simplicial face (as many mask bits
     as generators of rank dim + 1) is cut by the facet masks, and the
     split replaces scans on compact and noncompact faces alike."""
-    walk = _counting(monkeypatch, nondegeneracy)
-    oracle = _counting(monkeypatch, helpers)
+    walk, _ = _counting(monkeypatch, nondegeneracy)
+    oracle, _ = _counting(monkeypatch, helpers)
     rng = Random(20261019)
     skipped = {"compact": 0, "noncompact": 0}
     for kind, pts, d in chain(_support_cases(rng), _sparse_cases(rng)):
@@ -220,7 +221,7 @@ def test_scans_on_a_named_germ(monkeypatch):
     # which is split down to its vertices, and four coordinate facets, each
     # through three points and three recession axes; the full-scan walk
     # cuts 29 faces
-    walk = _counting(monkeypatch, nondegeneracy)
+    walk, _ = _counting(monkeypatch, nondegeneracy)
     F = parse_germ("z1^2+z2^3+z3^5 - s", ["s", "z1", "z2", "z3"])
     assert len(newton_polyhedron_facets(support(F), 4)) == 5
     assert len(compact_faces(support(F), 4)) == 15
@@ -234,3 +235,17 @@ def test_scale_recipe_germs(n, points, facets, faces):
     assert len(F.terms) == points
     assert len(newton_polyhedron_facets(support(F), n + 1)) == facets
     assert len(compact_faces(support(F), n + 1)) == faces
+
+
+@pytest.mark.parametrize("n,points", [(6, 65), (7, 64)])
+def test_compact_faces_cut_on_the_parent_facets_at_scale(monkeypatch, n, points):
+    # each face that is not a simplicial cone is cut on the facets of the
+    # face it was split from: the same faces as the full-scan walk, which
+    # hands every cut all of the polyhedron's facets, from fewer masks, and
+    # fewer than its own cuts would take on all of them
+    walk, handed = _counting(monkeypatch, nondegeneracy)
+    _, oracle_handed = _counting(monkeypatch, helpers)
+    S = support(helpers.scale_support(n, points))
+    assert compact_faces(S, n + 1) == full_scan_compact_faces(S, n + 1)
+    assert sum(handed) < sum(oracle_handed)
+    assert sum(handed) < len(walk) * len(newton_polyhedron_facets(S, n + 1))

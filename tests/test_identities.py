@@ -1,10 +1,16 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from helpers import polytope_cayley_identity, random_convenient_germ, random_z_germ
+from helpers import (
+    polytope_cayley_identity,
+    random_convenient_germ,
+    random_z_germ,
+    two_step_saturate,
+)
 from newtonzeta import diagram, lattice
 from newtonzeta.diagram import (
     IdentityInapplicable,
@@ -14,10 +20,14 @@ from newtonzeta.diagram import (
 )
 from newtonzeta.germ import (
     index_sets_with_zero,
+    make_germ,
     parse_germ,
     pencil_germ,
+    restrict_support,
+    support,
     suspend_germ,
 )
+from newtonzeta.lattice import _measure, _minimizers
 from newtonzeta.randomized import cayley_suite, cone_suite
 
 V2 = ["s", "z"]
@@ -66,6 +76,56 @@ def test_cone_identity_measures_base_points_without_a_hull(monkeypatch, text,
                             lambda pts: calls.append(1) or hull(pts))
     assert cone_reduction_identity(f, I, facet)
     assert calls == []
+
+
+@pytest.mark.parametrize("text,names,snf", [
+    ("z1^2+z2^3", V3, 0),  # a segment: two points of Z^2
+    ("z1^2+z1*z2+z2^2", V3, 1),  # three points of a segment
+    ("z1^3+z2^5+z3^7", V4, 0),  # a triangle in Z^3
+    ("z1^3+z2^3+z3^3+z1*z2*z3", V4, 1),  # a triangle and a point inside
+])
+def test_cone_identity_saturates_only_bases_that_are_not_simplices(monkeypatch, text,
+                                                                   names, snf):
+    f = parse_germ(text, names)
+    I = tuple(range(len(names)))
+    (facet,) = diagram_facets(suspend_germ(f), I)
+    calls = []
+    smith = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        lambda M: calls.append(1) or smith(M))
+    assert cone_reduction_identity(f, I, facet)
+    assert len(calls) == snf
+
+
+def test_cone_identity_equals_the_saturating_path():
+    # every facet of random suspensions in 1 to 4 z-variables, and the
+    # same facet one volume unit off: the verdict is the one the base face
+    # gives measured in its saturated coordinates; simplex bases and
+    # larger ones (from germs with many monomials of one degree) both occur
+    rng = random.Random(32)
+    seen = Counter()
+    for k in range(40):
+        n = 1 + k % 4
+        if k // 4 % 2:
+            D = rng.randint(2, 4)
+            f = make_germ(n + 1, [((0,) + e, 1) for e in product(range(D + 1), repeat=n)
+                                  if sum(e) == D and (D in e or rng.random() < 0.3)])
+        else:
+            f = random_convenient_germ(rng, n, max_exp=5, extra_terms=3)
+        for I, facets in diagram._index_set_facets(suspend_germ(f)).items():
+            if len(I) < 2:
+                continue
+            S = sorted(restrict_support(support(f), I[1:]))
+            for facet in facets:
+                m, base = _minimizers(S, facet.normal[1:])
+                _, (pts,) = two_step_saturate([base])
+                want = _measure(pts, len(I) - 2)
+                for nvol in (facet.nvol, facet.nvol + 1):
+                    assert cone_reduction_identity(f, I, replace(facet, nvol=nvol)) == (
+                        nvol == want and facet.m == m), (f, I, facet)
+                seen[len(base) == len(I) - 1, len(I)] += 1
+    assert set(seen) == {(True, 2), (True, 3), (True, 4), (True, 5),
+                         (False, 3), (False, 4), (False, 5)}, seen
 
 
 def test_cone_identity_vacuous_when_no_restriction():

@@ -20,6 +20,7 @@ from helpers import (
 from newtonzeta import lattice
 from newtonzeta.lattice import (
     LatticePolytope,
+    _as_is,
     _dot,
     _measure,
     _minimizers,
@@ -405,6 +406,91 @@ def test_measure_takes_small_sets_without_the_facet_engine(monkeypatch):
     # the counter sees the engine: m + 2 points still take one call
     assert _measure([(0, 0), (2, 0), (0, 2), (1, 1)], 2) == 4
     assert calls == [1]
+
+
+def _simplex_sets(rng):
+    """Seeded sets of m + 1 distinct points of Z^k, k = m - 1, m or m + 1,
+    with their kind: full simplices, and flat sets (points of Z^r, r < m,
+    padded with zeros and moved by a unimodular map of Z^k); single
+    points at m = 0 in Z^0 and Z^1."""
+    out = [("point", [()], 0), ("point", [(3,)], 0)]
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        k = m + rng.randint(-1 if m > 1 else 0, 1)
+        if m == 1 or (k >= m and rng.random() < 0.5):
+            out.append(("simplex", random_lattice_simplex(rng, k, m, 4), m))
+            continue
+        r = rng.randint(1, min(k, m - 1))
+        M = random_unimodular(rng, k)
+        out.append(("flat", [apply_matrix(M, p + (0,) * (k - r))
+                             for p in random_point_set(rng, r, m + 1, 3)], m))
+    return out
+
+
+def test_measure_takes_simplices_by_the_gcd_of_their_maximal_minors():
+    # m + 1 points of Z^k, k <= m + 1, are measured as they are: the same
+    # volume as the minor-gcd oracle and as the saturated coordinates, and
+    # unchanged under a unimodular map
+    rng = random.Random(28)
+    seen = set()
+    for kind, pts, m in _simplex_sets(rng):
+        got = _measure(pts, m)
+        _, (coords,) = two_step_saturate([pts])
+        assert got == simplex_nvol_oracle(pts) == _measure(coords, m), (kind, pts, m)
+        assert (got > 0) == (kind != "flat"), (kind, pts, m)
+        M = random_unimodular(rng, len(pts[0])) if pts[0] else []
+        assert _measure([apply_matrix(M, p) for p in pts], m) == got, (kind, pts, m)
+        seen.add((kind, len(pts[0]) - m))
+    assert seen == {("point", 0), ("point", 1), ("simplex", 0), ("simplex", 1),
+                    ("flat", -1), ("flat", 0), ("flat", 1)}
+
+
+def _polytopes(rng):
+    """Seeded polytopes of affine dimension 0..4 in Z^1..Z^5: simplices
+    (lower-dimensional ones too), simplices with a point added, and
+    vertex tuples that are not vertices (collinear or repeated points)."""
+    for _ in range(150):
+        d = rng.randint(1, 5)
+        l = rng.randint(0, d)
+        pts = random_lattice_simplex(rng, d, l, 4)
+        yield LatticePolytope(tuple(pts))
+        yield LatticePolytope.from_points(
+            pts + [tuple(rng.randint(-4, 4) for _ in range(d))])
+        a, b = pts[0], pts[-1]
+        yield LatticePolytope((a, b, tuple(2 * y - x for x, y in zip(a, b))))
+        yield LatticePolytope((a, a) + tuple(pts[1:]))
+
+
+def test_volumes_equal_the_saturating_path():
+    rng = random.Random(29)
+    for P in _polytopes(rng):
+        r, (coords,) = two_step_saturate([P.vertices])
+        assert normalized_volume(P) == _measure(coords, r), P
+        for l in range(r, len(P.vertices) + 1):
+            assert normalized_volume_at(P, l) == _measure(coords, l), (P, l)
+        if r:
+            with pytest.raises(ValueError, match="exceeds the requested dimension"):
+                normalized_volume_at(P, r - 1)
+
+
+def test_a_simplex_with_too_many_maximal_minors_is_saturated(monkeypatch):
+    # an 8-simplex in Z^17 has C(17, 8) = 24 310 maximal minors: it takes
+    # one Smith normal form and one determinant, not the minor loop
+    rng = random.Random(30)
+    base = random_lattice_simplex(rng, 8, 8, 3)
+    M = random_unimodular(rng, 17, steps=40)
+    pts = [apply_matrix(M, p + (0,) * 9) for p in base]
+    assert not _as_is(pts, 8)
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        counted("smith_normal_form", lattice.smith_normal_form))
+    monkeypatch.setattr(lattice, "int_det", counted("int_det", lattice.int_det))
+    assert normalized_volume(LatticePolytope(tuple(pts))) == simplex_nvol_oracle(base)
+    assert calls == {"smith_normal_form": 1, "int_det": 1}
 
 
 def test_volume_translation_and_unimodular_invariance():

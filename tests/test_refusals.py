@@ -94,6 +94,9 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
      ValueError, "germs live in different variable counts"),
     (lambda: factor(2, 1).expand_series(-1), ValueError, "order must be nonnegative"),
     (lambda: parse_factored("x"), ValueError, "bad factored form at position 0: 'x'"),
+    # only a factored form multiplies a factored form
+    (lambda: factor(2) * 3, TypeError,
+     "unsupported operand type(s) for *: 'FactoredZeta' and 'int'"),
     # a factor list that no constructor makes: unsorted, m = 0, a float m,
     # e = 0, a list
     *[pytest.param(lambda factors=factors: FactoredZeta(factors), ValueError,
@@ -142,6 +145,8 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
            lambda: diagram_facets(suspend_germ(CUSP), (0, 1.5))),
           ("face_polynomial", "float", lambda: face_polynomial(CUSP, (1, 2.9, 1))),
           ("factor", "float", lambda: factor(2.5)),
+          ("factor-string", "str", lambda: factor("3")),
+          ("FactoredZeta.__pow__", "float", lambda: factor(2) ** 1.5),
           ("LatticePolytope", "Fraction",
            lambda: LatticePolytope(((0, 0), (Fraction(1, 2), 1)))),
           ("normalized_volume", "float",
