@@ -43,6 +43,7 @@ from .lattice import (
     convex_hull,
     normalized_volume_at,
     _as_is,
+    _bits,
     _dot,
     _face_facets,
     _measure,
@@ -113,7 +114,7 @@ def _records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
         if rem:
             raise InvariantViolation("pyramid volume is not a multiple of its height")
         out.append(DiagramFacet(label, a, a[0], tuple(
-            p for i, p in enumerate(proj) if g >> i & 1 and pts[i] in verts), nvol))
+            proj[i] for i in _bits(g) if pts[i] in verts), nvol))
     return sorted(out, key=lambda f: f.normal)
 
 

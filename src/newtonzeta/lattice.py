@@ -7,28 +7,32 @@ mixed-volume results.  No floating point enters this module, so all
 results are exact.
 
 Every exact elimination (rank, coordinates in a given basis, the starting
-rays of the facet engine) is one fraction-free Gauss-Jordan routine,
+rays of a hull's facet engine) is one fraction-free Gauss-Jordan routine,
 ``_gauss_jordan`` (Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, Math. Comp. 22, 1968); a
 saturation lattice, and the coordinates in it of the vectors that span
 it, come from one Smith normal form.
 
-Facets come from one integer double-description routine (``cone_facets``,
-after Fukuda & Prodon, *Double description method revisited*, 1996): a
-bounded hull is the cone over its points lifted to height one, a Newton
-polyhedron the same cone plus its recession rays at height zero.  It
-runs in the span of its generators, whose rank it returns.  Vertices
-(``_vertices``), the faces of a face (``_face_facets``) and volumes by a
-pulling triangulation (``_pulled_volume``) are read off its zero-set
-bitmasks.  Each level of a triangulation is cut on the facets the level
-above found.  A diagram facet is pulled on the facet masks of its face of
-the Newton polyhedron.  A simplex of m + 1 points of Z^k, k <= m + 1,
-needs neither facets nor saturation: it is measured by the gcd of the
-m x m minors of its edge matrix (``_measure``), which for k = m is one
-determinant; the cone oracle's base faces are taken so when ``_as_is``
-holds.  Every other point set takes one path: ``_saturate``, then
-``_measure``, summed by ``_mixed`` for mixed volumes (the Cayley oracle's
-included).
+Facets come from one integer double-description routine
+(``_double_description``, after Fukuda & Prodon, *Double description
+method revisited*, 1996): a bounded hull is the cone over its points
+lifted to height one, a Newton polyhedron the same cone plus its
+recession rays at height zero.  ``cone_facets`` starts it from the rays
+of a basis that one elimination finds, and runs in the span of its
+generators, whose rank it returns; a Newton polyhedron's basis, the
+recession axes and the lowest point, is unimodular, so
+``newton_polyhedron_facets`` writes its rays down with no elimination.
+Vertices (``_vertices``), the faces of a face (``_face_facets``) and
+volumes by a pulling triangulation (``_pulled_volume``) are read off the
+zero-set bitmasks, one set bit at a time (``_bits``).  Each level of a
+triangulation is cut on the facets the level above found.  A diagram
+facet is pulled on the facet masks of its face of the Newton polyhedron.
+A simplex of m + 1 points of Z^k, k <= m + 1, needs neither facets nor
+saturation: it is measured by the gcd of the m x m minors of its edge
+matrix (``_measure``), which for k = m is one determinant; the cone
+oracle's base faces are taken so when ``_as_is`` holds.  Every other
+point set takes one path: ``_saturate``, then ``_measure``, summed by
+``_mixed`` for mixed volumes (the Cayley oracle's included).
 Points are checked once, at entry, where ``operator.index`` refuses
 anything but integers; ``cone_facets`` takes them as built.
 """
@@ -79,6 +83,20 @@ def _sub(a, b) -> Vector:
 
 def _add(a, b) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first.
+
+    >>> _bits(0b10110)
+    [1, 2, 4]
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def int_det(rows) -> int:
@@ -281,13 +299,11 @@ def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
     pivot columns are the first independent generators, and the right
     block holds the extreme rays of their simplicial cone (row j, a
     column of a scaled inverse, vanishes on every basis generator but the
-    j-th, and is signed by the pivot).  For a Newton polyhedron that basis
-    is the recession axes and the lowest point.  The remaining generators
-    follow in sorted order.  A ray on the positive and one on the negative
-    side of the new constraint are adjacent when their common zero set Z
-    has at least r - 2 generators and no third ray vanishes on all of Z;
-    each adjacent pair gives one new ray in the new hyperplane.  Integers
-    only.
+    j-th, and is signed by the pivot).  The remaining generators follow in
+    sorted order, added by ``_double_description``.  Integers only.  A
+    Newton polyhedron's basis is known without the elimination, so
+    ``newton_polyhedron_facets`` writes its rays down and calls
+    ``_double_description`` itself.
 
     The Newton polyhedron of the cusp ``z1^2 + z2^3 - s``: its compact
     facet, the three coordinate facets and the facet at infinity.
@@ -325,11 +341,22 @@ def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
         q = sign * gcd(*y)
         rays.append((tuple([x // q for x in y]), full & ~(1 << order[c])))
     basis = set(pivots)
-    for c, k in enumerate(order):
-        if c in basis:
-            continue
-        g = gens[k]
-        bit = 1 << k
+    return rank, _double_description(
+        rays, rank, [(gens[k], 1 << k) for c, k in enumerate(order) if c not in basis])
+
+
+def _double_description(rays, rank: int, gens) -> list[tuple[Vector, int]]:
+    """The extreme rays of the dual cone {y : y . g >= 0} with their
+    zero-set masks, from those of a starting cone of the same rank
+    (``rays``, ``(y, zeros)`` pairs) and the generators still to add
+    (``gens``, ``(g, bit)`` pairs, taken in order).
+
+    A ray on the positive and one on the negative side of the new
+    constraint are adjacent when their common zero set Z has at least
+    rank - 2 generators and no third ray vanishes on all of Z; each
+    adjacent pair gives one new ray in the new hyperplane, over its gcd.
+    """
+    for g, bit in gens:
         pos, neg, kept = [], [], []
         for r, z in rays:
             s = sum(map(mul, g, r))
@@ -358,7 +385,7 @@ def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
                         q = gcd(*v)
                         kept.append((tuple([x // q for x in v]), z | bit))
         rays = kept
-    return rank, rays
+    return rays
 
 
 def _vertices(pts, masks) -> list[Vector]:
@@ -489,7 +516,7 @@ def _pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
     diagram facet; the sum is then the normalized volume of the pyramid
     over the face with that apex."""
     if mask.bit_count() == dim + 1:
-        simplex = [p for i, p in enumerate(pts) if mask >> i & 1] + list(apexes)
+        simplex = [pts[i] for i in _bits(mask)] + list(apexes)
         return abs(int_det([_sub(q, simplex[0]) for q in simplex[1:]]))
     low = mask & -mask
     apexes += (pts[low.bit_length() - 1],)

@@ -33,9 +33,10 @@ from operator import index, mul
 from .germ import Exponent, GermSeries, check_z_variables, support
 from .lattice import (
     InvariantViolation,
+    _bits,
+    _double_description,
     _face_facets,
     _sub,
-    cone_facets,
     coords_in_basis,
     primitive,
     smith_normal_form,
@@ -92,34 +93,45 @@ def newton_polyhedron_facets(points, d: int):
 
     Returns sorted (normal, offset, zeros) triples: the primitive inner
     normal (componentwise nonnegative), its minimum value, and the facet's
-    zero-set mask as ``cone_facets`` returns it, with bit i for the i-th
-    sorted distinct point on the facet and bit n + j for the recession
-    axis j in it (the normal's zero components), n points in all.
+    zero-set mask, with bit i for the i-th sorted distinct point on the
+    facet and bit n + j for the recession axis j in it (the normal's zero
+    components), n points in all.
+
+    The cone over the points lifted to height one and the axes at height
+    zero is built by ``lattice._double_description`` from a closed-form
+    start: sorted, the axes come first, and they and the lowest point p0
+    are a unimodular basis whose dual rays need no elimination.  They are
+    the rows that ``cone_facets``' elimination would give, in its order,
+    so the facets, masks and steps are the same.
+
+    The cusp ``z1^2 + z2^3 - s``, with points (0, 0, 3), (0, 2, 0) and
+    (1, 0, 0) as bits 0 to 2 and the axes as bits 3 to 5: three
+    coordinate facets and the compact facet through all three points.
+
+    >>> for a, c, zeros in newton_polyhedron_facets(
+    ...         [(1, 0, 0), (0, 2, 0), (0, 0, 3)], 3):
+    ...     print(a, c, f"{zeros:06b}")
+    (0, 0, 1) 0 011110
+    (0, 1, 0) 0 101101
+    (1, 0, 0) 0 110011
+    (6, 3, 2) 6 000111
     """
     pts = sorted({tuple(map(index, p)) for p in points})
     if not pts:
         raise ValueError("empty support")
     if any(len(p) != d for p in pts):
         raise ValueError(f"support points must have {d} coordinates")
-    gens = [(1,) + p for p in pts] + \
-        [(0,) * (i + 1) + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    # the rays of axis d, ..., axis 1, then p0: e_j - p0_j e_0 is zero on
+    # p0 (bit 0) and on every axis but j, e_0 on every axis
+    n, p0 = len(pts), pts[0]
+    axes = ((1 << d) - 1) << n
+    rays = [((-p0[j],) + (0,) * j + (1,) + (0,) * (d - 1 - j), axes ^ 1 << n + j | 1)
+            for j in reversed(range(d))] + [((1,) + (0,) * d, axes)]
+    cone = _double_description(
+        rays, d + 1, [((1,) + p, 1 << i) for i, p in enumerate(pts[1:], 1)])
     # the normal with a = 0 is the facet at infinity, not a facet of the
     # polyhedron
-    return sorted((y[1:], -y[0], z) for y, z in cone_facets(gens)[1] if any(y[1:]))
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, lowest first.
-
-    >>> _bits(0b10110)
-    [1, 2, 4]
-    """
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return sorted((y[1:], -y[0], z) for y, z in cone if any(y[1:]))
 
 
 def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...], int]]:
@@ -144,13 +156,15 @@ def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...
     out, low = [], (1 << n) - 1
     level, dim = dict.fromkeys(masks, masks), d - 1
     while level:
-        out += [(tuple(map(pts.__getitem__, _bits(m))), dim)
-                for m in level if m >> n == 0]
         # the compact faces inside a face are those on its support points,
-        # so one face per point part of a level is expanded
+        # so one face per point part of a level is expanded; a compact face
+        # is the only face of its level on its points, so each is expanded
         below = {}
         for m in {m & low: m for m in level}.values():
-            found = ([m ^ 1 << i for i in _bits(m)] if m.bit_count() == dim + 1
+            bits = _bits(m)
+            if m >> n == 0:
+                out.append((tuple(map(pts.__getitem__, bits)), dim))
+            found = ([m ^ 1 << i for i in bits] if len(bits) == dim + 1
                      else _face_facets(m, level[m]))
             for f in found:
                 if f & low:

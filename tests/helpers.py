@@ -1331,9 +1331,10 @@ def pointwise_restrict_support(S, I) -> frozenset[Exponent]:
     return frozenset(out)
 
 
-# the facet engine as it was before its fixed cost was trimmed, and the
-# volume step that sent every point set through it, simplices included;
-# kept as the oracles of test_facet_engine and test_lattice
+# the facet engine as it was before its fixed cost was trimmed, the Newton
+# polyhedra that it seeded by elimination, and the volume step that sent
+# every point set through it, simplices included; kept as the oracles of
+# test_facet_engine and test_lattice
 
 
 def reference_cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
@@ -1380,6 +1381,20 @@ def reference_cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
                     kept.append((tuple(x // c for x in v), z | bit))
         rays = kept
     return rank, rays
+
+
+def eliminated_newton_polyhedron_facets(points, d: int):
+    """``newton_polyhedron_facets`` as it was before its closed-form seed:
+    ``reference_cone_facets`` on the sorted distinct points lifted to
+    height one and the d unit axes at height zero, the elimination finding
+    the starting basis.  Returns ``(rays, facets)``: the engine's ray list
+    in its order, and the sorted ``(normal, offset, zeros)`` triples read
+    off it with the facet at infinity dropped."""
+    pts = sorted(set(map(tuple, points)))
+    gens = [(1,) + p for p in pts] + \
+        [(0,) + tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays = reference_cone_facets(gens)[1]
+    return rays, sorted((y[1:], -y[0], z) for y, z in rays if any(y[1:]))
 
 
 def engine_measure(pts, m: int) -> int:

@@ -397,12 +397,12 @@ def test_oracle_compare_seed_refuses_supplied_germs(capsys, tmp_path):
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):
-    import newtonzeta.lattice as lattice
+    import newtonzeta.diagram as diagram
 
-    # an elimination that finds no pivots leaves the facet engine without a
-    # basis spanning the ambient space of the Newton polyhedron
-    monkeypatch.setattr(lattice, "_gauss_jordan",
-                        lambda rows, width=None: ([], [list(r) for r in rows], 1))
+    # a triangulation one unit off gives the facet of normal (2, 1) a
+    # pyramid volume of 3, which its height 2 does not divide
+    pulled = diagram._pulled_volume
+    monkeypatch.setattr(diagram, "_pulled_volume", lambda *args: pulled(*args) + 1)
     code, out, err = run(capsys, "zeta", "--germ", "z1^2-s", "--vars", "s,z1")
     assert code == 3
     assert out == ""

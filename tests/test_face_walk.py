@@ -249,3 +249,15 @@ def test_compact_faces_cut_on_the_parent_facets_at_scale(monkeypatch, n, points)
     assert compact_faces(S, n + 1) == full_scan_compact_faces(S, n + 1)
     assert sum(handed) < sum(oracle_handed)
     assert sum(handed) < len(walk) * len(newton_polyhedron_facets(S, n + 1))
+
+
+def test_compact_faces_read_each_mask_once(monkeypatch):
+    # a compact face is listed and, when it is a simplicial cone, split
+    # from one read of its bits: no mask is read twice
+    read = []
+    bits = nondegeneracy._bits
+    monkeypatch.setattr(nondegeneracy, "_bits", lambda m: read.append(m) or bits(m))
+    S = support(helpers.scale_support(6, 65))
+    faces = compact_faces(S, 7)
+    assert faces == full_scan_compact_faces(S, 7)
+    assert len(read) == len(set(read)) >= len(faces)

@@ -8,11 +8,13 @@ import pytest
 from helpers import (
     brute_facet_enum_full,
     brute_newton_polyhedron_facets,
+    eliminated_newton_polyhedron_facets,
     random_point_set,
     rank_vertices,
     reference_cone_facets,
     two_elimination_cone_facets,
 )
+from newtonzeta import lattice, nondegeneracy
 from newtonzeta.lattice import (
     InvariantViolation,
     _dot,
@@ -119,6 +121,67 @@ def test_facet_at_infinity_is_dropped():
         facets = newton_polyhedron_facets(pts, d)
         assert len(facets) == len(cone) - 1
         assert all(any(a) for a, _, _ in facets)
+
+
+def _newton_supports(rng):
+    """Seeded supports with d = 1..6 and their kind: single points, sets
+    with points on the axes, sets holding the origin, and sets given with
+    repeated points; every set is shuffled."""
+    out = []
+    for d in range(1, 7):
+        for k in range(16):
+            kind = ["point", "axes", "origin", "repeated"][k % 4]
+            pts = [tuple(abs(x) for x in p)
+                   for p in random_point_set(rng, d, rng.randint(1, 13 - d),
+                                             rng.choice([1, 2, 3]), 0.3, 0.2)]
+            if kind == "point":
+                pts = pts[:1]
+            elif kind == "axes":
+                pts += [tuple(rng.randint(1, 4) * (i == j) for j in range(d))
+                        for i in rng.sample(range(d), rng.randint(1, d))]
+            elif kind == "origin":
+                pts.append((0,) * d)
+            else:
+                pts += rng.choices(pts, k=rng.randint(1, 3))
+            rng.shuffle(pts)
+            out.append((kind, d, pts))
+    return out
+
+
+def test_closed_form_seed_takes_the_eliminated_steps(monkeypatch):
+    # the rays written down for the recession axes and the lowest point
+    # are those the elimination found, in its order, so the double
+    # description ends with the very ray list of the eliminated engine
+    runs = []
+    grow = nondegeneracy._double_description
+    monkeypatch.setattr(nondegeneracy, "_double_description",
+                        lambda *args: runs.append(grow(*args)) or runs[-1])
+    seen = set()
+    for kind, d, pts in _newton_supports(random.Random(29)):
+        runs.clear()
+        got = newton_polyhedron_facets(pts, d)
+        rays, want = eliminated_newton_polyhedron_facets(pts, d)
+        assert got == want, (kind, d, pts)
+        assert runs == [rays], (kind, d, pts)
+        if d <= 4:
+            assert got == brute_newton_polyhedron_facets(pts, d), (kind, d, pts)
+        seen.add((kind, d))
+        if pts != sorted(set(pts)):
+            seen.add("unsorted")
+    assert len(seen) == 4 * 6 + 1
+
+
+def test_newton_polyhedron_facets_make_no_elimination(monkeypatch):
+    calls = []
+    eliminate = lattice._gauss_jordan
+    monkeypatch.setattr(lattice, "_gauss_jordan",
+                        lambda *args: calls.append(1) or eliminate(*args))
+    for _, d, pts in _newton_supports(random.Random(31)):
+        newton_polyhedron_facets(pts, d)
+    assert calls == []
+    # the counter sees the elimination: a bounded hull still takes one
+    convex_hull([(0, 0), (1, 0), (0, 1)])
+    assert calls == [1]
 
 
 def test_cone_facets_zero_sets_and_primitivity():
