@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 from operator import index
 
-from .factored import FactoredZeta, factor, product
+from .factored import FactoredZeta, _from_map
 from .germ import (
     GermSeries,
     index_sets_with_zero,
@@ -93,24 +93,22 @@ def _records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
     ``cut`` maps each facet mask of the face to the normal y of a facet of
     P that cuts it out, ``verts`` is the set of P's vertices.  A compact
     facet G (no recession axis) has y nonzero on ``coords``, and y there
-    is a positive multiple of G's normal ``a``.  The volume is read off the
-    pyramid from the origin: the primitive ``a`` puts the origin at
-    lattice height ``c`` (the offset) below G, and the pyramid's
-    normalized |I|-volume, summed over the pulling triangulation of G on
-    the face's facet masks, is ``c * nvol``.
+    is a positive multiple of G's normal ``a``.  G lies on ``a . x = c``
+    with the offset ``c >= 1``, so the determinants of the simplices of
+    its pulling triangulation on the face's facet masks, taken on its
+    points as they are, sum to ``c * nvol``.
     """
     # the points of the face, projected to R^I; every mask read below
     # lies inside ``face``, so the other points keep None
     proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
             for i, p in enumerate(pts)]
-    origin = ((0,) * len(coords),)
     out = []
     for g, y in cut.items():
         if g >> len(pts):
             continue
         a = primitive(tuple(map(y.__getitem__, coords)))
         c = _dot(a, proj[(g & -g).bit_length() - 1])
-        nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, cut, origin), c)
+        nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, cut, ()), c)
         if rem:
             raise InvariantViolation("pyramid volume is not a multiple of its height")
         out.append(DiagramFacet(label, a, a[0], tuple(
@@ -182,13 +180,16 @@ def _face_sign(I) -> int:
     return -1 if len(I) % 2 else 1
 
 
-def _contribution(facets) -> FactoredZeta:
-    return product(factor(f.m, _face_sign(f.index_set) * f.nvol) for f in facets)
+def _zeta(facets, acc: dict[int, int]) -> FactoredZeta:
+    """``acc`` ({m: e}) times each record's (1 - t^m)^(sign * nvol), in one map."""
+    for f in facets:
+        acc[f.m] = acc.get(f.m, 0) + _face_sign(f.index_set) * f.nvol
+    return _from_map(acc)
 
 
 def zeta_I(F: GermSeries, I) -> FactoredZeta:
     """Factored zeta contribution of one index set."""
-    return _contribution(diagram_facets(F, I))
+    return _zeta(diagram_facets(F, I), {})
 
 
 def zeta_torus(F: GermSeries) -> FactoredZeta:
@@ -201,16 +202,13 @@ def zeta_torus(F: GermSeries) -> FactoredZeta:
 
 
 def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, FactoredZeta]:
-    """``(zeta_torus(F), zeta_full(F))``, a product over the index-set
-    table ``_index_set_facets(F, facets)``.
-
+    """``(zeta_torus(F), zeta_full(F))`` off the index-set table
+    ``_index_set_facets(F, facets)``: its last entry, the full index set,
+    and (1 - t) with every entry, the exponents of each summed in one map.
     ``facets``, when given, are ``newton_polyhedron_facets(support(F),
-    F.num_vars)``, built by the caller to share with the nondegeneracy
-    check.  The torus zeta function is the table's last entry, the full
-    index set, which is also one of the factors of the affine one.
-    """
-    parts = [_contribution(fs) for fs in _index_set_facets(F, facets).values()]
-    return parts[-1], factor(1, 1) * product(parts)
+    F.num_vars)``, built by the caller to share with the nondegeneracy check."""
+    entries = list(_index_set_facets(F, facets).values())
+    return _zeta(entries[-1], {}), _zeta((f for fs in entries for f in fs), {1: 1})
 
 
 def zeta_full(F: GermSeries) -> FactoredZeta:

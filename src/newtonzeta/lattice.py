@@ -25,8 +25,8 @@ recession axes and the lowest point, is unimodular, so
 Vertices (``_vertices``), the faces of a face (``_face_facets``) and
 volumes by a pulling triangulation (``_pulled_volume``) are read off the
 zero-set bitmasks, one set bit at a time (``_bits``).  Each level of a
-triangulation is cut on the facets the level above found.  A diagram
-facet is pulled on the facet masks of its face of the Newton polyhedron.
+triangulation is cut on the facets the level above found, and each of its
+simplices is one determinant of its own points, lifted or a diagram facet's.
 A simplex of m + 1 points of Z^k, k <= m + 1, needs neither facets nor
 saturation: it is measured by the gcd of the m x m minors of its edge
 matrix (``_measure``), which for k = m is one determinant; the cone
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd
-from operator import index, mul
+from operator import add, index, mul, sub
 
 Vector = tuple[int, ...]
 
@@ -78,11 +78,11 @@ def _dot(a, b) -> int:
 
 
 def _sub(a, b) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _add(a, b) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _bits(mask: int) -> list[int]:
@@ -102,9 +102,9 @@ def _bits(mask: int) -> list[int]:
 def int_det(rows) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(map(index, r)) for r in rows]
+    a = [row for r in rows if len(row := list(map(index, r))) == n]
+    if len(a) != n:
+        raise ValueError("matrix is not square")
     sign = 1
     prev = 1
     for i in range(n - 1):
@@ -121,7 +121,7 @@ def int_det(rows) -> int:
                 a[j][k] = (a[j][k] * a[i][i] - a[j][i] * a[i][k]) // prev
             a[j][i] = 0
         prev = a[i][i]
-    return sign * a[-1][-1]
+    return sign * a[-1][-1] if n else 1
 
 
 def _gauss_jordan(rows, width=None):
@@ -505,19 +505,18 @@ def _face_facets(mask: int, facet_masks) -> list[int]:
 
 def _pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
     """Sum of |det| over the pulling triangulation of the face ``mask``:
-    cone its lowest point (appended to ``apexes``) over each of its facets
+    pull its lowest point (appended to ``apexes``) over each of its facets
     that miss it, down to faces of ``dim + 1`` points, which are simplices
-    (De Loera, Rambau & Santos, *Triangulations*, 2010).
-
-    ``facet_masks`` are the facets of a face that ``mask`` lies on: every
-    facet of ``mask`` is its intersection with one of them, so each level
-    is cut on the facets that the level above found.  ``apexes`` may start
-    with a point off the face's affine span, such as the origin below a
-    diagram facet; the sum is then the normalized volume of the pyramid
-    over the face with that apex."""
+    (De Loera, Rambau & Santos, *Triangulations*, 2010); a simplex's rows
+    are its own points, apexes and base, in Z^(dim + 1).  On a hyperplane
+    ``a . x = c``, ``a`` primitive and ``c >= 1``, the sum is ``c`` times
+    the face's normalized volume, its pyramid's from the origin (``c = 1``
+    for points lifted to height one).  ``facet_masks`` are the facets of a
+    face that ``mask`` lies on: each level is cut on the facets that the
+    level above found, since every facet of ``mask`` is its intersection
+    with one of them."""
     if mask.bit_count() == dim + 1:
-        simplex = [pts[i] for i in _bits(mask)] + list(apexes)
-        return abs(int_det([_sub(q, simplex[0]) for q in simplex[1:]]))
+        return abs(int_det([*apexes, *map(pts.__getitem__, _bits(mask))]))
     low = mask & -mask
     apexes += (pts[low.bit_length() - 1],)
     found = _face_facets(mask, facet_masks)
@@ -565,7 +564,7 @@ def _measure(pts, m: int) -> int:
     For k = m that is one ``|det|``; for k = m + 1 there are at most m + 1
     minors, and the loop stops once the gcd is 1.  Any other set must lie
     in Z^k with k <= m: fewer than m + 1 points, or k < m, give 0 at once,
-    and larger sets are pulled on the masks of one ``cone_facets`` call.
+    and larger sets are lifted and pulled on the masks of one ``cone_facets`` call.
 
     >>> r, (tri,) = _saturate([[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
     >>> r, _measure(tri, r)
@@ -589,9 +588,9 @@ def _measure(pts, m: int) -> int:
         return g
     if len(pts) <= m or len(pts[0]) < m:
         return 0
-    rank, cone = cone_facets([(1,) + p for p in pts])
+    rank, cone = cone_facets(lifted := [(1,) + p for p in pts])
     return 0 if rank <= m else _pulled_volume(
-        (1 << len(pts)) - 1, m, pts, [z for _, z in cone], ())
+        (1 << len(pts)) - 1, m, lifted, [z for _, z in cone], ())
 
 
 def normalized_volume(P: LatticePolytope) -> int:

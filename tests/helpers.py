@@ -28,11 +28,11 @@ from newtonzeta.lattice import (
     InvariantViolation,
     LatticePolytope,
     Vector,
+    _bits,
     _dot,
     _face_facets,
     _gauss_jordan,
     _minimizers,
-    _pulled_volume,
     _sub,
     _vertices,
     cone_facets,
@@ -1397,13 +1397,50 @@ def eliminated_newton_polyhedron_facets(points, d: int):
     return rays, sorted((y[1:], -y[0], z) for y, z in rays if any(y[1:]))
 
 
+def reference_pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
+    """Sum of |det| over the pulling triangulation of the face ``mask``:
+    cone its lowest point (appended to ``apexes``) over each of its facets
+    that miss it, down to faces of ``dim + 1`` points, which are simplices
+    (De Loera, Rambau & Santos, *Triangulations*, 2010).
+
+    ``facet_masks`` are the facets of a face that ``mask`` lies on: every
+    facet of ``mask`` is its intersection with one of them, so each level
+    is cut on the facets that the level above found.  ``apexes`` may start
+    with a point off the face's affine span, such as the origin below a
+    diagram facet; the sum is then the normalized volume of the pyramid
+    over the face with that apex.
+
+    ``lattice._pulled_volume`` before it took each simplex's determinant
+    on its own points: every simplex here is moved by its first point, one
+    subtraction per row, and a point set is pulled as it is, not lifted."""
+    if mask.bit_count() == dim + 1:
+        simplex = [pts[i] for i in _bits(mask)] + list(apexes)
+        return abs(int_det([_sub(q, simplex[0]) for q in simplex[1:]]))
+    low = mask & -mask
+    apexes += (pts[low.bit_length() - 1],)
+    found = _face_facets(mask, facet_masks)
+    return sum(reference_pulled_volume(f, dim - 1, pts, found, apexes)
+               for f in found if not f & low)
+
+
 def engine_measure(pts, m: int) -> int:
     """``lattice._measure`` before the simplex shortcut: m! vol_m of the
     hull of distinct points of Z^k, k <= m, pulled on the masks of one
     facet-engine call whatever the number of points; 0 below dimension m."""
     rank, cone = reference_cone_facets([(1,) + p for p in pts])
-    return 0 if rank <= m else _pulled_volume(
+    return 0 if rank <= m else reference_pulled_volume(
         (1 << len(pts)) - 1, m, pts, [z for _, z in cone], ())
+
+
+def contribution_product(table) -> tuple[FactoredZeta, FactoredZeta]:
+    """``(torus, affine)`` off an index-set table ``{I: records}`` whose
+    last entry is the full index set, as ``diagram.zeta_torus_and_full``
+    built them before it summed every record's exponent into one map: one
+    ``factor`` per record, one product per index set, and the product of
+    those times (1 - t)."""
+    parts = [product(factor(f.m, (-1 if len(f.index_set) % 2 else 1) * f.nvol)
+                     for f in fs) for fs in table.values()]
+    return parts[-1], factor(1, 1) * product(parts)
 
 
 def two_step_saturate(point_sets):
@@ -1472,7 +1509,8 @@ def facet_reader(pts, facets):
                 continue
             a = primitive(tuple(map(cut[g].__getitem__, coords)))
             c = _dot(a, proj[(g & -g).bit_length() - 1])
-            nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, masks, origin), c)
+            nvol, rem = divmod(
+                reference_pulled_volume(g, len(coords) - 1, proj, masks, origin), c)
             if rem:
                 raise InvariantViolation("pyramid volume is not a multiple of its height")
             out.append(DiagramFacet(label, a, a[0], tuple(

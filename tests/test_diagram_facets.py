@@ -10,13 +10,20 @@ import pytest
 
 import helpers
 from helpers import (
+    apply_matrix,
+    contribution_product,
+    engine_measure,
     hull_diagram_facets,
     per_index_set_zeta,
     random_convenient_germ,
     random_deformation_germ,
+    random_lattice_simplex,
+    random_point_set,
+    random_unimodular,
     random_z_germ,
     reader_diagram_facets,
     reader_index_set_facets,
+    reference_pulled_volume,
     scale_support,
 )
 from newtonzeta import diagram, lattice
@@ -25,6 +32,7 @@ from newtonzeta.diagram import (
     _index_set_facets,
     diagram_facets,
     zeta_full,
+    zeta_torus,
     zeta_torus_and_full,
 )
 from newtonzeta.factored import factor, product
@@ -37,7 +45,7 @@ from newtonzeta.germ import (
     support,
     suspend_germ,
 )
-from newtonzeta.lattice import _dot, _face_facets, _sub, mat_rank
+from newtonzeta.lattice import _dot, _face_facets, _measure, _sub, mat_rank
 from test_face_walk import _support_cases
 
 
@@ -265,3 +273,68 @@ def test_walk_scans_fewer_masks_than_the_reader(monkeypatch):
     index_sets, read = reader_index_set_facets(F)
     assert table == {I: read(I, I) for I in index_sets}
     assert 0 < walk < sum(handed)
+
+
+def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
+    """Every compact facet that the walk and ``diagram_facets`` measure,
+    on seeded suspensions and pencils, homogeneous germs and the n = 6 / 65
+    scale germ, is measured on its own points as it would be coned from
+    the origin with one subtraction per row
+    (``helpers.reference_pulled_volume``); and ``_measure``, which pulls a
+    point set lifted to height one, equals ``helpers.engine_measure``,
+    which pulls it as it is, on full simplices with extra points in
+    dimensions 1-5 and on their unimodular images."""
+    pulled = diagram._pulled_volume
+    measured = []
+
+    def checked(mask, dim, pts, facet_masks, apexes):
+        got = pulled(mask, dim, pts, facet_masks, apexes)
+        origin = ((0,) * (dim + 1),)
+        assert got == reference_pulled_volume(mask, dim, pts, facet_masks, origin), \
+            (mask, dim, pts)
+        measured.append(mask.bit_count() > dim + 1)
+        return got
+
+    monkeypatch.setattr(diagram, "_pulled_volume", checked)
+    rng = random.Random(2030)
+    germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 16)]
+    germs.append(scale_support(6, 65))
+    for F in germs:
+        _index_set_facets(F)
+        diagram_facets(F, range(F.num_vars))
+    assert len(measured) > 1000
+    assert sum(measured) > 100  # facets that are not simplices
+
+    sizes = set()
+    for m in range(1, 6):
+        for _ in range(12):
+            pts = set(random_lattice_simplex(rng, m, m, 3))
+            pts |= set(random_point_set(rng, m, rng.randint(1, 6), 3))
+            pts = sorted(pts)
+            M = random_unimodular(rng, m)
+            image = [apply_matrix(M, p) for p in pts]
+            want = engine_measure(pts, m)
+            assert want > 0, pts
+            assert _measure(pts, m) == want == engine_measure(image, m), pts
+            assert _measure(image, m) == want, (M, pts)
+            sizes.add((m, len(pts) > m + 1))
+    assert sizes == {(m, True) for m in range(1, 6)}
+
+
+def test_one_map_equals_the_product_of_contributions():
+    """The torus and affine zeta functions summed into one map equal the
+    product of one factor per record and one product per index set, on
+    seeded germs, one of them with empty index sets; the torus part is
+    ``zeta_torus``."""
+    rng = random.Random(2031)
+    germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 12)]
+    # z1^2 + z2^3 - s z1 z2: nothing on the s-axis, so I = (0,) is empty
+    germs.append(parse_germ("z1^2 + z2^3 - s*z1*z2", V3))
+    empty = 0
+    for F in germs:
+        table = _index_set_facets(F)
+        empty += not all(table.values())
+        torus, affine = zeta_torus_and_full(F)
+        assert (torus, affine) == contribution_product(table), F
+        assert torus == zeta_torus(F), F
+    assert empty > 0

@@ -92,6 +92,13 @@ def test_pulled_volume_matches_fan_triangulation():
         raw = LatticePolytope(distinct)
         assert convex_hull(raw.vertices)[1] == convex_hull(P.vertices)[1], (kind, pts)
         assert normalized_volume(raw) == want, (kind, pts)
+        # the triangulation itself, on the saturated points lifted to
+        # height one, non-vertices included
+        r, (sat,) = lattice._saturate([distinct])
+        lifted = [(1,) + p for p in sat]
+        masks = [z for _, z in lattice.cone_facets(lifted)[1]]
+        full = (1 << len(lifted)) - 1
+        assert lattice._pulled_volume(full, r, lifted, masks, ()) == want, (kind, pts)
         if len(distinct) > len(P.vertices):
             kinds.add("non-vertex points")
         kinds.add(kind)
@@ -111,6 +118,12 @@ def test_pulled_volume_cuts_each_level_on_the_facets_above(monkeypatch):
     monkeypatch.setattr(lattice, "_face_facets", counted)
     cube = tuple(tuple(k >> i & 1 for i in range(4)) for k in range(16))
     assert normalized_volume(LatticePolytope(cube)) == factorial(4)
+    assert sorted(handed) == [6] * 12 + [8] * 5
+    # the same cuts when the cube, lifted to height one, is pulled directly
+    handed.clear()
+    lifted = [(1,) + p for p in cube]
+    masks = [z for _, z in lattice.cone_facets(lifted)[1]]
+    assert lattice._pulled_volume((1 << 16) - 1, 4, lifted, masks, ()) == factorial(4)
     assert sorted(handed) == [6] * 12 + [8] * 5
 
 

@@ -117,6 +117,13 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
           ("coords_in_basis", "basis rows of two lengths",
            "basis rows and vector differ in length",
            lambda: coords_in_basis([(1, 0), (0, 1, 3)], (1, 1))),
+          # a matrix whose rows are not as long as it is tall
+          *[("int_det", case, "matrix is not square", lambda rows=rows: int_det(rows))
+            for case, rows in [("two rows of three", [[1, 2, 3], [4, 5, 6]]),
+                               ("three rows of two", [[1, 2], [3, 4], [5, 6]]),
+                               ("one empty row", [[]]),
+                               ("a long second row", [[1], [2, 3]]),
+                               ("a short second row", [[1, 2], [3]])]],
           ("newton_polyhedron_facets", "points in Z^3",
            "support points must have 2 coordinates",
            lambda: newton_polyhedron_facets([(1, 0, 0), (0, 1, 0)], 2)),
