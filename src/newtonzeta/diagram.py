@@ -52,6 +52,7 @@ from .lattice import (
     _pulled_volume,
     _saturate,
     _vertices,
+    int_det,
     primitive,
 )
 from .nondegeneracy import newton_polyhedron_facets
@@ -96,7 +97,10 @@ def _records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
     is a positive multiple of G's normal ``a``.  G lies on ``a . x = c``
     with the offset ``c >= 1``, so the determinants of the simplices of
     its pulling triangulation on the face's facet masks, taken on its
-    points as they are, sum to ``c * nvol``.
+    points as they are, sum to ``c * nvol``.  Each G's mask is read once:
+    a G of |I| points is a simplex, so that sum is one ``|int_det|`` of
+    its points, which are all vertices (of G, so of P); any other G is
+    pulled, and its points are filtered by ``verts``.
     """
     # the points of the face, projected to R^I; every mask read below
     # lies inside ``face``, so the other points keep None
@@ -107,12 +111,17 @@ def _records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
         if g >> len(pts):
             continue
         a = primitive(tuple(map(y.__getitem__, coords)))
-        c = _dot(a, proj[(g & -g).bit_length() - 1])
-        nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, cut, ()), c)
+        bits = _bits(g)
+        if len(bits) == len(coords):
+            rows = [proj[i] for i in bits]
+            volume = abs(int_det(rows))
+        else:
+            rows = [proj[i] for i in bits if pts[i] in verts]
+            volume = _pulled_volume(g, len(coords) - 1, proj, cut, ())
+        nvol, rem = divmod(volume, _dot(a, rows[0]))
         if rem:
             raise InvariantViolation("pyramid volume is not a multiple of its height")
-        out.append(DiagramFacet(label, a, a[0], tuple(
-            proj[i] for i in _bits(g) if pts[i] in verts), nvol))
+        out.append(DiagramFacet(label, a, a[0], tuple(rows), nvol))
     return sorted(out, key=lambda f: f.normal)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import index, itemgetter
 
 Exponent = tuple[int, ...]
 
@@ -58,7 +58,7 @@ class GermSeries:
         for e, c in self.terms.items():
             if len(e) != self.num_vars:
                 raise ValueError(f"exponent {e} has wrong length")
-            if any(k < 0 for k in e):
+            if any(index(k) < 0 for k in e):  # a float or Fraction raises TypeError
                 raise ValueError(f"negative exponent in {e}")
             if not any(e):
                 raise ValueError("nonzero constant term: not a germ vanishing at 0")
@@ -69,13 +69,18 @@ class GermSeries:
 def make_germ(num_vars: int, items) -> GermSeries:
     """Collect (exponent, coefficient) pairs into a germ, dropping zeros.
 
-    Coefficients are ints or ``Fraction``s; they are summed as given, and
-    each exponent's sum becomes one ``Fraction``."""
+    Coefficients are ints or ``Fraction``s.  Each exponent's coefficients
+    are summed as given, starting from the first, and a sum that is not
+    already a ``Fraction`` is converted once, so every stored coefficient
+    is a ``Fraction`` and a lone ``Fraction`` term is stored as it is."""
     acc: dict[Exponent, int | Fraction] = {}
     for e, c in items:
         e = tuple(map(index, e))
-        acc[e] = acc.get(e, 0) + c
-    acc = {e: Fraction(c) for e, c in acc.items() if c}
+        acc[e] = acc[e] + c if e in acc else c
+    # 0 + c refuses a coefficient that is not a number, such as a str,
+    # which Fraction would parse
+    acc = {e: c if isinstance(c, Fraction) else Fraction(0 + c)
+           for e, c in acc.items() if c}
     if not acc:
         raise ValueError("empty germ after collection")
     return GermSeries(num_vars, acc)
@@ -92,7 +97,15 @@ def restrict_support(S, I) -> frozenset[Exponent]:
     The projection keeps the order of I (stored sorted).  The Newton
     polyhedron of a germ meets the coordinate subspace R^I exactly in the
     polyhedron of this restricted support, because all exponents are
-    nonnegative.  S's points share one length; I is checked on the first.
+    nonnegative.  S's points are tuples of one length; I is checked on the
+    first.  Each point takes two ``itemgetter`` calls: one reads the
+    dropped coordinates, compared with theirs at the origin, and one keeps
+    the I-coordinates.
+
+    >>> sorted(restrict_support({(1, 0, 0), (0, 2, 0), (0, 1, 3)}, (1,)))
+    [(2,)]
+    >>> sorted(restrict_support({(1, 0, 0), (0, 2, 0), (0, 1, 3)}, (0, 1, 2)))
+    [(0, 1, 3), (0, 2, 0), (1, 0, 0)]
     """
     idx = sorted(set(map(index, I)))
     if not idx:
@@ -101,8 +114,12 @@ def restrict_support(S, I) -> frozenset[Exponent]:
     if S and (idx[0] < 0 or idx[-1] >= n):
         raise ValueError("index set out of range")
     off = [i for i in range(n) if i not in idx]
-    return frozenset(tuple(map(p.__getitem__, idx)) for p in S
-                     if not any(map(p.__getitem__, off)))
+    # an itemgetter of one position returns the entry itself, so a single
+    # kept coordinate is read as a slice, and no dropped one as the empty slice
+    keep = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+    drop = itemgetter(*off) if off else itemgetter(slice(0))
+    zero = drop((0,) * n)
+    return frozenset(keep(p) for p in S if drop(p) == zero)
 
 
 # 2^n index sets, and `diagram` prints a row for each: `zeta` on z1^2 - s
@@ -193,6 +210,10 @@ def _check_names(names) -> None:
 def parse_germ(text: str, var_names) -> GermSeries:
     """Parse an expression into a germ; the first variable name is sigma.
 
+    A term's coefficient is read as an integer numerator and denominator:
+    an integer term hands ``make_germ`` an int, a rational one a single
+    ``Fraction``.
+
     >>> F = parse_germ("z1^2 + z2^3 - s", ["s", "z1", "z2"])
     >>> sorted(F.terms.items())
     [((0, 0, 3), Fraction(1, 1)), ((0, 2, 0), Fraction(1, 1)), ((1, 0, 0), Fraction(-1, 1))]
@@ -206,7 +227,7 @@ def parse_germ(text: str, var_names) -> GermSeries:
         if kind == "other":
             raise ParseError(f"unexpected character {value!r}", pos)
     items = []
-    role, sign, coef, exps = "start", 1, 1, [0] * len(names)
+    role, sign, coef, den, exps = "start", 1, 1, 1, [0] * len(names)
     for kind, value, pos in tokens:
         follow, error = _GRAMMAR[role]
         new = follow.get(value if kind == "op" else kind)
@@ -220,8 +241,8 @@ def parse_germ(text: str, var_names) -> GermSeries:
             except ValueError:
                 raise ParseError("number has too many digits", pos) from None
         if new in ("sign", "end") and role != "start":
-            items.append((exps, sign * coef))
-            coef, exps = 1, [0] * len(names)
+            items.append((exps, sign * coef if den == 1 else Fraction(sign * coef, den)))
+            coef, den, exps = 1, 1, [0] * len(names)
         if new == "sign":
             sign = -1 if value == "-" else 1
         elif new == "coef":
@@ -229,7 +250,7 @@ def parse_germ(text: str, var_names) -> GermSeries:
         elif new == "denom":
             if value == 0:
                 raise ParseError("zero denominator", pos)
-            coef = Fraction(coef, value)
+            den = value
         elif new == "var":
             if value not in index:
                 raise ParseError(f"unknown variable {value!r}", pos)

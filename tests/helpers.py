@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, sqrt
-from operator import mul
+from operator import index, mul
 from random import Random
 
 from newtonzeta.diagram import (
@@ -16,9 +16,12 @@ from newtonzeta.diagram import (
 )
 from newtonzeta.factored import FactoredZeta, factor, one, product
 from newtonzeta.germ import (
+    _GRAMMAR,
+    _TOKEN,
     Exponent,
     GermSeries,
     ParseError,
+    _check_names,
     index_sets_with_zero,
     make_germ,
     restrict_support,
@@ -33,6 +36,7 @@ from newtonzeta.lattice import (
     _face_facets,
     _gauss_jordan,
     _minimizers,
+    _pulled_volume,
     _sub,
     _vertices,
     cone_facets,
@@ -1568,3 +1572,109 @@ def scale_support(n: int, points: int) -> GermSeries:
         if 4 <= sum(map(sqrt, e)) <= 4.25:
             terms.setdefault(tuple(e), rng.choice((-1, 1)))
     return make_germ(n + 1, terms.items())
+
+
+# ---------------------------------------------------------------------------
+# the coefficient path that built a ``Fraction`` for a rational coefficient,
+# another for its sign, another for the zero that each sum started from and
+# another on storing it, and the record builder that read each diagram
+# facet's mask twice, once to pull it and once for its vertices, and pulled
+# simplices too: the paths that one ``Fraction`` per term and one read per
+# facet replaced, kept as the oracles of test_germ and test_diagram_facets
+
+
+def reference_make_germ(num_vars: int, items) -> GermSeries:
+    """Collect (exponent, coefficient) pairs into a germ, dropping zeros.
+
+    Coefficients are ints or ``Fraction``s; they are summed as given, and
+    each exponent's sum becomes one ``Fraction``."""
+    acc: dict[Exponent, int | Fraction] = {}
+    for e, c in items:
+        e = tuple(map(index, e))
+        acc[e] = acc.get(e, 0) + c
+    acc = {e: Fraction(c) for e, c in acc.items() if c}
+    if not acc:
+        raise ValueError("empty germ after collection")
+    return GermSeries(num_vars, acc)
+
+
+def reference_parse_germ(text: str, var_names) -> GermSeries:
+    """Parse an expression into a germ; the first variable name is sigma.
+    Each rational coefficient is a ``Fraction`` from its ``/`` on, and the
+    terms are collected by ``reference_make_germ``."""
+    names = [str(v) for v in var_names]
+    _check_names(names)
+    index = {name: i for i, name in enumerate(names)}
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "other":
+            raise ParseError(f"unexpected character {value!r}", pos)
+    items = []
+    role, sign, coef, exps = "start", 1, 1, [0] * len(names)
+    for kind, value, pos in tokens:
+        follow, error = _GRAMMAR[role]
+        new = follow.get(value if kind == "op" else kind)
+        if new is None:
+            if role == "caret" and value == "-":
+                error = "negative exponent"
+            raise ParseError(error, pos)
+        if kind == "num":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError("number has too many digits", pos) from None
+        if new in ("sign", "end") and role != "start":
+            items.append((exps, sign * coef))
+            coef, exps = 1, [0] * len(names)
+        if new == "sign":
+            sign = -1 if value == "-" else 1
+        elif new == "coef":
+            coef = value
+        elif new == "denom":
+            if value == 0:
+                raise ParseError("zero denominator", pos)
+            coef = Fraction(coef, value)
+        elif new == "var":
+            if value not in index:
+                raise ParseError(f"unknown variable {value!r}", pos)
+            var = index[value]
+            exps[var] += 1
+        elif new == "exp":
+            if value == 0:
+                raise ParseError("exponent must be a positive integer", pos)
+            exps[var] += value - 1
+        elif new == "end":
+            return reference_make_germ(len(names), items)
+        role = new
+
+
+def reference_records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
+    """The diagram facets, sorted by normal, of the face P ∩ R^I of a
+    Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask,
+    ``coords`` are the positions of I in R^d and ``label`` names I.
+
+    ``cut`` maps each facet mask of the face to the normal y of a facet of
+    P that cuts it out, ``verts`` is the set of P's vertices.  A compact
+    facet G (no recession axis) has y nonzero on ``coords``, and y there
+    is a positive multiple of G's normal ``a``.  G lies on ``a . x = c``
+    with the offset ``c >= 1``, so the determinants of the simplices of
+    its pulling triangulation on the face's facet masks, taken on its
+    points as they are, sum to ``c * nvol``.
+    """
+    # the points of the face, projected to R^I; every mask read below
+    # lies inside ``face``, so the other points keep None
+    proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
+            for i, p in enumerate(pts)]
+    out = []
+    for g, y in cut.items():
+        if g >> len(pts):
+            continue
+        a = primitive(tuple(map(y.__getitem__, coords)))
+        c = _dot(a, proj[(g & -g).bit_length() - 1])
+        nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, cut, ()), c)
+        if rem:
+            raise InvariantViolation("pyramid volume is not a multiple of its height")
+        out.append(DiagramFacet(label, a, a[0], tuple(
+            proj[i] for i in _bits(g) if pts[i] in verts), nvol))
+    return sorted(out, key=lambda f: f.normal)

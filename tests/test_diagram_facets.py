@@ -24,6 +24,7 @@ from helpers import (
     reader_diagram_facets,
     reader_index_set_facets,
     reference_pulled_volume,
+    reference_records,
     scale_support,
 )
 from newtonzeta import diagram, lattice
@@ -45,7 +46,7 @@ from newtonzeta.germ import (
     support,
     suspend_germ,
 )
-from newtonzeta.lattice import _dot, _face_facets, _measure, _sub, mat_rank
+from newtonzeta.lattice import _dot, _face_facets, _measure, _sub, mat_rank, primitive
 from test_face_walk import _support_cases
 
 
@@ -277,25 +278,33 @@ def test_walk_scans_fewer_masks_than_the_reader(monkeypatch):
 
 def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
     """Every compact facet that the walk and ``diagram_facets`` measure,
-    on seeded suspensions and pencils, homogeneous germs and the n = 6 / 65
-    scale germ, is measured on its own points as it would be coned from
-    the origin with one subtraction per row
-    (``helpers.reference_pulled_volume``); and ``_measure``, which pulls a
-    point set lifted to height one, equals ``helpers.engine_measure``,
-    which pulls it as it is, on full simplices with extra points in
-    dimensions 1-5 and on their unimodular images."""
-    pulled = diagram._pulled_volume
+    simplices included, on seeded suspensions and pencils, homogeneous
+    germs and the n = 6 / 65 scale germ, has ``c * nvol`` equal to its
+    volume coned from the origin with one subtraction per row
+    (``helpers.reference_pulled_volume``), ``c`` its offset; and
+    ``_measure``, which pulls a point set lifted to height one, equals
+    ``helpers.engine_measure``, which pulls it as it is, on full simplices
+    with extra points in dimensions 1-5 and on their unimodular images."""
+    records = diagram._records
     measured = []
 
-    def checked(mask, dim, pts, facet_masks, apexes):
-        got = pulled(mask, dim, pts, facet_masks, apexes)
-        origin = ((0,) * (dim + 1),)
-        assert got == reference_pulled_volume(mask, dim, pts, facet_masks, origin), \
-            (mask, dim, pts)
-        measured.append(mask.bit_count() > dim + 1)
-        return got
+    def checked(label, coords, pts, face, cut, verts):
+        out = records(label, coords, pts, face, cut, verts)
+        by_normal = {f.normal: f for f in out}
+        proj = [tuple(p[j] for j in coords) if face >> i & 1 else None
+                for i, p in enumerate(pts)]
+        origin = ((0,) * len(coords),)
+        compact = [(g, y) for g, y in cut.items() if not g >> len(pts)]
+        for g, y in compact:
+            a = primitive(tuple(y[j] for j in coords))
+            c = _dot(a, proj[(g & -g).bit_length() - 1])
+            want = reference_pulled_volume(g, len(coords) - 1, proj, cut, origin)
+            assert c * by_normal[a].nvol == want, (label, g, pts)
+            measured.append(g.bit_count() > len(coords))
+        assert len(by_normal) == len(out) == len(compact)
+        return out
 
-    monkeypatch.setattr(diagram, "_pulled_volume", checked)
+    monkeypatch.setattr(diagram, "_records", checked)
     rng = random.Random(2030)
     germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 16)]
     germs.append(scale_support(6, 65))
@@ -319,6 +328,29 @@ def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
             assert _measure(image, m) == want, (M, pts)
             sizes.add((m, len(pts) > m + 1))
     assert sizes == {(m, True) for m in range(1, 6)}
+
+
+def test_records_equal_the_builder_that_pulled_every_facet(monkeypatch):
+    """``_index_set_facets`` and ``diagram_facets`` give the records of the
+    builder that read each facet's mask twice and pulled simplices too
+    (``helpers.reference_records``), on seeded germs and on the n = 6 / 65
+    scale germ, whose facets are not all simplices."""
+    rng = random.Random(2032)
+    germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 12)]
+    germs.append(scale_support(6, 65))
+
+    def every_call(F):
+        I = range(F.num_vars)
+        below = [J for J in index_sets_with_zero(F.num_vars - 1) if len(J) < 5]
+        return _index_set_facets(F), [diagram_facets(F, J) for J in [*below, I]]
+
+    pulled = []
+    monkeypatch.setattr(diagram, "_pulled_volume",
+                        lambda *args: pulled.append(args[0]) or lattice._pulled_volume(*args))
+    got = [every_call(F) for F in germs]
+    assert len(pulled) > 100  # facets with more points than a simplex
+    monkeypatch.setattr(diagram, "_records", reference_records)
+    assert got == [every_call(F) for F in germs]
 
 
 def test_one_map_equals_the_product_of_contributions():

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import pointwise_restrict_support, random_deformation_germ
+from helpers import (
+    pointwise_restrict_support,
+    random_deformation_germ,
+    reference_make_germ,
+    reference_parse_germ,
+)
 from newtonzeta.germ import (
     MAX_Z_VARIABLES,
     GermSeries,
@@ -89,6 +94,72 @@ def test_parse_long_trailing_whitespace():
         parse_germ("z1 -" + " " * 100_000, ["s", "z1"])
 
 
+def _expression(rng, monomials):
+    """A sum of terms over a few monomials, and the features it has: a
+    repeated monomial, and a term followed by its negation; coefficients
+    are integers or rationals (reducible, over 1, or zero)."""
+    out, used, features = [], set(), set()
+    for _ in range(rng.randint(1, 6)):
+        mono = rng.choice(monomials)
+        if mono in used:
+            features.add("repeated")
+        used.add(mono)
+        p = rng.choice([0, 1, 1, 2, 3, 4, 6, 12, 10 ** 30])
+        coef = f"{p}/{rng.choice([1, 2, 3, 4, 6, 7, 9])}" if rng.random() < 0.5 else str(p)
+        term = [rng.choice(["+", "-"]), f"{coef}*{mono}" if rng.random() < 0.8 else mono]
+        out += term
+        if rng.random() < 0.2:
+            out += ["-" if term[0] == "+" else "+", term[1]]
+            features.add("cancelling")
+    return " ".join(out), features
+
+
+def test_coefficients_match_the_fraction_path():
+    """Every stored coefficient is a ``Fraction``, equal, term for term and
+    in order, to the one of the path that built a ``Fraction`` for every
+    coefficient (``helpers.reference_parse_germ`` and
+    ``reference_make_germ``), and every refusal is the same: on seeded
+    expressions with integer, rational, cancelling and repeated terms, and
+    on ``make_germ`` with int, ``Fraction`` and mixed items."""
+    rng = random.Random(1618)
+    names = ["s", "z1", "z2"]
+    monomials = ["s", "z1^2", "z1*z2", "s*z2^3"]
+    seen = set()
+    for _ in range(400):
+        text, features = _expression(rng, monomials)
+        seen |= features
+        got = _outcome(parse_germ, text, names)
+        want = _outcome(reference_parse_germ, text, names)
+        if isinstance(want, str):
+            assert got == want, text
+            seen.add(want)
+            continue
+        assert list(got.terms.items()) == list(want.terms.items()), text
+        assert all(type(c) is Fraction for c in got.terms.values()), text
+        seen.add("rational" if any(c.denominator > 1 for c in got.terms.values())
+                 else "integer")
+    assert seen == {"integer", "rational", "repeated", "cancelling",
+                    "empty germ after collection"}
+
+    exponents = [(0, 1, 0), (1, 0, 0), (0, 2, 1), (2, 0, 1)]
+    coefficients = {
+        "int": lambda: rng.randint(-3, 3),
+        "Fraction": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+    }
+    for kind in ("int", "Fraction", "mixed"):
+        for _ in range(200):
+            items = [(rng.choice(exponents), coefficients[
+                rng.choice(list(coefficients)) if kind == "mixed" else kind]())
+                for _ in range(rng.randint(1, 6))]
+            got = _outcome(make_germ, 3, items)
+            want = _outcome(reference_make_germ, 3, items)
+            if isinstance(want, str):
+                assert got == want, items
+                continue
+            assert list(got.terms.items()) == list(want.terms.items()), items
+            assert all(type(c) is Fraction for c in got.terms.values()), items
+
+
 def test_germ_invariants_enforced():
     with pytest.raises(ValueError):
         GermSeries(2, {})
@@ -142,6 +213,20 @@ def _outcome(f, *args):
 def test_restrict_support_matches_the_pointwise_oracle():
     # the index set is checked once and the off-index positions found once;
     # every result and every message must stay the pointwise one's
+    S = {(1, 0, 0), (0, 2, 0), (0, 1, 3), (0, 0, 4), (2, 0, 5)}
+    cases = [
+        (S, (1,), {(2,)}),   # one coordinate: projected to 1-tuples
+        (S, (2,), {(4,)}),
+        (S, (0,), {(1,)}),
+        (S, (0, 1, 2), S),   # the full index set drops nothing
+        (S, (2, 0, 1, 2), S),
+        (set(), (1,), set()),  # an empty support, whatever the index set
+        (set(), (0, 1, 2), set()),
+        (set(), (5,), set()),
+    ]
+    for S_, I, want in cases:
+        assert restrict_support(S_, I) == want == pointwise_restrict_support(S_, I), (S_, I)
+    assert _outcome(restrict_support, set(), ()) == "empty index set"
     rng = random.Random(2718)
     seen = set()
     for _ in range(600):

@@ -146,6 +146,8 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
           ("compact_faces", "float", lambda: compact_faces([(0, 2.5), (2, 0)], 2)),
           ("make_germ", "float",
            lambda: make_germ(3, [((0, 1.5, 0), 1), ((1, 0, 0), -1)])),
+          ("GermSeries", "float", lambda: GermSeries(
+              3, {(0, 1.5, 0): Fraction(1), (1, 0, 0): Fraction(-1)})),
           ("restrict_support", "float",
            lambda: restrict_support(support(CUSP), (0, 1.5))),
           ("_normalize_index_set", "float",

@@ -42,6 +42,48 @@ def test_convex_hull_is_bound_in_diagram():
     assert diagram.convex_hull is lattice.convex_hull
 
 
+def test_int_det_is_bound_in_diagram():
+    from newtonzeta import diagram, lattice
+
+    # a diagram facet that is a simplex is measured by ``diagram.int_det``,
+    # which the tracer wraps only as the same object as ``lattice.int_det``
+    assert diagram.int_det is lattice.int_det
+
+
+def test_the_tracer_sees_each_diagram_facets_polyhedron_and_determinant():
+    """Under the tracer, each ``diagram_facets`` call on an index set whose
+    restricted support is not empty shows one ``nondegeneracy.polyhedron``
+    span (an empty one shows none), and at least one ``lattice.det`` span
+    per record: every record is measured by ``int_det``, once for a
+    simplex and once per simplex of a pulling triangulation otherwise."""
+    from newtonzeta import diagram
+    from newtonzeta.germ import index_sets_with_zero, parse_germ, restrict_support
+
+    tracing = _load_tracing()
+    for group in tracing.GROUPS.values():  # the tracer patches loaded modules
+        for module, path in group:
+            _resolve(module, path)
+    tracer = tracing.Tracer()
+    polyhedron = tracer.names.index("nondegeneracy.polyhedron")
+    det = tracer.names.index("lattice.det")
+    F = parse_germ("z1^3 + z1*z2^2 + z2^4 + s*z3 + s^2*z1 + s*z1*z2*z3",
+                   ["s", "z1", "z2", "z3"])
+    seen = set()
+    tracer.install()
+    try:
+        for I in index_sets_with_zero(3):
+            start = len(tracer.group)
+            records = diagram.diagram_facets(F, I)
+            spans = tracer.group[start:].tolist()
+            nonempty = bool(restrict_support(F.terms, I))
+            assert spans.count(polyhedron) == nonempty, I
+            assert spans.count(det) >= len(records), I
+            seen.add((nonempty, bool(records)))
+    finally:
+        tracer.remove()
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 def test_every_count_hook_reads_a_real_call():
     from newtonzeta import LatticePolytope, parse_germ
 
