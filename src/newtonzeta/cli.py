@@ -32,13 +32,8 @@ from .germ import (
     restrict_support,
     support,
 )
-from .lattice import InvariantViolation
-from .nondegeneracy import (
-    COUNTEREXAMPLE,
-    UNCHECKED,
-    newton_polyhedron_facets,
-    nondegeneracy_check,
-)
+from .lattice import InvariantViolation, newton_polyhedron_facets
+from .nondegeneracy import COUNTEREXAMPLE, UNCHECKED, nondegeneracy_check
 from .randomized import cayley_checks, cayley_suite, cone_checks, cone_suite
 
 EXIT_OK = 0

@@ -8,15 +8,17 @@ positive primitive inner normal is a diagram facet and contributes a factor
 (Varchenko, Invent. Math. 37, 1976).
 
 Every index set, the full one too, is read off the one Newton polyhedron
-P = conv(S) + R_+^d.  For S_I nonempty, conv(S_I) + R_+^I is the face
-P ∩ R^I of P (P for the full I); its generators are the points with zero
-coordinates off I and the recession axes in I, and P ∩ R^(I∖j), when it
-holds a point, is a facet of it.  So ``_index_set_facets`` reads every
-index set in one walk down the subset lattice from P: a face's facets are
-its maximal proper intersections with the facets of the face above it
-(Kaibel & Pfetsch, Comput. Geom. 23, 2002), each cut out by a facet of P
-whose normal gives its own, and the compact ones are I's diagram facets.
-The table serves the zeta functions, the CLI and the identity checks;
+P = conv(S) + R_+^d, built by ``lattice.newton_polyhedron_facets``; a
+facet's vertices and volume are read by ``lattice`` too, off the bitmasks
+of its face (``_vertices``, ``_pulled_volume``).  For S_I nonempty,
+conv(S_I) + R_+^I is the face P ∩ R^I of P (P for the full I); its
+generators are the points with zero coordinates off I and the recession
+axes in I, and P ∩ R^(I∖j), when it holds a point, is a facet of it.  So
+``_index_set_facets`` reads every index set in one walk down the subset
+lattice from P: a face's facets are its maximal proper intersections with
+the facets of the face above it (Kaibel & Pfetsch, Comput. Geom. 23,
+2002), each cut out by a facet of P whose normal gives its own, and the
+compact ones are I's diagram facets.  The table serves the zeta functions, the CLI and the identity checks;
 ``diagram_facets(F, I)`` reads the facets of the polyhedron of S_I as
 they are and cuts no face.
 """
@@ -41,8 +43,8 @@ from .lattice import (
     InvariantViolation,
     LatticePolytope,
     convex_hull,
+    newton_polyhedron_facets,
     normalized_volume_at,
-    _as_is,
     _bits,
     _dot,
     _face_facets,
@@ -55,7 +57,6 @@ from .lattice import (
     int_det,
     primitive,
 )
-from .nondegeneracy import newton_polyhedron_facets
 
 
 class IdentityInapplicable(ValueError):
@@ -86,21 +87,21 @@ def _normalize_index_set(F: GermSeries, I) -> tuple[int, ...]:
     return idx
 
 
-def _records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
+def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
     """The diagram facets, sorted by normal, of the face P ∩ R^I of a
     Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask,
     ``coords`` are the positions of I in R^d and ``label`` names I.
 
     ``cut`` maps each facet mask of the face to the normal y of a facet of
-    P that cuts it out, ``verts`` is the set of P's vertices.  A compact
-    facet G (no recession axis) has y nonzero on ``coords``, and y there
-    is a positive multiple of G's normal ``a``.  G lies on ``a . x = c``
-    with the offset ``c >= 1``, so the determinants of the simplices of
-    its pulling triangulation on the face's facet masks, taken on its
-    points as they are, sum to ``c * nvol``.  Each G's mask is read once:
-    a G of |I| points is a simplex, so that sum is one ``|int_det|`` of
-    its points, which are all vertices (of G, so of P); any other G is
-    pulled, and its points are filtered by ``verts``.
+    P that cuts it out.  A compact facet G (no recession axis) has y
+    nonzero on ``coords``, and y there is a positive multiple of G's
+    normal ``a``.  G lies on ``a . x = c`` with the offset ``c >= 1``, so
+    the determinants of the simplices of its pulling triangulation on the
+    face's facet masks, taken on its points as they are, sum to
+    ``c * nvol``.  Each G's mask is read once: a G of |I| points is a
+    simplex, so that sum is one ``|int_det|`` of its points, which are all
+    its vertices; any other G is pulled, and its vertices are read off its
+    own mask and the face's facet masks (``_vertices(g, cut)``).
     """
     # the points of the face, projected to R^I; every mask read below
     # lies inside ``face``, so the other points keep None
@@ -116,7 +117,7 @@ def _records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
             rows = [proj[i] for i in bits]
             volume = abs(int_det(rows))
         else:
-            rows = [proj[i] for i in bits if pts[i] in verts]
+            rows = [proj[i] for i in _vertices(g, cut)]
             volume = _pulled_volume(g, len(coords) - 1, proj, cut, ())
         nvol, rem = divmod(volume, _dot(a, rows[0]))
         if rem:
@@ -138,7 +139,7 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     if not S:
         return []
     cut = {z: y for y, _, z in newton_polyhedron_facets(S, len(idx))}
-    return _records(idx, range(len(idx)), S, (1 << len(S)) - 1, cut, set(_vertices(S, cut)))
+    return _records(idx, range(len(idx)), S, (1 << len(S)) - 1, cut)
 
 
 def _index_set_facets(F: GermSeries, facets=None) -> dict:
@@ -153,12 +154,11 @@ def _index_set_facets(F: GermSeries, facets=None) -> dict:
         facets = newton_polyhedron_facets(pts, d)
     cut = {z: y for y, _, z in facets}
     off = [sum(1 << i for i, p in enumerate(pts) if p[j]) | 1 << n + j for j in range(d)]
-    verts = set(_vertices(pts, cut))
-    _walk(table, pts, off, verts, tuple(range(d)), (1 << n + d) - 1, cut, d)
+    _walk(table, pts, off, tuple(range(d)), (1 << n + d) - 1, cut, d)
     return table
 
 
-def _walk(table, pts, off, verts, I, face, cut, top) -> None:
+def _walk(table, pts, off, I, face, cut, top) -> None:
     """Fill ``table`` with the records of I and of the index sets below it.
 
     A depth-first walk down the subset lattice from P: it drops one
@@ -170,16 +170,18 @@ def _walk(table, pts, off, verts, I, face, cut, top) -> None:
     of any face above it, cut out by the same facet of P, so each mask of
     ``cut`` keeps that P-normal on the way down.  A face is cut only when
     it holds |I| points, which a compact facet needs, and then on the
-    facets of the nearest face above it that was cut (P's own at the top).
+    facets of the nearest face above it that was cut (P's own at the top);
+    ``_records`` reads the face's diagram facets, vertices included, off
+    that cut alone.
     """
     if face.bit_count() >= 2 * len(I):  # |I| points besides the |I| axes
         if len(I) < len(off):
             meet = {g & face: y for g, y in cut.items()}
             cut = {g: meet[g] for g in _face_facets(face, meet)}
-        table[I] = _records(I, I, pts, face, cut, verts)
+        table[I] = _records(I, I, pts, face, cut)
     for k in range(top - 1, 0, -1):
         if (below := face & ~off[I[k]]).bit_count() >= len(I):  # a point
-            _walk(table, pts, off, verts, I[:k] + I[k + 1:], below, cut, k)
+            _walk(table, pts, off, I[:k] + I[k + 1:], below, cut, k)
 
 
 def _face_sign(I) -> int:
@@ -275,8 +277,6 @@ def cone_reduction_identity(f: GermSeries, I, facet: DiagramFacet) -> bool:
     if not S:
         raise IdentityInapplicable("the function germ has empty restricted support")
     m_expected, base = _minimizers(S, alpha_z)
-    if not _as_is(base, l - 1):
-        _, (base,) = _saturate([base])
     return facet.nvol == _measure(base, l - 1) and facet.m == m_expected
 
 

@@ -278,13 +278,22 @@ def _monomial_string(e: Exponent, names) -> str:
     return "*".join(parts)
 
 
+def _names_of(F: GermSeries, var_names) -> list[str]:
+    """The names as strings, refused unless there is one per variable."""
+    names = [str(v) for v in var_names]
+    if len(names) != F.num_vars:
+        raise ValueError(f"expected {F.num_vars} variable names, got {len(names)}")
+    return names
+
+
 def germ_to_string(F: GermSeries, var_names) -> str:
-    """Deterministic, re-parseable rendering of a germ.
+    """Deterministic, re-parseable rendering of a germ, one name per
+    variable.
 
     >>> germ_to_string(parse_germ("-s + 2/3*z1^2", ["s", "z1"]), ["s", "z1"])
     '2/3*z1^2 - s'
     """
-    names = [str(v) for v in var_names]
+    names = _names_of(F, var_names)
     out = []
     for e in sorted(F.terms):
         c = F.terms[e]
@@ -303,8 +312,9 @@ def germ_to_string(F: GermSeries, var_names) -> str:
 
 
 def germ_to_json(F: GermSeries, var_names) -> dict:
+    """The object ``germ_from_json`` reads, one name per variable."""
     return {
-        "vars": [str(v) for v in var_names],
+        "vars": _names_of(F, var_names),
         "terms": [{"exp": list(e), "coef": str(F.terms[e])}
                   for e in sorted(F.terms)],
     }

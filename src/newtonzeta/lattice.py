@@ -1,10 +1,12 @@
 """Exact integer and rational polyhedral geometry.
 
-Convex hulls with primitive inner normals, Smith normal form, saturation
-lattices, normalized lattice volumes, Minkowski sums, and mixed volumes.
-Everything runs on Python ints; ``fractions.Fraction`` appears only in the
-mixed-volume results.  No floating point enters this module, so all
-results are exact.
+Convex hulls and Newton polyhedra with primitive inner normals, Smith
+normal form, saturation lattices, normalized lattice volumes, Minkowski
+sums, and mixed volumes.  Everything runs on Python ints;
+``fractions.Fraction`` appears only in the mixed-volume results.  No
+floating point enters this module, so all results are exact.  It is the
+one module that builds a polyhedron, reads a face's vertices and decides
+when points are saturated.
 
 Every exact elimination (rank, coordinates in a given basis, the starting
 rays of a hull's facet engine) is one fraction-free Gauss-Jordan routine,
@@ -22,17 +24,17 @@ of a basis that one elimination finds, and runs in the span of its
 generators, whose rank it returns; a Newton polyhedron's basis, the
 recession axes and the lowest point, is unimodular, so
 ``newton_polyhedron_facets`` writes its rays down with no elimination.
-Vertices (``_vertices``), the faces of a face (``_face_facets``) and
-volumes by a pulling triangulation (``_pulled_volume``) are read off the
-zero-set bitmasks, one set bit at a time (``_bits``).  Each level of a
+A face's vertices (``_vertices``), the faces of a face (``_face_facets``)
+and volumes by a pulling triangulation (``_pulled_volume``) are read off
+the zero-set bitmasks, one set bit at a time (``_bits``).  Each level of a
 triangulation is cut on the facets the level above found, and each of its
 simplices is one determinant of its own points, lifted or a diagram facet's.
-A simplex of m + 1 points of Z^k, k <= m + 1, needs neither facets nor
-saturation: it is measured by the gcd of the m x m minors of its edge
-matrix (``_measure``), which for k = m is one determinant; the cone
-oracle's base faces are taken so when ``_as_is`` holds.  Every other
-point set takes one path: ``_saturate``, then ``_measure``, summed by
-``_mixed`` for mixed volumes (the Cayley oracle's included).
+``_measure`` takes points of any Z^k: a simplex of m + 1 points with
+k <= m + 1 (``_as_is``) needs neither facets nor saturation and is
+measured by the gcd of the m x m minors of its edge matrix, which for
+k = m is one determinant; any other set in k > m dimensions is moved into
+its saturation lattice first (``_saturate``).  ``_mixed`` sums it for
+mixed volumes (the Cayley oracle's included).
 Points are checked once, at entry, where ``operator.index`` refuses
 anything but integers; ``cone_facets`` takes them as built.
 """
@@ -279,7 +281,7 @@ def coords_in_basis(basis, v) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# convex hulls
+# convex hulls and Newton polyhedra
 
 def cone_facets(gens) -> tuple[int, list[tuple[Vector, int]]]:
     """Rank and facets of the cone spanned by a list of integer vectors.
@@ -388,26 +390,31 @@ def _double_description(rays, rank: int, gens) -> list[tuple[Vector, int]]:
     return rays
 
 
-def _vertices(pts, masks) -> list[Vector]:
-    """The vertices among sorted distinct points, read off facet zero-set
-    masks (bit i for ``pts[i]``; higher bits, such as a Newton
-    polyhedron's recession axes, are ignored): point i is a vertex iff
-    the points on every facet through it are point i alone (Kaibel &
-    Pfetsch, Comput. Geom. 23, 2002).  A point on no facet is a vertex
-    only when it is the only point.
+def _vertices(mask: int, masks) -> list[int]:
+    """The vertices of the face ``mask``, as its bit positions, lowest
+    first, read off ``masks``, the zero-set masks of the facets of the
+    polyhedron or of a face that holds it: bit i is a vertex iff the bits
+    of ``mask`` on every facet through it are bit i alone (Kaibel &
+    Pfetsch, Comput. Geom. 23, 2002).  Bits outside ``mask``, such as a
+    Newton polyhedron's recession axes, are ignored; a bit on no facet is
+    a vertex only when it is the only bit of ``mask``.
 
-    >>> _vertices([(0, 0), (1, 0), (2, 0), (0, 1)], [0b0111, 0b1001, 0b1100])
-    [(0, 0), (2, 0), (0, 1)]
+    The triangle (0, 0), (2, 0), (0, 1) with (1, 0) on an edge, bit i for
+    the i-th point, and that edge:
+
+    >>> _vertices(0b1111, [0b0111, 0b1001, 0b1100])
+    [0, 2, 3]
+    >>> _vertices(0b0111, [0b0111, 0b1001, 0b1100])
+    [0, 2]
     """
-    full = (1 << len(pts)) - 1
     out = []
-    for i, p in enumerate(pts):
-        common = full
+    for i in _bits(mask):
+        common = mask
         for z in masks:
             if z >> i & 1:
                 common &= z
         if common == 1 << i:
-            out.append(p)
+            out.append(i)
     return out
 
 
@@ -416,7 +423,8 @@ def convex_hull(points):
 
     One ``cone_facets`` call on the sorted distinct points, lifted to
     height one as they are, gives the facets' zero-set masks, off which
-    the vertices are read, and the rank, which is the dimension plus one.
+    ``_vertices`` reads the vertices of the whole set, and the rank, which
+    is the dimension plus one.
     Facets are reported for full-dimensional hulls only, as the sorted
     ``(normal, offset, zeros)`` triples of ``newton_polyhedron_facets``,
     bit i of ``zeros`` for the i-th sorted distinct point; a
@@ -432,10 +440,56 @@ def convex_hull(points):
     if d < 1 or any(len(p) != d for p in pts):
         raise ValueError("points must share a positive ambient dimension")
     rank, cone = cone_facets([(1,) + p for p in pts])
-    vertices = _vertices(pts, [z for _, z in cone])
+    vertices = [pts[i] for i in _vertices((1 << len(pts)) - 1, [z for _, z in cone])]
     if rank <= d:
         return vertices, rank - 1, []
     return vertices, d, sorted((y[1:], -y[0], z) for y, z in cone)
+
+
+def newton_polyhedron_facets(points, d: int):
+    """Facets of conv(points) + R_+^d.
+
+    Returns sorted (normal, offset, zeros) triples: the primitive inner
+    normal (componentwise nonnegative), its minimum value, and the facet's
+    zero-set mask, with bit i for the i-th sorted distinct point on the
+    facet and bit n + j for the recession axis j in it (the normal's zero
+    components), n points in all.
+
+    The cone over the points lifted to height one and the axes at height
+    zero is built by ``_double_description`` from a closed-form
+    start: sorted, the axes come first, and they and the lowest point p0
+    are a unimodular basis whose dual rays need no elimination.  They are
+    the rows that ``cone_facets``' elimination would give, in its order,
+    so the facets, masks and steps are the same.
+
+    The cusp ``z1^2 + z2^3 - s``, with points (0, 0, 3), (0, 2, 0) and
+    (1, 0, 0) as bits 0 to 2 and the axes as bits 3 to 5: three
+    coordinate facets and the compact facet through all three points.
+
+    >>> for a, c, zeros in newton_polyhedron_facets(
+    ...         [(1, 0, 0), (0, 2, 0), (0, 0, 3)], 3):
+    ...     print(a, c, f"{zeros:06b}")
+    (0, 0, 1) 0 011110
+    (0, 1, 0) 0 101101
+    (1, 0, 0) 0 110011
+    (6, 3, 2) 6 000111
+    """
+    pts = sorted({tuple(map(index, p)) for p in points})
+    if not pts:
+        raise ValueError("empty support")
+    if any(len(p) != d for p in pts):
+        raise ValueError(f"support points must have {d} coordinates")
+    # the rays of axis d, ..., axis 1, then p0: e_j - p0_j e_0 is zero on
+    # p0 (bit 0) and on every axis but j, e_0 on every axis
+    n, p0 = len(pts), pts[0]
+    axes = ((1 << d) - 1) << n
+    rays = [((-p0[j],) + (0,) * j + (1,) + (0,) * (d - 1 - j), axes ^ 1 << n + j | 1)
+            for j in reversed(range(d))] + [((1,) + (0,) * d, axes)]
+    cone = _double_description(
+        rays, d + 1, [((1,) + p, 1 << i) for i, p in enumerate(pts[1:], 1)])
+    # the normal with a = 0 is the facet at infinity, not a facet of the
+    # polyhedron
+    return sorted((y[1:], -y[0], z) for y, z in cone if any(y[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +607,9 @@ def _as_is(pts, m: int) -> bool:
 
 
 def _measure(pts, m: int) -> int:
-    """m! vol_m of the hull of distinct points of Z^k; 0 below dimension m.
+    """m! vol_m of the hull of points of Z^k, measured in the saturation
+    lattice of their direction space; 0 below dimension m, and
+    ``ValueError`` above it.
 
     Exactly m + 1 points, with k <= m + 1 (``_as_is``), take one rule
     whether their coordinates are saturated or not: the gcd of the m x m
@@ -562,21 +618,25 @@ def _measure(pts, m: int) -> int:
     normalized volume, and 0 when the points are flat (Newman, *Integral
     Matrices*, 1972).
     For k = m that is one ``|det|``; for k = m + 1 there are at most m + 1
-    minors, and the loop stops once the gcd is 1.  Any other set must lie
-    in Z^k with k <= m: fewer than m + 1 points, or k < m, give 0 at once,
-    and larger sets are lifted and pulled on the masks of one ``cone_facets`` call.
+    minors, and the loop stops once the gcd is 1.  Any other set in k > m
+    dimensions is moved into its saturation lattice (``_saturate``), of
+    rank r <= m, and measured there.  In Z^k with k <= m, fewer than
+    m + 1 points, or k < m, give 0 at once, and larger sets are lifted and
+    pulled on the masks of one ``cone_facets`` call.
 
-    >>> r, (tri,) = _saturate([[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
-    >>> r, _measure(tri, r)
-    (2, 1)
-    >>> _measure([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2)  # the same, in Z^3
+    >>> _measure([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2)  # a triangle in Z^3
     1
-    >>> _measure([(0, 0, 0), (2, 0, 2), (0, 2, 2)], 2)  # a triangle in Z^3
+    >>> _measure([(0, 0, 0), (2, 0, 2), (0, 2, 2)], 2)
     4
+    >>> _measure([(0, 0, 0), (2, 0, 2), (0, 2, 2), (2, 2, 4)], 2)  # saturated
+    8
     >>> _measure([(0, 0), (2, 1), (1, 3)], 2)
     5
     >>> _measure([(0,), (1,), (2,)], 2)  # three points of a line
     0
+    >>> _measure([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 2)
+    Traceback (most recent call last):
+    ValueError: polytope dimension exceeds the requested dimension
     """
     if _as_is(pts, m):
         edges = [_sub(p, pts[0]) for p in pts[1:]]
@@ -586,6 +646,11 @@ def _measure(pts, m: int) -> int:
             if g == 1:
                 break
         return g
+    if len(pts[0]) > m:
+        r, (pts,) = _saturate([pts])
+        if r > m:
+            raise ValueError("polytope dimension exceeds the requested dimension")
+        return _measure(pts, m)
     if len(pts) <= m or len(pts[0]) < m:
         return 0
     rank, cone = cone_facets(lifted := [(1,) + p for p in pts])
@@ -606,13 +671,17 @@ def normalized_volume(P: LatticePolytope) -> int:
 
 def normalized_volume_at(P: LatticePolytope, l: int) -> int:
     """Like normalized_volume but measured in target dimension l: returns 0
-    when P has affine dimension below l."""
+    when P has affine dimension below l and refuses one above it.  The
+    vertices go to ``_measure`` as they are, which saturates them only
+    when they need it.
+
+    >>> P = LatticePolytope(((0, 0, 0), (2, 0, 2), (0, 2, 2), (2, 2, 4)))
+    >>> normalized_volume_at(P, 2), normalized_volume_at(P, 3)
+    (8, 0)
+    """
     if l < 0:
         raise ValueError("dimension must be nonnegative")
-    r, (pts,) = _saturate([P.vertices])
-    if r > l:
-        raise ValueError("polytope dimension exceeds the requested dimension")
-    return _measure(pts, l)
+    return _measure(P.vertices, l)
 
 
 # ---------------------------------------------------------------------------

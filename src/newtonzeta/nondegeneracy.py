@@ -5,10 +5,11 @@ has a critical zero on the algebraic torus.  The faces to inspect are the
 compact faces of the restricted diagrams over every index set; every such
 face is also a compact face of the full Newton polyhedron (extend the
 strictly positive covector by sufficiently large entries off the index
-set), so one walk down the full polyhedron's face lattice covers them all.
-The walk cuts a face that is not a simplicial cone on the facet bitmasks
-of the face it was split from (the polyhedron's own at the top); a
-simplicial face's facets are its bitmask with one bit cleared.
+set), so one walk down the full polyhedron's face lattice covers them all,
+on the facet bitmasks of ``lattice.newton_polyhedron_facets``.  The walk
+cuts a face that is not a simplicial cone on the facet bitmasks of the
+face it was split from (the polyhedron's own at the top); a simplicial
+face's facets are its bitmask with one bit cleared.
 
 Verdicts:
   * dimension 0: verified automatically (a monomial has no torus critical
@@ -34,10 +35,10 @@ from .germ import Exponent, GermSeries, check_z_variables, support
 from .lattice import (
     InvariantViolation,
     _bits,
-    _double_description,
     _face_facets,
     _sub,
     coords_in_basis,
+    newton_polyhedron_facets,
     primitive,
     smith_normal_form,
 )
@@ -87,52 +88,6 @@ class NondegeneracyReport:
 
 # ---------------------------------------------------------------------------
 # compact faces of the Newton polyhedron conv(S) + R_+^d
-
-def newton_polyhedron_facets(points, d: int):
-    """Facets of conv(points) + R_+^d.
-
-    Returns sorted (normal, offset, zeros) triples: the primitive inner
-    normal (componentwise nonnegative), its minimum value, and the facet's
-    zero-set mask, with bit i for the i-th sorted distinct point on the
-    facet and bit n + j for the recession axis j in it (the normal's zero
-    components), n points in all.
-
-    The cone over the points lifted to height one and the axes at height
-    zero is built by ``lattice._double_description`` from a closed-form
-    start: sorted, the axes come first, and they and the lowest point p0
-    are a unimodular basis whose dual rays need no elimination.  They are
-    the rows that ``cone_facets``' elimination would give, in its order,
-    so the facets, masks and steps are the same.
-
-    The cusp ``z1^2 + z2^3 - s``, with points (0, 0, 3), (0, 2, 0) and
-    (1, 0, 0) as bits 0 to 2 and the axes as bits 3 to 5: three
-    coordinate facets and the compact facet through all three points.
-
-    >>> for a, c, zeros in newton_polyhedron_facets(
-    ...         [(1, 0, 0), (0, 2, 0), (0, 0, 3)], 3):
-    ...     print(a, c, f"{zeros:06b}")
-    (0, 0, 1) 0 011110
-    (0, 1, 0) 0 101101
-    (1, 0, 0) 0 110011
-    (6, 3, 2) 6 000111
-    """
-    pts = sorted({tuple(map(index, p)) for p in points})
-    if not pts:
-        raise ValueError("empty support")
-    if any(len(p) != d for p in pts):
-        raise ValueError(f"support points must have {d} coordinates")
-    # the rays of axis d, ..., axis 1, then p0: e_j - p0_j e_0 is zero on
-    # p0 (bit 0) and on every axis but j, e_0 on every axis
-    n, p0 = len(pts), pts[0]
-    axes = ((1 << d) - 1) << n
-    rays = [((-p0[j],) + (0,) * j + (1,) + (0,) * (d - 1 - j), axes ^ 1 << n + j | 1)
-            for j in reversed(range(d))] + [((1,) + (0,) * d, axes)]
-    cone = _double_description(
-        rays, d + 1, [((1,) + p, 1 << i) for i, p in enumerate(pts[1:], 1)])
-    # the normal with a = 0 is the facet at infinity, not a facet of the
-    # polyhedron
-    return sorted((y[1:], -y[0], z) for y, z in cone if any(y[1:]))
-
 
 def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...], int]]:
     """Sorted ``(support_points, dim)`` of the compact faces of

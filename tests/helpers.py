@@ -46,18 +46,14 @@ from newtonzeta.lattice import (
     mat_rank,
     minkowski_sum,
     mixed_volume,
+    newton_polyhedron_facets,
     normalized_volume,
     normalized_volume_at,
     primitive,
     saturation_basis,
     smith_normal_form,
 )
-from newtonzeta.nondegeneracy import (
-    COUNTEREXAMPLE,
-    VERIFIED,
-    FaceVerdict,
-    newton_polyhedron_facets,
-)
+from newtonzeta.nondegeneracy import COUNTEREXAMPLE, VERIFIED, FaceVerdict
 from newtonzeta.randomized import (  # noqa: F401 (re-exported for tests)
     random_convenient_germ,
     random_nonzero_fraction,
@@ -1485,7 +1481,8 @@ def facet_reader(pts, facets):
     """
     n = len(pts)
     masks = [z for _, _, z in facets]
-    verts = set(_vertices(pts, masks))
+    # the whole support's vertices, which filter each facet's points
+    verts = {pts[i] for i in _vertices((1 << n) - 1, masks)}
     supports = [sum(1 << j for j, x in enumerate(p) if x) for p in pts]
 
     def read(label, coords) -> list[DiagramFacet]:
@@ -1649,23 +1646,25 @@ def reference_parse_germ(text: str, var_names) -> GermSeries:
         role = new
 
 
-def reference_records(label, coords, pts, face, cut, verts) -> list[DiagramFacet]:
+def reference_records(label, coords, pts, face, cut) -> list[DiagramFacet]:
     """The diagram facets, sorted by normal, of the face P ∩ R^I of a
     Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask,
     ``coords`` are the positions of I in R^d and ``label`` names I.
 
     ``cut`` maps each facet mask of the face to the normal y of a facet of
-    P that cuts it out, ``verts`` is the set of P's vertices.  A compact
-    facet G (no recession axis) has y nonzero on ``coords``, and y there
-    is a positive multiple of G's normal ``a``.  G lies on ``a . x = c``
-    with the offset ``c >= 1``, so the determinants of the simplices of
-    its pulling triangulation on the face's facet masks, taken on its
-    points as they are, sum to ``c * nvol``.
+    P that cuts it out.  A compact facet G (no recession axis) has y
+    nonzero on ``coords``, and y there is a positive multiple of G's
+    normal ``a``.  G lies on ``a . x = c`` with the offset ``c >= 1``, so
+    the determinants of the simplices of its pulling triangulation on the
+    face's facet masks, taken on its points as they are, sum to
+    ``c * nvol``.  G's points are filtered by the vertices of the whole
+    face, P's vertices on it, read once off the face's own mask.
     """
     # the points of the face, projected to R^I; every mask read below
     # lies inside ``face``, so the other points keep None
     proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
             for i, p in enumerate(pts)]
+    verts = set(_vertices(face & (1 << len(pts)) - 1, cut))
     out = []
     for g, y in cut.items():
         if g >> len(pts):
@@ -1676,5 +1675,5 @@ def reference_records(label, coords, pts, face, cut, verts) -> list[DiagramFacet
         if rem:
             raise InvariantViolation("pyramid volume is not a multiple of its height")
         out.append(DiagramFacet(label, a, a[0], tuple(
-            proj[i] for i in _bits(g) if pts[i] in verts), nvol))
+            proj[i] for i in _bits(g) if i in verts), nvol))
     return sorted(out, key=lambda f: f.normal)

@@ -288,8 +288,8 @@ def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
     records = diagram._records
     measured = []
 
-    def checked(label, coords, pts, face, cut, verts):
-        out = records(label, coords, pts, face, cut, verts)
+    def checked(label, coords, pts, face, cut):
+        out = records(label, coords, pts, face, cut)
         by_normal = {f.normal: f for f in out}
         proj = [tuple(p[j] for j in coords) if face >> i & 1 else None
                 for i, p in enumerate(pts)]

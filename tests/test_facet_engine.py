@@ -14,7 +14,7 @@ from helpers import (
     reference_cone_facets,
     two_elimination_cone_facets,
 )
-from newtonzeta import lattice, nondegeneracy
+from newtonzeta import lattice
 from newtonzeta.lattice import (
     InvariantViolation,
     _dot,
@@ -22,9 +22,9 @@ from newtonzeta.lattice import (
     convex_hull,
     coords_in_basis,
     mat_rank,
+    newton_polyhedron_facets,
     saturation_basis,
 )
-from newtonzeta.nondegeneracy import newton_polyhedron_facets
 
 
 def _full_dimensional(pts, d):
@@ -153,8 +153,8 @@ def test_closed_form_seed_takes_the_eliminated_steps(monkeypatch):
     # are those the elimination found, in its order, so the double
     # description ends with the very ray list of the eliminated engine
     runs = []
-    grow = nondegeneracy._double_description
-    monkeypatch.setattr(nondegeneracy, "_double_description",
+    grow = lattice._double_description
+    monkeypatch.setattr(lattice, "_double_description",
                         lambda *args: runs.append(grow(*args)) or runs[-1])
     seen = set()
     for kind, d, pts in _newton_supports(random.Random(29)):

@@ -261,7 +261,9 @@ def test_json_roundtrip():
 
 
 @pytest.mark.parametrize("name", ["z1*z2", "", "2", "z 1", " z1", "z1^2", "z-1",
-                                  "1z", "s'", "x\n"])
+                                  "1z", "s'", "x\n",
+                                  # characters that no token starts with
+                                  "?", "$x"])
 def test_names_the_grammar_cannot_read_are_refused(name):
     message = f"variable name {name!r} is not a name the germ grammar reads"
     with pytest.raises(ValueError) as expression:

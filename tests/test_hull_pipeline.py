@@ -1,8 +1,8 @@
 """The one-step hull pipeline against the paths it replaced.
 
 ``convex_hull`` reads vertices and facets off one ``cone_facets`` call on
-the lifted points as they are, ``diagram_facets`` reads vertices off the
-Newton polyhedron's masks with ``_vertices``, and ``mixed_volume`` is one
+the lifted points as they are, ``_vertices`` reads them off the masks of a
+Newton polyhedron too, and ``mixed_volume`` is one
 inclusion-exclusion.  The oracles in ``tests/helpers.py`` are the old
 dot-product incidences, the recursion into the saturation lattice, the
 step that moved a lower-dimensional set into saturated coordinates first
@@ -27,14 +27,16 @@ from newtonzeta.diagram import diagram_facets
 from newtonzeta.germ import parse_germ
 from newtonzeta.lattice import (
     LatticePolytope,
+    _bits,
+    _face_facets,
     _minimizers,
     _vertices,
     cone_facets,
     convex_hull,
     mat_rank,
     mixed_volume,
+    newton_polyhedron_facets,
 )
-from newtonzeta.nondegeneracy import newton_polyhedron_facets
 
 
 def _embed(rng, d, k):
@@ -139,7 +141,8 @@ def test_lifted_hull_masks_match_the_saturated_hull():
         masks = [z for _, z in facets]
         assert rank == dim + 1, pts
         assert sorted(masks) == sorted(z for _, z in cone), pts
-        assert convex_hull(pts)[:2] == (_vertices(pts, masks), dim)
+        verts = [pts[i] for i in _vertices((1 << len(pts)) - 1, masks)]
+        assert convex_hull(pts)[:2] == (verts, dim)
         dims.add(dim)
     assert dims == set(range(6))
 
@@ -175,11 +178,33 @@ def test_newton_polyhedron_vertices_match_the_incidence_rule():
         S = sorted({tuple(abs(x) for x in p)
                     for p in random_point_set(rng, d, rng.randint(1, 12), 3)})
         facets = newton_polyhedron_facets(S, d)
-        verts = _vertices(S, [z for _, _, z in facets])
+        verts = [S[i] for i in _vertices((1 << len(S)) - 1, [z for _, _, z in facets])]
         assert verts == _vertices_from_facets(S, [(a, c) for a, c, _ in facets])
         inner += len(verts) < len(S)
     assert inner
 
+
+
+def test_face_vertices_are_the_support_vertices_on_the_face():
+    # each facet's vertices, read off its own points on the polyhedron's
+    # masks or on the masks of its own facets, are the whole support's
+    # vertices on it
+    rng = random.Random(816)
+    faces = 0
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        S = sorted({tuple(abs(x) for x in p)
+                    for p in random_point_set(rng, d, rng.randint(1, 12), 3)})
+        masks = [z for _, _, z in newton_polyhedron_facets(S, d)]
+        points = (1 << len(S)) - 1
+        whole = set(_vertices(points, masks))
+        for z in masks:
+            want = [i for i in _bits(z & points) if i in whole]
+            assert _vertices(z & points, masks) == want, (S, z)
+            if (z & points).bit_count() > 1:
+                assert _vertices(z & points, _face_facets(z, masks)) == want, (S, z)
+                faces += len(want) < (z & points).bit_count()
+    assert faces
 
 def _bodies(rng, m, distinct, rank):
     """m bodies, ``distinct`` of them different up to translation, inside

@@ -20,6 +20,7 @@ from helpers import (
 from newtonzeta import lattice
 from newtonzeta.lattice import (
     LatticePolytope,
+    _add,
     _as_is,
     _dot,
     _measure,
@@ -471,6 +472,62 @@ def test_volumes_equal_the_saturating_path():
         if r:
             with pytest.raises(ValueError, match="exceeds the requested dimension"):
                 normalized_volume_at(P, r - 1)
+
+
+def _higher_sets(rng):
+    """Seeded sets of Z^k, k = m + 1 .. m + 3, with their rank r and
+    whether a point repeats: m + 1 to m + 5 distinct points drawn in Z^r,
+    r <= m + 1 (r = m + 1 with at least m + 2 points), padded with zeros,
+    moved by a unimodular map of Z^k and shifted, and one or two of them
+    again for a share of the sets; r < m makes them flat, r > m too high
+    for dimension m."""
+    for _ in range(250):
+        m = rng.randint(1, 4)
+        k = m + rng.randint(1, 3)
+        r = rng.randint(1, m + 1)
+        if r <= m:
+            count = m + 1 if rng.random() < 0.5 else m + rng.randint(2, 5)
+            low = random_point_set(rng, r, count, 3)
+        else:
+            low = random_lattice_simplex(rng, r, r, 3)
+            low = sorted(set(low) | set(random_point_set(rng, r, rng.randint(1, 3), 3)))
+        M = random_unimodular(rng, k, steps=12)
+        shift = tuple(rng.randint(-3, 3) for _ in range(k))
+        pts = [_add(apply_matrix(M, p + (0,) * (k - r)), shift) for p in low]
+        repeated = rng.random() < 0.3
+        if repeated:
+            pts += rng.choices(pts, k=rng.randint(1, 2))
+        rng.shuffle(pts)
+        yield m, r, repeated, pts
+
+
+def test_measure_saturates_sets_above_its_dimension():
+    # points of Z^k, k > m, are moved into their saturation lattice by
+    # _measure itself: the same volume as the two-step saturation, as
+    # normalized_volume at rank m and as the set without its repeats; a
+    # rank above m is refused
+    seen = set()
+    for m, r, repeated, pts in _higher_sets(random.Random(2033)):
+        if r > m:
+            with pytest.raises(ValueError, match="exceeds the requested dimension"):
+                _measure(pts, m)
+            seen.add(("refused", repeated))
+            continue
+        got = _measure(pts, m)
+        rank, (coords,) = two_step_saturate([pts])
+        assert got == _measure(coords, m), (m, pts)
+        assert got == _measure(sorted(set(pts)), m), (m, pts)
+        assert (got > 0) == (rank == m), (m, pts)
+        if rank == m:
+            assert got == normalized_volume(LatticePolytope(tuple(pts))), (m, pts)
+        seen.add((len(set(pts)) > m + 1, got > 0, repeated))
+    assert seen == {(size, full, repeated) for size in (False, True)
+                    for full in (False, True) for repeated in (False, True)} | {
+        ("refused", False), ("refused", True)}
+    # a parallelogram in the plane z = x + y: its square of side 2 in the
+    # saturated coordinates has 2! * 4 = 8
+    square = [(0, 0, 0), (2, 0, 2), (0, 2, 2), (2, 2, 4)]
+    assert _measure(square, 2) == 8 == normalized_volume(LatticePolytope(tuple(square)))
 
 
 def test_a_simplex_with_too_many_maximal_minors_is_saturated(monkeypatch):

@@ -1,0 +1,79 @@
+"""The import layers of ``src/newtonzeta``, pinned.
+
+A module imports package modules only from the layers below its own:
+
+    1. ``germ``, ``factored`` and ``lattice`` import no package module;
+    2. ``nondegeneracy`` and ``diagram`` import from layer 1 alone, so
+       never from each other;
+    3. ``randomized``;
+    4. ``cli``;
+    5. ``__init__`` and ``__main__``.
+
+``lattice`` alone builds polyhedra and decides when points are
+saturated, so its double-description engine and its saturation rule are
+named in no other module."""
+
+import ast
+import re
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "newtonzeta").glob("*.py"))
+
+LAYERS = [{"germ", "factored", "lattice"}, {"nondegeneracy", "diagram"},
+          {"randomized"}, {"cli"}, {"__init__", "__main__"}]
+
+LATTICE_ONLY = ("_double_description", "_as_is")
+
+
+def _package_imports(tree):
+    """The package modules that ``tree`` imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.update([node.module] if node.module
+                             else [alias.name for alias in node.names])
+            elif (node.module or "").startswith("newtonzeta."):
+                found.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[2] for alias in node.names
+                         if alias.name.startswith("newtonzeta."))
+    return found
+
+
+def _layer_breaks(modules):
+    """``(module, imported)`` for each import of ``modules`` (a dict of
+    module name to parsed tree) that is not from a layer below."""
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    return sorted((name, imported) for name, tree in modules.items()
+                  for imported in _package_imports(tree)
+                  if layer.get(imported, len(LAYERS)) >= layer.get(name, -1))
+
+
+def test_every_module_has_a_layer():
+    assert {path.stem for path in SOURCES} == set().union(*LAYERS)
+
+
+def test_modules_import_only_from_the_layers_below():
+    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _layer_breaks(modules) == []
+
+
+def test_the_polyhedron_engine_is_named_in_lattice_alone():
+    named = {(path.name, name) for path in SOURCES for name in LATTICE_ONLY
+             if re.search(rf"\b{name}\b", path.read_text())}
+    assert named == {("lattice.py", name) for name in LATTICE_ONLY}
+
+
+def test_a_layer_break_is_found():
+    modules = {name: ast.parse(text) for name, text in {
+        "germ": "import re\n",
+        "lattice": "from .germ import support\n",
+        "diagram": "from .nondegeneracy import compact_faces\nfrom .lattice import int_det\n",
+        "nondegeneracy": "from newtonzeta.lattice import int_det\n",
+        "randomized": "from . import cli, diagram\n",
+        "cli": "import newtonzeta.randomized\nfrom .extra import thing\n",
+    }.items()}
+    assert _layer_breaks(modules) == [
+        ("cli", "extra"), ("diagram", "nondegeneracy"), ("lattice", "germ"),
+        ("randomized", "cli")]

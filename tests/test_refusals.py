@@ -18,6 +18,8 @@ from newtonzeta.diagram import (
 from newtonzeta.factored import FactoredZeta, factor, parse_factored
 from newtonzeta.germ import (
     GermSeries,
+    germ_to_json,
+    germ_to_string,
     make_germ,
     parse_germ,
     pencil_germ,
@@ -133,6 +135,16 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
           ("compact_faces", "points in Z^3",
            "support points must have 2 coordinates",
            lambda: compact_faces([(1, 0, 0), (0, 1, 0)], 2)),
+          # one name per variable, or the rendering would not read back
+          ("germ_to_string", "one name for three variables",
+           "expected 3 variable names, got 1",
+           lambda: germ_to_string(suspend_germ(CUSP), ["s"])),
+          ("germ_to_string", "four names for three variables",
+           "expected 3 variable names, got 4",
+           lambda: germ_to_string(suspend_germ(CUSP), ["s", "a", "b", "c"])),
+          ("germ_to_json", "one name for three variables",
+           "expected 3 variable names, got 1",
+           lambda: germ_to_json(suspend_germ(CUSP), ["s"])),
       ]],
     # a non-integer is refused, never truncated to the integer below it
     *[pytest.param(call, TypeError, NOT_INT % kind, id=f"TypeError-{name}")
