@@ -112,7 +112,7 @@ def _germ_from_text(text, args):
     if not args.vars:
         raise ValueError("--vars is required for expression input "
                          "(deformation parameter first)")
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
+    names = [v.strip() for v in args.vars.split(",")]
     return parse_germ(text, names), names
 
 

@@ -46,17 +46,14 @@ class FactoredZeta:
     def __mul__(self, other: "FactoredZeta") -> "FactoredZeta":
         if not isinstance(other, FactoredZeta):
             return NotImplemented
-        acc = dict(self.factors)
-        for m, e in other.factors:
-            acc[m] = acc.get(m, 0) + e
-        return _from_map(acc)
+        return product((self, other))
 
     def __pow__(self, k: int) -> "FactoredZeta":
         k = index(k)
         return _from_map({m: e * k for m, e in self.factors})
 
     def inv(self) -> "FactoredZeta":
-        return _from_map({m: -e for m, e in self.factors})
+        return self ** -1
 
     def degree(self) -> int:
         """Degree as a rational function: sum of m * e_m."""
@@ -151,10 +148,13 @@ _FACTOR_RE = re.compile(r"\(1-t(?:\^(\d+))?\)(?:\^(-?\d+))?")
 
 
 def parse_factored(text: str) -> FactoredZeta:
-    """Parse the canonical rendering back into a FactoredZeta."""
+    """Parse the canonical rendering back into a FactoredZeta; the empty
+    product is ``"1"``, so blank text is refused."""
     s = text.strip()
     if s == "1":
         return one()
+    if not s:
+        raise ValueError("empty factored form: the empty product is '1'")
     acc: dict[int, int] = {}
     pos = 0
     while pos < len(s):

@@ -9,7 +9,9 @@ over the rationals (documented restriction).
 An expression is read as tokens, whitespace between them ignored: a number
 (decimal digits), a name (a word character other than a decimal digit,
 such as a letter, ``_`` or ``²``, then word characters), or one of the
-operators ``+ - * / ^``; any other character is an error.  Grammar::
+operators ``+ - * / ^``.  Any other character is an error, found by one
+search of the whole text before the tokens are read, so it is reported
+ahead of every grammar error.  Grammar::
 
     expr   := [sign] term { ('+'|'-') term }
     term   := coefficient ['*'] factors | factors | coefficient
@@ -173,8 +175,11 @@ def _require_z_only(f: GermSeries):
 # One token after optional whitespace.  The end of the text is a token too,
 # at position len(text); matching it also keeps trailing whitespace from
 # being rescanned once per character.
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^])"
-                    r"|(?P<other>\S)|(?P<end>\Z))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^])|(?P<end>\Z))")
+
+# A character that starts no token: not whitespace, not a word character
+# (a digit starts a number, any other one a name) and not an operator
+_OTHER = re.compile(r"[^\s\w+\-*/^]")
 
 # For the role of the previous token ("start" before the first): the role
 # the next token takes, looked up by its operator or its kind, and the error
@@ -200,8 +205,8 @@ def _check_names(names) -> None:
     """Refuse a variable list without a z-variable, a non-name or a repeat."""
     if len(names) < 2:
         raise ValueError("need the deformation parameter and at least one z-variable")
-    for v in names:
-        if _TOKEN.match(v)["name"] != v:  # the whole string is one name token
+    for v in names:  # the whole string is one name token
+        if not (m := _TOKEN.match(v)) or m["name"] != v:
             raise ValueError(f"variable name {v!r} is not a name the germ grammar reads")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
@@ -221,14 +226,13 @@ def parse_germ(text: str, var_names) -> GermSeries:
     names = [str(v) for v in var_names]
     _check_names(names)
     index = {name: i for i, name in enumerate(names)}
-    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-              for m in _TOKEN.finditer(text)]
-    for kind, value, pos in tokens:
-        if kind == "other":
-            raise ParseError(f"unexpected character {value!r}", pos)
+    if other := _OTHER.search(text):
+        raise ParseError(f"unexpected character {other[0]!r}", other.start())
     items = []
     role, sign, coef, den, exps = "start", 1, 1, 1, [0] * len(names)
-    for kind, value, pos in tokens:
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, pos = m[kind], m.start(kind)
         follow, error = _GRAMMAR[role]
         new = follow.get(value if kind == "op" else kind)
         if new is None:
@@ -279,10 +283,12 @@ def _monomial_string(e: Exponent, names) -> str:
 
 
 def _names_of(F: GermSeries, var_names) -> list[str]:
-    """The names as strings, refused unless there is one per variable."""
+    """The names as strings, refused unless there is one per variable and
+    ``parse_germ`` would read them back."""
     names = [str(v) for v in var_names]
     if len(names) != F.num_vars:
         raise ValueError(f"expected {F.num_vars} variable names, got {len(names)}")
+    _check_names(names)
     return names
 
 

@@ -17,6 +17,7 @@ from newtonzeta.diagram import (
 from newtonzeta.factored import FactoredZeta, factor, one, product
 from newtonzeta.germ import (
     _GRAMMAR,
+    _OTHER,
     _TOKEN,
     Exponent,
     GermSeries,
@@ -1602,14 +1603,13 @@ def reference_parse_germ(text: str, var_names) -> GermSeries:
     names = [str(v) for v in var_names]
     _check_names(names)
     index = {name: i for i, name in enumerate(names)}
-    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-              for m in _TOKEN.finditer(text)]
-    for kind, value, pos in tokens:
-        if kind == "other":
-            raise ParseError(f"unexpected character {value!r}", pos)
+    if other := _OTHER.search(text):
+        raise ParseError(f"unexpected character {other[0]!r}", other.start())
     items = []
     role, sign, coef, exps = "start", 1, 1, [0] * len(names)
-    for kind, value, pos in tokens:
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, pos = m[kind], m.start(kind)
         follow, error = _GRAMMAR[role]
         new = follow.get(value if kind == "op" else kind)
         if new is None:

@@ -268,6 +268,11 @@ def test_oracle_compare_both_without_second_germ(capsys):
       '{"vars": ["s", "x", "y"], "terms": [{"exp": [0, 1, 0], "coef": 1}]}'],
      "germs live in different variable names: the first in ['s', 'z1', 'z2'], "
      "the second in ['s', 'x', 'y']"),
+    # an empty entry is a name too, never dropped
+    (["zeta", "--germ", "z1^2 - s", "--vars", "s,,z1"],
+     "variable name '' is not a name the germ grammar reads"),
+    (["zeta", "--germ", "z1^2 - s", "--vars", "s,z1,"],
+     "variable name '' is not a name the germ grammar reads"),
 ])
 def test_inconsistent_input_is_an_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

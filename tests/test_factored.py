@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from newtonzeta.factored import factor, one, parse_factored, product
+from newtonzeta.factored import FactoredZeta, factor, one, parse_factored, product
 
 
 def _random_zeta(rng):
@@ -29,6 +29,7 @@ def test_inv_involution():
     for _ in range(20):
         a = _random_zeta(rng)
         assert a.inv().inv() == a
+        assert a.inv().factors == tuple((m, -e) for m, e in a.factors)
         assert a * a.inv() == one()
 
 
@@ -136,10 +137,16 @@ def test_product_is_the_left_fold_of_mul():
             zs.append(zs[rng.randrange(len(zs))])
         if zs and rng.random() < 0.3:
             zs.append(zs[rng.randrange(len(zs))].inv())
-        want = one()
+        # each base's exponents summed by hand, zero sums dropped
+        sums = {}
         for z in zs:
-            want = want * z
-        assert product(zs) == want, zs
+            for m, e in z.factors:
+                sums[m] = sums.get(m, 0) + e
+        want = FactoredZeta(tuple(sorted((m, e) for m, e in sums.items() if e)))
+        fold = one()
+        for z in zs:
+            fold = fold * z
+        assert product(zs) == fold == want, zs
         assert product(iter(zs)) == want
     assert product([]) == one()
     assert product([factor(3, 2), factor(5), factor(3, -2), factor(5, -1)]) == one()

@@ -11,7 +11,9 @@ A module imports package modules only from the layers below its own:
 
 ``lattice`` alone builds polyhedra and decides when points are
 saturated, so its double-description engine and its saturation rule are
-named in no other module."""
+named in no other module.  ``germ`` alone reads and prints germ text, so
+its tokens, its grammar and its rule for variable names are named in no
+other module either."""
 
 import ast
 import re
@@ -23,6 +25,7 @@ LAYERS = [{"germ", "factored", "lattice"}, {"nondegeneracy", "diagram"},
           {"randomized"}, {"cli"}, {"__init__", "__main__"}]
 
 LATTICE_ONLY = ("_double_description", "_as_is")
+GERM_ONLY = ("_TOKEN", "_OTHER", "_GRAMMAR", "_check_names")
 
 
 def _package_imports(tree):
@@ -59,10 +62,18 @@ def test_modules_import_only_from_the_layers_below():
     assert _layer_breaks(modules) == []
 
 
+def _homes(names):
+    """``(file, name)`` for each source file that names one of ``names``."""
+    return {(path.name, name) for path in SOURCES for name in names
+            if re.search(rf"\b{name}\b", path.read_text())}
+
+
 def test_the_polyhedron_engine_is_named_in_lattice_alone():
-    named = {(path.name, name) for path in SOURCES for name in LATTICE_ONLY
-             if re.search(rf"\b{name}\b", path.read_text())}
-    assert named == {("lattice.py", name) for name in LATTICE_ONLY}
+    assert _homes(LATTICE_ONLY) == {("lattice.py", name) for name in LATTICE_ONLY}
+
+
+def test_the_germ_grammar_is_named_in_germ_alone():
+    assert _homes(GERM_ONLY) == {("germ.py", name) for name in GERM_ONLY}
 
 
 def test_a_layer_break_is_found():

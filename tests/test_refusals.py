@@ -96,6 +96,11 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
      ValueError, "germs live in different variable counts"),
     (lambda: factor(2, 1).expand_series(-1), ValueError, "order must be nonnegative"),
     (lambda: parse_factored("x"), ValueError, "bad factored form at position 0: 'x'"),
+    # the empty product is written "1", never as blank text
+    *[pytest.param(lambda text=text: parse_factored(text), ValueError,
+                   "empty factored form: the empty product is '1'",
+                   id=f"ValueError-parse_factored-{text!r}")
+      for text in ["", "   "]],
     # only a factored form multiplies a factored form
     (lambda: factor(2) * 3, TypeError,
      "unsupported operand type(s) for *: 'FactoredZeta' and 'int'"),
@@ -145,6 +150,15 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
           ("germ_to_json", "one name for three variables",
            "expected 3 variable names, got 1",
            lambda: germ_to_json(suspend_germ(CUSP), ["s"])),
+          # names the grammar would not read back as the same germ
+          *[(name, case, message, lambda printer=printer, names=names:
+             printer(suspend_germ(CUSP), names))
+            for name, printer in [("germ_to_string", germ_to_string),
+                                  ("germ_to_json", germ_to_json)]
+            for case, names, message in [
+                ("a name that is two tokens", ["s", "z 1", "z1"],
+                 "variable name 'z 1' is not a name the germ grammar reads"),
+                ("a repeated name", ["s", "z1", "z1"], "duplicate variable names")]],
       ]],
     # a non-integer is refused, never truncated to the integer below it
     *[pytest.param(call, TypeError, NOT_INT % kind, id=f"TypeError-{name}")
