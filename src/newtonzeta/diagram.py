@@ -80,10 +80,10 @@ class DiagramFacet:
 
 def _normalize_index_set(F: GermSeries, I) -> tuple[int, ...]:
     idx = tuple(sorted(set(map(index, I))))
+    if idx and (idx[0] < 0 or idx[-1] >= F.num_vars):
+        raise ValueError("index set out of range")
     if not idx or idx[0] != 0:
         raise ValueError("index set must contain 0")
-    if idx[-1] >= F.num_vars:
-        raise ValueError("index set out of range")
     return idx
 
 

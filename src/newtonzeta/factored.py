@@ -1,10 +1,16 @@
 """Exact arithmetic on products of the form prod_m (1 - t^m)^{e_m}.
 
 All zeta functions produced by this package live in the multiplicative
-span of the binomials 1 - t^m.  Since 1 - t^m splits into cyclotomic
-polynomials over the divisors of m, the map to cyclotomic multiplicities
-is injective, so equality as rational functions can be decided on the
-multiplicity vectors; series expansion is kept for diagnostics.
+span of the binomials 1 - t^m.  Since 1 - t^m is the product of the
+cyclotomic polynomials Phi_d over the divisors d of m, a product has
+multiplicity c_d = sum of e_m over the multiples m of d, and Moebius
+inversion gives the exponents back from these multiplicities.  So each
+rational function of this span has exactly one factor list, bases rising
+and exponents nonzero, which is all that ``FactoredZeta`` admits, and
+``==`` on that list is equality of rational functions;
+``cyclotomic_signature`` and ``expand_series`` are kept for diagnostics.
+``pretty`` writes that factor list as text and ``parse_factored`` reads
+back exactly what ``pretty`` writes, so the two are inverses.
 """
 
 from __future__ import annotations
@@ -70,10 +76,6 @@ class FactoredZeta:
             for d in _divisors(m):
                 sig[d] = sig.get(d, 0) + e
         return {d: v for d, v in sorted(sig.items()) if v != 0}
-
-    def equals(self, other: "FactoredZeta") -> bool:
-        """Equality as rational functions (identical cyclotomic signatures)."""
-        return self.cyclotomic_signature() == other.cyclotomic_signature()
 
     def expand_series(self, order: int) -> list[int]:
         """Exact power-series coefficients up to the given order.
@@ -148,26 +150,18 @@ _FACTOR_RE = re.compile(r"\(1-t(?:\^(\d+))?\)(?:\^(-?\d+))?")
 
 
 def parse_factored(text: str) -> FactoredZeta:
-    """Parse the canonical rendering back into a FactoredZeta; the empty
-    product is ``"1"``, so blank text is refused."""
+    """The inverse of ``pretty``: the product whose rendering is ``text``
+    (surrounding whitespace aside); any other text is refused.
+
+    >>> parse_factored(" (1-t^2) (1-t^6)^-1 ") == factor(2) * factor(6, -1)
+    True
+    """
     s = text.strip()
-    if s == "1":
-        return one()
-    if not s:
-        raise ValueError("empty factored form: the empty product is '1'")
-    acc: dict[int, int] = {}
-    pos = 0
-    while pos < len(s):
-        if s[pos].isspace():
-            pos += 1
-            continue
-        m = _FACTOR_RE.match(s, pos)
-        if m is None:
-            raise ValueError(f"bad factored form at position {pos}: {s[pos:]!r}")
-        base = int(m.group(1)) if m.group(1) else 1
-        if base == 0:
-            raise ValueError(f"exponent base 0 at position {pos}: {s[pos:]!r}")
-        e = int(m.group(2)) if m.group(2) else 1
-        acc[base] = acc.get(base, 0) + e
-        pos = m.end()
-    return _from_map(acc)
+    try:  # int refuses a number too long to read, the constructor a bad list
+        z = FactoredZeta(tuple((int(m or 1), int(e or 1))
+                               for m, e in _FACTOR_RE.findall(s)))
+        if z.pretty() == s:
+            return z
+    except ValueError:
+        pass
+    raise ValueError(f"not a factored form as pretty() writes it: {text!r}")

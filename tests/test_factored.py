@@ -75,15 +75,31 @@ def test_signature_additive():
 def test_equals_distinguishes():
     # (1-t^2)(1-t)^-1 has signature {2: 1}, distinct from (1-t)
     a = factor(2) * factor(1, -1)
-    assert not a.equals(factor(1))
-    assert a.equals(a * one())
+    assert a != factor(1)
+    assert a == a * one()
 
 
 def test_equals_matches_series_expansion():
     rng = random.Random(5)
     for _ in range(40):
         a, b = _random_zeta(rng), _random_zeta(rng)
-        assert a.equals(b) == (a.expand_series(50) == b.expand_series(50))
+        assert (a == b) == (a.expand_series(50) == b.expand_series(50))
+
+
+def test_equality_is_equality_of_rational_functions():
+    # the cyclotomic multiplicities decide equality of rational functions;
+    # pairs built by different paths are equal, random pairs mostly not
+    rng = random.Random(20261020)
+    for _ in range(200):
+        a, b = _random_zeta(rng), _random_zeta(rng)
+        zs = [_random_zeta(rng) for _ in range(rng.randint(0, 5))]
+        fold = one()
+        for z in zs:
+            fold = fold * z
+        same = [(a * b, b * a), (a * a.inv(), one()), (product(zs), fold)]
+        for x, y in same + [(a, b), (a, a * factor(rng.randint(1, 9)))]:
+            assert (x == y) == (x.cyclotomic_signature() == y.cyclotomic_signature())
+        assert all(x == y for x, y in same)
 
 
 def test_expand_series_examples():
@@ -108,16 +124,47 @@ def test_pretty_examples():
     assert factor(1, 2).pretty() == "(1-t)^2"
 
 
+def _assert_refused(text):
+    with pytest.raises(ValueError) as refused:
+        parse_factored(text)
+    assert str(refused.value) == f"not a factored form as pretty() writes it: {text!r}"
+
+
 def test_pretty_parse_roundtrip():
     rng = random.Random(7)
-    for _ in range(40):
+    for _ in range(500):
         a = _random_zeta(rng)
         assert parse_factored(a.pretty()) == a
+        assert parse_factored(f" \t{a.pretty()}\n ") == a
+    assert parse_factored("1") == one()
+
+
+def test_parse_reads_only_what_pretty_writes():
+    # a rendering that is not pretty()'s own is refused, however it is
+    # altered: unit exponents or bases written out, leading zeros, the
+    # space between factors dropped or doubled, the factors reversed or
+    # repeated, or a factor and its inverse put in front
+    rng = random.Random(8)
+    for _ in range(500):
+        text = _random_zeta(rng).pretty()
+        for bad in [text.replace("(1-t)", "(1-t^1)"), text.replace(") ", ")^1 "),
+                    text.replace("^", "^0"), text.replace(") (", ")("),
+                    text.replace(") (", ")  ("), " ".join(text.split()[::-1]),
+                    f"{text} {text}", f"(1-t) (1-t)^-1 {text}"]:
+            if bad != text:
+                _assert_refused(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "(1-t)^0", "(1-t^2) (1-t^2)^-1", "(1-t)(1-t)", "(1-t^002)", "(1-t)^1", "(1-t^1)",
+    "(1-t^2) (1-t)", "(1-t)  (1-t^2)", "(1-t)^-0",
+    pytest.param("(1-t)^" + "9" * 5000, id="a 5000-digit exponent")])
+def test_parse_refuses_text_pretty_never_writes(text):
+    _assert_refused(text)
 
 
 def test_parse_refuses_a_zero_base():
-    with pytest.raises(ValueError, match="exponent base 0"):
-        parse_factored("(1-t^0)^2 (1-t^3)")
+    _assert_refused("(1-t^0)^2 (1-t^3)")
 
 
 def test_power_and_product():

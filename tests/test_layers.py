@@ -13,7 +13,7 @@ A module imports package modules only from the layers below its own:
 saturated, so its double-description engine and its saturation rule are
 named in no other module.  ``germ`` alone reads and prints germ text, so
 its tokens, its grammar and its rule for variable names are named in no
-other module either."""
+other module either; nor is ``factored``'s one reader of factored text."""
 
 import ast
 import re
@@ -26,6 +26,7 @@ LAYERS = [{"germ", "factored", "lattice"}, {"nondegeneracy", "diagram"},
 
 LATTICE_ONLY = ("_double_description", "_as_is")
 GERM_ONLY = ("_TOKEN", "_OTHER", "_GRAMMAR", "_check_names")
+FACTORED_ONLY = ("_FACTOR_RE",)
 
 
 def _package_imports(tree):
@@ -74,6 +75,10 @@ def test_the_polyhedron_engine_is_named_in_lattice_alone():
 
 def test_the_germ_grammar_is_named_in_germ_alone():
     assert _homes(GERM_ONLY) == {("germ.py", name) for name in GERM_ONLY}
+
+
+def test_factored_text_is_read_in_factored_alone():
+    assert _homes(FACTORED_ONLY) == {("factored.py", name) for name in FACTORED_ONLY}
 
 
 def test_a_layer_break_is_found():

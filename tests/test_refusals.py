@@ -14,6 +14,7 @@ from newtonzeta.diagram import (
     diagram_facets,
     euler_char_torus_hypersurface,
     face_polynomial,
+    zeta_I,
 )
 from newtonzeta.factored import FactoredZeta, factor, parse_factored
 from newtonzeta.germ import (
@@ -56,6 +57,13 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
 @pytest.mark.parametrize("call,error,message", [
     (lambda: diagram_facets(suspend_germ(CUSP), (0, 5)),
      ValueError, "index set out of range"),
+    # the range is checked first: a negative index is out of range, even
+    # in a set that holds 0
+    *[pytest.param(lambda call=call, I=I: call(suspend_germ(CUSP), I), ValueError,
+                   message, id=f"ValueError-{call.__name__}-{I}")
+      for call, I, message in [(diagram_facets, (0, -1), "index set out of range"),
+                               (zeta_I, (-1, 0), "index set out of range"),
+                               (diagram_facets, (1, 2), "index set must contain 0")]],
     (lambda: cone_reduction_identity(CUSP, (0,), CUSP_FACET),
      IdentityInapplicable, "the identity concerns faces of dimension at least 1"),
     # z1*z2 has no point on the z1-axis
@@ -95,12 +103,12 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
     (lambda: pencil_germ(CUSP, parse_germ("z1^3", ["s", "z1"])),
      ValueError, "germs live in different variable counts"),
     (lambda: factor(2, 1).expand_series(-1), ValueError, "order must be nonnegative"),
-    (lambda: parse_factored("x"), ValueError, "bad factored form at position 0: 'x'"),
-    # the empty product is written "1", never as blank text
+    # only what pretty() writes is read; the empty product is written "1",
+    # never as blank text
     *[pytest.param(lambda text=text: parse_factored(text), ValueError,
-                   "empty factored form: the empty product is '1'",
+                   f"not a factored form as pretty() writes it: {text!r}",
                    id=f"ValueError-parse_factored-{text!r}")
-      for text in ["", "   "]],
+      for text in ["x", "", "   "]],
     # only a factored form multiplies a factored form
     (lambda: factor(2) * 3, TypeError,
      "unsupported operand type(s) for *: 'FactoredZeta' and 'int'"),
