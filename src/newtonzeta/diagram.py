@@ -216,8 +216,11 @@ def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, Facto
     """``(zeta_torus(F), zeta_full(F))`` off the index-set table
     ``_index_set_facets(F, facets)``: its last entry, the full index set,
     and (1 - t) with every entry, the exponents of each summed in one map.
-    ``facets``, when given, are ``newton_polyhedron_facets(support(F),
-    F.num_vars)``, built by the caller to share with the nondegeneracy check."""
+    ``facets``, when given, must be ``newton_polyhedron_facets(support(F),
+    F.num_vars)``, built by the caller to share with the nondegeneracy
+    check.  They are trusted, not checked: handed the polyhedron of
+    (1, 0, 0), (0, 5, 0), (0, 0, 7) and (0, 1, 1), the cusp
+    ``z1^2 + z2^3 - s`` gets the zeta functions ``1`` and ``(1-t)``."""
     entries = list(_index_set_facets(F, facets).values())
     return _zeta(entries[-1], {}), _zeta((f for fs in entries for f in fs), {1: 1})
 

@@ -131,7 +131,10 @@ MAX_Z_VARIABLES = 16
 
 
 def check_z_variables(n: int) -> None:
-    """Raise ``ValueError`` for n above ``MAX_Z_VARIABLES`` z-variables."""
+    """Raise ``ValueError`` for n below 0 or above ``MAX_Z_VARIABLES``
+    z-variables."""
+    if n < 0:
+        raise ValueError(f"n = {n} z-variables: the count cannot be negative")
     if n > MAX_Z_VARIABLES:
         raise ValueError(f"{n} z-variables give 2^{n} index sets; at most "
                          f"{MAX_Z_VARIABLES} are supported")
@@ -139,7 +142,7 @@ def check_z_variables(n: int) -> None:
 
 def index_sets_with_zero(n: int):
     """All index sets containing 0 inside {0, ..., n}, in binary order;
-    n above ``MAX_Z_VARIABLES`` raises ``ValueError``."""
+    n below 0 or above ``MAX_Z_VARIABLES`` raises ``ValueError``."""
     check_z_variables(n)
     return [(0,) + tuple(i + 1 for i in range(n) if mask >> i & 1)
             for mask in range(1 << n)]

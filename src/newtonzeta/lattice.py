@@ -5,8 +5,8 @@ normal form, saturation lattices, normalized lattice volumes, Minkowski
 sums, and mixed volumes.  Everything runs on Python ints;
 ``fractions.Fraction`` appears only in the mixed-volume results.  No
 floating point enters this module, so all results are exact.  It is the
-one module that builds a polyhedron, reads a face's vertices and decides
-when points are saturated.
+one module that builds a polyhedron, walks its faces, reads a face's
+vertices and decides when points are saturated.
 
 Every exact elimination (rank, coordinates in a given basis, the starting
 rays of a hull's facet engine) is one fraction-free Gauss-Jordan routine,
@@ -24,9 +24,12 @@ of a basis that one elimination finds, and runs in the span of its
 generators, whose rank it returns; a Newton polyhedron's basis, the
 recession axes and the lowest point, is unimodular, so
 ``newton_polyhedron_facets`` writes its rays down with no elimination.
-A face's vertices (``_vertices``), the faces of a face (``_face_facets``)
-and volumes by a pulling triangulation (``_pulled_volume``) are read off
-the zero-set bitmasks, one set bit at a time (``_bits``).  Each level of a
+A face's vertices (``_vertices``), the faces of a face (``_face_facets``),
+the compact faces of a Newton polyhedron (``compact_faces``, whose points
+go through the builder's one reader, ``_support_points``, so both agree
+on bit order) and volumes by a pulling triangulation (``_pulled_volume``)
+are read off the zero-set bitmasks, one set bit at a time (``_bits``).
+Each level of a
 triangulation is cut on the facets the level above found, and each of its
 simplices is one determinant of its own points, lifted or a diagram facet's.
 ``_measure`` takes points of any Z^k: a simplex of m + 1 points with
@@ -446,6 +449,17 @@ def convex_hull(points):
     return vertices, d, sorted((y[1:], -y[0], z) for y, z in cone)
 
 
+def _support_points(points, d: int) -> list[Vector]:
+    """The sorted distinct points of a support in Z^d, the order of the
+    point bits of every Newton-polyhedron mask."""
+    pts = sorted({tuple(map(index, p)) for p in points})
+    if not pts:
+        raise ValueError("empty support")
+    if any(len(p) != d for p in pts):
+        raise ValueError(f"support points must have {d} coordinates")
+    return pts
+
+
 def newton_polyhedron_facets(points, d: int):
     """Facets of conv(points) + R_+^d.
 
@@ -474,11 +488,7 @@ def newton_polyhedron_facets(points, d: int):
     (1, 0, 0) 0 110011
     (6, 3, 2) 6 000111
     """
-    pts = sorted({tuple(map(index, p)) for p in points})
-    if not pts:
-        raise ValueError("empty support")
-    if any(len(p) != d for p in pts):
-        raise ValueError(f"support points must have {d} coordinates")
+    pts = _support_points(points, d)
     # the rays of axis d, ..., axis 1, then p0: e_j - p0_j e_0 is zero on
     # p0 (bit 0) and on every axis but j, e_0 on every axis
     n, p0 = len(pts), pts[0]
@@ -490,6 +500,55 @@ def newton_polyhedron_facets(points, d: int):
     # the normal with a = 0 is the facet at infinity, not a facet of the
     # polyhedron
     return sorted((y[1:], -y[0], z) for y, z in cone if any(y[1:]))
+
+
+def compact_faces(points, d: int, facets) -> list[tuple[tuple[Vector, ...], int]]:
+    """Sorted ``(support_points, dim)`` of the compact faces of
+    conv(points) + R_+^d, walked down from the facets a dimension per level
+    on the masks of ``facets``, which must be
+    ``newton_polyhedron_facets(points, d)``; a face is compact when it
+    holds no recession axis (no bit from n up), and nonempty.
+
+    ``facets`` is trusted, not checked: the masks of another support's
+    polyhedron are read against these points' bits as if they were
+    theirs.  Handed the polyhedron of (1, 0, 0), (0, 5, 0), (0, 0, 7) and
+    (0, 1, 1), the cusp ``z1^2 + z2^3 - s`` gets no 2-face, and points of
+    the wrong length are refused before any mask is read.
+
+    Each face of a level keeps the facet list of the face it was split
+    from (P's masks at the top): every facet of a face G is G's
+    intersection with a facet of a face that G is a facet of, so a face
+    that is not a simplicial cone is cut on that list alone
+    (``_face_facets``).  A face of dimension k whose mask has k + 1 bits
+    (points and recession axes) is a simplicial cone: its facets are the
+    k + 1 masks with one bit cleared, so it is split with no scan.
+
+    >>> S = [(2, 0), (0, 3), (1, 2)]   # the cusp; (1, 2) lies above the edge
+    >>> compact_faces(S, 2, newton_polyhedron_facets(S, 2))
+    [(((0, 3),), 0), (((2, 0),), 0), (((0, 3), (2, 0)), 1)]
+    """
+    pts = _support_points(points, d)
+    n = len(pts)
+    masks = [z for _, _, z in facets]
+    out, low = [], (1 << n) - 1
+    level, dim = dict.fromkeys(masks, masks), d - 1
+    while level:
+        # the compact faces inside a face are those on its support points,
+        # so one face per point part of a level is expanded; a compact face
+        # is the only face of its level on its points, so each is expanded
+        below = {}
+        for m in {m & low: m for m in level}.values():
+            bits = _bits(m)
+            if m >> n == 0:
+                out.append((tuple(map(pts.__getitem__, bits)), dim))
+            found = ([m ^ 1 << i for i in bits] if len(bits) == dim + 1
+                     else _face_facets(m, level[m]))
+            for f in found:
+                if f & low:
+                    below[f] = found
+        level = below
+        dim -= 1
+    return sorted(out, key=lambda face: (face[1], face[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ has a critical zero on the algebraic torus.  The faces to inspect are the
 compact faces of the restricted diagrams over every index set; every such
 face is also a compact face of the full Newton polyhedron (extend the
 strictly positive covector by sufficiently large entries off the index
-set), so one walk down the full polyhedron's face lattice covers them all,
-on the facet bitmasks of ``lattice.newton_polyhedron_facets``.  The walk
-cuts a face that is not a simplicial cone on the facet bitmasks of the
-face it was split from (the polyhedron's own at the top); a simplicial
-face's facets are its bitmask with one bit cleared.
+set), so one walk down the full polyhedron's face lattice covers them all.
+The faces come from ``lattice``: ``newton_polyhedron_facets`` builds the
+polyhedron and ``compact_faces`` walks it; this module reads no facet
+bitmask and only decides verdicts.
 
 Verdicts:
   * dimension 0: verified automatically (a monomial has no torus critical
@@ -29,14 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index, mul
+from operator import mul
 
 from .germ import Exponent, GermSeries, check_z_variables, support
 from .lattice import (
     InvariantViolation,
-    _bits,
-    _face_facets,
     _sub,
+    compact_faces,
     coords_in_basis,
     newton_polyhedron_facets,
     primitive,
@@ -84,49 +82,6 @@ class NondegeneracyReport:
         if self.unchecked:
             return UNCHECKED
         return VERIFIED
-
-
-# ---------------------------------------------------------------------------
-# compact faces of the Newton polyhedron conv(S) + R_+^d
-
-def compact_faces(points, d: int, facets=None) -> list[tuple[tuple[Exponent, ...], int]]:
-    """Sorted ``(support_points, dim)`` of the compact faces of
-    conv(points) + R_+^d, walked down from the facets a dimension per level
-    on the masks of ``newton_polyhedron_facets(points, d)`` (``facets``,
-    when the caller has them); a face is compact when it holds no recession
-    axis (no bit from n up), and nonempty.
-
-    Each face of a level keeps the facet list of the face it was split
-    from (P's masks at the top): every facet of a face G is G's
-    intersection with a facet of a face that G is a facet of, so a face
-    that is not a simplicial cone is cut on that list alone
-    (``_face_facets``).  A face of dimension k whose mask has k + 1 bits
-    (points and recession axes) is a simplicial cone: its facets are the
-    k + 1 masks with one bit cleared, so it is split with no scan."""
-    pts = sorted({tuple(map(index, p)) for p in points})
-    n = len(pts)
-    if facets is None:
-        facets = newton_polyhedron_facets(pts, d)
-    masks = [z for _, _, z in facets]
-    out, low = [], (1 << n) - 1
-    level, dim = dict.fromkeys(masks, masks), d - 1
-    while level:
-        # the compact faces inside a face are those on its support points,
-        # so one face per point part of a level is expanded; a compact face
-        # is the only face of its level on its points, so each is expanded
-        below = {}
-        for m in {m & low: m for m in level}.values():
-            bits = _bits(m)
-            if m >> n == 0:
-                out.append((tuple(map(pts.__getitem__, bits)), dim))
-            found = ([m ^ 1 << i for i in bits] if len(bits) == dim + 1
-                     else _face_facets(m, level[m]))
-            for f in found:
-                if f & low:
-                    below[f] = found
-        level = below
-        dim -= 1
-    return sorted(out, key=lambda face: (face[1], face[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +209,17 @@ def nondegeneracy_check(F: GermSeries, facets=None) -> NondegeneracyReport:
 
     Dimension-0 faces are verified, dimension-1 faces decided exactly,
     higher-dimensional faces reported unchecked.  ``facets``, when given,
-    are ``newton_polyhedron_facets(support(F), F.num_vars)``, which a
-    caller shares with ``diagram.zeta_torus_and_full``.  More than
-    ``germ.MAX_Z_VARIABLES`` z-variables raise ``ValueError`` before any work.
+    must be ``newton_polyhedron_facets(support(F), F.num_vars)``, which a
+    caller shares with ``diagram.zeta_torus_and_full``; without them the
+    polyhedron is built here.  They are trusted, not checked: handed the
+    polyhedron of (1, 0, 0), (0, 5, 0), (0, 0, 7) and (0, 1, 1), the cusp
+    ``z1^2 + z2^3 - s`` gets a report with no 2-face and every face
+    verified.  More than ``germ.MAX_Z_VARIABLES`` z-variables raise
+    ``ValueError`` before any work.
     """
     check_z_variables(F.num_vars - 1)
+    if facets is None:
+        facets = newton_polyhedron_facets(support(F), F.num_vars)
     verdicts = []
     for pts, dim in compact_faces(support(F), F.num_vars, facets):
         if dim == 0:

@@ -23,6 +23,7 @@ from helpers import (
     random_nonzero_fraction,
 )
 from newtonzeta.germ import make_germ, suspend_germ, support
+from newtonzeta.lattice import compact_faces, newton_polyhedron_facets
 from newtonzeta.nondegeneracy import (
     COUNTEREXAMPLE,
     MAX_EDGE_LENGTH,
@@ -31,7 +32,6 @@ from newtonzeta.nondegeneracy import (
     _poly_deriv,
     _poly_gcd,
     _rational_root,
-    compact_faces,
 )
 
 
@@ -82,7 +82,9 @@ def test_edge_verdicts_match_the_dense_polynomial():
     rng = Random(20261018)
     kinds = Counter()
     for F in _germs(rng):
-        for pts, dim in compact_faces(support(F), F.num_vars):
+        S = support(F)
+        for pts, dim in compact_faces(S, F.num_vars,
+                                      newton_polyhedron_facets(S, F.num_vars)):
             if dim != 1:
                 continue
             got = _edge_verdict(F, pts)

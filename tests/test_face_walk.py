@@ -22,16 +22,17 @@ from helpers import (
     full_scan_compact_faces,
     random_unimodular,
 )
-from newtonzeta import lattice, nondegeneracy
+from newtonzeta import lattice
 from newtonzeta.germ import parse_germ, support
 from newtonzeta.lattice import (
     LatticePolytope,
     _face_facets,
+    compact_faces,
     convex_hull,
     mat_rank,
+    newton_polyhedron_facets,
     normalized_volume,
 )
-from newtonzeta.nondegeneracy import compact_faces, newton_polyhedron_facets
 
 
 def _embed(rng, pts, d):
@@ -151,11 +152,16 @@ def _support_cases(rng):
                               for i in axes for k in rng.sample(range(1, 7), 2)}), d
 
 
+def _faces(points, d):
+    """``compact_faces`` handed the polyhedron of the same support."""
+    return compact_faces(points, d, newton_polyhedron_facets(points, d))
+
+
 def test_compact_faces_match_closure():
     rng = Random(20260602)
     kinds = set()
     for kind, pts, d in _support_cases(rng):
-        faces = compact_faces(pts, d)
+        faces = _faces(pts, d)
         assert faces == closure_compact_faces(pts, d), (kind, pts)
         assert faces, (kind, pts)
         kinds.add(kind)
@@ -163,10 +169,10 @@ def test_compact_faces_match_closure():
 
 
 def test_compact_faces_of_a_point_and_of_a_segment():
-    assert compact_faces([(2, 1, 0)], 3) == [(((2, 1, 0),), 0)]
+    assert _faces([(2, 1, 0)], 3) == [(((2, 1, 0),), 0)]
     # the cusp z1^2 + z2^3: two vertices and the edge between them; the
     # point (1, 2) lies above the edge
-    assert compact_faces([(2, 0), (0, 3), (1, 2)], 2) == [
+    assert _faces([(2, 0), (0, 3), (1, 2)], 2) == [
         (((0, 3),), 0), (((2, 0),), 0), (((0, 3), (2, 0)), 1)]
 
 
@@ -203,14 +209,14 @@ def test_compact_faces_split_simplicial_faces(monkeypatch):
     """Equal to the full-scan walk; no simplicial face (as many mask bits
     as generators of rank dim + 1) is cut by the facet masks, and the
     split replaces scans on compact and noncompact faces alike."""
-    walk, _ = _counting(monkeypatch, nondegeneracy)
+    walk, _ = _counting(monkeypatch, lattice)
     oracle, _ = _counting(monkeypatch, helpers)
     rng = Random(20261019)
     skipped = {"compact": 0, "noncompact": 0}
     for kind, pts, d in chain(_support_cases(rng), _sparse_cases(rng)):
         walk.clear()
         oracle.clear()
-        faces = compact_faces(pts, d)
+        faces = _faces(pts, d)
         assert faces == full_scan_compact_faces(pts, d), (kind, pts)
         pts = sorted(set(pts))
         n = len(pts)
@@ -234,10 +240,10 @@ def test_scans_on_a_named_germ(monkeypatch):
     # which is split down to its vertices, and four coordinate facets, each
     # through three points and three recession axes; the full-scan walk
     # cuts 29 faces
-    walk, _ = _counting(monkeypatch, nondegeneracy)
+    walk, _ = _counting(monkeypatch, lattice)
     F = parse_germ("z1^2+z2^3+z3^5 - s", ["s", "z1", "z2", "z3"])
     assert len(newton_polyhedron_facets(support(F), 4)) == 5
-    assert len(compact_faces(support(F), 4)) == 15
+    assert len(_faces(support(F), 4)) == 15
     assert len(walk) == 10
 
 
@@ -247,7 +253,7 @@ def test_scale_recipe_germs(n, points, facets, faces):
     F = helpers.scale_support(n, points)
     assert len(F.terms) == points
     assert len(newton_polyhedron_facets(support(F), n + 1)) == facets
-    assert len(compact_faces(support(F), n + 1)) == faces
+    assert len(_faces(support(F), n + 1)) == faces
 
 
 @pytest.mark.parametrize("n,points", [(6, 65), (7, 64)])
@@ -256,10 +262,10 @@ def test_compact_faces_cut_on_the_parent_facets_at_scale(monkeypatch, n, points)
     # face it was split from: the same faces as the full-scan walk, which
     # hands every cut all of the polyhedron's facets, from fewer masks, and
     # fewer than its own cuts would take on all of them
-    walk, handed = _counting(monkeypatch, nondegeneracy)
+    walk, handed = _counting(monkeypatch, lattice)
     _, oracle_handed = _counting(monkeypatch, helpers)
     S = support(helpers.scale_support(n, points))
-    assert compact_faces(S, n + 1) == full_scan_compact_faces(S, n + 1)
+    assert _faces(S, n + 1) == full_scan_compact_faces(S, n + 1)
     assert sum(handed) < sum(oracle_handed)
     assert sum(handed) < len(walk) * len(newton_polyhedron_facets(S, n + 1))
 
@@ -268,9 +274,10 @@ def test_compact_faces_read_each_mask_once(monkeypatch):
     # a compact face is listed and, when it is a simplicial cone, split
     # from one read of its bits: no mask is read twice
     read = []
-    bits = nondegeneracy._bits
-    monkeypatch.setattr(nondegeneracy, "_bits", lambda m: read.append(m) or bits(m))
     S = support(helpers.scale_support(6, 65))
-    faces = compact_faces(S, 7)
+    P = newton_polyhedron_facets(S, 7)
+    bits = lattice._bits
+    monkeypatch.setattr(lattice, "_bits", lambda m: read.append(m) or bits(m))
+    faces = compact_faces(S, 7, P)
     assert faces == full_scan_compact_faces(S, 7)
     assert len(read) == len(set(read)) >= len(faces)

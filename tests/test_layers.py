@@ -9,9 +9,12 @@ A module imports package modules only from the layers below its own:
     4. ``cli``;
     5. ``__init__`` and ``__main__``.
 
-``lattice`` alone builds polyhedra and decides when points are
-saturated, so its double-description engine and its saturation rule are
-named in no other module.  ``germ`` alone reads and prints germ text, so
+``lattice`` alone builds polyhedra, walks their compact faces and decides
+when points are saturated, so its double-description engine and its
+saturation rule are named in no other module, and ``compact_faces`` is
+defined there alone.  Facet bitmasks are read by ``lattice`` and
+``diagram`` only: ``nondegeneracy`` takes its faces from ``lattice`` and
+names no mask reader.  ``germ`` alone reads and prints germ text, so
 its tokens, its grammar and its rule for variable names are named in no
 other module either; nor is ``factored``'s one reader of factored text."""
 
@@ -25,6 +28,7 @@ LAYERS = [{"germ", "factored", "lattice"}, {"nondegeneracy", "diagram"},
           {"randomized"}, {"cli"}, {"__init__", "__main__"}]
 
 LATTICE_ONLY = ("_double_description", "_as_is")
+MASK_READERS = ("_bits", "_face_facets")
 GERM_ONLY = ("_TOKEN", "_OTHER", "_GRAMMAR", "_check_names")
 FACTORED_ONLY = ("_FACTOR_RE",)
 
@@ -71,6 +75,18 @@ def _homes(names):
 
 def test_the_polyhedron_engine_is_named_in_lattice_alone():
     assert _homes(LATTICE_ONLY) == {("lattice.py", name) for name in LATTICE_ONLY}
+
+
+def test_facet_masks_are_read_in_lattice_and_diagram_alone():
+    assert _homes(MASK_READERS) == {(home, name) for home in ("lattice.py", "diagram.py")
+                                    for name in MASK_READERS}
+
+
+def test_compact_faces_is_defined_in_lattice_alone():
+    homes = {path.name for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef) and node.name == "compact_faces"}
+    assert homes == {"lattice.py"}
 
 
 def test_the_germ_grammar_is_named_in_germ_alone():

@@ -21,6 +21,7 @@ from newtonzeta.germ import (
     GermSeries,
     germ_to_json,
     germ_to_string,
+    index_sets_with_zero,
     make_germ,
     parse_germ,
     pencil_germ,
@@ -30,16 +31,18 @@ from newtonzeta.germ import (
 )
 from newtonzeta.lattice import (
     LatticePolytope,
+    compact_faces,
     convex_hull,
     coords_in_basis,
     int_det,
     minkowski_sum,
     mixed_volume,
+    newton_polyhedron_facets,
     normalized_volume,
     normalized_volume_at,
     smith_normal_form,
 )
-from newtonzeta.nondegeneracy import compact_faces, newton_polyhedron_facets
+from newtonzeta.randomized import cayley_suite, cone_suite
 
 V3 = ["s", "z1", "z2"]
 V4 = ["s", "z1", "z2", "z3"]
@@ -52,6 +55,9 @@ LINEAR = parse_germ("z1+z2+z3", V4)
 POINT = LatticePolytope.from_points([(0, 0)])
 TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
 NOT_INT = "'%s' object cannot be interpreted as an integer"
+# a polyhedron in Z^2, and one in Z^3 whose support has four points
+PLANE = newton_polyhedron_facets([(0, 2), (2, 0)], 2)
+SPACE = newton_polyhedron_facets([(1, 0, 0), (0, 5, 0), (0, 0, 7), (0, 1, 1)], 3)
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -103,6 +109,15 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
     (lambda: pencil_germ(CUSP, parse_germ("z1^3", ["s", "z1"])),
      ValueError, "germs live in different variable counts"),
     (lambda: factor(2, 1).expand_series(-1), ValueError, "order must be nonnegative"),
+    # a suite that checked no germ has not passed
+    *[pytest.param(lambda suite=suite, seed=seed, count=count: suite(seed, count=count),
+                   ValueError, f"a suite needs at least one germ, got count = {count}",
+                   id=f"ValueError-{suite.__name__}-count {count}")
+      for suite, seed, count in [(cone_suite, 1, -3), (cone_suite, 1, 0),
+                                 (cayley_suite, 3, 0)]],
+    # a negative count of z-variables, not a negative shift
+    (lambda: index_sets_with_zero(-1),
+     ValueError, "n = -1 z-variables: the count cannot be negative"),
     # only what pretty() writes is read; the empty product is written "1",
     # never as blank text
     *[pytest.param(lambda text=text: parse_factored(text), ValueError,
@@ -147,7 +162,12 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
            lambda: newton_polyhedron_facets([(1, 0), (0,)], 2)),
           ("compact_faces", "points in Z^3",
            "support points must have 2 coordinates",
-           lambda: compact_faces([(1, 0, 0), (0, 1, 0)], 2)),
+           lambda: compact_faces([(1, 0, 0), (0, 1, 0)], 2, PLANE)),
+          # the polyhedron is right for d, the points are not: refused,
+          # never walked as if the masks' bits were theirs
+          ("compact_faces", "points in Z^2 for a polyhedron in Z^3",
+           "support points must have 3 coordinates",
+           lambda: compact_faces([(1, 0), (0, 1)], 3, SPACE)),
           # one name per variable, or the rendering would not read back
           ("germ_to_string", "one name for three variables",
            "expected 3 variable names, got 1",
@@ -177,7 +197,8 @@ NOT_INT = "'%s' object cannot be interpreted as an integer"
            lambda: smith_normal_form([[Fraction(3, 2), 1]])),
           ("newton_polyhedron_facets", "float",
            lambda: newton_polyhedron_facets([(1.5, 0), (0, 2)], 2)),
-          ("compact_faces", "float", lambda: compact_faces([(0, 2.5), (2, 0)], 2)),
+          ("compact_faces", "float",
+           lambda: compact_faces([(0, 2.5), (2, 0)], 2, PLANE)),
           ("make_germ", "float",
            lambda: make_germ(3, [((0, 1.5, 0), 1), ((1, 0, 0), -1)])),
           ("GermSeries", "float", lambda: GermSeries(

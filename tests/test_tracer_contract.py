@@ -86,6 +86,7 @@ def test_the_tracer_sees_each_diagram_facets_polyhedron_and_determinant():
 
 def test_every_count_hook_reads_a_real_call():
     from newtonzeta import LatticePolytope, parse_germ
+    from newtonzeta.lattice import newton_polyhedron_facets
 
     tracing = _load_tracing()
     F = parse_germ("z1^3 + z1*z2^2 + z2^4 - s", ["s", "z1", "z2"])
@@ -96,7 +97,7 @@ def test_every_count_hook_reads_a_real_call():
                               LatticePolytope.from_points([(0, 0), (0, 1)])),
         "nondegeneracy.polyhedron": (S, 3),
         "diagram.facets": (F, (0, 1, 2)),
-        "nondegeneracy.faces": (S, 3),
+        "nondegeneracy.faces": (S, 3, newton_polyhedron_facets(S, 3)),
     }
     assert set(args) == set(tracing.HOOKS)
     counts = dict.fromkeys(tracing.COUNT_NAMES, 0)
