@@ -8,9 +8,10 @@ positive primitive inner normal is a diagram facet and contributes a factor
 (Varchenko, Invent. Math. 37, 1976).
 
 Every index set, the full one too, is read off the one Newton polyhedron
-P = conv(S) + R_+^d, built by ``lattice.newton_polyhedron_facets``; a
-facet's vertices and volume are read by ``lattice`` too, off the bitmasks
-of its face (``_vertices``, ``_pulled_volume``).  For S_I nonempty,
+P = conv(S) + R_+^d, built by ``lattice.newton_polyhedron_facets``; the
+vertices and volume of a facet that is not a simplex are read by
+``lattice`` too (``_vertices``, ``_pulled_volume``), off the facet's own
+facets, found once on the bitmasks of its face.  For S_I nonempty,
 conv(S_I) + R_+^I is the face P ∩ R^I of P (P for the full I); its
 generators are the points with zero coordinates off I and the recession
 axes in I, and P ∩ R^(I∖j), when it holds a point, is a facet of it.  So
@@ -100,8 +101,9 @@ def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
     face's facet masks, taken on its points as they are, sum to
     ``c * nvol``.  Each G's mask is read once: a G of |I| points is a
     simplex, so that sum is one ``|int_det|`` of its points, which are all
-    its vertices; any other G is pulled, and its vertices are read off its
-    own mask and the face's facet masks (``_vertices(g, cut)``).
+    its vertices; any other G has its own facets found once on the face's
+    facet masks (``_face_facets(g, cut)``), and both its vertex read and
+    its pulling triangulation take that one list.
     """
     # the points of the face, projected to R^I; every mask read below
     # lies inside ``face``, so the other points keep None
@@ -117,8 +119,9 @@ def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
             rows = [proj[i] for i in bits]
             volume = abs(int_det(rows))
         else:
-            rows = [proj[i] for i in _vertices(g, cut)]
-            volume = _pulled_volume(g, len(coords) - 1, proj, cut, ())
+            found = _face_facets(g, cut)
+            rows = [proj[i] for i in _vertices(g, found)]
+            volume = _pulled_volume(g, len(coords) - 1, proj, found, ())
         nvol, rem = divmod(volume, _dot(a, rows[0]))
         if rem:
             raise InvariantViolation("pyramid volume is not a multiple of its height")

@@ -29,9 +29,10 @@ the compact faces of a Newton polyhedron (``compact_faces``, whose points
 go through the builder's one reader, ``_support_points``, so both agree
 on bit order) and volumes by a pulling triangulation (``_pulled_volume``)
 are read off the zero-set bitmasks, one set bit at a time (``_bits``).
-Each level of a
-triangulation is cut on the facets the level above found, and each of its
-simplices is one determinant of its own points, lifted or a diagram facet's.
+The vertex read and the triangulation are handed the facets of the face
+they read, found once; a triangulation measures each facet that is a
+simplex in place, by one determinant of its own points, lifted or a
+diagram facet's, and cuts each other facet on the facets of its face.
 ``_measure`` takes points of any Z^k: a simplex of m + 1 points with
 k <= m + 1 (``_as_is``) needs neither facets nor saturation and is
 measured by the gcd of the m x m minors of its edge matrix, which for
@@ -110,8 +111,7 @@ def int_det(rows) -> int:
     a = [row for r in rows if len(row := list(map(index, r))) == n]
     if len(a) != n:
         raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for i in range(n - 1):
         if a[i][i] == 0:
             for j in range(i + 1, n):
@@ -395,8 +395,8 @@ def _double_description(rays, rank: int, gens) -> list[tuple[Vector, int]]:
 
 def _vertices(mask: int, masks) -> list[int]:
     """The vertices of the face ``mask``, as its bit positions, lowest
-    first, read off ``masks``, the zero-set masks of the facets of the
-    polyhedron or of a face that holds it: bit i is a vertex iff the bits
+    first, read off ``masks``, the zero-set masks of the facets of
+    ``mask`` itself or of a face that holds it: bit i is a vertex iff the bits
     of ``mask`` on every facet through it are bit i alone (Kaibel &
     Pfetsch, Comput. Geom. 23, 2002).  Bits outside ``mask``, such as a
     Newton polyhedron's recession axes, are ignored; a bit on no facet is
@@ -617,23 +617,24 @@ def _face_facets(mask: int, facet_masks) -> list[int]:
 
 
 def _pulled_volume(mask: int, dim: int, pts, facet_masks, apexes) -> int:
-    """Sum of |det| over the pulling triangulation of the face ``mask``:
-    pull its lowest point (appended to ``apexes``) over each of its facets
-    that miss it, down to faces of ``dim + 1`` points, which are simplices
-    (De Loera, Rambau & Santos, *Triangulations*, 2010); a simplex's rows
-    are its own points, apexes and base, in Z^(dim + 1).  On a hyperplane
-    ``a . x = c``, ``a`` primitive and ``c >= 1``, the sum is ``c`` times
-    the face's normalized volume, its pyramid's from the origin (``c = 1``
-    for points lifted to height one).  ``facet_masks`` are the facets of a
-    face that ``mask`` lies on: each level is cut on the facets that the
-    level above found, since every facet of ``mask`` is its intersection
-    with one of them."""
-    if mask.bit_count() == dim + 1:
-        return abs(int_det([*apexes, *map(pts.__getitem__, _bits(mask))]))
+    """Sum of |det| over the pulling triangulation of the face ``mask`` of
+    dimension ``dim``, whose own facets are ``facet_masks``: pull its
+    lowest point (appended to ``apexes``) over each facet that misses it
+    (De Loera, Rambau & Santos, *Triangulations*, 2010).  A facet of
+    ``dim`` points is a simplex, measured in place by one determinant of
+    its rows, the apexes and its own points, in Z^(dim + 1); any other is
+    pulled in turn on its own facets, cut on ``facet_masks``
+    (``_face_facets``), since every facet of a facet is its intersection
+    with one of them.  On a hyperplane ``a . x = c``, ``a`` primitive and
+    ``c >= 1``, the sum is ``c`` times the face's normalized volume, its
+    pyramid's from the origin (``c = 1`` for points lifted to height
+    one)."""
     low = mask & -mask
     apexes += (pts[low.bit_length() - 1],)
-    found = _face_facets(mask, facet_masks)
-    return sum(_pulled_volume(f, dim - 1, pts, found, apexes) for f in found if not f & low)
+    return sum(abs(int_det([*apexes, *map(pts.__getitem__, _bits(f))]))
+               if f.bit_count() == dim
+               else _pulled_volume(f, dim - 1, pts, _face_facets(f, facet_masks), apexes)
+               for f in facet_masks if not f & low)
 
 
 def _saturate(point_sets) -> tuple[int, list[list[Vector]]]:

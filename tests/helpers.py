@@ -37,7 +37,6 @@ from newtonzeta.lattice import (
     _face_facets,
     _gauss_jordan,
     _minimizers,
-    _pulled_volume,
     _sub,
     _vertices,
     cone_facets,
@@ -1657,7 +1656,9 @@ def reference_records(label, coords, pts, face, cut) -> list[DiagramFacet]:
     normal ``a``.  G lies on ``a . x = c`` with the offset ``c >= 1``, so
     the determinants of the simplices of its pulling triangulation on the
     face's facet masks, taken on its points as they are, sum to
-    ``c * nvol``.  G's points are filtered by the vertices of the whole
+    ``c * nvol``, summed here by ``reference_pulled_volume`` with the
+    origin as first apex, so that no triangulation code is shared with
+    ``lattice``.  G's points are filtered by the vertices of the whole
     face, P's vertices on it, read once off the face's own mask.
     """
     # the points of the face, projected to R^I; every mask read below
@@ -1665,13 +1666,15 @@ def reference_records(label, coords, pts, face, cut) -> list[DiagramFacet]:
     proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
             for i, p in enumerate(pts)]
     verts = set(_vertices(face & (1 << len(pts)) - 1, cut))
+    origin = ((0,) * len(coords),)
     out = []
     for g, y in cut.items():
         if g >> len(pts):
             continue
         a = primitive(tuple(map(y.__getitem__, coords)))
         c = _dot(a, proj[(g & -g).bit_length() - 1])
-        nvol, rem = divmod(_pulled_volume(g, len(coords) - 1, proj, cut, ()), c)
+        nvol, rem = divmod(
+            reference_pulled_volume(g, len(coords) - 1, proj, cut, origin), c)
         if rem:
             raise InvariantViolation("pyramid volume is not a multiple of its height")
         out.append(DiagramFacet(label, a, a[0], tuple(

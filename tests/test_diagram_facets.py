@@ -46,7 +46,17 @@ from newtonzeta.germ import (
     support,
     suspend_germ,
 )
-from newtonzeta.lattice import _dot, _face_facets, _measure, _sub, mat_rank, primitive
+from newtonzeta.lattice import (
+    _dot,
+    _face_facets,
+    _measure,
+    _sub,
+    compact_faces,
+    convex_hull,
+    mat_rank,
+    newton_polyhedron_facets,
+    primitive,
+)
 from test_face_walk import _support_cases
 
 
@@ -235,6 +245,30 @@ def test_walk_equals_the_reader_oracle():
         "convenient", "not convenient", "point", "collinear", "axes", "scale"}
 
 
+def test_records_are_the_compact_faces_of_full_coordinate_dimension():
+    """Both ways: the ``(I, vertices)`` pairs of every ``_index_set_facets``
+    record are the compact faces G of P (``compact_faces``) whose
+    coordinate support J holds 0 and has dim G = |J| - 1, with J for I and
+    G's vertices (``convex_hull``) projected to J; on seeded germs and on
+    the n = 6 / 40 scale germ."""
+    rng = random.Random(2037)
+    germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 16)]
+    germs.append(scale_support(6, 40))
+    total = 0
+    for F in germs:
+        S, d = sorted(support(F)), F.num_vars
+        want = []
+        for pts, dim in compact_faces(S, d, newton_polyhedron_facets(S, d)):
+            J = tuple(j for j in range(d) if any(p[j] for p in pts))
+            if J[:1] == (0,) and dim == len(J) - 1:
+                want.append((J, tuple(tuple(v[j] for j in J) for v in convex_hull(pts)[0])))
+        got = [(f.index_set, f.vertices)
+               for records in _index_set_facets(F).values() for f in records]
+        assert sorted(got) == sorted(want), F
+        total += len(got)
+    assert total > 800
+
+
 def _scans(monkeypatch, *modules):
     """The facet masks handed to ``_face_facets`` through each module's
     binding, one entry per call."""
@@ -265,7 +299,7 @@ def test_diagram_facets_cuts_no_face(monkeypatch, text, names):
 
 def test_walk_scans_fewer_masks_than_the_reader(monkeypatch):
     # each cut scans the facets of the nearest face above it that was cut,
-    # and each pulling level the facets that the level above found
+    # and each pulling level the facets of the face it was cut from
     handed = _scans(monkeypatch, diagram, lattice, helpers)
     F = parse_germ("z1^3+z2^3+z3^3+z1*z2*z3+z1^2*z2-s", ["s", "z1", "z2", "z3"])
     table = _index_set_facets(F)
@@ -274,6 +308,42 @@ def test_walk_scans_fewer_masks_than_the_reader(monkeypatch):
     index_sets, read = reader_index_set_facets(F)
     assert table == {I: read(I, I) for I in index_sets}
     assert 0 < walk < sum(handed)
+
+
+def test_each_facet_is_read_off_its_own_facets(monkeypatch):
+    """``_records`` hands the vertex read and the pulling triangulation of
+    each diagram facet G that is not a simplex one list, G's own facets
+    found once (``_face_facets(G, cut)``), never the masks of G's whole
+    face; on seeded germs and on the n = 6 / 65 scale germ."""
+    records, vertices, pulled = diagram._records, diagram._vertices, diagram._pulled_volume
+    cuts, handed = [], {"_vertices": [], "_pulled_volume": []}
+
+    def kept(label, coords, pts, face, cut):
+        cuts.append(cut)
+        return records(label, coords, pts, face, cut)
+
+    def read(mask, masks):
+        handed["_vertices"].append((mask, masks, cuts[-1]))
+        return vertices(mask, masks)
+
+    def pull(mask, dim, pts, facets, apexes):
+        handed["_pulled_volume"].append((mask, facets, cuts[-1]))
+        return pulled(mask, dim, pts, facets, apexes)
+
+    monkeypatch.setattr(diagram, "_records", kept)
+    monkeypatch.setattr(diagram, "_vertices", read)
+    monkeypatch.setattr(diagram, "_pulled_volume", pull)
+    rng = random.Random(2036)
+    germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 12)]
+    germs.append(scale_support(6, 65))
+    for F in germs:
+        _index_set_facets(F)
+        diagram_facets(F, range(F.num_vars))
+    assert len(handed["_vertices"]) > 100  # facets that are not simplices
+    for (g, masks, cut), (h, facets, _) in zip(*handed.values(), strict=True):
+        assert g == h and masks is facets, g
+        assert masks == _face_facets(g, cut), g
+        assert len(masks) < len(cut), g
 
 
 def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):

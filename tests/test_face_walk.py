@@ -108,8 +108,9 @@ def test_pulled_volume_matches_fan_triangulation():
 
 
 def test_pulled_volume_cuts_each_level_on_the_facets_above(monkeypatch):
-    # the 4-cube has 8 facets; each of its 3-cubes is cut on them, and each
-    # square on the 6 facets of its 3-cube, not on all 8
+    # the 4-cube's 8 facets are handed over; each of its 3-cubes is cut on
+    # them, each square on the 6 facets of its 3-cube, not on all 8, and
+    # each edge, a simplex, is measured uncut
     handed = []
 
     def counted(mask, facet_masks):
@@ -119,13 +120,13 @@ def test_pulled_volume_cuts_each_level_on_the_facets_above(monkeypatch):
     monkeypatch.setattr(lattice, "_face_facets", counted)
     cube = tuple(tuple(k >> i & 1 for i in range(4)) for k in range(16))
     assert normalized_volume(LatticePolytope(cube)) == factorial(4)
-    assert sorted(handed) == [6] * 12 + [8] * 5
+    assert sorted(handed) == [6] * 12 + [8] * 4
     # the same cuts when the cube, lifted to height one, is pulled directly
     handed.clear()
     lifted = [(1,) + p for p in cube]
     masks = [z for _, z in lattice.cone_facets(lifted)[1]]
     assert lattice._pulled_volume((1 << 16) - 1, 4, lifted, masks, ()) == factorial(4)
-    assert sorted(handed) == [6] * 12 + [8] * 5
+    assert sorted(handed) == [6] * 12 + [8] * 4
 
 
 def _support_cases(rng):
