@@ -1,4 +1,4 @@
-"""Newton-diagram facets of a deformation germ and its zeta functions.
+"""The zeta functions of a deformation germ, by Varchenko's formula.
 
 For an index set I containing 0, the restricted Newton diagram is the
 union of compact faces of the Newton polyhedron conv(S_I) + R_+^I (S_I the
@@ -7,26 +7,19 @@ positive primitive inner normal is a diagram facet and contributes a factor
 (1 - t^m)^(sign * nvol); lower-dimensional faces carry normalized volume 0
 (Varchenko, Invent. Math. 37, 1976).
 
-Every index set, the full one too, is read off the one Newton polyhedron
-P = conv(S) + R_+^d, built by ``lattice.newton_polyhedron_facets``; the
-vertices and volume of a facet that is not a simplex are read by
-``lattice`` too (``_vertices``, ``_pulled_volume``), off the facet's own
-facets, found once on the bitmasks of its face.  For S_I nonempty,
-conv(S_I) + R_+^I is the face P ∩ R^I of P (P for the full I); its
-generators are the points with zero coordinates off I and the recession
-axes in I, and P ∩ R^(I∖j), when it holds a point, is a facet of it.  So
-``_index_set_facets`` reads every index set in one walk down the subset
-lattice from P: a face's facets are its maximal proper intersections with
-the facets of the face above it (Kaibel & Pfetsch, Comput. Geom. 23,
-2002), each cut out by a facet of P whose normal gives its own, and the
-compact ones are I's diagram facets.  The table serves the zeta functions, the CLI and the identity checks;
-``diagram_facets(F, I)`` reads the facets of the polyhedron of S_I as
-they are and cuts no face.
+This module keeps the formula: the sign of each index set's factors, the
+zeta functions that sum them, and the two reduction identities that check
+the records.  The records themselves, ``lattice.DiagramFacet``, are read
+in ``lattice``.  ``_index_set_facets`` hands it F's one Newton polyhedron
+P = conv(S) + R_+^d, and ``lattice.coordinate_facets`` reads every index
+set off P in one walk, since conv(S_I) + R_+^I is the coordinate face
+P ∩ R^I; the table serves the zeta functions, the CLI and the identity
+checks.  ``diagram_facets(F, I)`` reads the polyhedron of S_I as it is
+(``lattice.compact_facets``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import index
@@ -41,42 +34,22 @@ from .germ import (
     suspend_germ,
 )
 from .lattice import (
-    InvariantViolation,
+    DiagramFacet,
     LatticePolytope,
+    compact_facets,
     convex_hull,
+    coordinate_facets,
     newton_polyhedron_facets,
     normalized_volume_at,
-    _bits,
-    _dot,
-    _face_facets,
     _measure,
     _minimizers,
     _mixed,
-    _pulled_volume,
     _saturate,
-    _vertices,
-    int_det,
-    primitive,
 )
 
 
 class IdentityInapplicable(ValueError):
     """A reduction identity does not apply to the given face."""
-
-
-@dataclass(frozen=True)
-class DiagramFacet:
-    """A top-dimensional compact face of a restricted Newton diagram.
-
-    ``normal`` is the unique strictly positive primitive inner normal,
-    ``m`` its component in the deformation direction, ``vertices`` the
-    face's sorted vertices and ``nvol`` its normalized (|I|-1)-volume.
-    """
-    index_set: tuple[int, ...]
-    normal: tuple[int, ...]
-    m: int
-    vertices: tuple[tuple[int, ...], ...]
-    nvol: int
 
 
 def _normalize_index_set(F: GermSeries, I) -> tuple[int, ...]:
@@ -88,47 +61,6 @@ def _normalize_index_set(F: GermSeries, I) -> tuple[int, ...]:
     return idx
 
 
-def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
-    """The diagram facets, sorted by normal, of the face P ∩ R^I of a
-    Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask,
-    ``coords`` are the positions of I in R^d and ``label`` names I.
-
-    ``cut`` maps each facet mask of the face to the normal y of a facet of
-    P that cuts it out.  A compact facet G (no recession axis) has y
-    nonzero on ``coords``, and y there is a positive multiple of G's
-    normal ``a``.  G lies on ``a . x = c`` with the offset ``c >= 1``, so
-    the determinants of the simplices of its pulling triangulation on the
-    face's facet masks, taken on its points as they are, sum to
-    ``c * nvol``.  Each G's mask is read once: a G of |I| points is a
-    simplex, so that sum is one ``|int_det|`` of its points, which are all
-    its vertices; any other G has its own facets found once on the face's
-    facet masks (``_face_facets(g, cut)``), and both its vertex read and
-    its pulling triangulation take that one list.
-    """
-    # the points of the face, projected to R^I; every mask read below
-    # lies inside ``face``, so the other points keep None
-    proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
-            for i, p in enumerate(pts)]
-    out = []
-    for g, y in cut.items():
-        if g >> len(pts):
-            continue
-        a = primitive(tuple(map(y.__getitem__, coords)))
-        bits = _bits(g)
-        if len(bits) == len(coords):
-            rows = [proj[i] for i in bits]
-            volume = abs(int_det(rows))
-        else:
-            found = _face_facets(g, cut)
-            rows = [proj[i] for i in _vertices(g, found)]
-            volume = _pulled_volume(g, len(coords) - 1, proj, found, ())
-        nvol, rem = divmod(volume, _dot(a, rows[0]))
-        if rem:
-            raise InvariantViolation("pyramid volume is not a multiple of its height")
-        out.append(DiagramFacet(label, a, a[0], tuple(rows), nvol))
-    return sorted(out, key=lambda f: f.normal)
-
-
 def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     """The facets of conv(S_I) + R_+^I with a strictly positive normal.
 
@@ -138,53 +70,24 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     the polyhedron of S_I alone, which cuts no face.
     """
     idx = _normalize_index_set(F, I)
-    S = sorted(restrict_support(support(F), idx))
+    S = restrict_support(support(F), idx)
     if not S:
         return []
-    cut = {z: y for y, _, z in newton_polyhedron_facets(S, len(idx))}
-    return _records(idx, range(len(idx)), S, (1 << len(S)) - 1, cut)
+    return compact_facets(idx, S, len(idx), newton_polyhedron_facets(S, len(idx)))
 
 
 def _index_set_facets(F: GermSeries, facets=None) -> dict:
     """``{I: diagram facets of I}`` in ``index_sets_with_zero`` order (the
     full index set last), read off F's one Newton polyhedron P with the
-    facets ``facets``, built here unless given, in one ``_walk``; too many
-    z-variables are refused first."""
+    facets ``facets``, built here unless given, by one
+    ``lattice.coordinate_facets`` walk; too many z-variables are refused
+    first."""
     table = {I: [] for I in index_sets_with_zero(F.num_vars - 1)}
-    pts = sorted(support(F))
-    n, d = len(pts), F.num_vars
+    S, d = support(F), F.num_vars
     if facets is None:
-        facets = newton_polyhedron_facets(pts, d)
-    cut = {z: y for y, _, z in facets}
-    off = [sum(1 << i for i, p in enumerate(pts) if p[j]) | 1 << n + j for j in range(d)]
-    _walk(table, pts, off, tuple(range(d)), (1 << n + d) - 1, cut, d)
+        facets = newton_polyhedron_facets(S, d)
+    coordinate_facets(table, S, d, facets)
     return table
-
-
-def _walk(table, pts, off, I, face, cut, top) -> None:
-    """Fill ``table`` with the records of I and of the index sets below it.
-
-    A depth-first walk down the subset lattice from P: it drops one
-    coordinate j >= 1 at a time, in decreasing position (those before
-    position ``top``), so that each I is visited once.  With ``off[j]``
-    the points with x_j > 0 and the recession axis j, P ∩ R^(I∖j) is the
-    face ``face`` of P ∩ R^I minus ``off[j]``; a face with no point ends
-    its subtree.  Every facet of a face is its intersection with one facet
-    of any face above it, cut out by the same facet of P, so each mask of
-    ``cut`` keeps that P-normal on the way down.  A face is cut only when
-    it holds |I| points, which a compact facet needs, and then on the
-    facets of the nearest face above it that was cut (P's own at the top);
-    ``_records`` reads the face's diagram facets, vertices included, off
-    that cut alone.
-    """
-    if face.bit_count() >= 2 * len(I):  # |I| points besides the |I| axes
-        if len(I) < len(off):
-            meet = {g & face: y for g, y in cut.items()}
-            cut = {g: meet[g] for g in _face_facets(face, meet)}
-        table[I] = _records(I, I, pts, face, cut)
-    for k in range(top - 1, 0, -1):
-        if (below := face & ~off[I[k]]).bit_count() >= len(I):  # a point
-            _walk(table, pts, off, I[:k] + I[k + 1:], below, cut, k)
 
 
 def _face_sign(I) -> int:

@@ -5,8 +5,9 @@ normal form, saturation lattices, normalized lattice volumes, Minkowski
 sums, and mixed volumes.  Everything runs on Python ints;
 ``fractions.Fraction`` appears only in the mixed-volume results.  No
 floating point enters this module, so all results are exact.  It is the
-one module that builds a polyhedron, walks its faces, reads a face's
-vertices and decides when points are saturated.
+one module that builds a polyhedron, walks its faces, its compact ones
+and its coordinate faces P ∩ R^I alike, reads a face's vertices and its
+diagram facets (``DiagramFacet``) and decides when points are saturated.
 
 Every exact elimination (rank, coordinates in a given basis, the starting
 rays of a hull's facet engine) is one fraction-free Gauss-Jordan routine,
@@ -25,9 +26,11 @@ generators, whose rank it returns; a Newton polyhedron's basis, the
 recession axes and the lowest point, is unimodular, so
 ``newton_polyhedron_facets`` writes its rays down with no elimination.
 A face's vertices (``_vertices``), the faces of a face (``_face_facets``),
-the compact faces of a Newton polyhedron (``compact_faces``, whose points
-go through the builder's one reader, ``_support_points``, so both agree
-on bit order) and volumes by a pulling triangulation (``_pulled_volume``)
+the compact faces of a Newton polyhedron (``compact_faces``), the diagram
+facets of its coordinate faces (``coordinate_facets``, one walk down the
+subset lattice) or of itself (``compact_facets``), whose points all go
+through the builder's one reader, ``_support_points``, so all agree on
+bit order, and volumes by a pulling triangulation (``_pulled_volume``)
 are read off the zero-set bitmasks, one set bit at a time (``_bits``).
 The vertex read and the triangulation are handed the facets of the face
 they read, found once; a triangulation measures each facet that is a
@@ -549,6 +552,111 @@ def compact_faces(points, d: int, facets) -> list[tuple[tuple[Vector, ...], int]
         level = below
         dim -= 1
     return sorted(out, key=lambda face: (face[1], face[0]))
+
+
+@dataclass(frozen=True)
+class DiagramFacet:
+    """A top-dimensional compact face of a restricted Newton diagram.
+
+    ``normal`` is the unique strictly positive primitive inner normal,
+    ``m`` its component in the deformation direction, ``vertices`` the
+    face's sorted vertices and ``nvol`` its normalized (|I|-1)-volume.
+    """
+    index_set: tuple[int, ...]
+    normal: tuple[int, ...]
+    m: int
+    vertices: tuple[tuple[int, ...], ...]
+    nvol: int
+
+
+def coordinate_facets(table, points, d: int, facets) -> None:
+    """Fill ``table``, keyed by the index sets I that hold 0, with the
+    diagram facets of every coordinate face P ∩ R^I of P = conv(points) +
+    R_+^d, I's facets for I, in one ``_walk`` on the masks of ``facets``,
+    which must be ``newton_polyhedron_facets(points, d)`` and are trusted
+    as ``compact_faces`` trusts them.  An I whose face holds fewer than
+    |I| points keeps its entry."""
+    pts = _support_points(points, d)
+    n = len(pts)
+    cut = {z: y for y, _, z in facets}
+    off = [sum(1 << i for i, p in enumerate(pts) if p[j]) | 1 << n + j for j in range(d)]
+    _walk(table, pts, off, tuple(range(d)), (1 << n + d) - 1, cut, d)
+
+
+def compact_facets(label, points, d: int, facets) -> list[DiagramFacet]:
+    """The diagram facets, labelled ``label``, of conv(points) + R_+^d
+    itself: the facets of ``facets``, its ``newton_polyhedron_facets``,
+    with a strictly positive normal, read as they are, with no face cut."""
+    pts = _support_points(points, d)
+    cut = {z: y for y, _, z in facets}
+    return _records(label, range(d), pts, (1 << len(pts)) - 1, cut)
+
+
+def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
+    """The diagram facets, sorted by normal, of the face P ∩ R^I of a
+    Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask,
+    ``coords`` are the positions of I in R^d and ``label`` names I.
+
+    ``cut`` maps each facet mask of the face to the normal y of a facet of
+    P that cuts it out.  A compact facet G (no recession axis) has y
+    nonzero on ``coords``, and y there is a positive multiple of G's
+    normal ``a``.  G lies on ``a . x = c`` with the offset ``c >= 1``, so
+    the determinants of the simplices of its pulling triangulation on the
+    face's facet masks, taken on its points as they are, sum to
+    ``c * nvol``.  Each G's mask is read once: a G of |I| points is a
+    simplex, so that sum is one ``|int_det|`` of its points, which are all
+    its vertices; any other G has its own facets found once on the face's
+    facet masks (``_face_facets(g, cut)``), and both its vertex read and
+    its pulling triangulation take that one list.
+    """
+    # the points of the face, projected to R^I; every mask read below
+    # lies inside ``face``, so the other points keep None
+    proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
+            for i, p in enumerate(pts)]
+    out = []
+    for g, y in cut.items():
+        if g >> len(pts):
+            continue
+        a = primitive(tuple(map(y.__getitem__, coords)))
+        bits = _bits(g)
+        if len(bits) == len(coords):
+            rows = [proj[i] for i in bits]
+            volume = abs(int_det(rows))
+        else:
+            found = _face_facets(g, cut)
+            rows = [proj[i] for i in _vertices(g, found)]
+            volume = _pulled_volume(g, len(coords) - 1, proj, found, ())
+        nvol, rem = divmod(volume, _dot(a, rows[0]))
+        if rem:
+            raise InvariantViolation("pyramid volume is not a multiple of its height")
+        out.append(DiagramFacet(label, a, a[0], tuple(rows), nvol))
+    return sorted(out, key=lambda f: f.normal)
+
+
+def _walk(table, pts, off, I, face, cut, top) -> None:
+    """Fill ``table`` with the records of I and of the index sets below it.
+
+    A depth-first walk down the subset lattice from P: it drops one
+    coordinate j >= 1 at a time, in decreasing position (those before
+    position ``top``), so that each I is visited once.  With ``off[j]``
+    the points with x_j > 0 and the recession axis j, P ∩ R^(I∖j) is the
+    face ``face`` of P ∩ R^I minus ``off[j]``; a face with no point ends
+    its subtree.  Every facet of a face is its intersection with one facet
+    of any face above it, cut out by the same facet of P, so each mask of
+    ``cut`` keeps that P-normal on the way down.  A face is cut only when
+    it holds |I| points, which a compact facet needs, and then on the
+    facets of the nearest face above it that was cut (P's own at the top);
+    ``_records`` reads the face's diagram facets, vertices included, off
+    that cut alone.
+    """
+    if face.bit_count() >= 2 * len(I):  # |I| points besides the |I| axes
+        if len(I) < len(off):
+            meet = {g & face: y for g, y in cut.items()}
+            cut = {g: meet[g] for g in _face_facets(face, meet)}
+        table[I] = _records(I, I, pts, face, cut)
+    for k in range(top - 1, 0, -1):
+        if (below := face & ~off[I[k]]).bit_count() >= len(I):  # a point
+            _walk(table, pts, off, I[:k] + I[k + 1:], below, cut, k)
 
 
 # ---------------------------------------------------------------------------

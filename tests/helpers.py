@@ -345,6 +345,77 @@ def nvol_boundary_recursion(points) -> int:
 
 
 # ---------------------------------------------------------------------------
+# quasi-homogeneous deformations, whose monodromy is a periodic map: the
+# zeta functions by A'Campo's formula, an oracle of test_quasi_homogeneous
+# that reads no Newton polyhedron of F
+
+
+def random_quasi_homogeneous_germ(rng, n) -> tuple[GermSeries, tuple[int, ...]]:
+    """``(F, weights)``: 2 to 6 monomials in (s, z1, ..., zn) of one
+    weighted degree D <= 24, for weights 1-8 of s and 1-6 of each z_j,
+    with random rational coefficients; drawn again until D has two."""
+    while True:
+        q0, *q = weights = (rng.randint(1, 8),) + tuple(rng.randint(1, 6) for _ in range(n))
+        D = rng.randint(max(weights), 24)
+        monomials = [((D - e) // q0,) + z
+                     for z in itertools.product(*[range(D // w + 1) for w in q])
+                     if (e := _dot(q, z)) <= D and (D - e) % q0 == 0]
+        if len(monomials) >= 2:
+            chosen = rng.sample(monomials, rng.randint(2, min(6, len(monomials))))
+            return (make_germ(n + 1, [(e, random_nonzero_fraction(rng)) for e in chosen]),
+                    weights)
+
+
+def quasi_homogeneous_zeta(F: GermSeries, weights) -> tuple[FactoredZeta, FactoredZeta]:
+    """``(torus, affine)``: the monodromy zeta functions of F(s, z) = 0 in
+    the torus and in affine space, F quasi-homogeneous for the positive
+    ``weights`` (q_0 of s, q_j of z_j), by A'Campo's formula for a periodic
+    map (Comment. Math. Helv. 50, 1975).
+
+    As s goes once round 0, the fibre V = {F(s, .) = 0} comes back by
+    h(z)_j = exp(2 pi i q_j / q_0) z_j, so Fix h^k is V ∩ C^(J_k), J_k the
+    j with q_0 | k q_j, and zeta = prod (1 - t^m)^(s_m) with
+    m s_m = sum over d | m of mu(m / d) chi(Fix h^d), the same convention
+    as the package's (Milnor & Orlik, Topology 9, 1970).  chi(V ∩ C^J) is
+    1 for the origin when F has no pure-s term, plus, for each nonempty
+    K ⊆ J, (-1)^(|K|-1) times the normalized volume of the Newton polytope
+    of F(1, .) on the torus (C*)^K when it is full-dimensional there, and
+    0 otherwise (Kouchnirenko, Invent. Math. 32, 1976; Khovanskii, Funct.
+    Anal. Appl. 11, 1977); the torus keeps K = every coordinate alone.
+    Valid for generic coefficients.  The volumes come from
+    ``nvol_boundary_recursion``."""
+    q0, *q = weights
+    n = len(q)
+    points = [e[1:] for e in F.terms]
+
+    def torus_chi(K):
+        on = {tuple(p[j] for j in K) for p in points
+              if not any(p[j] for j in range(n) if j not in K)}
+        if len(on) < 2 or convex_hull(on)[1] < len(K):
+            return 0
+        return (-1) ** (len(K) - 1) * nvol_boundary_recursion(on)
+
+    chi = {K: torus_chi(K) for r in range(1, n + 1)
+           for K in itertools.combinations(range(n), r)}
+
+    def zeta(fixed):
+        # fixed(J): chi of the points of V whose coordinates off J are 0
+        exponents = {}
+        for m in range(1, q0 + 1):
+            if q0 % m == 0:
+                total = sum(_mobius(m // d) * fixed({j for j in range(n) if d * q[j] % q0 == 0})
+                            for d in range(1, m + 1) if m % d == 0)
+                exponents[m], rem = divmod(total, m)
+                assert rem == 0, (F, weights, m)
+        return product(factor(m, e) for m, e in exponents.items())
+
+    everything = tuple(range(n))
+    origin = all(map(any, points))
+    return (zeta(lambda J: chi[everything] if len(J) == n else 0),
+            zeta(lambda J: origin + sum(c for K, c in chi.items() if J.issuperset(K))))
+
+
+# ---------------------------------------------------------------------------
 # the hull by dot-product incidences and recursion into the saturation
 # lattice, and the two-body polarization mixed volume, which one
 # ``cone_facets`` call read through its masks and one inclusion-exclusion
@@ -1456,9 +1527,9 @@ def two_step_saturate(point_sets):
 # the diagram reader that intersected every index set's face with all of
 # the Newton polyhedron's facets, once for its ``cut`` map and once in
 # ``_face_facets``, and handed each pulling triangulation all of their
-# masks: the path that the subset-lattice walk of
-# ``diagram._index_set_facets`` replaced, kept as the oracle of
-# test_diagram_facets
+# masks: the path that the subset-lattice walk of the coordinate faces
+# (``lattice.coordinate_facets``, which ``diagram._index_set_facets`` calls)
+# replaced, kept as the oracle of test_diagram_facets
 
 
 def facet_reader(pts, facets):
@@ -1577,7 +1648,8 @@ def scale_support(n: int, points: int) -> GermSeries:
 # another on storing it, and the record builder that read each diagram
 # facet's mask twice, once to pull it and once for its vertices, and pulled
 # simplices too: the paths that one ``Fraction`` per term and one read per
-# facet replaced, kept as the oracles of test_germ and test_diagram_facets
+# facet (``lattice._records``) replaced, kept as the oracles of test_germ
+# and test_diagram_facets
 
 
 def reference_make_germ(num_vars: int, items) -> GermSeries:

@@ -402,13 +402,13 @@ def test_oracle_compare_seed_refuses_supplied_germs(capsys, tmp_path):
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):
-    import newtonzeta.diagram as diagram
+    import newtonzeta.lattice as lattice
 
     # the cusp's facet of normal (2, 1) is a simplex, measured by one
     # determinant: one unit more gives it a pyramid volume of 3, which its
     # height 2 does not divide
-    det = diagram.int_det
-    monkeypatch.setattr(diagram, "int_det", lambda rows: abs(det(rows)) + 1)
+    det = lattice.int_det
+    monkeypatch.setattr(lattice, "int_det", lambda rows: abs(det(rows)) + 1)
     code, out, err = run(capsys, "zeta", "--germ", "z1^2-s", "--vars", "s,z1")
     assert code == 3
     assert out == ""

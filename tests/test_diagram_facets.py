@@ -27,7 +27,7 @@ from helpers import (
     reference_records,
     scale_support,
 )
-from newtonzeta import diagram, lattice
+from newtonzeta import lattice
 from newtonzeta.diagram import (
     DiagramFacet,
     _index_set_facets,
@@ -291,7 +291,7 @@ def _scans(monkeypatch, *modules):
 def test_diagram_facets_cuts_no_face(monkeypatch, text, names):
     # the polyhedron's one compact facet is a simplex, and its own facets
     # are the polyhedron's: nothing is left to scan
-    handed = _scans(monkeypatch, diagram, lattice)
+    handed = _scans(monkeypatch, lattice)
     (facet,) = diagram_facets(parse_germ(text, names), range(len(names)))
     assert facet.nvol == 1
     assert handed == []
@@ -300,7 +300,7 @@ def test_diagram_facets_cuts_no_face(monkeypatch, text, names):
 def test_walk_scans_fewer_masks_than_the_reader(monkeypatch):
     # each cut scans the facets of the nearest face above it that was cut,
     # and each pulling level the facets of the face it was cut from
-    handed = _scans(monkeypatch, diagram, lattice, helpers)
+    handed = _scans(monkeypatch, lattice, helpers)
     F = parse_germ("z1^3+z2^3+z3^3+z1*z2*z3+z1^2*z2-s", ["s", "z1", "z2", "z3"])
     table = _index_set_facets(F)
     walk = sum(handed)
@@ -315,7 +315,7 @@ def test_each_facet_is_read_off_its_own_facets(monkeypatch):
     each diagram facet G that is not a simplex one list, G's own facets
     found once (``_face_facets(G, cut)``), never the masks of G's whole
     face; on seeded germs and on the n = 6 / 65 scale germ."""
-    records, vertices, pulled = diagram._records, diagram._vertices, diagram._pulled_volume
+    records, vertices, pulled = lattice._records, lattice._vertices, lattice._pulled_volume
     cuts, handed = [], {"_vertices": [], "_pulled_volume": []}
 
     def kept(label, coords, pts, face, cut):
@@ -327,12 +327,13 @@ def test_each_facet_is_read_off_its_own_facets(monkeypatch):
         return vertices(mask, masks)
 
     def pull(mask, dim, pts, facets, apexes):
-        handed["_pulled_volume"].append((mask, facets, cuts[-1]))
+        if not apexes:  # a call of ``_records``, not a pulling level below it
+            handed["_pulled_volume"].append((mask, facets, cuts[-1]))
         return pulled(mask, dim, pts, facets, apexes)
 
-    monkeypatch.setattr(diagram, "_records", kept)
-    monkeypatch.setattr(diagram, "_vertices", read)
-    monkeypatch.setattr(diagram, "_pulled_volume", pull)
+    monkeypatch.setattr(lattice, "_records", kept)
+    monkeypatch.setattr(lattice, "_vertices", read)
+    monkeypatch.setattr(lattice, "_pulled_volume", pull)
     rng = random.Random(2036)
     germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 12)]
     germs.append(scale_support(6, 65))
@@ -355,7 +356,7 @@ def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
     ``_measure``, which pulls a point set lifted to height one, equals
     ``helpers.engine_measure``, which pulls it as it is, on full simplices
     with extra points in dimensions 1-5 and on their unimodular images."""
-    records = diagram._records
+    records = lattice._records
     measured = []
 
     def checked(label, coords, pts, face, cut):
@@ -374,7 +375,7 @@ def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
         assert len(by_normal) == len(out) == len(compact)
         return out
 
-    monkeypatch.setattr(diagram, "_records", checked)
+    monkeypatch.setattr(lattice, "_records", checked)
     rng = random.Random(2030)
     germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 16)]
     germs.append(scale_support(6, 65))
@@ -414,12 +415,17 @@ def test_records_equal_the_builder_that_pulled_every_facet(monkeypatch):
         below = [J for J in index_sets_with_zero(F.num_vars - 1) if len(J) < 5]
         return _index_set_facets(F), [diagram_facets(F, J) for J in [*below, I]]
 
-    pulled = []
-    monkeypatch.setattr(diagram, "_pulled_volume",
-                        lambda *args: pulled.append(args[0]) or lattice._pulled_volume(*args))
+    pulled, pull = [], lattice._pulled_volume
+
+    def counted(mask, dim, pts, facets, apexes):
+        if not apexes:  # a call of ``_records``, not a pulling level below it
+            pulled.append(mask)
+        return pull(mask, dim, pts, facets, apexes)
+
+    monkeypatch.setattr(lattice, "_pulled_volume", counted)
     got = [every_call(F) for F in germs]
     assert len(pulled) > 100  # facets with more points than a simplex
-    monkeypatch.setattr(diagram, "_records", reference_records)
+    monkeypatch.setattr(lattice, "_records", reference_records)
     assert got == [every_call(F) for F in germs]
 
 

@@ -9,12 +9,14 @@ A module imports package modules only from the layers below its own:
     4. ``cli``;
     5. ``__init__`` and ``__main__``.
 
-``lattice`` alone builds polyhedra, walks their compact faces and decides
-when points are saturated, so its double-description engine and its
-saturation rule are named in no other module, and ``compact_faces`` is
-defined there alone.  Facet bitmasks are read by ``lattice`` and
-``diagram`` only: ``nondegeneracy`` takes its faces from ``lattice`` and
-names no mask reader.  ``germ`` alone reads and prints germ text, so
+``lattice`` alone builds polyhedra, walks their compact faces and their
+coordinate faces and decides when points are saturated, so its
+double-description engine and its saturation rule are named in no other
+module, and ``compact_faces``, ``_walk`` and ``_records`` are defined
+there alone.  Facet bitmasks are read by ``lattice`` only: ``nondegeneracy``
+takes its faces from it, and ``diagram`` its records, so neither names a
+mask reader, nor does ``diagram`` name the determinant that measures a
+record.  ``germ`` alone reads and prints germ text, so
 its tokens, its grammar and its rule for variable names are named in no
 other module either; nor is ``factored``'s one reader of factored text."""
 
@@ -28,7 +30,8 @@ LAYERS = [{"germ", "factored", "lattice"}, {"nondegeneracy", "diagram"},
           {"randomized"}, {"cli"}, {"__init__", "__main__"}]
 
 LATTICE_ONLY = ("_double_description", "_as_is")
-MASK_READERS = ("_bits", "_face_facets")
+MASK_READERS = ("_bits", "_face_facets", "_vertices", "_pulled_volume")
+WALK = ("_walk", "_records")
 GERM_ONLY = ("_TOKEN", "_OTHER", "_GRAMMAR", "_check_names")
 FACTORED_ONLY = ("_FACTOR_RE",)
 
@@ -77,16 +80,27 @@ def test_the_polyhedron_engine_is_named_in_lattice_alone():
     assert _homes(LATTICE_ONLY) == {("lattice.py", name) for name in LATTICE_ONLY}
 
 
-def test_facet_masks_are_read_in_lattice_and_diagram_alone():
-    assert _homes(MASK_READERS) == {(home, name) for home in ("lattice.py", "diagram.py")
-                                    for name in MASK_READERS}
+def test_facet_masks_are_read_in_lattice_alone():
+    assert _homes(MASK_READERS) == {("lattice.py", name) for name in MASK_READERS}
+
+
+def test_diagram_names_no_determinant():
+    assert ("diagram.py", "int_det") not in _homes(["int_det"])
+
+
+def _definitions(names):
+    """``(file, name)`` for each function of ``names`` that a source file defines."""
+    return {(path.name, node.name) for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.FunctionDef) and node.name in names}
 
 
 def test_compact_faces_is_defined_in_lattice_alone():
-    homes = {path.name for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.FunctionDef) and node.name == "compact_faces"}
-    assert homes == {"lattice.py"}
+    assert _definitions(["compact_faces"]) == {("lattice.py", "compact_faces")}
+
+
+def test_the_coordinate_face_walk_is_defined_in_lattice_alone():
+    assert _definitions(WALK) == {("lattice.py", name) for name in WALK}
 
 
 def test_the_germ_grammar_is_named_in_germ_alone():

@@ -42,12 +42,19 @@ def test_convex_hull_is_bound_in_diagram():
     assert diagram.convex_hull is lattice.convex_hull
 
 
-def test_int_det_is_bound_in_diagram():
+def test_records_measure_through_lattice_int_det(monkeypatch):
     from newtonzeta import diagram, lattice
+    from newtonzeta.germ import parse_germ
 
-    # a diagram facet that is a simplex is measured by ``diagram.int_det``,
-    # which the tracer wraps only as the same object as ``lattice.int_det``
-    assert diagram.int_det is lattice.int_det
+    # a diagram facet that is a simplex is measured by one determinant,
+    # looked up as ``lattice.int_det``: the binding the tracer replaces
+    calls = []
+    det = lattice.int_det
+    monkeypatch.setattr(lattice, "int_det", lambda rows: calls.append(rows) or det(rows))
+    (facet,) = diagram.diagram_facets(parse_germ("z1^2 + z2^3 - s", ["s", "z1", "z2"]),
+                                      (0, 1, 2))
+    assert facet.nvol == 1
+    assert calls == [list(facet.vertices)]
 
 
 def test_the_tracer_sees_each_diagram_facets_polyhedron_and_determinant():
