@@ -73,20 +73,21 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     S = restrict_support(support(F), idx)
     if not S:
         return []
-    return compact_facets(idx, S, len(idx), newton_polyhedron_facets(S, len(idx)))
+    return compact_facets(idx, newton_polyhedron_facets(S, len(idx)))
 
 
 def _index_set_facets(F: GermSeries, facets=None) -> dict:
     """``{I: diagram facets of I}`` in ``index_sets_with_zero`` order (the
     full index set last), read off F's one Newton polyhedron P with the
     facets ``facets``, built here unless given, by one
-    ``lattice.coordinate_facets`` walk; too many z-variables are refused
-    first."""
+    ``lattice.coordinate_facets`` walk; too many z-variables, then the
+    polyhedron of another support, are refused first."""
     table = {I: [] for I in index_sets_with_zero(F.num_vars - 1)}
-    S, d = support(F), F.num_vars
     if facets is None:
-        facets = newton_polyhedron_facets(S, d)
-    coordinate_facets(table, S, d, facets)
+        facets = newton_polyhedron_facets(support(F), F.num_vars)
+    elif getattr(facets, "points", None) != sorted(support(F)):
+        raise ValueError("facets are not the Newton polyhedron of the germ's support")
+    coordinate_facets(table, facets)
     return table
 
 
@@ -122,11 +123,9 @@ def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, Facto
     """``(zeta_torus(F), zeta_full(F))`` off the index-set table
     ``_index_set_facets(F, facets)``: its last entry, the full index set,
     and (1 - t) with every entry, the exponents of each summed in one map.
-    ``facets``, when given, must be ``newton_polyhedron_facets(support(F),
+    ``facets``, when given, is ``newton_polyhedron_facets(support(F),
     F.num_vars)``, built by the caller to share with the nondegeneracy
-    check.  They are trusted, not checked: handed the polyhedron of
-    (1, 0, 0), (0, 5, 0), (0, 0, 7) and (0, 1, 1), the cusp
-    ``z1^2 + z2^3 - s`` gets the zeta functions ``1`` and ``(1-t)``."""
+    check."""
     entries = list(_index_set_facets(F, facets).values())
     return _zeta(entries[-1], {}), _zeta((f for fs in entries for f in fs), {1: 1})
 

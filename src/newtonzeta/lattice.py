@@ -28,10 +28,11 @@ recession axes and the lowest point, is unimodular, so
 A face's vertices (``_vertices``), the faces of a face (``_face_facets``),
 the compact faces of a Newton polyhedron (``compact_faces``), the diagram
 facets of its coordinate faces (``coordinate_facets``, one walk down the
-subset lattice) or of itself (``compact_facets``), whose points all go
-through the builder's one reader, ``_support_points``, so all agree on
-bit order, and volumes by a pulling triangulation (``_pulled_volume``)
-are read off the zero-set bitmasks, one set bit at a time (``_bits``).
+subset lattice) or of itself (``compact_facets``), which take the
+polyhedron alone and read its points off it (``NewtonPolyhedron``), so
+all agree on bit order, and volumes by a pulling triangulation
+(``_pulled_volume``) are read off the zero-set bitmasks, one set bit at a
+time (``_bits``).
 The vertex read and the triangulation are handed the facets of the face
 they read, found once; a triangulation measures each facet that is a
 simplex in place, by one determinant of its own points, lifted or a
@@ -452,25 +453,23 @@ def convex_hull(points):
     return vertices, d, sorted((y[1:], -y[0], z) for y, z in cone)
 
 
-def _support_points(points, d: int) -> list[Vector]:
-    """The sorted distinct points of a support in Z^d, the order of the
-    point bits of every Newton-polyhedron mask."""
-    pts = sorted({tuple(map(index, p)) for p in points})
-    if not pts:
-        raise ValueError("empty support")
-    if any(len(p) != d for p in pts):
-        raise ValueError(f"support points must have {d} coordinates")
-    return pts
+class NewtonPolyhedron(list):
+    """The sorted ``(normal, offset, zeros)`` facets of a Newton
+    polyhedron, with ``points``, the sorted distinct support whose bits
+    the masks index."""
 
 
-def newton_polyhedron_facets(points, d: int):
+def newton_polyhedron_facets(points, d: int) -> NewtonPolyhedron:
     """Facets of conv(points) + R_+^d.
 
     Returns sorted (normal, offset, zeros) triples: the primitive inner
     normal (componentwise nonnegative), its minimum value, and the facet's
     zero-set mask, with bit i for the i-th sorted distinct point on the
     facet and bit n + j for the recession axis j in it (the normal's zero
-    components), n points in all.
+    components), n points in all.  The list carries those sorted points
+    as ``points``, and the walks of its faces take it alone;
+    ``nondegeneracy_check`` and ``zeta_torus_and_full``, handed a germ's
+    polyhedron, refuse another support's.
 
     The cone over the points lifted to height one and the axes at height
     zero is built by ``_double_description`` from a closed-form
@@ -483,15 +482,21 @@ def newton_polyhedron_facets(points, d: int):
     (1, 0, 0) as bits 0 to 2 and the axes as bits 3 to 5: three
     coordinate facets and the compact facet through all three points.
 
-    >>> for a, c, zeros in newton_polyhedron_facets(
-    ...         [(1, 0, 0), (0, 2, 0), (0, 0, 3)], 3):
+    >>> P = newton_polyhedron_facets([(1, 0, 0), (0, 2, 0), (0, 0, 3)], 3)
+    >>> for a, c, zeros in P:
     ...     print(a, c, f"{zeros:06b}")
     (0, 0, 1) 0 011110
     (0, 1, 0) 0 101101
     (1, 0, 0) 0 110011
     (6, 3, 2) 6 000111
+    >>> P.points
+    [(0, 0, 3), (0, 2, 0), (1, 0, 0)]
     """
-    pts = _support_points(points, d)
+    pts = sorted({tuple(map(index, p)) for p in points})
+    if not pts:
+        raise ValueError("empty support")
+    if any(len(p) != d for p in pts):
+        raise ValueError(f"support points must have {d} coordinates")
     # the rays of axis d, ..., axis 1, then p0: e_j - p0_j e_0 is zero on
     # p0 (bit 0) and on every axis but j, e_0 on every axis
     n, p0 = len(pts), pts[0]
@@ -502,21 +507,16 @@ def newton_polyhedron_facets(points, d: int):
         rays, d + 1, [((1,) + p, 1 << i) for i, p in enumerate(pts[1:], 1)])
     # the normal with a = 0 is the facet at infinity, not a facet of the
     # polyhedron
-    return sorted((y[1:], -y[0], z) for y, z in cone if any(y[1:]))
+    P = NewtonPolyhedron(sorted((y[1:], -y[0], z) for y, z in cone if any(y[1:])))
+    P.points = pts
+    return P
 
 
-def compact_faces(points, d: int, facets) -> list[tuple[tuple[Vector, ...], int]]:
-    """Sorted ``(support_points, dim)`` of the compact faces of
-    conv(points) + R_+^d, walked down from the facets a dimension per level
-    on the masks of ``facets``, which must be
-    ``newton_polyhedron_facets(points, d)``; a face is compact when it
-    holds no recession axis (no bit from n up), and nonempty.
-
-    ``facets`` is trusted, not checked: the masks of another support's
-    polyhedron are read against these points' bits as if they were
-    theirs.  Handed the polyhedron of (1, 0, 0), (0, 5, 0), (0, 0, 7) and
-    (0, 1, 1), the cusp ``z1^2 + z2^3 - s`` gets no 2-face, and points of
-    the wrong length are refused before any mask is read.
+def compact_faces(facets) -> list[tuple[tuple[Vector, ...], int]]:
+    """Sorted ``(support_points, dim)`` of the compact faces of the Newton
+    polyhedron ``facets`` (``newton_polyhedron_facets``), walked down from
+    the facets a dimension per level on their masks; a face is compact
+    when it holds no recession axis (no bit from n up), and nonempty.
 
     Each face of a level keeps the facet list of the face it was split
     from (P's masks at the top): every facet of a face G is G's
@@ -527,14 +527,14 @@ def compact_faces(points, d: int, facets) -> list[tuple[tuple[Vector, ...], int]
     k + 1 masks with one bit cleared, so it is split with no scan.
 
     >>> S = [(2, 0), (0, 3), (1, 2)]   # the cusp; (1, 2) lies above the edge
-    >>> compact_faces(S, 2, newton_polyhedron_facets(S, 2))
+    >>> compact_faces(newton_polyhedron_facets(S, 2))
     [(((0, 3),), 0), (((2, 0),), 0), (((0, 3), (2, 0)), 1)]
     """
-    pts = _support_points(points, d)
+    pts = facets.points
     n = len(pts)
     masks = [z for _, _, z in facets]
     out, low = [], (1 << n) - 1
-    level, dim = dict.fromkeys(masks, masks), d - 1
+    level, dim = dict.fromkeys(masks, masks), len(pts[0]) - 1
     while level:
         # the compact faces inside a face are those on its support points,
         # so one face per point part of a level is expanded; a compact face
@@ -569,27 +569,27 @@ class DiagramFacet:
     nvol: int
 
 
-def coordinate_facets(table, points, d: int, facets) -> None:
+def coordinate_facets(table, facets) -> None:
     """Fill ``table``, keyed by the index sets I that hold 0, with the
-    diagram facets of every coordinate face P ∩ R^I of P = conv(points) +
-    R_+^d, I's facets for I, in one ``_walk`` on the masks of ``facets``,
-    which must be ``newton_polyhedron_facets(points, d)`` and are trusted
-    as ``compact_faces`` trusts them.  An I whose face holds fewer than
-    |I| points keeps its entry."""
-    pts = _support_points(points, d)
-    n = len(pts)
+    diagram facets of every coordinate face P ∩ R^I of the Newton
+    polyhedron P with the facets ``facets`` (``newton_polyhedron_facets``),
+    I's facets for I, in one ``_walk`` on their masks.  An I whose face
+    holds fewer than |I| points keeps its entry."""
+    pts = facets.points
+    n, d = len(pts), len(pts[0])
     cut = {z: y for y, _, z in facets}
     off = [sum(1 << i for i, p in enumerate(pts) if p[j]) | 1 << n + j for j in range(d)]
     _walk(table, pts, off, tuple(range(d)), (1 << n + d) - 1, cut, d)
 
 
-def compact_facets(label, points, d: int, facets) -> list[DiagramFacet]:
-    """The diagram facets, labelled ``label``, of conv(points) + R_+^d
-    itself: the facets of ``facets``, its ``newton_polyhedron_facets``,
-    with a strictly positive normal, read as they are, with no face cut."""
-    pts = _support_points(points, d)
+def compact_facets(label, facets) -> list[DiagramFacet]:
+    """The diagram facets, labelled ``label``, of the Newton polyhedron
+    with the facets ``facets`` (``newton_polyhedron_facets``) itself: its
+    facets with a strictly positive normal, read as they are, with no
+    face cut."""
+    pts = facets.points
     cut = {z: y for y, _, z in facets}
-    return _records(label, range(d), pts, (1 << len(pts)) - 1, cut)
+    return _records(label, range(len(pts[0])), pts, (1 << len(pts)) - 1, cut)
 
 
 def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:

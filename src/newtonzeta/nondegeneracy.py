@@ -209,19 +209,19 @@ def nondegeneracy_check(F: GermSeries, facets=None) -> NondegeneracyReport:
 
     Dimension-0 faces are verified, dimension-1 faces decided exactly,
     higher-dimensional faces reported unchecked.  ``facets``, when given,
-    must be ``newton_polyhedron_facets(support(F), F.num_vars)``, which a
+    is ``newton_polyhedron_facets(support(F), F.num_vars)``, which a
     caller shares with ``diagram.zeta_torus_and_full``; without them the
-    polyhedron is built here.  They are trusted, not checked: handed the
-    polyhedron of (1, 0, 0), (0, 5, 0), (0, 0, 7) and (0, 1, 1), the cusp
-    ``z1^2 + z2^3 - s`` gets a report with no 2-face and every face
-    verified.  More than ``germ.MAX_Z_VARIABLES`` z-variables raise
+    polyhedron is built here.  More than ``germ.MAX_Z_VARIABLES``
+    z-variables, and the polyhedron of another support, raise
     ``ValueError`` before any work.
     """
     check_z_variables(F.num_vars - 1)
     if facets is None:
         facets = newton_polyhedron_facets(support(F), F.num_vars)
+    elif getattr(facets, "points", None) != sorted(support(F)):
+        raise ValueError("facets are not the Newton polyhedron of the germ's support")
     verdicts = []
-    for pts, dim in compact_faces(support(F), F.num_vars, facets):
+    for pts, dim in compact_faces(facets):
         if dim == 0:
             verdicts.append(FaceVerdict(pts, 0, VERIFIED))
         elif dim == 1:

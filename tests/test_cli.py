@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -413,6 +414,23 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: invariant violated")
+
+
+@pytest.mark.parametrize("name,fake,message", [
+    ("coords_in_basis", lambda basis, v: (0,) * len(v),
+     "edge direction has no unimodular completion"),
+    ("_rational_root", lambda p: Fraction(2),
+     "witness is not a critical zero of the face polynomial"),
+])
+def test_a_wrong_edge_witness_exits_3(capsys, monkeypatch, name, fake, message):
+    import newtonzeta.nondegeneracy as nondegeneracy
+
+    # (z - s)^2 has one edge of three points, whose polynomial (u - 1)^2
+    # has the double root 1: a completion with w.k = 0, or the root 2,
+    # gives no critical torus zero
+    monkeypatch.setattr(nondegeneracy, name, fake)
+    code, out, err = run(capsys, "check", "--germ", "z^2-2*s*z+s^2", "--vars", "s,z")
+    assert (code, out, err) == (3, "", f"internal error: invariant violated: {message}\n")
 
 
 def test_edge_witness_with_huge_coefficients(capsys):

@@ -258,7 +258,7 @@ def test_records_are_the_compact_faces_of_full_coordinate_dimension():
     for F in germs:
         S, d = sorted(support(F)), F.num_vars
         want = []
-        for pts, dim in compact_faces(S, d, newton_polyhedron_facets(S, d)):
+        for pts, dim in compact_faces(newton_polyhedron_facets(S, d)):
             J = tuple(j for j in range(d) if any(p[j] for p in pts))
             if J[:1] == (0,) and dim == len(J) - 1:
                 want.append((J, tuple(tuple(v[j] for j in J) for v in convex_hull(pts)[0])))

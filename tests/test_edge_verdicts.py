@@ -83,8 +83,7 @@ def test_edge_verdicts_match_the_dense_polynomial():
     kinds = Counter()
     for F in _germs(rng):
         S = support(F)
-        for pts, dim in compact_faces(S, F.num_vars,
-                                      newton_polyhedron_facets(S, F.num_vars)):
+        for pts, dim in compact_faces(newton_polyhedron_facets(S, F.num_vars)):
             if dim != 1:
                 continue
             got = _edge_verdict(F, pts)

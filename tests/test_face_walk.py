@@ -155,7 +155,7 @@ def _support_cases(rng):
 
 def _faces(points, d):
     """``compact_faces`` handed the polyhedron of the same support."""
-    return compact_faces(points, d, newton_polyhedron_facets(points, d))
+    return compact_faces(newton_polyhedron_facets(points, d))
 
 
 def test_compact_faces_match_closure():
@@ -279,6 +279,6 @@ def test_compact_faces_read_each_mask_once(monkeypatch):
     P = newton_polyhedron_facets(S, 7)
     bits = lattice._bits
     monkeypatch.setattr(lattice, "_bits", lambda m: read.append(m) or bits(m))
-    faces = compact_faces(S, 7, P)
+    faces = compact_faces(P)
     assert faces == full_scan_compact_faces(S, 7)
     assert len(read) == len(set(read)) >= len(faces)

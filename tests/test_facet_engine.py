@@ -96,6 +96,24 @@ def test_newton_polyhedron_facets_match_brute_force(d, count, cases):
             brute_newton_polyhedron_facets(pts, d)
 
 
+def test_the_polyhedron_carries_its_sorted_distinct_support():
+    """``points`` is the sorted distinct support that bit i of each mask
+    indexes, and the facets are still the plain list of triples."""
+    rng = random.Random(2100)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        S = [tuple(rng.randint(0, 4) for _ in range(d))
+             for _ in range(rng.randint(1, 9))]
+        S += rng.sample(S, len(S) // 2)  # repeated points, in no order
+        rng.shuffle(S)
+        P = newton_polyhedron_facets(S, d)
+        assert P.points == sorted(set(S))
+        assert isinstance(P, list) and P == brute_newton_polyhedron_facets(S, d)
+        for a, c, zeros in P:
+            assert zeros & (1 << len(P.points)) - 1 == sum(
+                1 << i for i, p in enumerate(P.points) if _dot(a, p) == c)
+
+
 @pytest.mark.parametrize("p", [(0, 3), (2, 0, 1), (1, 1, 1, 1)])
 def test_single_point(p):
     d = len(p)

@@ -30,6 +30,7 @@ def test_random_documents_match_json_dumps(doc):
     {}, [], [{}], {"a": []}, [[[], {}], {"b": [{}]}],
     [True, 1, False, 0, None],
     {"\"\\\n\x00\x1f": "é\ud800\U0001f600", "": ""},
+    "é",
 ])
 def test_edge_documents_match_json_dumps(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)

@@ -13,12 +13,15 @@ A module imports package modules only from the layers below its own:
 coordinate faces and decides when points are saturated, so its
 double-description engine and its saturation rule are named in no other
 module, and ``compact_faces``, ``_walk`` and ``_records`` are defined
-there alone.  Facet bitmasks are read by ``lattice`` only: ``nondegeneracy``
-takes its faces from it, and ``diagram`` its records, so neither names a
-mask reader, nor does ``diagram`` name the determinant that measures a
-record.  ``germ`` alone reads and prints germ text, so
-its tokens, its grammar and its rule for variable names are named in no
-other module either; nor is ``factored``'s one reader of factored text."""
+there alone.  A Newton polyhedron carries the points its masks index, so
+no function takes both a ``points`` and a ``facets`` parameter, and the
+builder reads a support itself.  Facet bitmasks are read by ``lattice``
+only: ``nondegeneracy`` takes its faces from it, and ``diagram`` its
+records, so neither names a mask reader, nor does ``diagram`` name the
+determinant that measures a record.  ``germ`` alone reads and prints
+germ text, so its tokens, its grammar and its rule for variable names are
+named in no other module either; nor is ``factored``'s one reader of
+factored text."""
 
 import ast
 import re
@@ -101,6 +104,19 @@ def test_compact_faces_is_defined_in_lattice_alone():
 
 def test_the_coordinate_face_walk_is_defined_in_lattice_alone():
     assert _definitions(WALK) == {("lattice.py", name) for name in WALK}
+
+
+def test_no_function_takes_both_points_and_facets():
+    both = {(path.name, node.name) for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.FunctionDef)
+            and {"points", "facets"} <= {a.arg for a in ast.walk(node.args)
+                                          if isinstance(a, ast.arg)}}
+    assert both == set()
+
+
+def test_the_support_has_no_reader_but_the_builder():
+    assert _homes(["_support_points"]) == set()
 
 
 def test_the_germ_grammar_is_named_in_germ_alone():

@@ -15,6 +15,7 @@ from newtonzeta.diagram import (
     euler_char_torus_hypersurface,
     face_polynomial,
     zeta_I,
+    zeta_torus_and_full,
 )
 from newtonzeta.factored import FactoredZeta, factor, parse_factored
 from newtonzeta.germ import (
@@ -31,7 +32,6 @@ from newtonzeta.germ import (
 )
 from newtonzeta.lattice import (
     LatticePolytope,
-    compact_faces,
     convex_hull,
     coords_in_basis,
     int_det,
@@ -42,6 +42,7 @@ from newtonzeta.lattice import (
     normalized_volume_at,
     smith_normal_form,
 )
+from newtonzeta.nondegeneracy import nondegeneracy_check
 from newtonzeta.randomized import cayley_suite, cone_suite
 
 V3 = ["s", "z1", "z2"]
@@ -55,9 +56,10 @@ LINEAR = parse_germ("z1+z2+z3", V4)
 POINT = LatticePolytope.from_points([(0, 0)])
 TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
 NOT_INT = "'%s' object cannot be interpreted as an integer"
-# a polyhedron in Z^2, and one in Z^3 whose support has four points
-PLANE = newton_polyhedron_facets([(0, 2), (2, 0)], 2)
+NOT_OWN = "facets are not the Newton polyhedron of the germ's support"
+# a polyhedron in Z^3 whose support has four points, and the cusp's own
 SPACE = newton_polyhedron_facets([(1, 0, 0), (0, 5, 0), (0, 0, 7), (0, 1, 1)], 3)
+CUSP_POLYHEDRON = newton_polyhedron_facets(support(suspend_germ(CUSP)), 3)
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -160,14 +162,14 @@ SPACE = newton_polyhedron_facets([(1, 0, 0), (0, 5, 0), (0, 0, 7), (0, 1, 1)], 3
           ("newton_polyhedron_facets", "points of two lengths",
            "support points must have 2 coordinates",
            lambda: newton_polyhedron_facets([(1, 0), (0,)], 2)),
-          ("compact_faces", "points in Z^3",
-           "support points must have 2 coordinates",
-           lambda: compact_faces([(1, 0, 0), (0, 1, 0)], 2, PLANE)),
-          # the polyhedron is right for d, the points are not: refused,
-          # never walked as if the masks' bits were theirs
-          ("compact_faces", "points in Z^2 for a polyhedron in Z^3",
-           "support points must have 3 coordinates",
-           lambda: compact_faces([(1, 0), (0, 1)], 3, SPACE)),
+          # the polyhedron of another support in the same Z^3 is refused,
+          # never walked as if the masks' bits were the cusp's points; so
+          # are the cusp's own triples in a plain list, which has no points
+          *[(call.__name__, f"the cusp with {case}", NOT_OWN,
+             lambda call=call, facets=facets: call(suspend_germ(CUSP), facets))
+            for call in (nondegeneracy_check, zeta_torus_and_full)
+            for case, facets in [("another support's polyhedron", SPACE),
+                                 ("its own facets in a plain list", list(CUSP_POLYHEDRON))]],
           # one name per variable, or the rendering would not read back
           ("germ_to_string", "one name for three variables",
            "expected 3 variable names, got 1",
@@ -197,8 +199,6 @@ SPACE = newton_polyhedron_facets([(1, 0, 0), (0, 5, 0), (0, 0, 7), (0, 1, 1)], 3
            lambda: smith_normal_form([[Fraction(3, 2), 1]])),
           ("newton_polyhedron_facets", "float",
            lambda: newton_polyhedron_facets([(1.5, 0), (0, 2)], 2)),
-          ("compact_faces", "float",
-           lambda: compact_faces([(0, 2.5), (2, 0)], 2, PLANE)),
           ("make_germ", "float",
            lambda: make_germ(3, [((0, 1.5, 0), 1), ((1, 0, 0), -1)])),
           ("GermSeries", "float", lambda: GermSeries(

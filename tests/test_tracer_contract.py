@@ -104,7 +104,7 @@ def test_every_count_hook_reads_a_real_call():
                               LatticePolytope.from_points([(0, 0), (0, 1)])),
         "nondegeneracy.polyhedron": (S, 3),
         "diagram.facets": (F, (0, 1, 2)),
-        "nondegeneracy.faces": (S, 3, newton_polyhedron_facets(S, 3)),
+        "nondegeneracy.faces": (newton_polyhedron_facets(S, 3),),
     }
     assert set(args) == set(tracing.HOOKS)
     counts = dict.fromkeys(tracing.COUNT_NAMES, 0)
