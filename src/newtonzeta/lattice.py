@@ -26,7 +26,9 @@ generators, whose rank it returns; a Newton polyhedron's basis, the
 recession axes and the lowest point, is unimodular, so
 ``newton_polyhedron_facets`` writes its rays down with no elimination.
 A face's vertices (``_vertices``), the faces of a face (``_face_facets``),
-the compact faces of a Newton polyhedron (``compact_faces``), the diagram
+the compact faces of a Newton polyhedron (``compact_faces``, walked down
+from its facets whose normal is not a unit vector, which hold them all
+unless the polyhedron is an orthant), the diagram
 facets of its coordinate faces (``coordinate_facets``, one walk down the
 subset lattice) or of itself (``compact_facets``), which take the
 polyhedron alone and read its points off it (``NewtonPolyhedron``), so
@@ -515,11 +517,20 @@ def newton_polyhedron_facets(points, d: int) -> NewtonPolyhedron:
 def compact_faces(facets) -> list[tuple[tuple[Vector, ...], int]]:
     """Sorted ``(support_points, dim)`` of the compact faces of the Newton
     polyhedron ``facets`` (``newton_polyhedron_facets``), walked down from
-    the facets a dimension per level on their masks; a face is compact
+    its facets a dimension per level on their masks; a face is compact
     when it holds no recession axis (no bit from n up), and nonempty.
 
+    The walk starts at the facets whose normal has at least two nonzero
+    entries.  A compact face G is cut out by a covector w > 0, a
+    nonnegative sum of the normals of the facets through G; were they all
+    unit vectors, w > 0 would need all d of them, G would be the
+    componentwise least point and P the orthant p + R_+^d.  So when P is
+    not an orthant every compact face lies in one of those facets (on a
+    convenient germ, the compact facets), and an orthant, whose facets all
+    have unit normals, is walked from all of them.
+
     Each face of a level keeps the facet list of the face it was split
-    from (P's masks at the top): every facet of a face G is G's
+    from (all of P's masks at the top): every facet of a face G is G's
     intersection with a facet of a face that G is a facet of, so a face
     that is not a simplicial cone is cut on that list alone
     (``_face_facets``).  A face of dimension k whose mask has k + 1 bits
@@ -529,12 +540,15 @@ def compact_faces(facets) -> list[tuple[tuple[Vector, ...], int]]:
     >>> S = [(2, 0), (0, 3), (1, 2)]   # the cusp; (1, 2) lies above the edge
     >>> compact_faces(newton_polyhedron_facets(S, 2))
     [(((0, 3),), 0), (((2, 0),), 0), (((0, 3), (2, 0)), 1)]
+    >>> compact_faces(newton_polyhedron_facets([(2, 3)], 2))   # an orthant
+    [(((2, 3),), 0)]
     """
     pts = facets.points
     n = len(pts)
     masks = [z for _, _, z in facets]
+    seeds = [z for a, _, z in facets if sum(map(bool, a)) > 1] or masks
     out, low = [], (1 << n) - 1
-    level, dim = dict.fromkeys(masks, masks), len(pts[0]) - 1
+    level, dim = dict.fromkeys(seeds, masks), len(pts[0]) - 1
     while level:
         # the compact faces inside a face are those on its support points,
         # so one face per point part of a level is expanded; a compact face

@@ -5,10 +5,11 @@ has a critical zero on the algebraic torus.  The faces to inspect are the
 compact faces of the restricted diagrams over every index set; every such
 face is also a compact face of the full Newton polyhedron (extend the
 strictly positive covector by sufficiently large entries off the index
-set), so one walk down the full polyhedron's face lattice covers them all.
+set), so one walk of the full polyhedron's compact faces covers them all.
 The faces come from ``lattice``: ``newton_polyhedron_facets`` builds the
-polyhedron and ``compact_faces`` walks it; this module reads no facet
-bitmask and only decides verdicts.
+polyhedron and ``compact_faces`` walks down from the facets that hold its
+compact faces (on a convenient germ, the compact facets alone); this
+module reads no facet bitmask and only decides verdicts.
 
 Verdicts:
   * dimension 0: verified automatically (a monomial has no torus critical

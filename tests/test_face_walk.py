@@ -237,15 +237,77 @@ def test_compact_faces_split_simplicial_faces(monkeypatch):
 
 
 def test_scans_on_a_named_germ(monkeypatch):
-    # the Brieskorn-Pham suspension's polyhedron: a compact tetrahedron,
-    # which is split down to its vertices, and four coordinate facets, each
-    # through three points and three recession axes; the full-scan walk
-    # cuts 29 faces
+    # the Brieskorn-Pham suspension's polyhedron: a compact tetrahedron and
+    # four coordinate facets, each through three points and three recession
+    # axes; the walk starts at the tetrahedron alone, the one facet whose
+    # normal is not a unit vector, and splits it down to its vertices with
+    # no cut; the full-scan walk cuts 29 faces
     walk, _ = _counting(monkeypatch, lattice)
     F = parse_germ("z1^2+z2^3+z3^5 - s", ["s", "z1", "z2", "z3"])
     assert len(newton_polyhedron_facets(support(F), 4)) == 5
     assert len(_faces(support(F), 4)) == 15
-    assert len(walk) == 10
+    assert len(walk) == 0
+
+
+@pytest.mark.parametrize("F", [
+    parse_germ("z1^2+z2^3+z3^5 - s", ["s", "z1", "z2", "z3"]),
+    helpers.scale_support(6, 65),
+], ids=["brieskorn-pham", "scale-6-65"])
+def test_walk_of_a_convenient_germ_reads_compact_faces_alone(monkeypatch, F):
+    # a convenient polyhedron's facets with a normal that is not a unit
+    # vector are its compact facets, so the walk reads no mask that holds a
+    # recession axis (a bit from n up) and reads each compact face once
+    P = newton_polyhedron_facets(support(F), F.num_vars)
+    read, bits = [], lattice._bits
+    monkeypatch.setattr(lattice, "_bits", lambda m: read.append(m) or bits(m))
+    faces = compact_faces(P)
+    n = len(P.points)
+    assert all(m >> n == 0 for m in read)
+    assert sorted(read) == sorted(sum(1 << P.points.index(p) for p in face)
+                                  for face, _ in faces)
+
+
+def _seed_rule_cases(rng):
+    """(kind, points, d): supports on both sides of the walk's seed rule,
+    which starts at the facets whose normal has at least two nonzero
+    entries and, when there are none, at all facets of the orthant
+    p + R_+^d."""
+    # an orthant; a compact edge in no facet with a strictly positive
+    # normal; compact faces in facets whose offset is not positive
+    yield "named", [(2, 3)], 2
+    yield "named", [(0, 1, 3), (0, 3, 2), (1, 0, 1), (3, 0, 0)], 3
+    yield "named", [(-2, 1, 0, -1), (-1, 3, 2, -2), (1, 1, -1, 2)], 4
+    for d in range(1, 6):
+        for _ in range(20):
+            yield "point", [tuple(rng.randint(-3, 3) for _ in range(d))], d
+            yield "origin", [(0,) * d] + [tuple(rng.randint(-1, 4) for _ in range(d))
+                                          for _ in range(rng.randint(0, 4))], d
+            yield "negative", [tuple(rng.randint(-3, 3) for _ in range(d))
+                               for _ in range(rng.randint(2, 8))], d
+            # about half the coordinates zero: some compact faces lie only
+            # in facets that hold a recession axis
+            yield "unbounded", [tuple(rng.choice((0, rng.randint(1, 4))) for _ in range(d))
+                                for _ in range(rng.randint(2, 7))], d
+            yield "convenient", [tuple(rng.randint(1, 6) if j == i else 0 for j in range(d))
+                                 for i in range(d)] + [
+                tuple(rng.randint(0, 4) for _ in range(d))
+                for _ in range(rng.randint(0, 5))], d
+
+
+def test_compact_faces_seed_rule():
+    rng = Random(20261020)
+    orthants = walked = 0
+    for kind, pts, d in _seed_rule_cases(rng):
+        P = newton_polyhedron_facets(pts, d)
+        faces = compact_faces(P)
+        assert faces == full_scan_compact_faces(pts, d), (kind, pts)
+        assert faces == closure_compact_faces(pts, d), (kind, pts)
+        if all(sum(map(bool, a)) == 1 for a, _, _ in P):
+            orthants += 1
+            assert faces == [((P.points[0],), 0)], (kind, pts)
+        else:
+            walked += 1
+    assert orthants and walked
 
 
 @pytest.mark.parametrize("n,points,facets,faces", [(6, 65, 159, 6331), (7, 64, 143, 11599)])
