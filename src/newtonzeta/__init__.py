@@ -49,4 +49,4 @@ from .nondegeneracy import (
     nondegeneracy_check,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

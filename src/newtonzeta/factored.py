@@ -7,8 +7,10 @@ multiplicity c_d = sum of e_m over the multiples m of d, and Moebius
 inversion gives the exponents back from these multiplicities.  So each
 rational function of this span has exactly one factor list, bases rising
 and exponents nonzero, which is all that ``FactoredZeta`` admits, and
-``==`` on that list is equality of rational functions;
-``cyclotomic_signature`` and ``expand_series`` are kept for diagnostics.
+``==`` on that list is equality of rational functions.  ``**`` takes
+powers and inverses (``z ** -1``), and ``cyclotomic_signature`` is the one
+diagnostic: it gives the multiplicities c_d, which carry the monodromy's
+eigenvalues.
 ``pretty`` writes that factor list as text and ``parse_factored`` reads
 back exactly what ``pretty`` writes, so the two are inverses.
 """
@@ -58,9 +60,6 @@ class FactoredZeta:
         k = index(k)
         return _from_map({m: e * k for m, e in self.factors})
 
-    def inv(self) -> "FactoredZeta":
-        return self ** -1
-
     def degree(self) -> int:
         """Degree as a rational function: sum of m * e_m."""
         return sum(m * e for m, e in self.factors)
@@ -76,28 +75,6 @@ class FactoredZeta:
             for d in _divisors(m):
                 sig[d] = sig.get(d, 0) + e
         return {d: v for d, v in sorted(sig.items()) if v != 0}
-
-    def expand_series(self, order: int) -> list[int]:
-        """Exact power-series coefficients up to the given order.
-
-        >>> factor(1, -1).expand_series(3)
-        [1, 1, 1, 1]
-        >>> factor(2).expand_series(3)
-        [1, 0, -1, 0]
-        """
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        c = [0] * (order + 1)
-        c[0] = 1
-        for m, e in self.factors:
-            for _ in range(abs(e)):
-                if e > 0:  # multiply by (1 - t^m)
-                    for k in range(order, m - 1, -1):
-                        c[k] -= c[k - m]
-                else:  # divide by (1 - t^m)
-                    for k in range(m, order + 1):
-                        c[k] += c[k - m]
-        return c
 
     def pretty(self) -> str:
         """Canonical rendering, m ascending, unit exponents omitted.

@@ -36,6 +36,8 @@ from fractions import Fraction
 from operator import index, itemgetter
 
 Exponent = tuple[int, ...]
+# a float coefficient is refused as ``index`` refuses a float exponent
+_NO_FLOAT = "'float' object cannot be interpreted as an integer"
 
 
 class ParseError(ValueError):
@@ -64,6 +66,8 @@ class GermSeries:
                 raise ValueError(f"negative exponent in {e}")
             if not any(e):
                 raise ValueError("nonzero constant term: not a germ vanishing at 0")
+            if isinstance(c, float):
+                raise TypeError(_NO_FLOAT)
             if c == 0:
                 raise ValueError("zero coefficient stored")
 
@@ -71,13 +75,16 @@ class GermSeries:
 def make_germ(num_vars: int, items) -> GermSeries:
     """Collect (exponent, coefficient) pairs into a germ, dropping zeros.
 
-    Coefficients are ints or ``Fraction``s.  Each exponent's coefficients
-    are summed as given, starting from the first, and a sum that is not
-    already a ``Fraction`` is converted once, so every stored coefficient
-    is a ``Fraction`` and a lone ``Fraction`` term is stored as it is."""
+    Coefficients are ints or ``Fraction``s; a float raises ``TypeError``,
+    as ``GermSeries`` does.  Each exponent's coefficients are summed as
+    given, starting from the first, and a sum that is not already a
+    ``Fraction`` is converted once, so every stored coefficient is a
+    ``Fraction`` and a lone ``Fraction`` term is stored as it is."""
     acc: dict[Exponent, int | Fraction] = {}
     for e, c in items:
         e = tuple(map(index, e))
+        if isinstance(c, float):
+            raise TypeError(_NO_FLOAT)
         acc[e] = acc[e] + c if e in acc else c
     # 0 + c refuses a coefficient that is not a number, such as a str,
     # which Fraction would parse

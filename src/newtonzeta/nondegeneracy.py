@@ -73,10 +73,6 @@ class NondegeneracyReport:
         return tuple(f for f in self.faces if f.status == UNCHECKED)
 
     @property
-    def all_verified(self) -> bool:
-        return all(f.status == VERIFIED for f in self.faces)
-
-    @property
     def status(self) -> str:
         if self.counterexamples:
             return COUNTEREXAMPLE
@@ -140,9 +136,10 @@ def _rational_root(p):
     while len(chain[-1]) > 1:
         chain.append([-c for c in _poly_rem(chain[-2], chain[-1])])
 
-    def changes(k):  # sign changes of the chain at k + 1/2
-        signs = [v > 0 for v in (_poly_value(f, Fraction(2 * k + 1, 2))
-                                 for f in chain) if v]
+    def changes(k):  # sign changes of the chain at k + 1/2, read off the
+        # integer 2^deg f(k + 1/2) = sum of c_i (2k + 1)^i 2^(deg - i)
+        signs = [v > 0 for v in (sum(c * (2 * k + 1) ** i << (len(f) - 1 - i)
+                                     for i, c in enumerate(f)) for f in chain) if v]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
     bound = 1 + max(abs(c) for c in q[:-1])  # Cauchy: every root is inside

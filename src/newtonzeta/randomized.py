@@ -91,13 +91,6 @@ def cayley_checks(f0: GermSeries, f1: GermSeries):
                    cayley_mixed_volume_identity(f0, f1, I, facet), 3)
 
 
-def _rounds(count: int) -> range:
-    """``range(count)``; a suite of no germs checks nothing, so it cannot pass."""
-    if count < 1:
-        raise ValueError(f"a suite needs at least one germ, got count = {count}")
-    return range(count)
-
-
 def _tally(result: SuiteResult, checks):
     result.cases += 1
     for I, facet, ok, note in checks:
@@ -109,22 +102,22 @@ def _tally(result: SuiteResult, checks):
                 f"I={I} facet {facet.normal}: volumes or exponents disagree")
 
 
-def cone_suite(seed: int, count: int = 100) -> SuiteResult:
-    """Check the cone reduction on every facet of count suspensions, n <= 3;
-    count below 1 raises ``ValueError``."""
+def cone_suite(seed: int) -> SuiteResult:
+    """Check the cone reduction on every facet of 100 random convenient
+    suspensions, n <= 3."""
     rng = random.Random(seed)
     result = SuiteResult("cone reduction suite")
-    for _ in _rounds(count):
+    for _ in range(100):
         _tally(result, cone_checks(random_convenient_germ(rng, rng.randint(1, 3))))
     return result
 
 
-def cayley_suite(seed: int, count: int = 50) -> SuiteResult:
-    """Check the Cayley/mixed-volume reduction on faces of dimension 2 and 3;
-    count below 1 raises ``ValueError``."""
+def cayley_suite(seed: int) -> SuiteResult:
+    """Check the Cayley/mixed-volume reduction on faces of dimension 2 and 3
+    of 50 random pencils f0 - sigma*f1, n in {2, 3}."""
     rng = random.Random(seed)
     result = SuiteResult("cayley mixed-volume suite")
-    for _ in _rounds(count):
+    for _ in range(50):
         n = rng.randint(2, 3)
         f0 = random_convenient_germ(rng, n, max_exp=5, extra_terms=2)
         # f1 is a monomial in three cases of ten

@@ -244,6 +244,26 @@ def permutation_zeta(cycle_lengths) -> FactoredZeta:
     return z
 
 
+def series_coefficients(z: FactoredZeta, order: int) -> list[int]:
+    """Power-series coefficients of z up to t^order, by multiplying and
+    dividing by each 1 - t^m in turn: an oracle of ``==`` and ``*`` that
+    never reads the cyclotomic multiplicities.
+
+    >>> series_coefficients(factor(1, -1), 3), series_coefficients(factor(2), 3)
+    ([1, 1, 1, 1], [1, 0, -1, 0])
+    """
+    c = [1] + [0] * order
+    for m, e in z.factors:
+        for _ in range(abs(e)):
+            if e > 0:  # multiply by (1 - t^m)
+                for k in range(order, m - 1, -1):
+                    c[k] -= c[k - m]
+            else:  # divide by (1 - t^m)
+                for k in range(m, order + 1):
+                    c[k] += c[k - m]
+    return c
+
+
 def _euler_phi(d):
     out, n, p = d, d, 2
     while p * p <= n:

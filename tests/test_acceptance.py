@@ -88,7 +88,7 @@ def test_criterion_4_trivial_germ():
 
 def test_criterion_5_cone_identity_suite():
     t0 = time.monotonic()
-    result = cone_suite(20240817, count=100)
+    result = cone_suite(20240817)
     elapsed = time.monotonic() - t0
     assert result.passed, result.failures[:5]
     assert result.cases == 100
@@ -100,7 +100,7 @@ def test_criterion_5_cone_identity_suite():
 
 def test_criterion_6_cayley_identity_suite():
     t0 = time.monotonic()
-    result = cayley_suite(20240818, count=50)
+    result = cayley_suite(20240818)
     elapsed = time.monotonic() - t0
     assert result.passed, result.failures[:5]
     assert result.cases == 50

@@ -598,11 +598,13 @@ def test_one_newton_polyhedron_per_command(capsys, polyhedron_calls, argv):
     assert len(polyhedron_calls) == 1
 
 
-@pytest.mark.parametrize("suite", [randomized.cone_suite, randomized.cayley_suite])
-def test_one_newton_polyhedron_per_suite_germ(polyhedron_calls, suite):
-    result = suite(7, count=5)
+@pytest.mark.parametrize("suite,germs", [(randomized.cone_suite, 100),
+                                         (randomized.cayley_suite, 50)],
+                         ids=["cone_suite", "cayley_suite"])
+def test_one_newton_polyhedron_per_suite_germ(polyhedron_calls, suite, germs):
+    result = suite(7)
     assert result.passed and result.facets_checked > 0
-    assert len(polyhedron_calls) == 5
+    assert result.cases == len(polyhedron_calls) == germs
 
 
 _INVOCATIONS = [

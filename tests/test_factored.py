@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import series_coefficients
 from newtonzeta.factored import FactoredZeta, factor, one, parse_factored, product
 
 
@@ -28,9 +29,9 @@ def test_inv_involution():
     rng = random.Random(2)
     for _ in range(20):
         a = _random_zeta(rng)
-        assert a.inv().inv() == a
-        assert a.inv().factors == tuple((m, -e) for m, e in a.factors)
-        assert a * a.inv() == one()
+        assert (a ** -1) ** -1 == a
+        assert (a ** -1).factors == tuple((m, -e) for m, e in a.factors)
+        assert a * a ** -1 == one()
 
 
 def test_factor_rejects_bad_base():
@@ -52,7 +53,7 @@ def test_degree_additive():
     for _ in range(30):
         a, b = _random_zeta(rng), _random_zeta(rng)
         assert (a * b).degree() == a.degree() + b.degree()
-        assert a.inv().degree() == -a.degree()
+        assert (a ** -1).degree() == -a.degree()
 
 
 def test_cyclotomic_signature_examples():
@@ -83,7 +84,7 @@ def test_equals_matches_series_expansion():
     rng = random.Random(5)
     for _ in range(40):
         a, b = _random_zeta(rng), _random_zeta(rng)
-        assert (a == b) == (a.expand_series(50) == b.expand_series(50))
+        assert (a == b) == (series_coefficients(a, 50) == series_coefficients(b, 50))
 
 
 def test_equality_is_equality_of_rational_functions():
@@ -96,15 +97,10 @@ def test_equality_is_equality_of_rational_functions():
         fold = one()
         for z in zs:
             fold = fold * z
-        same = [(a * b, b * a), (a * a.inv(), one()), (product(zs), fold)]
+        same = [(a * b, b * a), (a * a ** -1, one()), (product(zs), fold)]
         for x, y in same + [(a, b), (a, a * factor(rng.randint(1, 9)))]:
             assert (x == y) == (x.cyclotomic_signature() == y.cyclotomic_signature())
         assert all(x == y for x, y in same)
-
-
-def test_expand_series_examples():
-    assert factor(1, -1).expand_series(3) == [1, 1, 1, 1]
-    assert factor(2).expand_series(3) == [1, 0, -1, 0]
 
 
 def test_expand_series_multiplicative():
@@ -112,7 +108,7 @@ def test_expand_series_multiplicative():
     order = 20
     for _ in range(20):
         a, b = _random_zeta(rng), _random_zeta(rng)
-        ea, eb, eab = (x.expand_series(order) for x in (a, b, a * b))
+        ea, eb, eab = (series_coefficients(x, order) for x in (a, b, a * b))
         conv = [sum(ea[i] * eb[k - i] for i in range(k + 1))
                 for k in range(order + 1)]
         assert conv == eab
@@ -183,7 +179,7 @@ def test_product_is_the_left_fold_of_mul():
         if zs and rng.random() < 0.5:
             zs.append(zs[rng.randrange(len(zs))])
         if zs and rng.random() < 0.3:
-            zs.append(zs[rng.randrange(len(zs))].inv())
+            zs.append(zs[rng.randrange(len(zs))] ** -1)
         # each base's exponents summed by hand, zero sums dropped
         sums = {}
         for z in zs:

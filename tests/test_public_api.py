@@ -1,0 +1,52 @@
+"""The package's public surface, pinned name by name.
+
+A change to any list below is an API change: it moves ``__version__``
+and the version in ``pyproject.toml`` together (``test_version`` checks
+that the two agree)."""
+
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from newtonzeta.factored import one
+from newtonzeta.nondegeneracy import NondegeneracyReport
+from newtonzeta.randomized import cayley_suite, cone_suite
+
+# what a fresh ``import newtonzeta`` binds, its five eager submodules included
+PACKAGE = [
+    "COUNTEREXAMPLE", "DiagramFacet", "FaceVerdict", "FactoredZeta", "GermSeries",
+    "IdentityInapplicable", "LatticePolytope", "NondegeneracyReport", "ParseError",
+    "UNCHECKED", "VERIFIED", "cayley_mixed_volume_identity", "cone_reduction_identity",
+    "convex_hull", "diagram", "diagram_facets", "euler_char_torus_hypersurface",
+    "face_polynomial", "factor", "factored", "germ", "germ_from_json", "germ_to_json",
+    "germ_to_string", "index_sets_with_zero", "lattice", "make_germ", "minkowski_sum",
+    "mixed_volume", "nondegeneracy", "nondegeneracy_check", "normalized_volume",
+    "normalized_volume_at", "one", "parse_factored", "parse_germ", "pencil_germ",
+    "primitive", "product", "restrict_support", "saturation_basis",
+    "smith_normal_form", "support", "suspend_germ", "zeta_I", "zeta_classical",
+    "zeta_full", "zeta_torus",
+]
+
+
+def _public(obj):
+    return sorted(n for n in dir(obj) if not n.startswith("_"))
+
+
+def test_public_surface_is_pinned():
+    # a fresh interpreter: the tests import more submodules, which the
+    # package then binds too
+    src = Path(__file__).resolve().parents[1] / "src"
+    names = subprocess.run(
+        [sys.executable, "-c", "import newtonzeta\n"
+         "print(*sorted(n for n in vars(newtonzeta) if not n.startswith('_')))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src))).stdout.split()
+    assert (len(names), names) == (48, PACKAGE)
+    assert _public(one()) == [
+        "as_json_dict", "cyclotomic_signature", "degree", "factors", "pretty"]
+    assert _public(NondegeneracyReport(())) == [
+        "counterexamples", "faces", "status", "unchecked"]
+    for suite in (cone_suite, cayley_suite):
+        assert list(inspect.signature(suite).parameters) == ["seed"]
