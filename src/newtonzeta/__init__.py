@@ -8,8 +8,6 @@ from .diagram import (
     cone_reduction_identity,
     diagram_facets,
     euler_char_torus_hypersurface,
-    face_polynomial,
-    zeta_I,
     zeta_classical,
     zeta_full,
     zeta_torus,
@@ -49,4 +47,4 @@ from .nondegeneracy import (
     nondegeneracy_check,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -15,7 +15,8 @@ P = conv(S) + R_+^d, and ``lattice.coordinate_facets`` reads every index
 set off P in one walk, since conv(S_I) + R_+^I is the coordinate face
 P ∩ R^I; the table serves the zeta functions, the CLI and the identity
 checks.  ``diagram_facets(F, I)`` reads the polyhedron of S_I as it is
-(``lattice.compact_facets``).
+(``lattice.compact_facets``), and ``zeta_torus`` reads F's own polyhedron
+the same way, its records labelled with the full index set.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .factored import FactoredZeta, _from_map
 from .germ import (
     GermSeries,
     index_sets_with_zero,
-    make_germ,
     restrict_support,
     support,
     suspend_germ,
@@ -105,18 +105,16 @@ def _zeta(facets, acc: dict[int, int]) -> FactoredZeta:
     return _from_map(acc)
 
 
-def zeta_I(F: GermSeries, I) -> FactoredZeta:
-    """Factored zeta contribution of one index set."""
-    return _zeta(diagram_facets(F, I), {})
-
-
 def zeta_torus(F: GermSeries) -> FactoredZeta:
     """Monodromy zeta function of the deformed hypersurface in the torus.
 
     Valid for germs that are nondegenerate for their Newton diagram; the
-    formula is evaluated unconditionally (see nondegeneracy_check).
+    formula is evaluated unconditionally (see nondegeneracy_check).  The
+    sum runs over the diagram facets of F's own Newton polyhedron, labelled
+    with the full index set.
     """
-    return zeta_I(F, range(F.num_vars))
+    full = tuple(range(F.num_vars))
+    return _zeta(compact_facets(full, newton_polyhedron_facets(support(F), F.num_vars)), {})
 
 
 def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, FactoredZeta]:
@@ -142,12 +140,6 @@ def zeta_full(F: GermSeries) -> FactoredZeta:
 def zeta_classical(f: GermSeries) -> FactoredZeta:
     """Ordinary monodromy zeta function of a germ f(z), via F = f - sigma."""
     return zeta_full(suspend_germ(f))
-
-
-def face_polynomial(F: GermSeries, alpha) -> GermSeries:
-    """Sub-germ supported on the face where the positive covector is minimal."""
-    _, face = _minimizers(list(F.terms), tuple(map(index, alpha)))
-    return make_germ(F.num_vars, [(e, F.terms[e]) for e in face])
 
 
 def euler_char_torus_hypersurface(P: LatticePolytope) -> int:

@@ -12,7 +12,7 @@ from newtonzeta.diagram import (
     DiagramFacet,
     IdentityInapplicable,
     _normalize_index_set,
-    zeta_I,
+    diagram_facets,
 )
 from newtonzeta.factored import FactoredZeta, factor, one, product
 from newtonzeta.germ import (
@@ -436,6 +436,75 @@ def quasi_homogeneous_zeta(F: GermSeries, weights) -> tuple[FactoredZeta, Factor
 
 
 # ---------------------------------------------------------------------------
+# two composition relations of monodromy zeta functions, neither of them
+# Varchenko's sum: the Thom-Sebastiani join of germs in disjoint variables
+# and the base change s -> s^k; oracles of test_composition
+
+
+def random_weighted_homogeneous_germ(rng, n) -> GermSeries:
+    """A convenient germ f(z1, ..., zn), n >= 1, whose diagram is one
+    compact facet: the pure powers z_j^(a_j), a_j in 2-6, and one to three
+    more monomials on the facet through them, all with random rational
+    coefficients.  A facet of more than n points is not a simplex, so its
+    volume comes from the pulling triangulation."""
+    a = [rng.randint(2, 6) for _ in range(n)]
+    D = lcm(*a)
+    pure = [tuple(x if i == j else 0 for j in range(n)) for i, x in enumerate(a)]
+    on = [b for b in itertools.product(*[range(x + 1) for x in a])
+          if sum(D // x * y for x, y in zip(a, b)) == D and b not in pure]
+    extra = rng.sample(on, min(len(on), rng.randint(1, 3)))
+    return make_germ(n + 1, [((0,) + b, random_nonzero_fraction(rng)) for b in pure + extra])
+
+
+def join_germ(f: GermSeries, g: GermSeries) -> GermSeries:
+    """f(z') + g(z''), for germs in the z-variables only, in disjoint
+    variables: f's first, then g's."""
+    a, b = f.num_vars - 1, g.num_vars - 1
+    return make_germ(1 + a + b,
+                     [((0,) + e[1:] + (0,) * b, c) for e, c in f.terms.items()]
+                     + [((0,) * (1 + a) + e[1:], c) for e, c in g.terms.items()])
+
+
+def join_zeta(zf: FactoredZeta, zg: FactoredZeta) -> FactoredZeta:
+    """The classical zeta function of f + g in disjoint variables from
+    those of f and g (Sebastiani & Thom, Invent. Math. 13, 1971): the
+    Milnor fibre of the sum is the join of theirs, and its monodromy on
+    reduced homology is the tensor product of theirs.  With
+    zeta~ = zeta / (1 - t) = prod (1 - t^m)^(e_m), the exponent of
+    (1 - t^l) in zeta~ of the sum is -sum e_m e'_k gcd(m, k) over
+    lcm(m, k) = l, by the divisor calculus
+    Lambda_a Lambda_b = gcd(a, b) Lambda_lcm(a, b) (Milnor & Orlik,
+    Topology 9, 1970).
+
+    >>> join_zeta(factor(2), factor(3)).pretty()  # z1^2 + z2^3, the cusp
+    '(1-t^2) (1-t^3) (1-t^6)^-1'
+    """
+    ef, eg = (factor(1, -1) * zf).factors, (factor(1, -1) * zg).factors
+    return factor(1) * product(factor(lcm(m, k), -e * d * gcd(m, k))
+                               for m, e in ef for k, d in eg)
+
+
+def stretch_germ(F: GermSeries, k: int) -> GermSeries:
+    """F(s^k, z): every s-exponent times k."""
+    return make_germ(F.num_vars, [((e[0] * k,) + e[1:], c) for e, c in F.terms.items()])
+
+
+def base_change_zeta(z: FactoredZeta, k: int) -> FactoredZeta:
+    """The zeta function of the monodromy's k-th power, which is the
+    monodromy of F(s^k, z) = 0 (the fibre over s of the stretched family
+    is F's fibre over s^k): each (1 - t^m)^e becomes
+    (1 - t^(m/g))^(g e), g = gcd(m, k), since an eigenvalue of order m
+    raised to the k-th power has order m/g, g times over.  It holds for
+    the torus and the affine zeta functions alike, since s -> s^k maps
+    torus points onto torus points.
+
+    >>> base_change_zeta(factor(6, -1) * factor(4), 2).pretty()
+    '(1-t^2)^2 (1-t^3)^-2'
+    """
+    return product(factor(m // gcd(m, k), gcd(m, k) * e) for m, e in z.factors)
+
+
+# ---------------------------------------------------------------------------
 # the hull by dot-product incidences and recursion into the saturation
 # lattice, and the two-body polarization mixed volume, which one
 # ``cone_facets`` call read through its masks and one inclusion-exclusion
@@ -829,12 +898,20 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     return out
 
 
+def index_set_zeta(F: GermSeries, I) -> FactoredZeta:
+    """The factor of one index set I (a sorted tuple holding 0): one
+    (1 - t^m)^((-1)^(|I|-2) nvol) per record of ``diagram_facets(F, I)``,
+    the sign taken from I here rather than from the records' labels."""
+    sign = (-1) ** len(I)  # = (-1)^(|I|-2), an int for |I| = 1 too
+    return product(factor(f.m, sign * f.nvol) for f in diagram_facets(F, I))
+
+
 def per_index_set_zeta(F: GermSeries) -> tuple[FactoredZeta, FactoredZeta]:
     """``(zeta_torus(F), zeta_full(F))`` with a Newton polyhedron per index
-    set (``zeta_I``), the path that reading every index set's facets off
-    F's one polyhedron replaced."""
+    set (``index_set_zeta``), the path that reading every index set's
+    facets off F's one polyhedron replaced."""
     n = F.num_vars - 1
-    parts = {I: zeta_I(F, I) for I in index_sets_with_zero(n)}
+    parts = {I: index_set_zeta(F, I) for I in index_sets_with_zero(n)}
     return parts[tuple(range(n + 1))], factor(1, 1) * product(parts.values())
 
 

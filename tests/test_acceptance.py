@@ -13,6 +13,7 @@ from math import comb, factorial
 from helpers import (
     apply_matrix,
     dilate,
+    index_set_zeta,
     permutation_zeta,
     random_deformation_germ,
     random_lattice_simplex,
@@ -21,7 +22,6 @@ from helpers import (
 )
 from newtonzeta.diagram import (
     euler_char_torus_hypersurface,
-    zeta_I,
     zeta_full,
 )
 from newtonzeta.factored import factor, one
@@ -82,7 +82,7 @@ def test_criterion_3_branch_geometry_pair():
 def test_criterion_4_trivial_germ():
     F = parse_germ("s", ["s", "z"])
     assert zeta_full(F) == one()
-    assert zeta_I(F, (0,)) == factor(1, -1)
+    assert index_set_zeta(F, (0,)) == factor(1, -1)
     _report(4, "zeta(s) = 1 with axis contribution (1-t)^-1")
 
 

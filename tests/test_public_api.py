@@ -20,12 +20,12 @@ PACKAGE = [
     "IdentityInapplicable", "LatticePolytope", "NondegeneracyReport", "ParseError",
     "UNCHECKED", "VERIFIED", "cayley_mixed_volume_identity", "cone_reduction_identity",
     "convex_hull", "diagram", "diagram_facets", "euler_char_torus_hypersurface",
-    "face_polynomial", "factor", "factored", "germ", "germ_from_json", "germ_to_json",
+    "factor", "factored", "germ", "germ_from_json", "germ_to_json",
     "germ_to_string", "index_sets_with_zero", "lattice", "make_germ", "minkowski_sum",
     "mixed_volume", "nondegeneracy", "nondegeneracy_check", "normalized_volume",
     "normalized_volume_at", "one", "parse_factored", "parse_germ", "pencil_germ",
     "primitive", "product", "restrict_support", "saturation_basis",
-    "smith_normal_form", "support", "suspend_germ", "zeta_I", "zeta_classical",
+    "smith_normal_form", "support", "suspend_germ", "zeta_classical",
     "zeta_full", "zeta_torus",
 ]
 
@@ -43,7 +43,7 @@ def test_public_surface_is_pinned():
          "print(*sorted(n for n in vars(newtonzeta) if not n.startswith('_')))"],
         capture_output=True, text=True, check=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src))).stdout.split()
-    assert (len(names), names) == (48, PACKAGE)
+    assert (len(names), names) == (46, PACKAGE)
     assert _public(one()) == [
         "as_json_dict", "cyclotomic_signature", "degree", "factors", "pretty"]
     assert _public(NondegeneracyReport(())) == [

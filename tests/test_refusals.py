@@ -13,8 +13,6 @@ from newtonzeta.diagram import (
     cone_reduction_identity,
     diagram_facets,
     euler_char_torus_hypersurface,
-    face_polynomial,
-    zeta_I,
     zeta_torus_and_full,
 )
 from newtonzeta.factored import FactoredZeta, factor, parse_factored
@@ -69,7 +67,6 @@ CUSP_POLYHEDRON = newton_polyhedron_facets(support(suspend_germ(CUSP)), 3)
     *[pytest.param(lambda call=call, I=I: call(suspend_germ(CUSP), I), ValueError,
                    message, id=f"ValueError-{call.__name__}-{I}")
       for call, I, message in [(diagram_facets, (0, -1), "index set out of range"),
-                               (zeta_I, (-1, 0), "index set out of range"),
                                (diagram_facets, (1, 2), "index set must contain 0")]],
     (lambda: cone_reduction_identity(CUSP, (0,), CUSP_FACET),
      IdentityInapplicable, "the identity concerns faces of dimension at least 1"),
@@ -88,8 +85,6 @@ CUSP_POLYHEDRON = newton_polyhedron_facets(support(suspend_germ(CUSP)), 3)
     (lambda: convex_hull([]), ValueError, "convex_hull needs at least one point"),
     (lambda: convex_hull([(0, 0), (1,)]),
      ValueError, "points must share a positive ambient dimension"),
-    (lambda: face_polynomial(CUSP, (1, 1, 1, 1)),
-     ValueError, "covector dimension mismatch"),
     (lambda: normalized_volume_at(POINT, -1),
      ValueError, "dimension must be nonnegative"),
     (lambda: normalized_volume_at(TRIANGLE, 1),
@@ -205,7 +200,6 @@ CUSP_POLYHEDRON = newton_polyhedron_facets(support(suspend_germ(CUSP)), 3)
            lambda: restrict_support(support(CUSP), (0, 1.5))),
           ("_normalize_index_set", "float",
            lambda: diagram_facets(suspend_germ(CUSP), (0, 1.5))),
-          ("face_polynomial", "float", lambda: face_polynomial(CUSP, (1, 2.9, 1))),
           ("factor", "float", lambda: factor(2.5)),
           ("factor-string", "str", lambda: factor("3")),
           ("FactoredZeta.__pow__", "float", lambda: factor(2) ** 1.5),

@@ -5,15 +5,15 @@ import pytest
 
 from helpers import (
     brieskorn_zeta,
+    index_set_zeta,
     permutation_zeta,
     random_deformation_germ,
     random_z_germ,
 )
 from newtonzeta.diagram import (
+    _zeta,
     diagram_facets,
     euler_char_torus_hypersurface,
-    face_polynomial,
-    zeta_I,
     zeta_classical,
     zeta_full,
     zeta_torus,
@@ -98,21 +98,21 @@ def test_facet_minimization_is_exact_on_support():
 
 def test_zeta_axis_conventions():
     with_axis = parse_germ("z^3-s", V2)
-    assert zeta_I(with_axis, (0,)) == factor(1, -1)
+    assert index_set_zeta(with_axis, (0,)) == factor(1, -1)
     without_axis = parse_germ("s*z+z^2", V2)
-    assert zeta_I(without_axis, (0,)) == one()
+    assert index_set_zeta(without_axis, (0,)) == one()
 
 
 def test_zeta_suspension_family():
     for k in range(1, 8):
         F = parse_germ(f"z^{k}-s", V2)
-        assert zeta_I(F, (0, 1)) == factor(k)
+        assert index_set_zeta(F, (0, 1)) == factor(k)
         assert zeta_full(F) == permutation_zeta([k])
 
 
 def test_zeta_cusp():
     F = parse_germ("z1^2+z2^3-s", V3)
-    assert zeta_I(F, (0, 1, 2)) == factor(6, -1)
+    assert index_set_zeta(F, (0, 1, 2)) == factor(6, -1)
     assert zeta_torus(F) == factor(6, -1)
     expected = factor(2) * factor(3) * factor(6, -1)
     assert zeta_full(F) == expected
@@ -130,7 +130,7 @@ def test_zeta_two_branches():
 def test_zeta_trivial_germ():
     F = parse_germ("s", V2)
     assert zeta_full(F) == one()
-    assert zeta_I(F, (0,)) == factor(1, -1)
+    assert index_set_zeta(F, (0,)) == factor(1, -1)
 
 
 def test_zeta_exponent_signs_follow_face_dimension():
@@ -141,7 +141,7 @@ def test_zeta_exponent_signs_follow_face_dimension():
         for I in index_sets_with_zero(n):
             l = len(I) - 1
             sign = -1 if (l - 1) % 2 else 1
-            for m, e in zeta_I(F, I).factors:
+            for m, e in _zeta(diagram_facets(F, I), {}).factors:
                 assert m >= 1
                 assert e * sign > 0
 
@@ -151,7 +151,7 @@ def test_zeta_full_carries_leading_factor():
     for _ in range(20):
         n = rng.randint(1, 3)
         F = random_deformation_germ(rng, n)
-        pieces = product(zeta_I(F, I) for I in index_sets_with_zero(n))
+        pieces = product(index_set_zeta(F, I) for I in index_sets_with_zero(n))
         assert zeta_full(F) == factor(1, 1) * pieces
 
 
@@ -244,30 +244,6 @@ def test_coefficient_independence():
                        for e in F.terms])
         assert zeta_full(G) == zeta_full(F)
         assert zeta_torus(G) == zeta_torus(F)
-
-
-# ---------------------------------------------------------------------------
-# face polynomials
-
-def test_face_polynomial_whole_support():
-    F = parse_germ("z^2-s^2", V2)
-    assert face_polynomial(F, (1, 1)).terms == F.terms
-
-
-def test_face_polynomial_unique_minimizer():
-    F = parse_germ("z^2-s^3", V2)
-    assert face_polynomial(F, (1, 1)).terms == {(0, 2): 1}
-
-
-def test_face_polynomial_constant_value():
-    F = parse_germ("z1*z2+z1^2+z2^2", V3)
-    assert face_polynomial(F, (5, 1, 1)).terms == F.terms
-
-
-def test_face_polynomial_rejects_nonpositive():
-    F = parse_germ("z^2-s", V2)
-    with pytest.raises(ValueError):
-        face_polynomial(F, (0, 1))
 
 
 # ---------------------------------------------------------------------------
