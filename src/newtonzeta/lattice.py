@@ -30,11 +30,16 @@ the compact faces of a Newton polyhedron (``compact_faces``, walked down
 from its facets whose normal is not a unit vector, which hold them all
 unless the polyhedron is an orthant), the diagram
 facets of its coordinate faces (``coordinate_facets``, one walk down the
-subset lattice) or of itself (``compact_facets``), which take the
+subset lattice, which cuts only a face of more than |I| points and reads
+the one possible facet of a face of exactly |I| off the cut above it) or
+of itself (``compact_facets``), which take the
 polyhedron alone and read its points off it (``NewtonPolyhedron``), so
 all agree on bit order, and volumes by a pulling triangulation
 (``_pulled_volume``) are read off the zero-set bitmasks, one set bit at a
 time (``_bits``).
+A coordinate face projects to R^I only the points that its diagram
+facets read, each once (``_records``), and one builder (``_record``)
+makes every ``DiagramFacet``.
 The vertex read and the triangulation are handed the facets of the face
 they read, found once; a triangulation measures each facet that is a
 simplex in place, by one determinant of its own points, lifted or a
@@ -588,7 +593,8 @@ def coordinate_facets(table, facets) -> None:
     diagram facets of every coordinate face P ∩ R^I of the Newton
     polyhedron P with the facets ``facets`` (``newton_polyhedron_facets``),
     I's facets for I, in one ``_walk`` on their masks.  An I whose face
-    holds fewer than |I| points keeps its entry."""
+    holds fewer than |I| points, or exactly |I| that span no diagram
+    facet, keeps its entry."""
     pts = facets.points
     n, d = len(pts), len(pts[0])
     cut = {z: y for y, _, z in facets}
@@ -608,8 +614,9 @@ def compact_facets(label, facets) -> list[DiagramFacet]:
 
 def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
     """The diagram facets, sorted by normal, of the face P ∩ R^I of a
-    Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask,
-    ``coords`` are the positions of I in R^d and ``label`` names I.
+    Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask
+    (which the records do not read), ``coords`` are the positions of I in
+    R^d and ``label`` names I.
 
     ``cut`` maps each facet mask of the face to the normal y of a facet of
     P that cuts it out.  A compact facet G (no recession axis) has y
@@ -617,21 +624,22 @@ def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
     normal ``a``.  G lies on ``a . x = c`` with the offset ``c >= 1``, so
     the determinants of the simplices of its pulling triangulation on the
     face's facet masks, taken on its points as they are, sum to
-    ``c * nvol``.  Each G's mask is read once: a G of |I| points is a
-    simplex, so that sum is one ``|int_det|`` of its points, which are all
-    its vertices; any other G has its own facets found once on the face's
-    facet masks (``_face_facets(g, cut)``), and both its vertex read and
-    its pulling triangulation take that one list.
+    ``c * nvol``.  The points of the compact facets, and no others, are
+    projected to R^I once.  Each G's mask is read once: a G of |I| points
+    is a simplex, so that sum is one ``|int_det|`` of its points, which
+    are all its vertices; any other G has its own facets found once on the
+    face's facet masks (``_face_facets(g, cut)``), and both its vertex read
+    and its pulling triangulation take that one list.
     """
-    # the points of the face, projected to R^I; every mask read below
-    # lies inside ``face``, so the other points keep None
-    proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
-            for i, p in enumerate(pts)]
+    n, read = len(pts), 0
+    for g in cut:
+        if not g >> n:
+            read |= g
+    proj = {i: tuple(map(pts[i].__getitem__, coords)) for i in _bits(read)}
     out = []
     for g, y in cut.items():
-        if g >> len(pts):
+        if g >> n:
             continue
-        a = primitive(tuple(map(y.__getitem__, coords)))
         bits = _bits(g)
         if len(bits) == len(coords):
             rows = [proj[i] for i in bits]
@@ -640,11 +648,19 @@ def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
             found = _face_facets(g, cut)
             rows = [proj[i] for i in _vertices(g, found)]
             volume = _pulled_volume(g, len(coords) - 1, proj, found, ())
-        nvol, rem = divmod(volume, _dot(a, rows[0]))
-        if rem:
-            raise InvariantViolation("pyramid volume is not a multiple of its height")
-        out.append(DiagramFacet(label, a, a[0], tuple(rows), nvol))
+        out.append(_record(label, coords, y, rows, volume))
     return sorted(out, key=lambda f: f.normal)
+
+
+def _record(label, coords, y, rows, volume) -> DiagramFacet:
+    """The diagram facet labelled ``label`` with the vertices ``rows``, in
+    R^I, cut out by the facet of P with normal ``y``, whose pyramid from
+    the origin has the normalized volume ``volume``."""
+    a = primitive(tuple(map(y.__getitem__, coords)))
+    nvol, rem = divmod(volume, _dot(a, rows[0]))
+    if rem:
+        raise InvariantViolation("pyramid volume is not a multiple of its height")
+    return DiagramFacet(label, a, a[0], tuple(rows), nvol)
 
 
 def _walk(table, pts, off, I, face, cut, top) -> None:
@@ -657,17 +673,32 @@ def _walk(table, pts, off, I, face, cut, top) -> None:
     face ``face`` of P ∩ R^I minus ``off[j]``; a face with no point ends
     its subtree.  Every facet of a face is its intersection with one facet
     of any face above it, cut out by the same facet of P, so each mask of
-    ``cut`` keeps that P-normal on the way down.  A face is cut only when
-    it holds |I| points, which a compact facet needs, and then on the
-    facets of the nearest face above it that was cut (P's own at the top);
-    ``_records`` reads the face's diagram facets, vertices included, off
-    that cut alone.
+    ``cut``, met with the face, keeps that P-normal on the way down.
+
+    A compact facet needs |I| independent points, so a face of fewer has
+    no record and is not read.  A face of more is cut on the meets of the
+    facets of the nearest face above it that was cut (P's own at the top),
+    and ``_records`` reads its diagram facets, vertices included, off that
+    cut alone.  A face of exactly |I| points is not cut: its one possible
+    compact facet is the simplex of those points, which is a facet iff a
+    mask of the cut above meets the face in exactly them and their volume
+    is not 0, measured by one ``|int_det|``.  That mask's P-normal is
+    positive on I, since the meet holds no axis of I, and the faces below
+    keep the meets of the cut above.
     """
-    if face.bit_count() >= 2 * len(I):  # |I| points besides the |I| axes
+    points = face & (1 << len(pts)) - 1
+    if points.bit_count() > len(I):
         if len(I) < len(off):
             meet = {g & face: y for g, y in cut.items()}
             cut = {g: meet[g] for g in _face_facets(face, meet)}
         table[I] = _records(I, I, pts, face, cut)
+    elif points.bit_count() == len(I):
+        if len(I) < len(off):
+            cut = {g & face: y for g, y in cut.items()}
+        if y := cut.get(points):
+            rows = [tuple(map(pts[i].__getitem__, I)) for i in _bits(points)]
+            if volume := abs(int_det(rows)):
+                table[I] = [_record(I, I, y, rows, volume)]
     for k in range(top - 1, 0, -1):
         if (below := face & ~off[I[k]]).bit_count() >= len(I):  # a point
             _walk(table, pts, off, I[:k] + I[k + 1:], below, cut, k)

@@ -1,16 +1,23 @@
 """A committed list of mutants of ``src/newtonzeta``, each of which the test
-suite must kill.  Run it by hand from anywhere in the repository:
+suite must kill, and of equivalent mutants, which it cannot.  Run it by
+hand from anywhere in the repository:
 
     python tests/mutants.py
 
 A mutant is one ``(file, old, new, reason)`` edit, ``file`` relative to
 ``src/newtonzeta``; ``old`` must occur exactly once in it.  Each mutant is
 applied to its own copy, in a temporary directory, of ``src/``, ``tests/``
-and the files the tests read (``bench/``, ``README.md``,
-``pyproject.toml``), and ``pytest -x`` runs the whole suite there.  The
-script prints each mutant as killed, with the first failing test, or as
-survived, then the count killed and the run time, and exits 1 if any
-mutant survived.  Add the mutant of each new fast path or rule here.
+and the files the tests read (``bench/``, ``BENCHMARK.json``,
+``README.md``, ``pyproject.toml``), and ``pytest -x`` runs the whole suite
+there.  The script prints each mutant as killed, with the first failing
+test, or as survived.
+
+An equivalent mutant changes no output of the package.  It is listed in
+``EQUIVALENT`` with its proof in ``reason``, and is expected to survive.
+The report counts the killed mutants and the expected survivors apart,
+with the run time, and the script exits 1 if a mutant of ``MUTANTS``
+survived or one of ``EQUIVALENT`` was killed.  Add the mutant of each new
+fast path or rule here.
 """
 
 import os
@@ -22,7 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ["src", "tests", "bench", "README.md", "pyproject.toml"]
+COPIED = ["src", "tests", "bench", "BENCHMARK.json", "README.md", "pyproject.toml"]
 
 MUTANTS = {
     "face-sign-from-5": (
@@ -32,11 +39,11 @@ MUTANTS = {
         "the sign of every index set of five or more elements flipped"),
     "drop-0-x-x-4": (
         "lattice.py",
-        "        out.append(DiagramFacet(label, a, a[0], tuple(rows), nvol))",
-        "        if not (len(label) == 4 and label[-1] == 4):\n"
-        "            out.append(DiagramFacet(label, a, a[0], tuple(rows), nvol))",
-        "the records of the index sets (0, i, j, 4) dropped, in the table and "
-        "in diagram_facets alike"),
+        "    return DiagramFacet(label, a, a[0], tuple(rows), nvol)",
+        "    return DiagramFacet(label, a, a[0], tuple(rows), nvol * "
+        "(len(label) != 4 or label[-1] != 4))",
+        "the records of the index sets (0, i, j, 4) read with nvol 0, which "
+        "drops their factors, in the table and in diagram_facets alike"),
     "top-pull-misses-a-facet": (
         "lattice.py",
         "               for f in facet_masks if not f & low)",
@@ -45,9 +52,9 @@ MUTANTS = {
         "facet"),
     "double-m-of-3": (
         "lattice.py",
-        "        out.append(DiagramFacet(label, a, a[0], tuple(rows), nvol))",
-        "        out.append(DiagramFacet(label, a, a[0] * (1 + (a[0] % 3 == 0 and "
-        "len(label) >= 3)), tuple(rows), nvol))",
+        "    return DiagramFacet(label, a, a[0], tuple(rows), nvol)",
+        "    return DiagramFacet(label, a, a[0] * (1 + (a[0] % 3 == 0 and "
+        "len(label) >= 3)), tuple(rows), nvol)",
         "each m doubled where 3 divides it and |I| >= 3"),
     "zeta-torus-label-short": (
         "diagram.py",
@@ -55,6 +62,46 @@ MUTANTS = {
         "    full = tuple(range(F.num_vars - 1))",
         "zeta_torus labels its records with an index set one element short, "
         "which flips their sign"),
+    "exact-face-keeps-zero-volume": (
+        "lattice.py",
+        "            if volume := abs(int_det(rows)):",
+        "            if (volume := abs(int_det(rows))) or True:",
+        "a coordinate face of exactly |I| points keeps the record of dependent "
+        "points that a facet above cuts out, with nvol 0"),
+    "exact-face-meet-with-an-axis": (
+        "lattice.py",
+        "        if y := cut.get(points):",
+        "        if y := next((y for g, y in cut.items() if g & points == points), None):",
+        "a coordinate face of exactly |I| points takes a facet above that meets "
+        "it in its points plus an axis"),
+    "compact-faces-no-orthant-fallback": (
+        "lattice.py",
+        "    seeds = [z for a, _, z in facets if sum(map(bool, a)) > 1] or masks",
+        "    seeds = [z for a, _, z in facets if sum(map(bool, a)) > 1]",
+        "compact_faces walks nothing on an orthant, whose facets all have unit "
+        "normals"),
+    "compact-faces-seeds-positive-normals": (
+        "lattice.py",
+        "    seeds = [z for a, _, z in facets if sum(map(bool, a)) > 1] or masks",
+        "    seeds = [z for a, _, z in facets if all(a)] or masks",
+        "compact_faces starts only at the facets with a strictly positive normal"),
+    "compact-faces-seeds-by-offset": (
+        "lattice.py",
+        "    seeds = [z for a, _, z in facets if sum(map(bool, a)) > 1] or masks",
+        "    seeds = [z for a, c, z in facets if c > 0] or masks",
+        "compact_faces starts at the facets with a positive offset"),
+}
+
+EQUIVALENT = {
+    "dd-prefilter-rank-3": (
+        "lattice.py",
+        "                    if z.bit_count() < rank - 2:",
+        "                    if z.bit_count() < rank - 3:",
+        "the double description's count bound is a prefilter only: two extreme "
+        "rays are adjacent iff no third one vanishes on their common zero set, "
+        "the combinatorial test of Fukuda & Prodon (Double description method "
+        "revisited, 1996), which the scan after the bound makes on every pair it "
+        "passes, so a looser bound admits no other pair"),
 }
 
 
@@ -91,15 +138,23 @@ def run(name: str, file: str, old: str, new: str) -> tuple[bool, str]:
 
 def main() -> int:
     start = time.monotonic()
-    killed = 0
-    for name, (file, old, new, reason) in MUTANTS.items():
-        t0 = time.monotonic()
-        dead, failure = run(name, file, old, new)
-        killed += dead
-        verdict = f"killed by {failure}" if dead else "SURVIVED"
-        print(f"{name} ({reason}): {verdict} [{time.monotonic() - t0:.1f} s]", flush=True)
-    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.monotonic() - start:.1f} s")
-    return 0 if killed == len(MUTANTS) else 1
+    tally = {}
+    for expected, mutants in (("killed", MUTANTS), ("survived", EQUIVALENT)):
+        tally[expected] = 0
+        for name, (file, old, new, reason) in mutants.items():
+            t0 = time.monotonic()
+            dead, failure = run(name, file, old, new)
+            verdict = f"killed by {failure}" if dead else "survived"
+            if verdict.startswith(expected):
+                tally[expected] += 1
+            else:
+                verdict = f"UNEXPECTED: {verdict}, expected {expected}"
+            print(f"{name} ({reason}): {verdict} [{time.monotonic() - t0:.1f} s]",
+                  flush=True)
+    print(f"{tally['killed']} of {len(MUTANTS)} mutants killed, "
+          f"{tally['survived']} of {len(EQUIVALENT)} equivalent mutants survived, "
+          f"in {time.monotonic() - start:.1f} s")
+    return 0 if (tally["killed"], tally["survived"]) == (len(MUTANTS), len(EQUIVALENT)) else 1
 
 
 if __name__ == "__main__":

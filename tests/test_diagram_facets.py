@@ -3,6 +3,7 @@ and every index set's facets read off the germ's one polyhedron against the
 polyhedron of each restricted support and against the reader that cut every
 index set's face by all of the polyhedron's facets."""
 
+import collections
 import itertools
 import random
 
@@ -308,6 +309,98 @@ def test_walk_scans_fewer_masks_than_the_reader(monkeypatch):
     index_sets, read = reader_index_set_facets(F)
     assert table == {I: read(I, I) for I in index_sets}
     assert 0 < walk < sum(handed)
+
+
+def _collinear_germ(rng):
+    """Three collinear support points a, a + e, a + 2e in R^I, for an I of
+    three coordinates that holds 0, and one to three points off R^I: I's
+    face holds exactly those |I| dependent points, and now and then a
+    facet above meets it in exactly them."""
+    n = rng.randint(3, 4)
+    I = (0, *sorted(rng.sample(range(1, n + 1), 2)))
+    while True:
+        a = [rng.randint(0, 3) if j in I else 0 for j in range(n + 1)]
+        e = [rng.randint(-1, 1) if j in I else 0 for j in range(n + 1)]
+        line = [tuple(x + k * y for x, y in zip(a, e)) for k in range(3)]
+        if any(e) and all(min(p) >= 0 and any(p) for p in line):
+            break
+    terms, size = dict.fromkeys(line, 1), rng.randint(4, 6)
+    while len(terms) < size:
+        p = tuple(rng.randint(0, 3) for _ in range(n + 1))
+        if any(p[j] for j in range(n + 1) if j not in I):
+            terms[p] = 1
+    return make_germ(n + 1, terms.items())
+
+
+# (germ, variables, I, I's records): coordinate faces of exactly |I| points
+# that give no record
+EXACT_FACES = [
+    # s^2, s z1, z1^2: dependent, and cut out of I's face by the facet
+    # (1, 1, 1, 0) of P, which z2^2 z3 lies on too
+    ("s^2 + s*z1 + z1^2 + z2^2*z3", ["s", "z1", "z2", "z3"], (0, 1, 2), []),
+    # s and s^2 z1^3 = s + (1, 3) are independent, but no face: no facet
+    # of P meets I's face in exactly them
+    ("s + s^2*z1^3 + z2", V3, (0, 1), []),
+]
+
+
+def test_faces_of_exactly_I_points_are_read_off_the_cut_above(monkeypatch):
+    """A coordinate face of exactly |I| support points is not cut and not
+    read by ``_records``: its one possible diagram facet, the simplex of
+    those points, is kept iff a facet of the face above meets it in
+    exactly them and their volume is not 0.  The walk's table equals the
+    reader's on seeded germs and on named ones, where such faces are a
+    diagram facet, dependent points (some cut out by a facet above, so
+    read and dropped) or independent points that are not a face."""
+    records, det = lattice._records, lattice.int_det
+    cut, dropped = [], []
+
+    def kept(label, coords, pts, face, masks):
+        cut.append(label)
+        return records(label, coords, pts, face, masks)
+
+    def measured(rows):
+        # the walk's one zero determinant: dependent points that a mask
+        # above cuts out of a face of exactly |I| points, read and dropped
+        volume = det(rows)
+        if not volume:
+            dropped.append(rows)
+        return volume
+
+    monkeypatch.setattr(lattice, "_records", kept)
+    monkeypatch.setattr(lattice, "int_det", measured)
+    rng = random.Random(2042)
+    germs = [F for n in (1, 2, 3, 4) for F in _germs(rng, n, 8)]
+    germs += [_collinear_germ(rng) for _ in range(40)]
+    kinds = collections.Counter()
+    for F in germs + [parse_germ(text, names) for text, names, _, _ in EXACT_FACES]:
+        S, d = sorted(support(F)), F.num_vars
+        index_sets, reader = reader_index_set_facets(F)
+        cut.clear()
+        table = _index_set_facets(F)
+        assert table == {I: reader(I, I) for I in index_sets}, F
+        for I in index_sets:
+            rows = [[p[j] for j in I] for p in S
+                    if not any(p[j] for j in range(d) if j not in I)]
+            if len(rows) == len(I):
+                assert I not in cut, (F, I)
+                kinds["facet" if table[I] else
+                      "independent" if mat_rank(rows) == len(I) else "dependent"] += 1
+    for text, names, I, records_of_I in EXACT_FACES:
+        assert _index_set_facets(parse_germ(text, names))[I] == records_of_I, text
+    assert min(kinds["facet"], kinds["independent"], kinds["dependent"]) >= 5, kinds
+    assert len(dropped) >= 5, dropped  # the named germ's and seeded ones
+
+
+def test_brieskorn_pham_table_cuts_no_face(monkeypatch):
+    # every coordinate face of z1^a1 + ... + z6^a6 - s holds exactly |I|
+    # points, s and the z_i^a_i of i in I, whose simplex is its one
+    # diagram facet: the 64 records come with no cut
+    handed = _scans(monkeypatch, lattice)
+    names = ["s"] + [f"z{i}" for i in range(1, 7)]
+    table = _index_set_facets(parse_germ("z1^2+z2^3+z3^5+z4^7+z5^11+z6^13 - s", names))
+    assert len(table) == 64 and all(len(records) == 1 for records in table.values())
+    assert handed == []
 
 
 def test_each_facet_is_read_off_its_own_facets(monkeypatch):
