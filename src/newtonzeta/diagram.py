@@ -14,9 +14,10 @@ in ``lattice``.  ``_index_set_facets`` hands it F's one Newton polyhedron
 P = conv(S) + R_+^d, and ``lattice.coordinate_facets`` reads every index
 set off P in one walk, since conv(S_I) + R_+^I is the coordinate face
 P ∩ R^I; the table serves the zeta functions, the CLI and the identity
-checks.  ``diagram_facets(F, I)`` reads the polyhedron of S_I as it is
-(``lattice.compact_facets``), and ``zeta_torus`` reads F's own polyhedron
-the same way, its records labelled with the full index set.
+checks.  ``diagram_facets(F, I)`` reads S_I alone
+(``lattice.support_facets``), and ``zeta_torus`` reads F's own support
+the same way, its records labelled with the full index set: a support of
+at most |I| points builds no polyhedron.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .germ import (
 from .lattice import (
     DiagramFacet,
     LatticePolytope,
-    compact_facets,
     convex_hull,
     coordinate_facets,
     newton_polyhedron_facets,
     normalized_volume_at,
+    support_facets,
     _measure,
     _minimizers,
     _mixed,
@@ -66,14 +67,13 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
 
     Each is a compact (|I|-1)-face; its vertices are the polyhedron's
     vertices on it.  Returns one facet record per face, sorted by normal;
-    empty when the restricted support is empty.  Read off the facets of
-    the polyhedron of S_I alone, which cuts no face.
+    empty when the restricted support has fewer than |I| points.  Read off
+    S_I alone (``lattice.support_facets``): exactly |I| points by one
+    elimination, more off the facets of their polyhedron, which cuts no
+    face.
     """
     idx = _normalize_index_set(F, I)
-    S = restrict_support(support(F), idx)
-    if not S:
-        return []
-    return compact_facets(idx, newton_polyhedron_facets(S, len(idx)))
+    return support_facets(idx, restrict_support(support(F), idx))
 
 
 def _index_set_facets(F: GermSeries, facets=None) -> dict:
@@ -110,11 +110,13 @@ def zeta_torus(F: GermSeries) -> FactoredZeta:
 
     Valid for germs that are nondegenerate for their Newton diagram; the
     formula is evaluated unconditionally (see nondegeneracy_check).  The
-    sum runs over the diagram facets of F's own Newton polyhedron, labelled
-    with the full index set.
+    sum runs over the diagram facets of F's own support, labelled with the
+    full index set, read as ``diagram_facets`` reads one: a support of one
+    point per variable, such as a Brieskorn-Pham germ's, builds no
+    polyhedron.
     """
     full = tuple(range(F.num_vars))
-    return _zeta(compact_facets(full, newton_polyhedron_facets(support(F), F.num_vars)), {})
+    return _zeta(support_facets(full, support(F)), {})
 
 
 def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, FactoredZeta]:

@@ -31,12 +31,16 @@ from its facets whose normal is not a unit vector, which hold them all
 unless the polyhedron is an orthant), the diagram
 facets of its coordinate faces (``coordinate_facets``, one walk down the
 subset lattice, which cuts only a face of more than |I| points and reads
-the one possible facet of a face of exactly |I| off the cut above it) or
-of itself (``compact_facets``), which take the
+the one possible facet of a face of exactly |I| off the cut above it),
+which take the
 polyhedron alone and read its points off it (``NewtonPolyhedron``), so
 all agree on bit order, and volumes by a pulling triangulation
 (``_pulled_volume``) are read off the zero-set bitmasks, one set bit at a
 time (``_bits``).
+The diagram facets of one support in Z^d (``support_facets``) are read
+by its point count: fewer than d points have none and d points at most
+their simplex, decided by one elimination, with no polyhedron built;
+more are read off their polyhedron's own facets, with no face cut.
 A coordinate face projects to R^I only the points that its diagram
 facets read, each once (``_records``), and one builder (``_record``)
 makes every ``DiagramFacet``.
@@ -602,21 +606,51 @@ def coordinate_facets(table, facets) -> None:
     _walk(table, pts, off, tuple(range(d)), (1 << n + d) - 1, cut, d)
 
 
-def compact_facets(label, facets) -> list[DiagramFacet]:
-    """The diagram facets, labelled ``label``, of the Newton polyhedron
-    with the facets ``facets`` (``newton_polyhedron_facets``) itself: its
-    facets with a strictly positive normal, read as they are, with no
-    face cut."""
-    pts = facets.points
-    cut = {z: y for y, _, z in facets}
-    return _records(label, range(len(pts[0])), pts, (1 << len(pts)) - 1, cut)
+def support_facets(label, points) -> list[DiagramFacet]:
+    """The diagram facets, labelled ``label``, of conv(points) + R_+^d,
+    d = ``len(label)``, for distinct points of Z^d: its facets with a
+    strictly positive normal, sorted by normal, read by the point count.
+
+    A diagram facet holds d affinely independent points, so fewer than d
+    points have none, and no polyhedron is built.  More than d are read
+    off ``newton_polyhedron_facets`` as it is (``_records``, no face cut).
+    Exactly d points have at most one, the simplex of them, and one
+    ``_gauss_jordan`` of ``[rows | 1]`` decides it.  Fewer than d pivots
+    mean dependent points: they lie on a hyperplane through the origin,
+    and one with a positive normal holds no point of Z^d_+ but 0, so they
+    span no diagram facet.  Otherwise the
+    right-hand column times the sign of the pivot p is a y with
+    ``y . row = |p|`` on every row, and ``|p| = |det(rows)|`` is the
+    simplex's pyramid volume.  The simplex is a facet iff every entry of
+    y is positive: a zero entry puts a recession axis in the face, and a
+    negative one leaves the hyperplane supporting no face.
+
+    >>> support_facets((0, 1, 2), [(1, 0, 0), (0, 2, 0), (0, 0, 3)])
+    [DiagramFacet(index_set=(0, 1, 2), normal=(6, 3, 2), m=6, vertices=((0, 0, 3), (0, 2, 0), (1, 0, 0)), nvol=1)]
+    >>> support_facets((0, 1), [(1, 0), (1, 2)])   # y = (1, 0): the face holds axis 1
+    []
+    """
+    d = len(label)
+    if len(points) < d:
+        return []
+    if len(points) > d:
+        P = newton_polyhedron_facets(points, d)
+        return _records(label, range(d), P.points, {z: y for y, _, z in P})
+    rows = sorted(points)
+    pivots, a, p = _gauss_jordan([[*row, 1] for row in rows], d)
+    if len(pivots) < d:
+        return []
+    sign = 1 if p > 0 else -1
+    y = tuple([sign * row[d] for row in a])
+    if all(x > 0 for x in y):
+        return [_record(label, range(d), y, rows, abs(p))]
+    return []
 
 
-def _records(label, coords, pts, face, cut) -> list[DiagramFacet]:
+def _records(label, coords, pts, cut) -> list[DiagramFacet]:
     """The diagram facets, sorted by normal, of the face P ∩ R^I of a
-    Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask
-    (which the records do not read), ``coords`` are the positions of I in
-    R^d and ``label`` names I.
+    Newton polyhedron P = conv(pts) + R_+^d: ``coords`` are the positions
+    of I in R^d and ``label`` names I.
 
     ``cut`` maps each facet mask of the face to the normal y of a facet of
     P that cuts it out.  A compact facet G (no recession axis) has y
@@ -691,7 +725,7 @@ def _walk(table, pts, off, I, face, cut, top) -> None:
         if len(I) < len(off):
             meet = {g & face: y for g, y in cut.items()}
             cut = {g: meet[g] for g in _face_facets(face, meet)}
-        table[I] = _records(I, I, pts, face, cut)
+        table[I] = _records(I, I, pts, cut)
     elif points.bit_count() == len(I):
         if len(I) < len(off):
             cut = {g & face: y for g, y in cut.items()}

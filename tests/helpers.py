@@ -1814,10 +1814,10 @@ def reference_parse_germ(text: str, var_names) -> GermSeries:
         role = new
 
 
-def reference_records(label, coords, pts, face, cut) -> list[DiagramFacet]:
+def reference_records(label, coords, pts, cut) -> list[DiagramFacet]:
     """The diagram facets, sorted by normal, of the face P ∩ R^I of a
-    Newton polyhedron P = conv(pts) + R_+^d: ``face`` is the face's mask,
-    ``coords`` are the positions of I in R^d and ``label`` names I.
+    Newton polyhedron P = conv(pts) + R_+^d: ``coords`` are the positions
+    of I in R^d and ``label`` names I.
 
     ``cut`` maps each facet mask of the face to the normal y of a facet of
     P that cuts it out.  A compact facet G (no recession axis) has y
@@ -1828,10 +1828,14 @@ def reference_records(label, coords, pts, face, cut) -> list[DiagramFacet]:
     ``c * nvol``, summed here by ``reference_pulled_volume`` with the
     origin as first apex, so that no triangulation code is shared with
     ``lattice``.  G's points are filtered by the vertices of the whole
-    face, P's vertices on it, read once off the face's own mask.
+    face, P's vertices on it, read once off the union of its facet masks,
+    which holds every vertex of a face of dimension |I| >= 1.
     """
-    # the points of the face, projected to R^I; every mask read below
-    # lies inside ``face``, so the other points keep None
+    face = 0
+    for g in cut:
+        face |= g
+    # the points of the face's facets, projected to R^I; every mask read
+    # below lies inside ``face``, so the other points keep None
     proj = [tuple(map(p.__getitem__, coords)) if face >> i & 1 else None
             for i, p in enumerate(pts)]
     verts = set(_vertices(face & (1 << len(pts)) - 1, cut))

@@ -1,8 +1,12 @@
 """A committed list of mutants of ``src/newtonzeta``, each of which the test
 suite must kill, and of equivalent mutants, which it cannot.  Run it by
-hand from anywhere in the repository:
+hand from anywhere in the repository, on every mutant or on the ones
+named:
 
     python tests/mutants.py
+    python tests/mutants.py NAME ...
+
+An unknown name exits 1 before any mutant runs.
 
 A mutant is one ``(file, old, new, reason)`` edit, ``file`` relative to
 ``src/newtonzeta``; ``old`` must occur exactly once in it.  Each mutant is
@@ -90,6 +94,31 @@ MUTANTS = {
         "    seeds = [z for a, _, z in facets if sum(map(bool, a)) > 1] or masks",
         "    seeds = [z for a, c, z in facets if c > 0] or masks",
         "compact_faces starts at the facets with a positive offset"),
+    "support-facets-keeps-a-zero-entry": (
+        "lattice.py",
+        "    if all(x > 0 for x in y):",
+        "    if all(x >= 0 for x in y):",
+        "a support of exactly |I| points keeps its simplex when y has a zero "
+        "entry, though the face then holds a recession axis"),
+    "support-facets-ignores-the-pivot-sign": (
+        "lattice.py",
+        "    sign = 1 if p > 0 else -1",
+        "    sign = 1",
+        "a support of exactly |I| points after a negative pivot reads y "
+        "negated, so its simplex is dropped"),
+    "support-facets-drops-exact-supports": (
+        "lattice.py",
+        "    if len(points) < d:",
+        "    if len(points) <= d:",
+        "a support of exactly |I| points is read as one of fewer, with no "
+        "diagram facet"),
+    "support-facets-builds-exact-supports": (
+        "lattice.py",
+        "    if len(points) > d:",
+        "    if len(points) >= d:",
+        "a support of exactly |I| points builds its Newton polyhedron: the "
+        "same records (the polyhedron path reads them), but the work guard "
+        "that such supports build none fails"),
 }
 
 EQUIVALENT = {
@@ -136,10 +165,16 @@ def run(name: str, file: str, old: str, new: str) -> tuple[bool, str]:
         return done.returncode != 0, _first_failure(done.stdout + done.stderr)
 
 
-def main() -> int:
+def main(names) -> int:
+    unknown = [name for name in names if name not in MUTANTS | EQUIVALENT]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 1
+    chosen = [{name: edit for name, edit in mutants.items() if not names or name in names}
+              for mutants in (MUTANTS, EQUIVALENT)]
     start = time.monotonic()
     tally = {}
-    for expected, mutants in (("killed", MUTANTS), ("survived", EQUIVALENT)):
+    for expected, mutants in zip(("killed", "survived"), chosen):
         tally[expected] = 0
         for name, (file, old, new, reason) in mutants.items():
             t0 = time.monotonic()
@@ -151,11 +186,11 @@ def main() -> int:
                 verdict = f"UNEXPECTED: {verdict}, expected {expected}"
             print(f"{name} ({reason}): {verdict} [{time.monotonic() - t0:.1f} s]",
                   flush=True)
-    print(f"{tally['killed']} of {len(MUTANTS)} mutants killed, "
-          f"{tally['survived']} of {len(EQUIVALENT)} equivalent mutants survived, "
+    print(f"{tally['killed']} of {len(chosen[0])} mutants killed, "
+          f"{tally['survived']} of {len(chosen[1])} equivalent mutants survived, "
           f"in {time.monotonic() - start:.1f} s")
-    return 0 if (tally["killed"], tally["survived"]) == (len(MUTANTS), len(EQUIVALENT)) else 1
+    return 0 if [tally["killed"], tally["survived"]] == list(map(len, chosen)) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

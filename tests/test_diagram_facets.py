@@ -1,7 +1,8 @@
 """Diagram facets read off the Newton polyhedron against the bounded-hull path,
 and every index set's facets read off the germ's one polyhedron against the
 polyhedron of each restricted support and against the reader that cut every
-index set's face by all of the polyhedron's facets."""
+index set's face by all of the polyhedron's facets; a restricted support of
+at most |I| points, read with no polyhedron, against the bounded-hull path."""
 
 import collections
 import itertools
@@ -28,7 +29,7 @@ from helpers import (
     reference_records,
     scale_support,
 )
-from newtonzeta import lattice
+from newtonzeta import diagram, lattice
 from newtonzeta.diagram import (
     DiagramFacet,
     _index_set_facets,
@@ -355,9 +356,9 @@ def test_faces_of_exactly_I_points_are_read_off_the_cut_above(monkeypatch):
     records, det = lattice._records, lattice.int_det
     cut, dropped = [], []
 
-    def kept(label, coords, pts, face, masks):
+    def kept(label, coords, pts, masks):
         cut.append(label)
-        return records(label, coords, pts, face, masks)
+        return records(label, coords, pts, masks)
 
     def measured(rows):
         # the walk's one zero determinant: dependent points that a mask
@@ -411,9 +412,9 @@ def test_each_facet_is_read_off_its_own_facets(monkeypatch):
     records, vertices, pulled = lattice._records, lattice._vertices, lattice._pulled_volume
     cuts, handed = [], {"_vertices": [], "_pulled_volume": []}
 
-    def kept(label, coords, pts, face, cut):
+    def kept(label, coords, pts, cut):
         cuts.append(cut)
-        return records(label, coords, pts, face, cut)
+        return records(label, coords, pts, cut)
 
     def read(mask, masks):
         handed["_vertices"].append((mask, masks, cuts[-1]))
@@ -452,11 +453,10 @@ def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
     records = lattice._records
     measured = []
 
-    def checked(label, coords, pts, face, cut):
-        out = records(label, coords, pts, face, cut)
+    def checked(label, coords, pts, cut):
+        out = records(label, coords, pts, cut)
         by_normal = {f.normal: f for f in out}
-        proj = [tuple(p[j] for j in coords) if face >> i & 1 else None
-                for i, p in enumerate(pts)]
+        proj = [tuple(p[j] for j in coords) for p in pts]
         origin = ((0,) * len(coords),)
         compact = [(g, y) for g, y in cut.items() if not g >> len(pts)]
         for g, y in compact:
@@ -539,3 +539,80 @@ def test_one_map_equals_the_product_of_contributions():
         assert (torus, affine) == contribution_product(table), F
         assert torus == zeta_torus(F), F
     assert empty > 0
+
+
+def _sparse_germ(rng, n):
+    """One to n + 2 terms, each coordinate 1 to 3 or, half the time, 0:
+    most restricted supports hold at most |I| points."""
+    terms = {}
+    size = rng.randint(1, n + 2)
+    while len(terms) < size:
+        e = tuple(rng.randint(1, 3) if rng.random() < 0.5 else 0 for _ in range(n + 1))
+        if any(e):
+            terms[e] = 1
+    return make_germ(n + 1, terms.items())
+
+
+def _branch(S, d):
+    """Which path ``lattice.support_facets`` takes on the support S in R^d,
+    and, for d points, what its one elimination of ``[rows | 1]`` finds."""
+    if len(S) != d:
+        return "fewer" if len(S) < d else "more"
+    pivots, a, p = lattice._gauss_jordan([[*row, 1] for row in sorted(S)], d)
+    if len(pivots) < d:
+        return "dependent"
+    y = [row[d] if p > 0 else -row[d] for row in a]
+    if all(x > 0 for x in y):
+        return "kept, negative pivot" if p < 0 else "kept"
+    return "zero entry" if 0 in y else "mixed signs"
+
+
+def _sparse_germs():
+    rng = random.Random(2043)
+    counts = ((1, 60), (2, 80), (3, 60), (4, 30), (5, 10))
+    return [_sparse_germ(rng, n) for n, count in counts for _ in range(count)]
+
+
+def test_supports_of_at_most_I_points_match_the_hull_oracle():
+    """``diagram_facets``, which reads a support of at most |I| points with
+    no polyhedron, equals the hull oracle on every index set of 240 seeded
+    sparse germs, n = 1..5; every path of ``lattice.support_facets`` is
+    reached at least five times: fewer than |I| points, exactly |I| that
+    are dependent, whose y has a zero entry, mixed signs or all entries
+    positive (their simplex kept), the last also after a negative pivot,
+    and more than |I| points."""
+    kinds = collections.Counter()
+    for F in _sparse_germs():
+        for I in index_sets_with_zero(F.num_vars - 1):
+            kinds[_branch(restrict_support(support(F), I), len(I))] += 1
+            assert diagram_facets(F, I) == hull_diagram_facets(F, I), (F, I)
+        assert zeta_torus(F) == diagram._zeta(hull_diagram_facets(F, range(F.num_vars)), {}), F
+    assert len(kinds) == 7 and min(kinds.values()) >= 5, kinds
+
+
+def test_supports_of_at_most_I_points_build_no_polyhedron(monkeypatch):
+    """``diagram_facets`` on a support of at most |I| points, and
+    ``zeta_torus`` on a Brieskorn-Pham germ, whose support has exactly one
+    point per variable, build no Newton polyhedron; one of more points
+    builds one."""
+    built, build = [], newton_polyhedron_facets
+
+    def counted(points, d):
+        built.append(d)
+        return build(points, d)
+
+    for module in (diagram, lattice):
+        monkeypatch.setattr(module, "newton_polyhedron_facets", counted)
+    read = 0
+    for F in _sparse_germs():
+        for I in index_sets_with_zero(F.num_vars - 1):
+            if len(restrict_support(support(F), I)) <= len(I):
+                read += bool(diagram_facets(F, I))
+    assert built == [] and read > 50
+    names = ["s"] + [f"z{i}" for i in range(1, 7)]
+    F = parse_germ("z1^2+z2^3+z3^5+z4^7+z5^11+z6^13 - s", names)
+    # one facet, normal 30030 / (1, 2, 3, 5, 7, 11, 13), |det| 30030, nvol 1
+    assert zeta_torus(F) == factor(30030, -1)
+    assert built == []
+    diagram_facets(parse_germ("z1^2 + z2^3 + z1^2*z2^2 - s", V3), (0, 1, 2))
+    assert built == [3]

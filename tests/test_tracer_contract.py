@@ -46,23 +46,26 @@ def test_records_measure_through_lattice_int_det(monkeypatch):
     from newtonzeta import diagram, lattice
     from newtonzeta.germ import parse_germ
 
-    # a diagram facet that is a simplex is measured by one determinant,
+    # a diagram facet that is a simplex, read off a polyhedron of more than
+    # |I| points (z1^2 z2^2 lies above it), is measured by one determinant,
     # looked up as ``lattice.int_det``: the binding the tracer replaces
     calls = []
     det = lattice.int_det
     monkeypatch.setattr(lattice, "int_det", lambda rows: calls.append(rows) or det(rows))
-    (facet,) = diagram.diagram_facets(parse_germ("z1^2 + z2^3 - s", ["s", "z1", "z2"]),
-                                      (0, 1, 2))
+    F = parse_germ("z1^2 + z2^3 + z1^2*z2^2 - s", ["s", "z1", "z2"])
+    (facet,) = diagram.diagram_facets(F, (0, 1, 2))
     assert facet.nvol == 1
     assert calls == [list(facet.vertices)]
 
 
 def test_the_tracer_sees_each_diagram_facets_polyhedron_and_determinant():
     """Under the tracer, each ``diagram_facets`` call on an index set whose
-    restricted support is not empty shows one ``nondegeneracy.polyhedron``
-    span (an empty one shows none), and at least one ``lattice.det`` span
-    per record: every record is measured by ``int_det``, once for a
-    simplex and once per simplex of a pulling triangulation otherwise."""
+    restricted support holds more than |I| points shows one
+    ``nondegeneracy.polyhedron`` span and at least one ``lattice.det`` span
+    per record: every record read off the polyhedron is measured by
+    ``int_det``, once for a simplex and once per simplex of a pulling
+    triangulation otherwise.  A support of at most |I| points shows no
+    polyhedron span."""
     from newtonzeta import diagram
     from newtonzeta.germ import index_sets_with_zero, parse_germ, restrict_support
 
@@ -82,13 +85,15 @@ def test_the_tracer_sees_each_diagram_facets_polyhedron_and_determinant():
             start = len(tracer.group)
             records = diagram.diagram_facets(F, I)
             spans = tracer.group[start:].tolist()
-            nonempty = bool(restrict_support(F.terms, I))
-            assert spans.count(polyhedron) == nonempty, I
-            assert spans.count(det) >= len(records), I
-            seen.add((nonempty, bool(records)))
+            size = len(restrict_support(F.terms, I)) - len(I)
+            assert spans.count(polyhedron) == (size > 0), I
+            if size > 0:
+                assert spans.count(det) >= len(records), I
+            seen.add((max(-1, min(size, 1)), bool(records)))
     finally:
         tracer.remove()
-    assert seen == {(False, False), (True, False), (True, True)}
+    # fewer than |I| points, exactly |I| and more
+    assert seen == {(-1, False), (0, True), (1, True)}
 
 
 def test_every_count_hook_reads_a_real_call():
