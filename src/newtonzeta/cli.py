@@ -22,7 +22,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .diagram import _face_sign, _index_set_facets, zeta_torus_and_full
+from .diagram import _face_sign, _index_set_facets, _zeta_torus_and_full
 from .factored import factor
 from .germ import (
     check_z_variables,
@@ -139,7 +139,7 @@ def cmd_zeta(args):
     check_z_variables(F.num_vars - 1)
     # one Newton polyhedron for both zeta functions and the check
     facets = newton_polyhedron_facets(support(F), F.num_vars)
-    torus, affine = zeta_torus_and_full(F, facets)
+    torus, affine = _zeta_torus_and_full(F, facets)
     return _with_report({"vars": names, "germ": germ_to_string(F, names),
                          "torus": torus.as_json_dict(),
                          "affine": affine.as_json_dict()},

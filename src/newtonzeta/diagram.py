@@ -10,14 +10,16 @@ positive primitive inner normal is a diagram facet and contributes a factor
 This module keeps the formula: the sign of each index set's factors, the
 zeta functions that sum them, and the two reduction identities that check
 the records.  The records themselves, ``lattice.DiagramFacet``, are read
-in ``lattice``.  ``_index_set_facets`` hands it F's one Newton polyhedron
+in ``lattice`` and name no index set: the zeta functions sum a table
+``{I: records}`` and take each record's sign from its key I.
+``_index_set_facets`` hands ``lattice`` F's one Newton polyhedron
 P = conv(S) + R_+^d, and ``lattice.coordinate_facets`` reads every index
 set off P in one walk, since conv(S_I) + R_+^I is the coordinate face
 P ∩ R^I; the table serves the zeta functions, the CLI and the identity
 checks.  ``diagram_facets(F, I)`` reads S_I alone
 (``lattice.support_facets``), and ``zeta_torus`` reads F's own support
-the same way, its records labelled with the full index set: a support of
-at most |I| points builds no polyhedron.
+the same way, filed under the full index set: a support of at most |I|
+points builds no polyhedron.
 """
 
 from __future__ import annotations
@@ -73,20 +75,18 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     face.
     """
     idx = _normalize_index_set(F, I)
-    return support_facets(idx, restrict_support(support(F), idx))
+    return support_facets(restrict_support(support(F), idx), len(idx))
 
 
 def _index_set_facets(F: GermSeries, facets=None) -> dict:
     """``{I: diagram facets of I}`` in ``index_sets_with_zero`` order (the
     full index set last), read off F's one Newton polyhedron P with the
     facets ``facets``, built here unless given, by one
-    ``lattice.coordinate_facets`` walk; too many z-variables, then the
-    polyhedron of another support, are refused first."""
+    ``lattice.coordinate_facets`` walk; too many z-variables are refused
+    first."""
     table = {I: [] for I in index_sets_with_zero(F.num_vars - 1)}
     if facets is None:
         facets = newton_polyhedron_facets(support(F), F.num_vars)
-    elif getattr(facets, "points", None) != sorted(support(F)):
-        raise ValueError("facets are not the Newton polyhedron of the germ's support")
     coordinate_facets(table, facets)
     return table
 
@@ -98,10 +98,12 @@ def _face_sign(I) -> int:
     return -1 if len(I) % 2 else 1
 
 
-def _zeta(facets, acc: dict[int, int]) -> FactoredZeta:
-    """``acc`` ({m: e}) times each record's (1 - t^m)^(sign * nvol), in one map."""
-    for f in facets:
-        acc[f.m] = acc.get(f.m, 0) + _face_sign(f.index_set) * f.nvol
+def _zeta(table, acc: dict[int, int]) -> FactoredZeta:
+    """``acc`` ({m: e}) times (1 - t^m)^(sign * nvol) for each record of
+    the table ``{I: records}``, its sign ``_face_sign(I)``, in one map."""
+    for I, facets in table.items():
+        for f in facets:
+            acc[f.m] = acc.get(f.m, 0) + _face_sign(I) * f.nvol
     return _from_map(acc)
 
 
@@ -110,24 +112,23 @@ def zeta_torus(F: GermSeries) -> FactoredZeta:
 
     Valid for germs that are nondegenerate for their Newton diagram; the
     formula is evaluated unconditionally (see nondegeneracy_check).  The
-    sum runs over the diagram facets of F's own support, labelled with the
-    full index set, read as ``diagram_facets`` reads one: a support of one
-    point per variable, such as a Brieskorn-Pham germ's, builds no
-    polyhedron.
+    sum runs over the diagram facets of F's own support, the full index
+    set's, read as ``diagram_facets`` reads one: a support of one point
+    per variable, such as a Brieskorn-Pham germ's, builds no polyhedron.
     """
-    full = tuple(range(F.num_vars))
-    return _zeta(support_facets(full, support(F)), {})
+    return _zeta({tuple(range(F.num_vars)): support_facets(support(F), F.num_vars)}, {})
 
 
-def zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, FactoredZeta]:
+def _zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, FactoredZeta]:
     """``(zeta_torus(F), zeta_full(F))`` off the index-set table
-    ``_index_set_facets(F, facets)``: its last entry, the full index set,
-    and (1 - t) with every entry, the exponents of each summed in one map.
+    ``_index_set_facets(F, facets)``: its full index set's entry, and
+    (1 - t) with every entry, the exponents of each summed in one map.
     ``facets``, when given, is ``newton_polyhedron_facets(support(F),
-    F.num_vars)``, built by the caller to share with the nondegeneracy
-    check."""
-    entries = list(_index_set_facets(F, facets).values())
-    return _zeta(entries[-1], {}), _zeta((f for fs in entries for f in fs), {1: 1})
+    F.num_vars)``, built by the caller to share with
+    ``nondegeneracy_check``, which refuses another support's."""
+    table = _index_set_facets(F, facets)
+    full = tuple(range(F.num_vars))
+    return _zeta({full: table[full]}, {}), _zeta(table, {1: 1})
 
 
 def zeta_full(F: GermSeries) -> FactoredZeta:
@@ -136,7 +137,7 @@ def zeta_full(F: GermSeries) -> FactoredZeta:
     (1 - t) times the product of the torus contributions over all index
     sets containing the deformation direction.
     """
-    return zeta_torus_and_full(F)[1]
+    return _zeta_torus_and_full(F)[1]
 
 
 def zeta_classical(f: GermSeries) -> FactoredZeta:

@@ -43,7 +43,9 @@ their simplex, decided by one elimination, with no polyhedron built;
 more are read off their polyhedron's own facets, with no face cut.
 A coordinate face projects to R^I only the points that its diagram
 facets read, each once (``_records``), and one builder (``_record``)
-makes every ``DiagramFacet``.
+makes every ``DiagramFacet``, which names no index set: the walk files
+I's records under the key I, and the caller of ``support_facets`` knows
+which I its support was restricted to.
 The vertex read and the triangulation are handed the facets of the face
 they read, found once; a triangulation measures each facet that is a
 simplex in place, by one determinant of its own points, lifted or a
@@ -479,8 +481,8 @@ def newton_polyhedron_facets(points, d: int) -> NewtonPolyhedron:
     facet and bit n + j for the recession axis j in it (the normal's zero
     components), n points in all.  The list carries those sorted points
     as ``points``, and the walks of its faces take it alone;
-    ``nondegeneracy_check`` and ``zeta_torus_and_full``, handed a germ's
-    polyhedron, refuse another support's.
+    ``nondegeneracy_check``, handed a germ's polyhedron, refuses another
+    support's.
 
     The cone over the points lifted to height one and the axes at height
     zero is built by ``_double_description`` from a closed-form
@@ -584,8 +586,9 @@ class DiagramFacet:
     ``normal`` is the unique strictly positive primitive inner normal,
     ``m`` its component in the deformation direction, ``vertices`` the
     face's sorted vertices and ``nvol`` its normalized (|I|-1)-volume.
+    A record does not name its index set I: it is the I asked of
+    ``diagram_facets``, or the key of its table entry.
     """
-    index_set: tuple[int, ...]
     normal: tuple[int, ...]
     m: int
     vertices: tuple[tuple[int, ...], ...]
@@ -606,10 +609,10 @@ def coordinate_facets(table, facets) -> None:
     _walk(table, pts, off, tuple(range(d)), (1 << n + d) - 1, cut, d)
 
 
-def support_facets(label, points) -> list[DiagramFacet]:
-    """The diagram facets, labelled ``label``, of conv(points) + R_+^d,
-    d = ``len(label)``, for distinct points of Z^d: its facets with a
-    strictly positive normal, sorted by normal, read by the point count.
+def support_facets(points, d: int) -> list[DiagramFacet]:
+    """The diagram facets of conv(points) + R_+^d, for distinct points of
+    Z^d: its facets with a strictly positive normal, sorted by normal, read
+    by the point count.
 
     A diagram facet holds d affinely independent points, so fewer than d
     points have none, and no polyhedron is built.  More than d are read
@@ -625,17 +628,16 @@ def support_facets(label, points) -> list[DiagramFacet]:
     y is positive: a zero entry puts a recession axis in the face, and a
     negative one leaves the hyperplane supporting no face.
 
-    >>> support_facets((0, 1, 2), [(1, 0, 0), (0, 2, 0), (0, 0, 3)])
-    [DiagramFacet(index_set=(0, 1, 2), normal=(6, 3, 2), m=6, vertices=((0, 0, 3), (0, 2, 0), (1, 0, 0)), nvol=1)]
-    >>> support_facets((0, 1), [(1, 0), (1, 2)])   # y = (1, 0): the face holds axis 1
+    >>> support_facets([(1, 0, 0), (0, 2, 0), (0, 0, 3)], 3)
+    [DiagramFacet(normal=(6, 3, 2), m=6, vertices=((0, 0, 3), (0, 2, 0), (1, 0, 0)), nvol=1)]
+    >>> support_facets([(1, 0), (1, 2)], 2)   # y = (1, 0): the face holds axis 1
     []
     """
-    d = len(label)
     if len(points) < d:
         return []
     if len(points) > d:
         P = newton_polyhedron_facets(points, d)
-        return _records(label, range(d), P.points, {z: y for y, _, z in P})
+        return _records(range(d), P.points, {z: y for y, _, z in P})
     rows = sorted(points)
     pivots, a, p = _gauss_jordan([[*row, 1] for row in rows], d)
     if len(pivots) < d:
@@ -643,14 +645,14 @@ def support_facets(label, points) -> list[DiagramFacet]:
     sign = 1 if p > 0 else -1
     y = tuple([sign * row[d] for row in a])
     if all(x > 0 for x in y):
-        return [_record(label, range(d), y, rows, abs(p))]
+        return [_record(range(d), y, rows, abs(p))]
     return []
 
 
-def _records(label, coords, pts, cut) -> list[DiagramFacet]:
+def _records(coords, pts, cut) -> list[DiagramFacet]:
     """The diagram facets, sorted by normal, of the face P ∩ R^I of a
     Newton polyhedron P = conv(pts) + R_+^d: ``coords`` are the positions
-    of I in R^d and ``label`` names I.
+    of I in R^d.
 
     ``cut`` maps each facet mask of the face to the normal y of a facet of
     P that cuts it out.  A compact facet G (no recession axis) has y
@@ -682,19 +684,20 @@ def _records(label, coords, pts, cut) -> list[DiagramFacet]:
             found = _face_facets(g, cut)
             rows = [proj[i] for i in _vertices(g, found)]
             volume = _pulled_volume(g, len(coords) - 1, proj, found, ())
-        out.append(_record(label, coords, y, rows, volume))
+        out.append(_record(coords, y, rows, volume))
     return sorted(out, key=lambda f: f.normal)
 
 
-def _record(label, coords, y, rows, volume) -> DiagramFacet:
-    """The diagram facet labelled ``label`` with the vertices ``rows``, in
-    R^I, cut out by the facet of P with normal ``y``, whose pyramid from
-    the origin has the normalized volume ``volume``."""
+def _record(coords, y, rows, volume) -> DiagramFacet:
+    """The diagram facet with the vertices ``rows``, in R^I (``coords``
+    the positions of I in R^d), cut out by the facet of P with normal
+    ``y``, whose pyramid from the origin has the normalized volume
+    ``volume``."""
     a = primitive(tuple(map(y.__getitem__, coords)))
     nvol, rem = divmod(volume, _dot(a, rows[0]))
     if rem:
         raise InvariantViolation("pyramid volume is not a multiple of its height")
-    return DiagramFacet(label, a, a[0], tuple(rows), nvol)
+    return DiagramFacet(a, a[0], tuple(rows), nvol)
 
 
 def _walk(table, pts, off, I, face, cut, top) -> None:
@@ -725,14 +728,14 @@ def _walk(table, pts, off, I, face, cut, top) -> None:
         if len(I) < len(off):
             meet = {g & face: y for g, y in cut.items()}
             cut = {g: meet[g] for g in _face_facets(face, meet)}
-        table[I] = _records(I, I, pts, cut)
+        table[I] = _records(I, pts, cut)
     elif points.bit_count() == len(I):
         if len(I) < len(off):
             cut = {g & face: y for g, y in cut.items()}
         if y := cut.get(points):
             rows = [tuple(map(pts[i].__getitem__, I)) for i in _bits(points)]
             if volume := abs(int_det(rows)):
-                table[I] = [_record(I, I, y, rows, volume)]
+                table[I] = [_record(I, y, rows, volume)]
     for k in range(top - 1, 0, -1):
         if (below := face & ~off[I[k]]).bit_count() >= len(I):  # a point
             _walk(table, pts, off, I[:k] + I[k + 1:], below, cut, k)

@@ -208,10 +208,11 @@ def nondegeneracy_check(F: GermSeries, facets=None) -> NondegeneracyReport:
     Dimension-0 faces are verified, dimension-1 faces decided exactly,
     higher-dimensional faces reported unchecked.  ``facets``, when given,
     is ``newton_polyhedron_facets(support(F), F.num_vars)``, which a
-    caller shares with ``diagram.zeta_torus_and_full``; without them the
-    polyhedron is built here.  More than ``germ.MAX_Z_VARIABLES``
-    z-variables, and the polyhedron of another support, raise
-    ``ValueError`` before any work.
+    caller shares with the zeta functions; without them the polyhedron is
+    built here.  More than ``germ.MAX_Z_VARIABLES`` z-variables, and the
+    polyhedron of another support, raise ``ValueError`` before any work:
+    this is the one public door for a polyhedron built outside, so the
+    one that refuses another support's.
     """
     check_z_variables(F.num_vars - 1)
     if facets is None:

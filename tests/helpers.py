@@ -881,8 +881,7 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
             if all(x > 0 for x in a):
                 face_pts = [p for p in S if _dot(a, p) == c]
                 face = LatticePolytope.from_points(face_pts)
-                out.append(DiagramFacet(idx, a, a[0], face.vertices,
-                                        normalized_volume(face)))
+                out.append(DiagramFacet(a, a[0], face.vertices, normalized_volume(face)))
     elif dim == d - 1:
         # the whole hull is the only candidate; it is a diagram facet iff
         # one of the two primitive normals of its affine span is positive
@@ -891,8 +890,7 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
         for a in (w, _neg(w)):
             if all(x > 0 for x in a):
                 face = LatticePolytope.from_points(S)
-                out.append(DiagramFacet(idx, a, a[0], face.vertices,
-                                        normalized_volume(face)))
+                out.append(DiagramFacet(a, a[0], face.vertices, normalized_volume(face)))
                 break
     out.sort(key=lambda f: f.normal)
     return out
@@ -901,7 +899,7 @@ def hull_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
 def index_set_zeta(F: GermSeries, I) -> FactoredZeta:
     """The factor of one index set I (a sorted tuple holding 0): one
     (1 - t^m)^((-1)^(|I|-2) nvol) per record of ``diagram_facets(F, I)``,
-    the sign taken from I here rather than from the records' labels."""
+    the sign taken from I, which the records do not name."""
     sign = (-1) ** len(I)  # = (-1)^(|I|-2), an int for |I| = 1 too
     return product(factor(f.m, sign * f.nvol) for f in diagram_facets(F, I))
 
@@ -1602,12 +1600,12 @@ def engine_measure(pts, m: int) -> int:
 
 def contribution_product(table) -> tuple[FactoredZeta, FactoredZeta]:
     """``(torus, affine)`` off an index-set table ``{I: records}`` whose
-    last entry is the full index set, as ``diagram.zeta_torus_and_full``
+    last entry is the full index set, as ``diagram._zeta_torus_and_full``
     built them before it summed every record's exponent into one map: one
     ``factor`` per record, one product per index set, and the product of
     those times (1 - t)."""
-    parts = [product(factor(f.m, (-1 if len(f.index_set) % 2 else 1) * f.nvol)
-                     for f in fs) for fs in table.values()]
+    parts = [product(factor(f.m, (-1 if len(I) % 2 else 1) * f.nvol)
+                     for f in fs) for I, fs in table.items()]
     return parts[-1], factor(1, 1) * product(parts)
 
 
@@ -1634,8 +1632,8 @@ def facet_reader(pts, facets):
 
     ``pts`` are the sorted distinct points of P = conv(pts) + R_+^d and
     ``facets`` its ``newton_polyhedron_facets``.  Returns a function of
-    ``(label, coords)``: the records, sorted by normal, of the index set
-    whose coordinate positions in R^d are ``coords`` (labelled ``label``).
+    ``coords``: the records, sorted by normal, of the index set whose
+    coordinate positions in R^d are ``coords``.
 
     Every index set takes one path.  With each point's coordinate support
     a bitmask, computed once, the face P ∩ R^I is the points whose support
@@ -1653,7 +1651,7 @@ def facet_reader(pts, facets):
     verts = {pts[i] for i in _vertices((1 << n) - 1, masks)}
     supports = [sum(1 << j for j, x in enumerate(p) if x) for p in pts]
 
-    def read(label, coords) -> list[DiagramFacet]:
+    def read(coords) -> list[DiagramFacet]:
         keep = sum(1 << j for j in coords)
         # the points of P ∩ R^I, projected to R^I; every mask read below
         # lies inside ``face``, so the other points keep None
@@ -1682,7 +1680,7 @@ def facet_reader(pts, facets):
                 reference_pulled_volume(g, len(coords) - 1, proj, masks, origin), c)
             if rem:
                 raise InvariantViolation("pyramid volume is not a multiple of its height")
-            out.append(DiagramFacet(label, a, a[0], tuple(
+            out.append(DiagramFacet(a, a[0], tuple(
                 p for i, p in enumerate(proj) if g >> i & 1 and pts[i] in verts), nvol))
         return sorted(out, key=lambda f: f.normal)
 
@@ -1691,7 +1689,7 @@ def facet_reader(pts, facets):
 
 def reader_index_set_facets(F: GermSeries, facets=None):
     """``(index sets, read)``: the index sets in ``index_sets_with_zero``
-    order (the full index set last), and ``read(I, I)`` gives I's diagram
+    order (the full index set last), and ``read(I)`` gives I's diagram
     facets off F's one Newton polyhedron ``facets``, built here unless
     given; too many z-variables are refused first."""
     index_sets = index_sets_with_zero(F.num_vars - 1)
@@ -1709,7 +1707,7 @@ def reader_diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     S = sorted(restrict_support(support(F), idx))
     if not S:
         return []
-    return facet_reader(S, newton_polyhedron_facets(S, d))(idx, range(d))
+    return facet_reader(S, newton_polyhedron_facets(S, d))(range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -1814,10 +1812,10 @@ def reference_parse_germ(text: str, var_names) -> GermSeries:
         role = new
 
 
-def reference_records(label, coords, pts, cut) -> list[DiagramFacet]:
+def reference_records(coords, pts, cut) -> list[DiagramFacet]:
     """The diagram facets, sorted by normal, of the face P ∩ R^I of a
     Newton polyhedron P = conv(pts) + R_+^d: ``coords`` are the positions
-    of I in R^d and ``label`` names I.
+    of I in R^d.
 
     ``cut`` maps each facet mask of the face to the normal y of a facet of
     P that cuts it out.  A compact facet G (no recession axis) has y
@@ -1850,6 +1848,6 @@ def reference_records(label, coords, pts, cut) -> list[DiagramFacet]:
             reference_pulled_volume(g, len(coords) - 1, proj, cut, origin), c)
         if rem:
             raise InvariantViolation("pyramid volume is not a multiple of its height")
-        out.append(DiagramFacet(label, a, a[0], tuple(
+        out.append(DiagramFacet(a, a[0], tuple(
             proj[i] for i in _bits(g) if i in verts), nvol))
     return sorted(out, key=lambda f: f.normal)

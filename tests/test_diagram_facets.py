@@ -33,10 +33,10 @@ from newtonzeta import diagram, lattice
 from newtonzeta.diagram import (
     DiagramFacet,
     _index_set_facets,
+    _zeta_torus_and_full,
     diagram_facets,
     zeta_full,
     zeta_torus,
-    zeta_torus_and_full,
 )
 from newtonzeta.factored import factor, product
 from newtonzeta.germ import (
@@ -161,7 +161,7 @@ def test_one_polyhedron_gives_every_index_set(n, count):
             elif I == index_sets[-1]:
                 # the full index set: the polyhedron's own compact facets
                 cases.add("full index set")
-        assert zeta_torus_and_full(F) == per_index_set_zeta(F), F
+        assert _zeta_torus_and_full(F) == per_index_set_zeta(F), F
     assert cases == {"empty", "factor 1", "deformation axis", "full index set"}
 
 
@@ -191,7 +191,7 @@ def test_pure_deformation_powers():
     F = make_germ(3, [((3, 0, 0), 1), ((5, 0, 0), -2), ((0, 2, 0), 1),
                       ((2, 0, 1), 1)])
     (facet,) = diagram_facets(F, (0,))
-    assert facet == DiagramFacet((0,), (1,), 1, ((3,),), 1)
+    assert facet == DiagramFacet((1,), 1, ((3,),), 1)
     for I in index_sets_with_zero(2):
         assert diagram_facets(F, I) == hull_diagram_facets(F, I)
     rng = random.Random(509)
@@ -237,7 +237,7 @@ def test_walk_equals_the_reader_oracle():
         index_sets, read = reader_index_set_facets(F)
         table = _index_set_facets(F)
         assert list(table) == index_sets, kind
-        assert table == {I: read(I, I) for I in index_sets}, (kind, F)
+        assert table == {I: read(I) for I in index_sets}, (kind, F)
         # every restricted polyhedron, the scale germs' full one only
         for I in index_sets[-1:] if kind == "scale" else index_sets:
             assert diagram_facets(F, I) == reader_diagram_facets(F, I), (kind, F, I)
@@ -264,8 +264,8 @@ def test_records_are_the_compact_faces_of_full_coordinate_dimension():
             J = tuple(j for j in range(d) if any(p[j] for p in pts))
             if J[:1] == (0,) and dim == len(J) - 1:
                 want.append((J, tuple(tuple(v[j] for j in J) for v in convex_hull(pts)[0])))
-        got = [(f.index_set, f.vertices)
-               for records in _index_set_facets(F).values() for f in records]
+        got = [(I, f.vertices)
+               for I, records in _index_set_facets(F).items() for f in records]
         assert sorted(got) == sorted(want), F
         total += len(got)
     assert total > 800
@@ -308,7 +308,7 @@ def test_walk_scans_fewer_masks_than_the_reader(monkeypatch):
     walk = sum(handed)
     handed.clear()
     index_sets, read = reader_index_set_facets(F)
-    assert table == {I: read(I, I) for I in index_sets}
+    assert table == {I: read(I) for I in index_sets}
     assert 0 < walk < sum(handed)
 
 
@@ -356,9 +356,9 @@ def test_faces_of_exactly_I_points_are_read_off_the_cut_above(monkeypatch):
     records, det = lattice._records, lattice.int_det
     cut, dropped = [], []
 
-    def kept(label, coords, pts, masks):
-        cut.append(label)
-        return records(label, coords, pts, masks)
+    def kept(coords, pts, masks):
+        cut.append(coords)
+        return records(coords, pts, masks)
 
     def measured(rows):
         # the walk's one zero determinant: dependent points that a mask
@@ -379,7 +379,7 @@ def test_faces_of_exactly_I_points_are_read_off_the_cut_above(monkeypatch):
         index_sets, reader = reader_index_set_facets(F)
         cut.clear()
         table = _index_set_facets(F)
-        assert table == {I: reader(I, I) for I in index_sets}, F
+        assert table == {I: reader(I) for I in index_sets}, F
         for I in index_sets:
             rows = [[p[j] for j in I] for p in S
                     if not any(p[j] for j in range(d) if j not in I)]
@@ -412,9 +412,9 @@ def test_each_facet_is_read_off_its_own_facets(monkeypatch):
     records, vertices, pulled = lattice._records, lattice._vertices, lattice._pulled_volume
     cuts, handed = [], {"_vertices": [], "_pulled_volume": []}
 
-    def kept(label, coords, pts, cut):
+    def kept(coords, pts, cut):
         cuts.append(cut)
-        return records(label, coords, pts, cut)
+        return records(coords, pts, cut)
 
     def read(mask, masks):
         handed["_vertices"].append((mask, masks, cuts[-1]))
@@ -453,8 +453,8 @@ def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
     records = lattice._records
     measured = []
 
-    def checked(label, coords, pts, cut):
-        out = records(label, coords, pts, cut)
+    def checked(coords, pts, cut):
+        out = records(coords, pts, cut)
         by_normal = {f.normal: f for f in out}
         proj = [tuple(p[j] for j in coords) for p in pts]
         origin = ((0,) * len(coords),)
@@ -463,7 +463,7 @@ def test_pulled_volume_equals_the_subtracting_oracle(monkeypatch):
             a = primitive(tuple(y[j] for j in coords))
             c = _dot(a, proj[(g & -g).bit_length() - 1])
             want = reference_pulled_volume(g, len(coords) - 1, proj, cut, origin)
-            assert c * by_normal[a].nvol == want, (label, g, pts)
+            assert c * by_normal[a].nvol == want, (coords, g, pts)
             measured.append(g.bit_count() > len(coords))
         assert len(by_normal) == len(out) == len(compact)
         return out
@@ -535,7 +535,7 @@ def test_one_map_equals_the_product_of_contributions():
     for F in germs:
         table = _index_set_facets(F)
         empty += not all(table.values())
-        torus, affine = zeta_torus_and_full(F)
+        torus, affine = _zeta_torus_and_full(F)
         assert (torus, affine) == contribution_product(table), F
         assert torus == zeta_torus(F), F
     assert empty > 0
@@ -586,7 +586,8 @@ def test_supports_of_at_most_I_points_match_the_hull_oracle():
         for I in index_sets_with_zero(F.num_vars - 1):
             kinds[_branch(restrict_support(support(F), I), len(I))] += 1
             assert diagram_facets(F, I) == hull_diagram_facets(F, I), (F, I)
-        assert zeta_torus(F) == diagram._zeta(hull_diagram_facets(F, range(F.num_vars)), {}), F
+        full = tuple(range(F.num_vars))
+        assert zeta_torus(F) == diagram._zeta({full: hull_diagram_facets(F, full)}, {}), F
     assert len(kinds) == 7 and min(kinds.values()) >= 5, kinds
 
 

@@ -15,8 +15,11 @@ double-description engine and its saturation rule are named in no other
 module, and ``compact_faces``, ``_walk`` and ``_records`` are defined
 there alone.  A Newton polyhedron carries the points its masks index, so
 no function takes both a ``points`` and a ``facets`` parameter, and the
-builder reads a support itself.  Facet bitmasks are read by ``lattice``
-only: ``nondegeneracy`` takes its faces from it, and ``diagram`` its
+builder reads a support itself; ``nondegeneracy_check``, the one public
+function handed a polyhedron built outside, alone refuses another
+support's.  A diagram-facet record names no index set, so no ``lattice``
+function takes a ``label`` to stamp on it.  Facet bitmasks are read by
+``lattice`` only: ``nondegeneracy`` takes its faces from it, and ``diagram`` its
 records, so neither names a mask reader, nor does ``diagram`` name the
 determinant that measures a record.  ``germ`` alone reads and prints
 germ text, so its tokens, its grammar and its rule for variable names are
@@ -37,6 +40,7 @@ MASK_READERS = ("_bits", "_face_facets", "_vertices", "_pulled_volume")
 WALK = ("_walk", "_records")
 GERM_ONLY = ("_TOKEN", "_OTHER", "_GRAMMAR", "_check_names")
 FACTORED_ONLY = ("_FACTOR_RE",)
+NOT_OWN = "facets are not the Newton polyhedron of the germ's support"
 
 
 def _package_imports(tree):
@@ -113,6 +117,19 @@ def test_no_function_takes_both_points_and_facets():
             and {"points", "facets"} <= {a.arg for a in ast.walk(node.args)
                                           if isinstance(a, ast.arg)}}
     assert both == set()
+
+
+def test_the_foreign_polyhedron_is_refused_in_nondegeneracy_alone():
+    assert {path.name for path in SOURCES if NOT_OWN in path.read_text()} == {
+        "nondegeneracy.py"}
+
+
+def test_no_lattice_function_takes_a_label():
+    (path,) = [path for path in SOURCES if path.name == "lattice.py"]
+    labelled = {node.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.FunctionDef)
+                and "label" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}}
+    assert labelled == set()
 
 
 def test_the_support_has_no_reader_but_the_builder():

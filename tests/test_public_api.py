@@ -4,13 +4,16 @@ A change to any list below is an API change: it moves ``__version__``
 and the version in ``pyproject.toml`` together (``test_version`` checks
 that the two agree)."""
 
+import dataclasses
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from newtonzeta import diagram
 from newtonzeta.factored import one
+from newtonzeta.lattice import DiagramFacet
 from newtonzeta.nondegeneracy import NondegeneracyReport
 from newtonzeta.randomized import cayley_suite, cone_suite
 
@@ -50,3 +53,15 @@ def test_public_surface_is_pinned():
         "counterexamples", "faces", "status", "unchecked"]
     for suite in (cone_suite, cayley_suite):
         assert list(inspect.signature(suite).parameters) == ["seed"]
+
+
+def test_a_diagram_facet_names_no_index_set():
+    # its index set is the I asked of ``diagram_facets``, or its table key
+    assert [f.name for f in dataclasses.fields(DiagramFacet)] == [
+        "normal", "m", "vertices", "nvol"]
+
+
+def test_diagram_takes_no_outside_polyhedron():
+    # ``nondegeneracy_check`` is the one public door for a polyhedron
+    # built by the caller, so the one that refuses another support's
+    assert not hasattr(diagram, "zeta_torus_and_full")

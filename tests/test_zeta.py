@@ -141,7 +141,7 @@ def test_zeta_exponent_signs_follow_face_dimension():
         for I in index_sets_with_zero(n):
             l = len(I) - 1
             sign = -1 if (l - 1) % 2 else 1
-            for m, e in _zeta(diagram_facets(F, I), {}).factors:
+            for m, e in _zeta({I: diagram_facets(F, I)}, {}).factors:
                 assert m >= 1
                 assert e * sign > 0
 
