@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--seed", type=int,
                       help="run the seeded randomized suite instead of "
                            "checking supplied germs")
+    parser.commands = sub.choices  # name -> subcommand parser
     return parser
 
 
@@ -367,9 +368,25 @@ def _json_text(doc, newline="\n") -> str:
 PARSER = build_parser()
 
 
+def _parse_argv(argv):
+    """``PARSER.parse_args(argv)``, but a command line that starts with a
+    subcommand name is read by that subcommand's parser alone, as
+    argparse's nested path reads it, without a top-level pass."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = PARSER.commands.get(argv[0]) if argv else None
+    if parser is None:
+        return PARSER.parse_args(argv)
+    args, rest = parser.parse_known_args(argv[1:])
+    if rest:
+        PARSER.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(argv)
+        args = _parse_argv(argv)
     except _UsageError as exc:
         print(exc, end="", file=sys.stderr)
         return EXIT_INPUT

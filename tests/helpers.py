@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, sqrt
 from operator import index, mul
 from random import Random
+from unittest.mock import patch
 
 from newtonzeta.diagram import (
     DiagramFacet,
@@ -15,6 +16,7 @@ from newtonzeta.diagram import (
     diagram_facets,
 )
 from newtonzeta.factored import FactoredZeta, factor, one, product
+from newtonzeta import cli
 from newtonzeta.germ import (
     _GRAMMAR,
     _OTHER,
@@ -23,6 +25,9 @@ from newtonzeta.germ import (
     GermSeries,
     ParseError,
     _check_names,
+    _monomial_string,
+    _names_of,
+    check_z_variables,
     index_sets_with_zero,
     make_germ,
     restrict_support,
@@ -1851,3 +1856,44 @@ def reference_records(coords, pts, cut) -> list[DiagramFacet]:
         out.append(DiagramFacet(a, a[0], tuple(
             proj[i] for i in _bits(g) if i in verts), nvol))
     return sorted(out, key=lambda f: f.normal)
+
+
+# ---------------------------------------------------------------------------
+# the paths that printed each coefficient by ``Fraction`` arithmetic, listed
+# the index sets by one generator per mask and parsed every command line at
+# the top level first: the paths that integer printing, doubling and the
+# subcommand dispatch (``cli._parse_argv``) replaced, kept as the oracles of
+# test_germ and test_cli
+
+
+def fraction_germ_to_string(F: GermSeries, var_names) -> str:
+    """The rendering of ``germ_to_string``, each coefficient's magnitude
+    and sign read by ``abs`` and comparisons on the ``Fraction``."""
+    names = _names_of(F, var_names)
+    out = []
+    for e in sorted(F.terms):
+        c = F.terms[e]
+        mono = _monomial_string(e, names)
+        mag = abs(c)
+        body = mono if mag == 1 else f"{mag}*{mono}"
+        out.append(("-" if c < 0 else "+", body))
+    sign, body = out[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in out[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def mask_index_sets_with_zero(n: int):
+    """The index sets of ``index_sets_with_zero(n)``, one per bit mask."""
+    check_z_variables(n)
+    return [(0,) + tuple(i + 1 for i in range(n) if mask >> i & 1)
+            for mask in range(1 << n)]
+
+
+def top_level_main(argv) -> int:
+    """``cli.main(argv)`` with every command line parsed by
+    ``cli.PARSER.parse_args``, argparse's nested path, and handled by
+    ``main`` as it stands."""
+    with patch.object(cli, "_parse_argv", cli.PARSER.parse_args):
+        return cli.main(argv)

@@ -153,6 +153,30 @@ MUTANTS = {
         "a support of exactly |I| points builds its Newton polyhedron: the "
         "same records (the polyhedron path reads them), but the work guard "
         "that such supports build none fails"),
+    "dispatch-ignores-leftover-args": (
+        "cli.py",
+        "    if rest:",
+        "    if rest and False:",
+        "a command line led by a subcommand name runs with the arguments its "
+        "parser did not read dropped, where argparse refuses them"),
+    "dispatch-always-top-level": (
+        "cli.py",
+        "    parser = PARSER.commands.get(argv[0]) if argv else None",
+        "    parser = None",
+        "every command line is parsed at the top level first: the same "
+        "results, but the work guard that a subcommand line skips that "
+        "parse fails"),
+    "printer-drops-denominator": (
+        "germ.py",
+        'coef = f"{mag}/{q}*" if q > 1',
+        'coef = f"{mag}*" if q > 1',
+        "germ_to_string writes a coefficient p/q as p"),
+    "doubling-prepends": (
+        "germ.py",
+        "        sets += [s + (i,) for s in sets]",
+        "        sets = [s + (i,) for s in sets] + sets",
+        "index_sets_with_zero lists the sets holding i before the others, "
+        "out of binary order"),
 }
 
 EQUIVALENT = {

@@ -1,14 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 
+from helpers import top_level_main
 from newtonzeta import cli, randomized
 from newtonzeta.cli import main
 from newtonzeta.germ import MAX_Z_VARIABLES, parse_germ
@@ -636,6 +639,55 @@ def test_parser_holds_no_state_between_calls(capsys):
     backwards = [run(capsys, *argv) for argv in reversed(_INVOCATIONS)]
     assert forwards == backwards[::-1]
     assert [code for code, _, _ in forwards] == _EXIT_CODES
+
+
+def test_a_subcommand_line_is_parsed_once(capsys, monkeypatch):
+    # a command line led by a subcommand name skips the top-level parse
+    def refuse(*args, **kwargs):
+        raise AssertionError("main parsed at the top level")
+
+    monkeypatch.setattr(cli.PARSER, "parse_args", refuse)
+    assert [run(capsys, *argv)[0] for argv in _INVOCATIONS] == _EXIT_CODES
+
+
+_COMMANDS = ["zeta", "diagram", "check", "oracle-compare"]
+# single arguments, and options with a value, which make whole commands
+_PIECES = [[a] for a in _COMMANDS + [
+    "frobnicate", "-h", "--help", "--h", "--", "--ger", "--fo", "-x", "extra",
+    "--format=xml", "--format", "json", "z1^2-s", "--seed"]] + [
+    ["--germ", "z1^2-s"], ["--germ", "z1^2+z2^3"], ["--vars", "s,z1"],
+    ["--vars", "s,z1,z2"], ["--germ2", "z1"], ["--format", "json"],
+    ["--mode", "cone"], ["--mode", "cayley"], ["--germ", "z1^2-s", "--vars", "s,z1"]]
+
+
+def _outcome(main, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_command_lines_parse_as_argparse_nested_path(monkeypatch):
+    # the same exit code, stdout and stderr as PARSER.parse_args, whose
+    # usage, help and error texts a command line led by a subcommand name
+    # never reaches
+    rng = Random(45)
+    argvs = [[], *_INVOCATIONS] + [
+        [rng.choice(_COMMANDS)] * (rng.random() < 0.7)
+        + [a for _ in range(rng.randint(0, 5)) for a in rng.choice(_PIECES)]
+        for _ in range(400)]
+    seen = set()
+    for argv in argvs:
+        # a command line without a germ reads stdin
+        monkeypatch.setattr(sys, "stdin", io.StringIO())
+        got = _outcome(main, argv)
+        monkeypatch.setattr(sys, "stdin", io.StringIO())
+        assert got == _outcome(top_level_main, argv), argv
+        seen.add(got[0])
+    assert {0, 1, ("SystemExit", 0)} <= seen
 
 
 def _python_m(*argv):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    fraction_germ_to_string,
+    mask_index_sets_with_zero,
     pointwise_restrict_support,
     random_deformation_germ,
     reference_make_germ,
@@ -252,6 +254,32 @@ def test_roundtrip_parse_pretty():
         assert G.terms == F.terms
 
 
+def test_germ_to_string_matches_the_fraction_printer():
+    # coefficients p/q with |p| = 1 < q, other fractions and integers, and
+    # a leading term of either sign
+    rng = random.Random(45)
+    names = ["s", "z1", "z2", "z3"]
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            e = tuple(rng.randint(0, 3) for _ in range(n + 1))
+            if any(e):
+                terms[e] = Fraction(rng.choice([1, -1, rng.randint(-40, 40) or 1]),
+                                    rng.choice([1, 1, rng.randint(2, 12)]))
+        if not terms:
+            continue
+        F = GermSeries(n + 1, terms)
+        assert germ_to_string(F, names[: n + 1]) == \
+            fraction_germ_to_string(F, names[: n + 1])
+        lead = terms[min(terms)]
+        seen |= {"negative lead" if lead < 0 else "positive lead"}
+        seen |= {"1/q" if abs(c.numerator) == 1 < c.denominator else
+                 "integer" if c.denominator == 1 else "p/q" for c in terms.values()}
+    assert seen == {"negative lead", "positive lead", "1/q", "integer", "p/q"}
+
+
 def test_json_roundtrip():
     F = parse_germ("z1^2 - 1/3*s^2*z2", VARS3)
     obj = germ_to_json(F, VARS3)
@@ -285,6 +313,11 @@ def test_every_accepted_name_reads_back():
 
 def test_index_sets_binary_order():
     assert index_sets_with_zero(2) == [(0,), (0, 1), (0, 2), (0, 1, 2)]
+
+
+def test_index_sets_match_the_mask_listing():
+    for n in range(MAX_Z_VARIABLES + 1):
+        assert index_sets_with_zero(n) == mask_index_sets_with_zero(n)
 
 
 def test_index_sets_up_to_the_variable_bound():

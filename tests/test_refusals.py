@@ -19,6 +19,7 @@ from newtonzeta.diagram import (
 from newtonzeta.factored import FactoredZeta, factor, parse_factored
 from newtonzeta.germ import (
     GermSeries,
+    check_z_variables,
     germ_to_json,
     germ_to_string,
     index_sets_with_zero,
@@ -193,6 +194,11 @@ def _facet(F, I):
            lambda: newton_polyhedron_facets([(1.5, 0), (0, 2)], 2)),
           ("make_germ", "float",
            lambda: make_germ(3, [((0, 1.5, 0), 1), ((1, 0, 0), -1)])),
+          # a variable count too, never stored to fail deep in a shift
+          ("make_germ-count", "float",
+           lambda: make_germ(3.0, [((0, 1, 0), 1), ((1, 0, 0), -1)])),
+          ("check_z_variables", "float", lambda: check_z_variables(2.5)),
+          ("index_sets_with_zero", "float", lambda: index_sets_with_zero(2.0)),
           ("GermSeries", "float", lambda: GermSeries(
               3, {(0, 1.5, 0): Fraction(1), (1, 0, 0): Fraction(-1)})),
           # a float coefficient is refused too, never rounded to the
