@@ -33,7 +33,7 @@ from .germ import (
     support,
 )
 from .lattice import InvariantViolation, newton_polyhedron_facets
-from .nondegeneracy import COUNTEREXAMPLE, UNCHECKED, nondegeneracy_check
+from .nondegeneracy import COUNTEREXAMPLE, UNCHECKED, _report, nondegeneracy_check
 from .randomized import cayley_checks, cayley_suite, cone_checks, cone_suite
 
 EXIT_OK = 0
@@ -144,7 +144,7 @@ def cmd_zeta(args):
     return _with_report({"vars": names, "germ": germ_to_string(F, names),
                          "torus": torus.as_json_dict(),
                          "affine": affine.as_json_dict()},
-                        nondegeneracy_check(F, facets))
+                        _report(F, facets))
 
 
 def cmd_diagram(args):

@@ -119,13 +119,13 @@ def zeta_torus(F: GermSeries) -> FactoredZeta:
     return _zeta({tuple(range(F.num_vars)): support_facets(support(F), F.num_vars)}, {})
 
 
-def _zeta_torus_and_full(F: GermSeries, facets=None) -> tuple[FactoredZeta, FactoredZeta]:
+def _zeta_torus_and_full(F: GermSeries, facets) -> tuple[FactoredZeta, FactoredZeta]:
     """``(zeta_torus(F), zeta_full(F))`` off the index-set table
     ``_index_set_facets(F, facets)``: its full index set's entry, and
     (1 - t) with every entry, the exponents of each summed in one map.
-    ``facets``, when given, is ``newton_polyhedron_facets(support(F),
-    F.num_vars)``, built by the caller to share with
-    ``nondegeneracy_check``, which refuses another support's."""
+    ``facets`` is ``newton_polyhedron_facets(support(F), F.num_vars)``,
+    which ``cli.cmd_zeta`` builds once for both zeta functions and the
+    nondegeneracy check."""
     table = _index_set_facets(F, facets)
     full = tuple(range(F.num_vars))
     return _zeta({full: table[full]}, {}), _zeta(table, {1: 1})
@@ -137,7 +137,7 @@ def zeta_full(F: GermSeries) -> FactoredZeta:
     (1 - t) times the product of the torus contributions over all index
     sets containing the deformation direction.
     """
-    return _zeta_torus_and_full(F)[1]
+    return _zeta(_index_set_facets(F), {1: 1})
 
 
 def zeta_classical(f: GermSeries) -> FactoredZeta:

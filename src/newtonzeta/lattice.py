@@ -480,9 +480,7 @@ def newton_polyhedron_facets(points, d: int) -> NewtonPolyhedron:
     zero-set mask, with bit i for the i-th sorted distinct point on the
     facet and bit n + j for the recession axis j in it (the normal's zero
     components), n points in all.  The list carries those sorted points
-    as ``points``, and the walks of its faces take it alone;
-    ``nondegeneracy_check``, handed a germ's polyhedron, refuses another
-    support's.
+    as ``points``, and the walks of its faces take it alone.
 
     The cone over the points lifted to height one and the axes at height
     zero is built by ``_double_description`` from a closed-form

@@ -202,23 +202,22 @@ def _edge_verdict(F: GermSeries, pts: tuple[Exponent, ...]) -> FaceVerdict:
 
 # ---------------------------------------------------------------------------
 
-def nondegeneracy_check(F: GermSeries, facets=None) -> NondegeneracyReport:
+def nondegeneracy_check(F: GermSeries) -> NondegeneracyReport:
     """Classify every compact face of the Newton polyhedron of F.
 
     Dimension-0 faces are verified, dimension-1 faces decided exactly,
-    higher-dimensional faces reported unchecked.  ``facets``, when given,
-    is ``newton_polyhedron_facets(support(F), F.num_vars)``, which a
-    caller shares with the zeta functions; without them the polyhedron is
-    built here.  More than ``germ.MAX_Z_VARIABLES`` z-variables, and the
-    polyhedron of another support, raise ``ValueError`` before any work:
-    this is the one public door for a polyhedron built outside, so the
-    one that refuses another support's.
+    higher-dimensional faces reported unchecked.  More than
+    ``germ.MAX_Z_VARIABLES`` z-variables raise ``ValueError`` before any
+    work; the polyhedron is built here (``zeta`` hands the one it built
+    for the zeta functions to ``_report`` instead).
     """
     check_z_variables(F.num_vars - 1)
-    if facets is None:
-        facets = newton_polyhedron_facets(support(F), F.num_vars)
-    elif getattr(facets, "points", None) != sorted(support(F)):
-        raise ValueError("facets are not the Newton polyhedron of the germ's support")
+    return _report(F, newton_polyhedron_facets(support(F), F.num_vars))
+
+
+def _report(F: GermSeries, facets) -> NondegeneracyReport:
+    """The verdicts on the compact faces of ``facets``, which are
+    ``newton_polyhedron_facets(support(F), F.num_vars)``."""
     verdicts = []
     for pts, dim in compact_faces(facets):
         if dim == 0:

@@ -88,12 +88,24 @@ MUTANTS = {
         "    points = face & (1 << len(pts)) - 1 if len(I) > 1 else 0",
         "the coordinate-face walk reads no record of the index set (0,), the "
         "deformation axis"),
-    "check-accepts-another-polyhedron": (
+    "zeta-check-builds-its-own-polyhedron": (
+        "cli.py",
+        "                        _report(F, facets))",
+        "                        nondegeneracy_check(F))",
+        "zeta hands its check no polyhedron, so the check builds a second: "
+        "the same report, but the work guard of one Newton polyhedron per "
+        "command fails"),
+    "edge-gcd-degree-one-read-as-none": (
         "nondegeneracy.py",
-        '    elif getattr(facets, "points", None) != sorted(support(F)):',
-        '    elif not hasattr(facets, "points"):',
-        "nondegeneracy_check walks the polyhedron of another support as if "
-        "its masks' bits were the germ's points"),
+        "    if len(h) <= 1:",
+        "    if len(h) <= 2:",
+        "an edge polynomial whose gcd with its derivative has degree one, a "
+        "double zero, is verified"),
+    "binomial-shortcut-on-three-points": (
+        "nondegeneracy.py",
+        "    if len(pts) == 2:",
+        "    if len(pts) <= 3:",
+        "an edge of three support points is verified as a binomial would be"),
     "sturm-sign-shift-by-i": (
         "nondegeneracy.py",
         "(2 * k + 1) ** i << (len(f) - 1 - i)",

@@ -15,10 +15,10 @@ double-description engine and its saturation rule are named in no other
 module, and ``compact_faces``, ``_walk`` and ``_records`` are defined
 there alone.  A Newton polyhedron carries the points its masks index, so
 no function takes both a ``points`` and a ``facets`` parameter, and the
-builder reads a support itself; ``nondegeneracy_check``, the one public
-function handed a polyhedron built outside, alone refuses another
-support's.  A diagram-facet record names no index set, so no ``lattice``
-function takes a ``label`` to stamp on it.  Facet bitmasks are read by
+builder reads a support itself; no public function takes a polyhedron
+built outside, so none refuses another support's.  A diagram-facet
+record names no index set, so no ``lattice`` function takes a ``label``
+to stamp on it.  Facet bitmasks are read by
 ``lattice`` only: ``nondegeneracy`` takes its faces from it, and ``diagram`` its
 records, so neither names a mask reader, nor does ``diagram`` name the
 determinant that measures a record.  ``germ`` alone reads and prints
@@ -40,7 +40,6 @@ MASK_READERS = ("_bits", "_face_facets", "_vertices", "_pulled_volume")
 WALK = ("_walk", "_records")
 GERM_ONLY = ("_TOKEN", "_OTHER", "_GRAMMAR", "_check_names")
 FACTORED_ONLY = ("_FACTOR_RE",)
-NOT_OWN = "facets are not the Newton polyhedron of the germ's support"
 
 
 def _package_imports(tree):
@@ -117,11 +116,6 @@ def test_no_function_takes_both_points_and_facets():
             and {"points", "facets"} <= {a.arg for a in ast.walk(node.args)
                                           if isinstance(a, ast.arg)}}
     assert both == set()
-
-
-def test_the_foreign_polyhedron_is_refused_in_nondegeneracy_alone():
-    assert {path.name for path in SOURCES if NOT_OWN in path.read_text()} == {
-        "nondegeneracy.py"}
 
 
 def test_no_lattice_function_takes_a_label():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import newtonzeta
 from newtonzeta import diagram
 from newtonzeta.factored import one
 from newtonzeta.lattice import DiagramFacet
@@ -62,6 +63,19 @@ def test_a_diagram_facet_names_no_index_set():
 
 
 def test_diagram_takes_no_outside_polyhedron():
-    # ``nondegeneracy_check`` is the one public door for a polyhedron
-    # built by the caller, so the one that refuses another support's
+    # ``zeta`` shares its polyhedron with the check through private calls
+    # alone, so no public function takes one built by the caller
     assert not hasattr(diagram, "zeta_torus_and_full")
+
+
+def test_no_public_callable_takes_a_polyhedron():
+    assert list(inspect.signature(newtonzeta.nondegeneracy_check).parameters) == ["F"]
+    # the package's functions, its dataclasses and their public methods;
+    # its two exception classes take a message alone
+    bound = [getattr(newtonzeta, name) for name in PACKAGE]
+    functions = [f for f in bound if inspect.isfunction(f)]
+    classes = [c for c in bound if dataclasses.is_dataclass(c)]
+    methods = [m for c in classes for name in _public(c) if callable(m := getattr(c, name))]
+    assert (len(functions), len(classes)) == (30, 6)
+    assert [f for f in functions + classes + methods
+            if "facets" in inspect.signature(f).parameters] == []

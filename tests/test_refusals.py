@@ -42,7 +42,6 @@ from newtonzeta.lattice import (
     normalized_volume_at,
     smith_normal_form,
 )
-from newtonzeta.nondegeneracy import nondegeneracy_check
 
 V3 = ["s", "z1", "z2"]
 V4 = ["s", "z1", "z2", "z3"]
@@ -52,7 +51,6 @@ LINEAR = parse_germ("z1+z2+z3", V4)
 POINT = LatticePolytope.from_points([(0, 0)])
 TRIANGLE = LatticePolytope.from_points([(0, 0), (1, 0), (0, 1)])
 NOT_INT = "'%s' object cannot be interpreted as an integer"
-NOT_OWN = "facets are not the Newton polyhedron of the germ's support"
 
 
 def _facet(F, I):
@@ -153,16 +151,6 @@ def _facet(F, I):
           ("newton_polyhedron_facets", "points of two lengths",
            "support points must have 2 coordinates",
            lambda: newton_polyhedron_facets([(1, 0), (0,)], 2)),
-          # the polyhedron of another support in the same Z^3 is refused,
-          # never walked as if the masks' bits were the cusp's points; so
-          # are the cusp's own triples in a plain list, which has no points
-          *[("nondegeneracy_check", f"the cusp with {case}", NOT_OWN,
-             lambda facets=facets: nondegeneracy_check(suspend_germ(CUSP), facets()))
-            for case, facets in [
-                ("another support's polyhedron", lambda: newton_polyhedron_facets(
-                    [(1, 0, 0), (0, 5, 0), (0, 0, 7), (0, 1, 1)], 3)),
-                ("its own facets in a plain list", lambda: list(
-                    newton_polyhedron_facets(support(suspend_germ(CUSP)), 3)))]],
           # one name per variable, or the rendering would not read back
           ("germ_to_string", "one name for three variables",
            "expected 3 variable names, got 1",
