@@ -10,16 +10,16 @@ positive primitive inner normal is a diagram facet and contributes a factor
 This module keeps the formula: the sign of each index set's factors, the
 zeta functions that sum them, and the two reduction identities that check
 the records.  The records themselves, ``lattice.DiagramFacet``, are read
-in ``lattice`` and name no index set: the zeta functions sum a table
-``{I: records}`` and take each record's sign from its key I.
-``_index_set_facets`` hands ``lattice`` F's one Newton polyhedron
-P = conv(S) + R_+^d, and ``lattice.coordinate_facets`` reads every index
-set off P in one walk, since conv(S_I) + R_+^I is the coordinate face
-P ∩ R^I; the table serves the zeta functions, the CLI and the identity
-checks.  ``diagram_facets(F, I)`` reads S_I alone
-(``lattice.support_facets``), and ``zeta_torus`` reads F's own support
-the same way, filed under the full index set: a support of at most |I|
-points builds no polyhedron.
+in ``lattice`` and name no index set: the zeta functions sum a map
+``{I: records}``, in any order, and take each record's sign from its key
+I.  ``lattice.coordinate_facets`` returns that map for F's one Newton
+polyhedron P = conv(S) + R_+^d, read in one walk, since conv(S_I) + R_+^I
+is the coordinate face P ∩ R^I.  ``_index_set_facets`` lists it over
+every index set in order, for the CLI's ``diagram`` rows and the
+identity checks; ``zeta`` sums the map as it comes.
+``diagram_facets(F, I)`` reads S_I alone (``lattice.support_facets``),
+and ``zeta_torus`` reads F's own support the same way, filed under the
+full index set: a support of at most |I| points builds no polyhedron.
 """
 
 from __future__ import annotations
@@ -78,16 +78,13 @@ def diagram_facets(F: GermSeries, I) -> list[DiagramFacet]:
     return support_facets(restrict_support(support(F), idx), len(idx))
 
 
-def _index_set_facets(F: GermSeries, facets=None) -> dict:
+def _index_set_facets(F: GermSeries) -> dict:
     """``{I: diagram facets of I}`` in ``index_sets_with_zero`` order (the
-    full index set last), read off F's one Newton polyhedron P with the
-    facets ``facets``, built here unless given, by one
-    ``lattice.coordinate_facets`` walk; too many z-variables are refused
-    first."""
+    full index set last, an I with none listed with ``[]``), read off F's
+    one Newton polyhedron by one ``lattice.coordinate_facets`` walk; too
+    many z-variables are refused first."""
     table = {I: [] for I in index_sets_with_zero(F.num_vars - 1)}
-    if facets is None:
-        facets = newton_polyhedron_facets(support(F), F.num_vars)
-    coordinate_facets(table, facets)
+    table.update(coordinate_facets(newton_polyhedron_facets(support(F), F.num_vars)))
     return table
 
 
@@ -120,15 +117,16 @@ def zeta_torus(F: GermSeries) -> FactoredZeta:
 
 
 def _zeta_torus_and_full(F: GermSeries, facets) -> tuple[FactoredZeta, FactoredZeta]:
-    """``(zeta_torus(F), zeta_full(F))`` off the index-set table
-    ``_index_set_facets(F, facets)``: its full index set's entry, and
-    (1 - t) with every entry, the exponents of each summed in one map.
-    ``facets`` is ``newton_polyhedron_facets(support(F), F.num_vars)``,
-    which ``cli.cmd_zeta`` builds once for both zeta functions and the
-    nondegeneracy check."""
-    table = _index_set_facets(F, facets)
+    """``(zeta_torus(F), zeta_full(F))`` off the map
+    ``lattice.coordinate_facets(facets)``: its full index set's records,
+    and (1 - t) with every entry, the exponents of each summed in one map;
+    no index set is listed.  ``facets`` is
+    ``newton_polyhedron_facets(support(F), F.num_vars)``, which
+    ``cli.cmd_zeta`` builds once for both zeta functions and the
+    nondegeneracy check, after it refuses too many z-variables."""
+    table = coordinate_facets(facets)
     full = tuple(range(F.num_vars))
-    return _zeta({full: table[full]}, {}), _zeta(table, {1: 1})
+    return _zeta({full: table.get(full, [])}, {}), _zeta(table, {1: 1})
 
 
 def zeta_full(F: GermSeries) -> FactoredZeta:

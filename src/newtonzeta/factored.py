@@ -67,9 +67,16 @@ class FactoredZeta:
     def cyclotomic_signature(self) -> dict[int, int]:
         """Multiplicity of each cyclotomic polynomial in the product.
 
+        The divisors of each base come by trial division up to its square
+        root, so a largest base above 10^12 is refused before any division
+        rather than left to run for minutes.
+
         >>> factor(6).cyclotomic_signature()
         {1: 1, 2: 1, 3: 1, 6: 1}
         """
+        if self.factors and self.factors[-1][0] > 10 ** 12:
+            raise ValueError(f"base {self.factors[-1][0]} is above 10^12, "
+                             "too large to factor by trial division")
         sig: dict[int, int] = {}
         for m, e in self.factors:
             for d in _divisors(m):

@@ -31,21 +31,21 @@ from its facets whose normal is not a unit vector, which hold them all
 unless the polyhedron is an orthant), the diagram
 facets of its coordinate faces (``coordinate_facets``, one walk down the
 subset lattice, which cuts only a face of more than |I| points and reads
-the one possible facet of a face of exactly |I| off the cut above it),
-which take the
+the one possible facet of a face of exactly |I| off the cut above it,
+building nothing for it), which take the
 polyhedron alone and read its points off it (``NewtonPolyhedron``), so
 all agree on bit order, and volumes by a pulling triangulation
 (``_pulled_volume``) are read off the zero-set bitmasks, one set bit at a
 time (``_bits``).
 The diagram facets of one support in Z^d (``support_facets``) are read
-by its point count: fewer than d points have none and d points at most
-their simplex, decided by one elimination, with no polyhedron built;
-more are read off their polyhedron's own facets, with no face cut.
+by its point count: at most d points have at most the simplex of d,
+decided by one elimination, with no polyhedron built; more are read off
+their polyhedron's own facets, with no face cut.
 A coordinate face projects to R^I only the points that its diagram
 facets read, each once (``_records``), and one builder (``_record``)
-makes every ``DiagramFacet``, which names no index set: the walk files
-I's records under the key I, and the caller of ``support_facets`` knows
-which I its support was restricted to.
+makes every ``DiagramFacet``, which names no index set: the walk
+returns I's records under the key I, and the caller of
+``support_facets`` knows which I its support was restricted to.
 The vertex read and the triangulation are handed the facets of the face
 they read, found once; a triangulation measures each facet that is a
 simplex in place, by one determinant of its own points, lifted or a
@@ -593,18 +593,17 @@ class DiagramFacet:
     nvol: int
 
 
-def coordinate_facets(table, facets) -> None:
-    """Fill ``table``, keyed by the index sets I that hold 0, with the
-    diagram facets of every coordinate face P ∩ R^I of the Newton
-    polyhedron P with the facets ``facets`` (``newton_polyhedron_facets``),
-    I's facets for I, in one ``_walk`` on their masks.  An I whose face
-    holds fewer than |I| points, or exactly |I| that span no diagram
-    facet, keeps its entry."""
+def coordinate_facets(facets) -> dict:
+    """``{I: records}``: the diagram facets of the coordinate faces
+    P ∩ R^I of the Newton polyhedron P with the facets ``facets``
+    (``newton_polyhedron_facets``), for the index sets I that hold 0, in
+    one ``_walk`` on their masks.  An I whose face holds fewer than |I|
+    points, or exactly |I| that span no diagram facet, has no key."""
     pts = facets.points
     n, d = len(pts), len(pts[0])
     cut = {z: y for y, _, z in facets}
     off = [sum(1 << i for i, p in enumerate(pts) if p[j]) | 1 << n + j for j in range(d)]
-    _walk(table, pts, off, tuple(range(d)), (1 << n + d) - 1, cut, d)
+    return dict(_walk(pts, off, tuple(range(d)), (1 << n + d) - 1, cut, d))
 
 
 def support_facets(points, d: int) -> list[DiagramFacet]:
@@ -612,14 +611,14 @@ def support_facets(points, d: int) -> list[DiagramFacet]:
     Z^d: its facets with a strictly positive normal, sorted by normal, read
     by the point count.
 
-    A diagram facet holds d affinely independent points, so fewer than d
-    points have none, and no polyhedron is built.  More than d are read
-    off ``newton_polyhedron_facets`` as it is (``_records``, no face cut).
-    Exactly d points have at most one, the simplex of them, and one
-    ``_gauss_jordan`` of ``[rows | 1]`` decides it.  Fewer than d pivots
-    mean dependent points: they lie on a hyperplane through the origin,
-    and one with a positive normal holds no point of Z^d_+ but 0, so they
-    span no diagram facet.  Otherwise the
+    More than d points are read off ``newton_polyhedron_facets`` as it is
+    (``_records``, no face cut).  At most d build no polyhedron: a diagram
+    facet holds d affinely independent points, so they have at most one,
+    the simplex of exactly d, and one ``_gauss_jordan`` of ``[rows | 1]``
+    decides it.  Fewer than d pivots mean fewer than d rows, which have
+    none, or dependent points: they lie on a hyperplane through the
+    origin, and one with a positive normal holds no point of Z^d_+ but 0,
+    so they span no diagram facet.  Otherwise the
     right-hand column times the sign of the pivot p is a y with
     ``y . row = |p|`` on every row, and ``|p| = |det(rows)|`` is the
     simplex's pyramid volume.  The simplex is a facet iff every entry of
@@ -631,8 +630,6 @@ def support_facets(points, d: int) -> list[DiagramFacet]:
     >>> support_facets([(1, 0), (1, 2)], 2)   # y = (1, 0): the face holds axis 1
     []
     """
-    if len(points) < d:
-        return []
     if len(points) > d:
         P = newton_polyhedron_facets(points, d)
         return _records(range(d), P.points, {z: y for y, _, z in P})
@@ -665,15 +662,13 @@ def _records(coords, pts, cut) -> list[DiagramFacet]:
     face's facet masks (``_face_facets(g, cut)``), and both its vertex read
     and its pulling triangulation take that one list.
     """
-    n, read = len(pts), 0
-    for g in cut:
-        if not g >> n:
-            read |= g
+    compact = {g: y for g, y in cut.items() if not g >> len(pts)}
+    read = 0
+    for g in compact:
+        read |= g
     proj = {i: tuple(map(pts[i].__getitem__, coords)) for i in _bits(read)}
     out = []
-    for g, y in cut.items():
-        if g >> n:
-            continue
+    for g, y in compact.items():
         bits = _bits(g)
         if len(bits) == len(coords):
             rows = [proj[i] for i in bits]
@@ -698,8 +693,10 @@ def _record(coords, y, rows, volume) -> DiagramFacet:
     return DiagramFacet(a, a[0], tuple(rows), nvol)
 
 
-def _walk(table, pts, off, I, face, cut, top) -> None:
-    """Fill ``table`` with the records of I and of the index sets below it.
+def _walk(pts, off, I, face, cut, top):
+    """Yield ``(I, records)`` for I and for each index set below it that
+    it reads: a face of more than |I| points, or of exactly |I| with a
+    diagram facet.
 
     A depth-first walk down the subset lattice from P: it drops one
     coordinate j >= 1 at a time, in decreasing position (those before
@@ -714,29 +711,29 @@ def _walk(table, pts, off, I, face, cut, top) -> None:
     no record and is not read.  A face of more is cut on the meets of the
     facets of the nearest face above it that was cut (P's own at the top),
     and ``_records`` reads its diagram facets, vertices included, off that
-    cut alone.  A face of exactly |I| points is not cut: its one possible
-    compact facet is the simplex of those points, which is a facet iff a
-    mask of the cut above meets the face in exactly them and their volume
-    is not 0, measured by one ``|int_det|``.  That mask's P-normal is
-    positive on I, since the meet holds no axis of I, and the faces below
-    keep the meets of the cut above.
+    cut alone.  A face of exactly |I| points builds nothing: its one
+    possible compact facet is the simplex of those points, which is a
+    facet iff a mask of the cut above meets the face in exactly them and
+    their volume is not 0, measured by one ``|int_det|``.  That mask's
+    P-normal is positive on I, since the meet holds no axis of I, and any
+    facet of P through the simplex gives ``_record`` the same primitive
+    normal.  Its cut goes down as it came, since a face below meets it
+    with its own face, which gives the same masks.
     """
     points = face & (1 << len(pts)) - 1
     if points.bit_count() > len(I):
         if len(I) < len(off):
             meet = {g & face: y for g, y in cut.items()}
             cut = {g: meet[g] for g in _face_facets(face, meet)}
-        table[I] = _records(I, pts, cut)
+        yield I, _records(I, pts, cut)
     elif points.bit_count() == len(I):
-        if len(I) < len(off):
-            cut = {g & face: y for g, y in cut.items()}
-        if y := cut.get(points):
+        if y := next((y for g, y in cut.items() if g & face == points), None):
             rows = [tuple(map(pts[i].__getitem__, I)) for i in _bits(points)]
             if volume := abs(int_det(rows)):
-                table[I] = [_record(I, y, rows, volume)]
+                yield I, [_record(I, y, rows, volume)]
     for k in range(top - 1, 0, -1):
         if (below := face & ~off[I[k]]).bit_count() >= len(I):  # a point
-            _walk(table, pts, off, I[:k] + I[k + 1:], below, cut, k)
+            yield from _walk(pts, off, I[:k] + I[k + 1:], below, cut, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1628,8 +1628,9 @@ def two_step_saturate(point_sets):
 # the Newton polyhedron's facets, once for its ``cut`` map and once in
 # ``_face_facets``, and handed each pulling triangulation all of their
 # masks: the path that the subset-lattice walk of the coordinate faces
-# (``lattice.coordinate_facets``, which ``diagram._index_set_facets`` calls)
-# replaced, kept as the oracle of test_diagram_facets
+# (``lattice.coordinate_facets``, whose map ``diagram._index_set_facets``
+# lists and ``diagram._zeta_torus_and_full`` sums) replaced, kept as the
+# oracle of test_diagram_facets
 
 
 def facet_reader(pts, facets):

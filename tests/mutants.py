@@ -68,6 +68,12 @@ MUTANTS = {
         "    return _zeta({tuple(range(F.num_vars - 1)): support_facets(",
         "zeta_torus files its records under an index set one element short, "
         "which flips their sign"),
+    "zeta-torus-and-full-lookup-short": (
+        "diagram.py",
+        "    return _zeta({full: table.get(full, [])}, {}), _zeta(table, {1: 1})",
+        "    return _zeta({full: table.get(full[:-1], [])}, {}), _zeta(table, {1: 1})",
+        "the CLI's torus zeta function takes the records of the index set one "
+        "element short of the full one"),
     "records-rows-from-every-point": (
         "lattice.py",
         "            rows = [proj[i] for i in _vertices(g, found)]",
@@ -120,7 +126,7 @@ MUTANTS = {
         "points that a facet above cuts out, with nvol 0"),
     "exact-face-meet-with-an-axis": (
         "lattice.py",
-        "        if y := cut.get(points):",
+        "        if y := next((y for g, y in cut.items() if g & face == points), None):",
         "        if y := next((y for g, y in cut.items() if g & points == points), None):",
         "a coordinate face of exactly |I| points takes a facet above that meets "
         "it in its points plus an axis"),
@@ -154,10 +160,10 @@ MUTANTS = {
         "negated, so its simplex is dropped"),
     "support-facets-drops-exact-supports": (
         "lattice.py",
-        "    if len(points) < d:",
-        "    if len(points) <= d:",
-        "a support of exactly |I| points is read as one of fewer, with no "
-        "diagram facet"),
+        "    if len(pivots) < d:",
+        "    if len(pivots) <= d:",
+        "a support of exactly |I| independent points is read as dependent, "
+        "with no diagram facet"),
     "support-facets-builds-exact-supports": (
         "lattice.py",
         "    if len(points) > d:",

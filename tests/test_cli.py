@@ -601,6 +601,29 @@ def test_one_newton_polyhedron_per_command(capsys, polyhedron_calls, argv):
     assert len(polyhedron_calls) == 1
 
 
+def test_zeta_lists_no_index_set(capsys, monkeypatch):
+    # zeta sums the coordinate-face walk's map as it comes; only the
+    # diagram rows list all 2^n index sets
+    from newtonzeta import diagram
+
+    orig, calls = diagram.index_sets_with_zero, []
+    monkeypatch.setattr(diagram, "index_sets_with_zero",
+                        lambda n: calls.append(n) or orig(n))
+    code, out, _ = run(capsys, "zeta", "--germ", _CUBIC + " - s", "--vars", "s,z1,z2,z3")
+    assert code == 0 and "(1-t" in out
+    assert calls == []
+    assert run(capsys, "diagram", "--germ", _CUBIC + " - s", "--vars", "s,z1,z2,z3")[0] == 0
+    assert calls == [3]
+
+
+def test_zeta_refuses_one_z_variable_too_many(capsys):
+    names = ",".join(["s"] + [f"z{i}" for i in range(1, MAX_Z_VARIABLES + 2)])
+    code, out, err = run(capsys, "zeta", "--germ", "z1^2 - s", "--vars", names)
+    assert (code, out) == (1, "")
+    assert (f"{MAX_Z_VARIABLES + 1} z-variables give 2^{MAX_Z_VARIABLES + 1} index sets; "
+            f"at most {MAX_Z_VARIABLES} are supported") in err
+
+
 @pytest.mark.parametrize("suite,germs", [(randomized.cone_suite, 100),
                                          (randomized.cayley_suite, 50)],
                          ids=["cone_suite", "cayley_suite"])

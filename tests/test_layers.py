@@ -18,7 +18,9 @@ no function takes both a ``points`` and a ``facets`` parameter, and the
 builder reads a support itself; no public function takes a polyhedron
 built outside, so none refuses another support's.  A diagram-facet
 record names no index set, so no ``lattice`` function takes a ``label``
-to stamp on it.  Facet bitmasks are read by
+to stamp on it, and the coordinate-face walk returns its records, so
+none takes a ``table`` to fill: ``coordinate_facets`` takes the
+polyhedron alone and ``diagram._index_set_facets`` the germ alone.  Facet bitmasks are read by
 ``lattice`` only: ``nondegeneracy`` takes its faces from it, and ``diagram`` its
 records, so neither names a mask reader, nor does ``diagram`` name the
 determinant that measures a record.  ``germ`` alone reads and prints
@@ -118,12 +120,25 @@ def test_no_function_takes_both_points_and_facets():
     assert both == set()
 
 
+def _parameters(module):
+    """``{function: parameter names}`` of the functions ``module`` defines."""
+    (path,) = [path for path in SOURCES if path.stem == module]
+    return {node.name: [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.FunctionDef)}
+
+
 def test_no_lattice_function_takes_a_label():
-    (path,) = [path for path in SOURCES if path.name == "lattice.py"]
-    labelled = {node.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
-                if isinstance(node, ast.FunctionDef)
-                and "label" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}}
-    assert labelled == set()
+    assert {name for name, args in _parameters("lattice").items() if "label" in args} == set()
+
+
+def test_no_lattice_function_takes_a_table():
+    assert {name for name, args in _parameters("lattice").items() if "table" in args} == set()
+
+
+def test_the_walk_takes_the_polyhedron_alone_and_the_table_the_germ_alone():
+    assert _parameters("lattice")["coordinate_facets"] == ["facets"]
+    assert _parameters("diagram")["_index_set_facets"] == ["F"]
 
 
 def test_the_support_has_no_reader_but_the_builder():

@@ -31,6 +31,7 @@ from newtonzeta.germ import (
     suspend_germ,
 )
 from newtonzeta.lattice import (
+    DiagramFacet,
     LatticePolytope,
     convex_hull,
     coords_in_basis,
@@ -75,6 +76,11 @@ def _facet(F, I):
                                      _facet(suspend_germ(parse_germ("z1^2", V3)), (0, 1))),
      IdentityInapplicable, "the function germ has empty restricted support"),
     # f1 = z3 has no point in the (z1, z2)-plane
+    # a hand-built record with the deformation apex whose normal has one
+    # entry too many for the index set
+    (lambda: cone_reduction_identity(CUSP, (0, 1),
+                                     DiagramFacet((2, 1, 1), 2, ((0, 2), (1, 0)), 1)),
+     ValueError, "covector dimension mismatch"),
     (lambda: cayley_mixed_volume_identity(CUBIC, parse_germ("z3", V4), (0, 1, 2),
                                           _facet(pencil_germ(CUBIC, LINEAR), (0, 1, 2))),
      IdentityInapplicable, "a base support is empty; the facet is not of hull type"),
@@ -116,6 +122,10 @@ def _facet(F, I):
                    id=f"ValueError-parse_factored-{text!r}")
       for text in ["x", "", "   "]],
     # only a factored form multiplies a factored form
+    # the base of zeta_torus(z1^(10^18) + z2^3 - s): trial division up to
+    # its square root would take minutes
+    (lambda: (factor(2) * factor(3 * 10 ** 18)).cyclotomic_signature(), ValueError,
+     "base 3000000000000000000 is above 10^12, too large to factor by trial division"),
     (lambda: factor(2) * 3, TypeError,
      "unsupported operand type(s) for *: 'FactoredZeta' and 'int'"),
     # a factor list that no constructor makes: unsorted, m = 0, a float m,

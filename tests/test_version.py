@@ -1,6 +1,7 @@
-"""``pyproject.toml`` and the package state one version, the same one.
+"""The package states its version once, as ``newtonzeta.__version__``, and
+``pyproject.toml`` takes it from there.
 
-The file is read with a regular expression, not ``tomllib``, so that the
+The file is read with regular expressions, not ``tomllib``, so that the
 test runs on Python 3.10 too."""
 
 import re
@@ -12,5 +13,10 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_pyproject_version_is_the_package_version():
-    (version,) = re.findall(r'^version = "([^"]*)"$', PYPROJECT.read_text(), re.M)
-    assert version == newtonzeta.__version__
+    text = PYPROJECT.read_text()
+    (project,) = re.findall(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert not re.search(r"^version\s*=", project, re.M)
+    assert re.search(r'^dynamic = \[[^]]*"version"', project, re.M)
+    assert re.search(r'^\[tool\.setuptools\.dynamic\]\n'
+                     r'version = \{ attr = "newtonzeta\.__version__" \}$', text, re.M)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", newtonzeta.__version__)
