@@ -47,4 +47,4 @@ from .nondegeneracy import (
     nondegeneracy_check,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -1,15 +1,15 @@
 """Seeded randomized consistency suites for the reduction identities.
 
 These drive the two volume identities (cone reduction and Cayley/mixed
-volume) over streams of random germs; the CLI exposes them and the test
-suite pins them as acceptance criteria.  Every index set of a germ is
-read off its one Newton polyhedron (``diagram._index_set_facets``).
+volume) over streams of random germs; each suite returns the document
+that ``oracle-compare --seed`` prints for it, and the test suite pins
+them as acceptance criteria.  Every index set of a germ is read off its
+one Newton polyhedron (``diagram._index_set_facets``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import (
@@ -51,18 +51,6 @@ def random_z_germ(rng, n, max_exp=4, max_terms=3) -> GermSeries:
     return make_germ(n + 1, terms.items())
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int = 0
-    facets_checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def _checks(F, identity, min_size):
     # every index set with at least min_size elements, off one polyhedron
     for I, facets in _index_set_facets(F).items():
@@ -91,36 +79,39 @@ def cayley_checks(f0: GermSeries, f1: GermSeries):
                    cayley_mixed_volume_identity(f0, f1, I, facet), 3)
 
 
-def _tally(result: SuiteResult, checks):
-    result.cases += 1
-    for I, facet, ok, note in checks:
-        result.facets_checked += 1
-        if ok is None:
-            result.failures.append(f"I={I} facet {facet.normal}: {note}")
-        elif not ok:
-            result.failures.append(
-                f"I={I} facet {facet.normal}: volumes or exponents disagree")
+def _suite(name, cases):
+    """The suite's document: one failure line per facet whose check failed
+    or did not apply."""
+    doc = {"suite": name, "cases": 0, "facets_checked": 0, "failures": []}
+    for checks in cases:
+        doc["cases"] += 1
+        for I, facet, ok, note in checks:
+            doc["facets_checked"] += 1
+            if not ok:
+                doc["failures"].append(f"I={I} facet {facet.normal}: "
+                                       f"{note or 'volumes or exponents disagree'}")
+    doc["passed"] = not doc["failures"]
+    return doc
 
 
-def cone_suite(seed: int) -> SuiteResult:
+def cone_suite(seed: int) -> dict:
     """Check the cone reduction on every facet of 100 random convenient
     suspensions, n <= 3."""
     rng = random.Random(seed)
-    result = SuiteResult("cone reduction suite")
-    for _ in range(100):
-        _tally(result, cone_checks(random_convenient_germ(rng, rng.randint(1, 3))))
-    return result
+    return _suite("cone reduction suite", [
+        cone_checks(random_convenient_germ(rng, rng.randint(1, 3)))
+        for _ in range(100)])
 
 
-def cayley_suite(seed: int) -> SuiteResult:
+def cayley_suite(seed: int) -> dict:
     """Check the Cayley/mixed-volume reduction on faces of dimension 2 and 3
     of 50 random pencils f0 - sigma*f1, n in {2, 3}."""
     rng = random.Random(seed)
-    result = SuiteResult("cayley mixed-volume suite")
+    cases = []
     for _ in range(50):
         n = rng.randint(2, 3)
         f0 = random_convenient_germ(rng, n, max_exp=5, extra_terms=2)
         # f1 is a monomial in three cases of ten
         f1 = random_z_germ(rng, n, max_exp=2, max_terms=1 if rng.random() < 0.3 else 2)
-        _tally(result, cayley_checks(f0, f1))
-    return result
+        cases.append(cayley_checks(f0, f1))
+    return _suite("cayley mixed-volume suite", cases)

@@ -195,6 +195,17 @@ MUTANTS = {
         "        sets = [s + (i,) for s in sets] + sets",
         "index_sets_with_zero lists the sets holding i before the others, "
         "out of binary order"),
+    "suite-passes-inapplicable-checks": (
+        "randomized.py",
+        "            if not ok:",
+        "            if ok is False:",
+        "a seeded suite counts no failure for a facet whose identity does not "
+        "apply, so it can pass on facets that it did not check"),
+    "suite-always-passes": (
+        "randomized.py",
+        '    doc["passed"] = not doc["failures"]',
+        '    doc["passed"] = True',
+        "a seeded suite reads passed whatever its failures"),
 }
 
 EQUIVALENT = {

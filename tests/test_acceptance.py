@@ -90,11 +90,11 @@ def test_criterion_5_cone_identity_suite():
     t0 = time.monotonic()
     result = cone_suite(20240817)
     elapsed = time.monotonic() - t0
-    assert result.passed, result.failures[:5]
-    assert result.cases == 100
-    assert result.facets_checked > 100
+    assert result["passed"], result["failures"][:5]
+    assert result["cases"] == 100
+    assert result["facets_checked"] > 100
     assert elapsed < 30.0
-    _report(5, f"cone reduction holds on {result.facets_checked} facets "
+    _report(5, f"cone reduction holds on {result['facets_checked']} facets "
                f"of 100 random convenient germs [{elapsed:.1f}s]")
 
 
@@ -102,12 +102,12 @@ def test_criterion_6_cayley_identity_suite():
     t0 = time.monotonic()
     result = cayley_suite(20240818)
     elapsed = time.monotonic() - t0
-    assert result.passed, result.failures[:5]
-    assert result.cases == 50
-    assert result.facets_checked > 20
+    assert result["passed"], result["failures"][:5]
+    assert result["cases"] == 50
+    assert result["facets_checked"] > 20
     assert elapsed < 60.0
     _report(6, f"cayley mixed-volume identity holds on "
-               f"{result.facets_checked} facets of 50 random pairs "
+               f"{result['facets_checked']} facets of 50 random pairs "
                f"[{elapsed:.1f}s]")
 
 

@@ -221,6 +221,21 @@ def test_oracle_compare_seeded_suite(capsys):
             "checked, 0 failures)") in out
 
 
+_SEED_7 = [{"suite": "cone reduction suite", "cases": 100, "facets_checked": 388,
+            "failures": [], "passed": True},
+           {"suite": "cayley mixed-volume suite", "cases": 50, "facets_checked": 40,
+            "failures": [], "passed": True}]
+
+
+def test_oracle_compare_seed_7_whole_output(capsys):
+    # both suites, the default mode: every byte of either format
+    assert run(capsys, "oracle-compare", "--seed", "7") == (0, (
+        "cone reduction suite: pass (100 germs, 388 facets checked, 0 failures)\n"
+        "cayley mixed-volume suite: pass (50 germs, 40 facets checked, 0 failures)\n"), "")
+    assert run(capsys, "oracle-compare", "--seed", "7", "--format", "json") == (
+        0, json.dumps(_SEED_7, indent=2) + "\n", "")
+
+
 def test_failing_seeded_suite_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(randomized, "cone_reduction_identity",
                         lambda *args: False)
@@ -629,8 +644,9 @@ def test_zeta_refuses_one_z_variable_too_many(capsys):
                          ids=["cone_suite", "cayley_suite"])
 def test_one_newton_polyhedron_per_suite_germ(polyhedron_calls, suite, germs):
     result = suite(7)
-    assert result.passed and result.facets_checked > 0
-    assert result.cases == len(polyhedron_calls) == germs
+    assert list(result) == ["suite", "cases", "facets_checked", "failures", "passed"]
+    assert result["passed"] and result["facets_checked"] > 0
+    assert result["cases"] == len(polyhedron_calls) == germs
 
 
 _INVOCATIONS = [
@@ -752,3 +768,17 @@ def test_console_entry_point():
     assert done.returncode == 1
     assert done.stdout == ""
     assert "error: argument --format: invalid choice" in done.stderr
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # main() with no argv, and entry(), in process
+    monkeypatch.setattr(sys, "argv", ["newtonzeta", "zeta", "--germ", "z1^2+z2^3-s",
+                                      "--vars", "s,z1,z2"])
+    assert main() == 0
+    assert ("zeta on the torus fibre:  (1-t^6)^-1   [degree -6]"
+            in capsys.readouterr().out.splitlines())
+    monkeypatch.setattr(sys, "argv", ["newtonzeta", "check", "--germ", "z1^2-2*s*z1+s^2",
+                                      "--vars", "s,z1"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == 2

@@ -28,7 +28,7 @@ from newtonzeta.germ import (
     suspend_germ,
 )
 from newtonzeta.lattice import _measure, _minimizers
-from newtonzeta.randomized import SuiteResult, _checks, _tally, cayley_suite, cone_suite
+from newtonzeta.randomized import _checks, _suite, cayley_suite, cone_suite
 
 V2 = ["s", "z"]
 V3 = ["s", "z1", "z2"]
@@ -248,19 +248,19 @@ def test_cayley_identity_matches_the_polytope_path():
 
 def test_cone_suite_randomized():
     result = cone_suite(2024)
-    assert result.passed, result.failures[:5]
-    assert result.facets_checked > 40
+    assert result["passed"], result["failures"][:5]
+    assert result["facets_checked"] > 40
 
 
 def test_cayley_suite_randomized():
     result = cayley_suite(2025)
-    assert result.passed, result.failures[:5]
-    assert result.facets_checked > 10
+    assert result["passed"], result["failures"][:5]
+    assert result["facets_checked"] > 10
 
 
 def test_an_inapplicable_identity_is_a_failure_with_its_reason():
     """``_checks`` gives a facet whose identity raises ``IdentityInapplicable``
-    the row ``ok = None`` with the reason as its note, and ``_tally`` counts
+    the row ``ok = None`` with the reason as its note, and ``_suite`` counts
     that row as a failure ``I=... facet ...: <note>``: a suite cannot pass
     on facets that it did not check."""
     def identity(I, facet):
@@ -274,8 +274,8 @@ def test_an_inapplicable_identity_is_a_failure_with_its_reason():
         ((0, 1), (2, 1), None, "no identity on 2 coordinates"),
         ((0, 2), (3, 1), None, "no identity on 2 coordinates"),
         ((0, 1, 2), (6, 3, 2), True, "")]
-    result = SuiteResult("inapplicable")
-    _tally(result, rows)
-    assert (result.cases, result.facets_checked, result.passed) == (1, 3, False)
-    assert result.failures == ["I=(0, 1) facet (2, 1): no identity on 2 coordinates",
-                               "I=(0, 2) facet (3, 1): no identity on 2 coordinates"]
+    result = _suite("inapplicable", [rows])
+    assert (result["cases"], result["facets_checked"], result["passed"]) == (1, 3, False)
+    assert result["failures"] == [
+        "I=(0, 1) facet (2, 1): no identity on 2 coordinates",
+        "I=(0, 2) facet (3, 1): no identity on 2 coordinates"]
