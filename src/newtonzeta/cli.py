@@ -126,9 +126,11 @@ def _load_germ(args):
 # handlers: each returns (document, exit code) and prints nothing
 
 def _with_report(doc, report):
-    # doc with the nondegeneracy report as its last key, and the exit code
+    # doc with the nondegeneracy report as its last key, and the exit code;
+    # the faces share one list per support point, which _json_text writes once
+    point = {p: list(p) for p in {p for f in report.faces for p in f.support_points}}
     doc["nondegeneracy"] = {"status": report.status, "faces": [
-        {"support": [list(p) for p in f.support_points], "dim": f.dim,
+        {"support": [point[p] for p in f.support_points], "dim": f.dim,
          "status": f.status,
          "witness": None if f.witness is None else [str(x) for x in f.witness],
          "detail": f.detail} for f in report.faces]}
@@ -310,14 +312,16 @@ def _bad_key(key):
     raise TypeError(f"JSON document key {key!r} is not a str")
 
 
-def _json_text(doc, newline="\n") -> str:
+def _json_text(doc) -> str:
     """``doc`` written exactly as ``json.dumps(doc, indent=2)`` writes it.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
-    this writer joins each container once and encodes strings with the C
-    function ``json.dumps`` uses.  It takes only what the documents hold:
-    dicts with ``str`` keys, lists, strings, ints, bools and ``None``; any
-    other value or key raises ``TypeError``.
+    this writer joins each container once, writes a list object met again
+    at the same indent from the text it built the first time (a memo of
+    this call alone), and encodes strings with the C function
+    ``json.dumps`` uses.  It takes only what the documents hold: dicts
+    with ``str`` keys, lists, strings, ints, bools and ``None``; any other
+    value or key raises ``TypeError``.
 
     >>> print(_json_text({"a": [1, True], "b": {}, "c": None}))
     {
@@ -329,35 +333,43 @@ def _json_text(doc, newline="\n") -> str:
       "c": null
     }
     """
-    kind = type(doc)
-    if kind is dict:
-        if not doc:
-            return "{}"
-        inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            (encode_basestring_ascii(k) if type(k) is str else _bad_key(k))
-            + ": " + (encode_basestring_ascii(v) if type(v) is str
-                      else repr(v) if type(v) is int
-                      else _json_text(v, inner))
-            for k, v in doc.items()]) + newline + "}"
-    if kind is list:
-        if not doc:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([
-            encode_basestring_ascii(v) if type(v) is str
-            else repr(v) if type(v) is int
-            else _json_text(v, inner)
-            for v in doc]) + newline + "]"
-    # exact type tests: True is an int that must read true, and the table
-    # is keyed by value, so 1.0 or Fraction(1) must not reach it
-    if kind is str:
-        return encode_basestring_ascii(doc)
-    if kind is int:
-        return repr(doc)
-    if kind is bool or doc is None:
-        return _CONSTANTS[doc]
-    raise TypeError(f"a JSON document holds no {kind.__name__} values")
+    memo = {}
+
+    def text(doc, newline):
+        kind = type(doc)
+        if kind is dict:
+            if not doc:
+                return "{}"
+            inner = newline + "  "
+            return "{" + inner + ("," + inner).join([
+                (encode_basestring_ascii(k) if type(k) is str else _bad_key(k))
+                + ": " + (encode_basestring_ascii(v) if type(v) is str
+                          else repr(v) if type(v) is int
+                          else text(v, inner))
+                for k, v in doc.items()]) + newline + "}"
+        if kind is list:
+            if not doc:
+                return "[]"
+            key = id(doc), newline
+            if key not in memo:
+                inner = newline + "  "
+                memo[key] = "[" + inner + ("," + inner).join([
+                    encode_basestring_ascii(v) if type(v) is str
+                    else repr(v) if type(v) is int
+                    else text(v, inner)
+                    for v in doc]) + newline + "]"
+            return memo[key]
+        # exact type tests: True is an int that must read true, and the table
+        # is keyed by value, so 1.0 or Fraction(1) must not reach it
+        if kind is str:
+            return encode_basestring_ascii(doc)
+        if kind is int:
+            return repr(doc)
+        if kind is bool or doc is None:
+            return _CONSTANTS[doc]
+        raise TypeError(f"a JSON document holds no {kind.__name__} values")
+
+    return text(doc, "\n")
 
 
 # built once per process: parsing leaves the parser unchanged, so every
@@ -408,6 +420,3 @@ def main(argv=None) -> int:
 def entry():  # console script
     raise SystemExit(main())
 
-
-if __name__ == "__main__":
-    entry()

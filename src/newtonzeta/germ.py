@@ -9,9 +9,7 @@ over the rationals (documented restriction).
 An expression is read as tokens, whitespace between them ignored: a number
 (decimal digits), a name (a word character other than a decimal digit,
 such as a letter, ``_`` or ``²``, then word characters), or one of the
-operators ``+ - * / ^``.  Any other character is an error, found by one
-search of the whole text before the tokens are read, so it is reported
-ahead of every grammar error.  Grammar::
+operators ``+ - * / ^``.  Grammar::
 
     expr   := [sign] term { ('+'|'-') term }
     term   := coefficient ['*'] factors | factors | coefficient
@@ -19,9 +17,13 @@ ahead of every grammar error.  Grammar::
     factor := name ['^' positive-integer]
     coefficient := integer | integer '/' integer
 
-Every syntax error is a ``ParseError`` that carries the character position
-of the offending token (the length of the text at its end); the terms are
-collected by ``make_germ``.
+Well-formed text is read one term per match of ``_TERM``, its factors by
+``_FACTOR``.  Text that they cannot read, or a term with an unknown name,
+a zero exponent or denominator or a number too long for ``int``, is
+explained by the token table ``_GRAMMAR``, which raises a ``ParseError``
+at the offending token (the length of the text at its end).  A character
+that starts no token is found first, by one search of the whole text, so
+it is reported ahead of every grammar error.
 
 The JSON alternative is ``{"vars": [...], "terms": [{"exp": [k0, ..., kn],
 "coef": c}, ...]}``, where ``c`` is an integer or a string ``"p"`` or
@@ -193,6 +195,22 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^])|(?
 # (a digit starts a number, any other one a name) and not an operator
 _OTHER = re.compile(r"[^\s\w+\-*/^]")
 
+# One factor, name[^k], and the whitespace after it
+_FACTOR_TEXT = r"[^\W\d]\w*\s*(?:\^\s*\d+\s*)?"
+
+# One term of a well-formed text with the whitespace after each of its
+# tokens: the operator, a coefficient p or p/q, an optional '*' and factors
+# joined by '*'.  Each \s* follows a token or a fixed character, never
+# another \s* across an optional part, so a failed match is undone over
+# each whitespace run once, not once per split of it.
+_TERM = re.compile(
+    r"\s*(?:(?P<op>[-+])\s*)?(?=\w)"
+    r"(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+)\s*)?(?:\*\s*(?=[^\W\d]))?)?"
+    rf"(?P<factors>(?:{_FACTOR_TEXT}(?:\*\s*{_FACTOR_TEXT})*)?)")
+
+# A factor of a term's factors: its name and its exponent, "" for none
+_FACTOR = re.compile(r"([^\W\d]\w*)\s*(?:\^\s*(\d+))?")
+
 # For the role of the previous token ("start" before the first): the role
 # the next token takes, looked up by its operator or its kind, and the error
 # raised at a token found in neither.  A name right after a coefficient is
@@ -238,10 +256,43 @@ def parse_germ(text: str, var_names) -> GermSeries:
     names = [str(v) for v in var_names]
     _check_names(names)
     index = {name: i for i, name in enumerate(names)}
+    items = _terms(text, index)
+    if items is None:
+        raise _refusal(text, index)
+    return make_germ(len(names), items)
+
+
+def _terms(text, index):
+    """The ``(exponents, coefficient)`` item of each term of ``text``, one
+    ``_TERM`` match per term, or None if a term cannot be read."""
+    items, pos = [], 0
+    while pos < len(text) or not items:  # one term at least
+        m = _TERM.match(text, pos)
+        if m is None or not (m["op"] or pos == 0):  # an operator after the first term
+            return None
+        try:
+            p, q = int(m["num"] or 1), int(m["den"] or 1)
+            factors = [(index[name], int(k or 1)) for name, k in _FACTOR.findall(m["factors"])]
+        except (KeyError, ValueError):  # an unknown name, or too many digits for int
+            return None
+        if not q or not all(k for _, k in factors):
+            return None
+        exps = [0] * len(index)
+        for i, k in factors:
+            exps[i] += k
+        p = -p if m["op"] == "-" else p
+        items.append((exps, p if q == 1 else Fraction(p, q)))
+        pos = m.end()
+    return items
+
+
+def _refusal(text, index) -> ParseError:
+    """The ``ParseError`` of the first token of ``text`` that the grammar
+    refuses, or that names no variable of ``index``, is a zero exponent or
+    denominator or has too many digits for ``int``."""
     if other := _OTHER.search(text):
-        raise ParseError(f"unexpected character {other[0]!r}", other.start())
-    items = []
-    role, sign, coef, den, exps = "start", 1, 1, 1, [0] * len(names)
+        return ParseError(f"unexpected character {other[0]!r}", other.start())
+    role = "start"
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         value, pos = m[kind], m.start(kind)
@@ -250,35 +301,22 @@ def parse_germ(text: str, var_names) -> GermSeries:
         if new is None:
             if role == "caret" and value == "-":
                 error = "negative exponent"
-            raise ParseError(error, pos)
+            return ParseError(error, pos)
         if kind == "num":
             try:
                 value = int(value)
             except ValueError:
-                raise ParseError("number has too many digits", pos) from None
-        if new in ("sign", "end") and role != "start":
-            items.append((exps, sign * coef if den == 1 else Fraction(sign * coef, den)))
-            coef, den, exps = 1, 1, [0] * len(names)
-        if new == "sign":
-            sign = -1 if value == "-" else 1
-        elif new == "coef":
-            coef = value
-        elif new == "denom":
-            if value == 0:
-                raise ParseError("zero denominator", pos)
-            den = value
-        elif new == "var":
-            if value not in index:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            var = index[value]
-            exps[var] += 1
-        elif new == "exp":
-            if value == 0:
-                raise ParseError("exponent must be a positive integer", pos)
-            exps[var] += value - 1
-        elif new == "end":
-            return make_germ(len(names), items)
+                return ParseError("number has too many digits", pos)
+        if new == "denom" and value == 0:
+            return ParseError("zero denominator", pos)
+        if new == "var" and value not in index:
+            return ParseError(f"unknown variable {value!r}", pos)
+        if new == "exp" and value == 0:
+            return ParseError("exponent must be a positive integer", pos)
+        if new == "end":
+            break
         role = new
+    raise RuntimeError("the term reader refused a text that the grammar reads")
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ from its facets whose normal is not a unit vector, which hold them all
 unless the polyhedron is an orthant), the diagram
 facets of its coordinate faces (``coordinate_facets``, one walk down the
 subset lattice, which cuts only a face of more than |I| points and reads
-the one possible facet of a face of exactly |I| off the cut above it,
-building nothing for it), which take the
+the one possible facet of a face of exactly |I| off the cut above it, or
+off the facet above it that it is a facet of, building nothing for it),
+which take the
 polyhedron alone and read its points off it (``NewtonPolyhedron``), so
 all agree on bit order, and volumes by a pulling triangulation
 (``_pulled_volume``) are read off the zero-set bitmasks, one set bit at a
@@ -693,7 +694,7 @@ def _record(coords, y, rows, volume) -> DiagramFacet:
     return DiagramFacet(a, a[0], tuple(rows), nvol)
 
 
-def _walk(pts, off, I, face, cut, top):
+def _walk(pts, off, I, face, cut, top, simplex=None):
     """Yield ``(I, records)`` for I and for each index set below it that
     it reads: a face of more than |I| points, or of exactly |I| with a
     diagram facet.
@@ -719,21 +720,37 @@ def _walk(pts, off, I, face, cut, top):
     facet of P through the simplex gives ``_record`` the same primitive
     normal.  Its cut goes down as it came, since a face below meets it
     with its own face, which gives the same masks.
+
+    Such a facet hands its P-normal and volume down (``simplex``) to a face
+    that loses exactly one of its points p, the one with x_j > 0: that face
+    is the facet's own facet on the same normal, of volume the facet's over
+    p_j (Laplace along column j), read with no scan and no determinant.
     """
     points = face & (1 << len(pts)) - 1
-    if points.bit_count() > len(I):
+    if simplex is None and points.bit_count() > len(I):
         if len(I) < len(off):
             meet = {g & face: y for g, y in cut.items()}
             cut = {g: meet[g] for g in _face_facets(face, meet)}
         yield I, _records(I, pts, cut)
-    elif points.bit_count() == len(I):
-        if y := next((y for g, y in cut.items() if g & face == points), None):
-            rows = [tuple(map(pts[i].__getitem__, I)) for i in _bits(points)]
+    elif simplex or points.bit_count() == len(I):
+        rows = [tuple(map(pts[i].__getitem__, I)) for i in _bits(points)]
+        if simplex is None and (
+                y := next((y for g, y in cut.items() if g & face == points), None)):
             if volume := abs(int_det(rows)):
-                yield I, [_record(I, y, rows, volume)]
+                simplex = y, volume
+        if simplex:
+            yield I, [_record(I, simplex[0], rows, simplex[1])]
     for k in range(top - 1, 0, -1):
-        if (below := face & ~off[I[k]]).bit_count() >= len(I):  # a point
-            yield from _walk(pts, off, I[:k] + I[k + 1:], below, cut, k)
+        j = I[k]
+        if (below := face & ~off[j]).bit_count() >= len(I):  # a point
+            lost, inherited = points & off[j], None
+            if simplex and lost.bit_count() == 1:
+                volume, rem = divmod(simplex[1], pts[lost.bit_length() - 1][j])
+                if rem:
+                    raise InvariantViolation("a simplex volume is not a multiple "
+                                             "of its dropped vertex's coordinate")
+                inherited = simplex[0], volume
+            yield from _walk(pts, off, I[:k] + I[k + 1:], below, cut, k, inherited)
 
 
 # ---------------------------------------------------------------------------

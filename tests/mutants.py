@@ -126,10 +126,17 @@ MUTANTS = {
         "points that a facet above cuts out, with nvol 0"),
     "exact-face-meet-with-an-axis": (
         "lattice.py",
-        "        if y := next((y for g, y in cut.items() if g & face == points), None):",
-        "        if y := next((y for g, y in cut.items() if g & points == points), None):",
+        "y := next((y for g, y in cut.items() if g & face == points), None)",
+        "y := next((y for g, y in cut.items() if g & points == points), None)",
         "a coordinate face of exactly |I| points takes a facet above that meets "
         "it in its points plus an axis"),
+    "walk-inherits-when-two-points-leave": (
+        "lattice.py",
+        "            if simplex and lost.bit_count() == 1:",
+        "            if simplex and lost.bit_count() >= 1:",
+        "a face below a simplex diagram facet that loses two or more points "
+        "takes the facet's normal and a volume from it, and is read as a "
+        "facet"),
     "compact-faces-no-orthant-fallback": (
         "lattice.py",
         "    seeds = [z for a, _, z in facets if sum(map(bool, a)) > 1] or masks",
@@ -184,6 +191,18 @@ MUTANTS = {
         "every command line is parsed at the top level first: the same "
         "results, but the work guard that a subcommand line skips that "
         "parse fails"),
+    "json-memo-key-drops-the-indent": (
+        "cli.py",
+        "            key = id(doc), newline",
+        "            key = id(doc)",
+        "the JSON writer reuses a list's text at another depth, with the "
+        "indent of the first"),
+    "reader-takes-a-term-with-no-operator": (
+        "germ.py",
+        '        if m is None or not (m["op"] or pos == 0):',
+        "        if m is None:",
+        "parse_germ reads a term after the first with no '+' or '-' before "
+        "it, as in 'z1 z2'"),
     "printer-drops-denominator": (
         "germ.py",
         'coef = f"{mag}/{q}*" if q > 1',

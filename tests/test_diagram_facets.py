@@ -397,12 +397,53 @@ def test_faces_of_exactly_I_points_are_read_off_the_cut_above(monkeypatch):
 def test_brieskorn_pham_table_cuts_no_face(monkeypatch):
     # every coordinate face of z1^a1 + ... + z6^a6 - s holds exactly |I|
     # points, s and the z_i^a_i of i in I, whose simplex is its one
-    # diagram facet: the 64 records come with no cut
+    # diagram facet: the 64 records come with no cut, and all but the
+    # top one inherit their volume from the face above
     handed = _scans(monkeypatch, lattice)
+    det, dets = lattice.int_det, []
+    monkeypatch.setattr(lattice, "int_det", lambda rows: dets.append(rows) or det(rows))
     names = ["s"] + [f"z{i}" for i in range(1, 7)]
     table = _index_set_facets(parse_germ("z1^2+z2^3+z3^5+z4^7+z5^11+z6^13 - s", names))
     assert len(table) == 64 and all(len(records) == 1 for records in table.values())
     assert handed == []
+    assert len(dets) == 1
+
+
+def _brieskorn_pham_plus(rng, n):
+    """A Brieskorn-Pham germ z1^a1 + ... + zn^an - s plus one or two terms
+    that mix two to n variables, sigma among them now and then."""
+    terms = {(1,) + (0,) * n: -1}
+    for i in range(1, n + 1):
+        terms[tuple(rng.randint(2, 7) if j == i else 0 for j in range(n + 1))] = 1
+    for _ in range(rng.randint(1, 2)):
+        mixed = rng.sample(range(0 if rng.random() < 0.3 else 1, n + 1), rng.randint(2, n))
+        terms[tuple(rng.randint(1, 4) if j in mixed else 0 for j in range(n + 1))] = 1
+    return make_germ(n + 1, terms.items())
+
+
+def test_inherited_simplices_match_the_reader(monkeypatch):
+    """A face of exactly |I| points below a diagram facet of exactly |I|,
+    which loses one point p on the way down, takes the facet's normal and
+    its volume over p_j from it, with no scan and no determinant.  On
+    seeded sparse germs, n = 2..6, the walk's table equals the reader's,
+    which cuts every index set's face by all of the polyhedron's facets,
+    and such faces are read; and on seeded germs of other shapes, where
+    faces below a simplex facet also lose two points or more."""
+    walk, inherited = lattice._walk, []
+
+    def counted(pts, off, I, face, cut, top, simplex=None):
+        if simplex:
+            inherited.append(I)
+        return walk(pts, off, I, face, cut, top, simplex)
+
+    monkeypatch.setattr(lattice, "_walk", counted)
+    rng = random.Random(4049)
+    germs = [_brieskorn_pham_plus(rng, n) for n in (2, 3, 4, 5, 6) for _ in range(6)]
+    germs += [F for n in (2, 3, 4) for F in _germs(rng, n, 8)]
+    for F in germs:
+        index_sets, read = reader_index_set_facets(F)
+        assert _index_set_facets(F) == {I: read(I) for I in index_sets}, F
+    assert len(inherited) >= 200, len(inherited)
 
 
 def test_each_facet_is_read_off_its_own_facets(monkeypatch):

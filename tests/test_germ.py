@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,34 @@ def test_parse_long_trailing_whitespace():
     assert F.terms == {(0, 1): 1, (1, 0): -1}
     with pytest.raises(ParseError, match=r"expected a term \(at position 100004\)"):
         parse_germ("z1 -" + " " * 100_000, ["s", "z1"])
+
+
+SPACES = " " * 100_000
+
+
+@pytest.mark.parametrize("text", [
+    "2" + SPACES + "3 - s",          # between two numbers
+    "2" + SPACES + "* - s",          # before a '*'
+    "2/" + SPACES + "z1 - s",        # after a '/'
+    "z1^" + SPACES + "z1 - s",       # after a '^'
+    "-" + SPACES + "* s",            # after a leading sign
+    "z1 * " * 20_000,                # 20 000 factors, the last one missing
+    "z1 + " * 20_000,                # 20 000 terms, the last one missing
+], ids=["numbers", "star", "slash", "caret", "sign", "factors", "terms"])
+def test_long_refused_texts_are_read_in_linear_time(text):
+    """A long whitespace run, or a long chain that fails at its end, is
+    refused with the message and position of the token path
+    (``helpers.reference_parse_germ``), in a time that grows linearly:
+    a term reader that backtracks over every split of a whitespace run
+    takes seconds here."""
+    with pytest.raises(ParseError) as want:
+        reference_parse_germ(text, ["s", "z1"])
+    start = time.process_time()
+    with pytest.raises(ParseError) as got:
+        parse_germ(text, ["s", "z1"])
+    assert time.process_time() - start < 1.0
+    assert (str(got.value), got.value.position) == (str(want.value), want.value.position)
+    assert len(text) >= 100_000
 
 
 def _expression(rng, monomials):

@@ -1,6 +1,7 @@
 """The CLI's JSON writer against ``json.dumps(..., indent=2)``, the encoder
-it replaces: equal text on random documents, and a ``TypeError`` for every
-value or key a CLI document never holds."""
+it replaces: equal text on random documents, those that hold one list
+object in several places included, and a ``TypeError`` for every value or
+key a CLI document never holds."""
 
 import json
 from fractions import Fraction
@@ -23,6 +24,26 @@ documents = st.recursive(
 @settings(derandomize=True, max_examples=300, database=None)
 @given(documents)
 def test_random_documents_match_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@st.composite
+def shared_documents(draw):
+    """A document that holds one nonempty list object at depths 1 and 3,
+    and maybe at others inside a subdocument, which it holds at depths 2
+    and 3: the writer's memo must key each list on its indent too."""
+    shared = draw(st.lists(scalars | st.lists(scalars, max_size=3), min_size=1, max_size=4))
+    sub = draw(st.recursive(
+        scalars | st.just(shared),
+        lambda children: (st.lists(children, max_size=4)
+                          | st.dictionaries(st.text(max_size=3), children, max_size=4)),
+        max_leaves=20))
+    return {"top": shared, "nested": [[shared], sub], "again": [[sub]]}
+
+
+@settings(derandomize=True, max_examples=100, database=None)
+@given(shared_documents())
+def test_documents_that_share_lists_match_json_dumps(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
 

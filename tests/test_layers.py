@@ -24,8 +24,8 @@ polyhedron alone and ``diagram._index_set_facets`` the germ alone.  Facet bitmas
 ``lattice`` only: ``nondegeneracy`` takes its faces from it, and ``diagram`` its
 records, so neither names a mask reader, nor does ``diagram`` name the
 determinant that measures a record.  ``germ`` alone reads and prints
-germ text, so its tokens, its grammar and its rule for variable names are
-named in no other module either; nor is ``factored``'s one reader of
+germ text, so its tokens, its grammar, its term reader and its rule for
+variable names are named in no other module either; nor is ``factored``'s one reader of
 factored text."""
 
 import ast
@@ -40,7 +40,7 @@ LAYERS = [{"germ", "factored", "lattice"}, {"nondegeneracy", "diagram"},
 LATTICE_ONLY = ("_double_description", "_as_is")
 MASK_READERS = ("_bits", "_face_facets", "_vertices", "_pulled_volume")
 WALK = ("_walk", "_records")
-GERM_ONLY = ("_TOKEN", "_OTHER", "_GRAMMAR", "_check_names")
+GERM_ONLY = ("_TOKEN", "_OTHER", "_GRAMMAR", "_TERM", "_FACTOR", "_check_names")
 FACTORED_ONLY = ("_FACTOR_RE",)
 
 
