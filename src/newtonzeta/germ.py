@@ -17,13 +17,14 @@ operators ``+ - * / ^``.  Grammar::
     factor := name ['^' positive-integer]
     coefficient := integer | integer '/' integer
 
-Well-formed text is read one term per match of ``_TERM``, its factors by
-``_FACTOR``.  Text that they cannot read, or a term with an unknown name,
-a zero exponent or denominator or a number too long for ``int``, is
-explained by the token table ``_GRAMMAR``, which raises a ``ParseError``
-at the offending token (the length of the text at its end).  A character
-that starts no token is found first, by one search of the whole text, so
-it is reported ahead of every grammar error.
+A character that starts no token is found first, by one search of the
+whole text, so it is reported ahead of every grammar error.  The tokens
+are then read in one pass with one table, ``_GRAMMAR``, which builds the
+terms as it goes; the first token that it refuses, or that names an
+unknown variable, is a zero exponent or denominator or has too many
+digits for ``int``, raises a ``ParseError`` at that token (the length of
+the text at its end).  Only a refusal reads the tokens again, to find
+the position.
 
 The JSON alternative is ``{"vars": [...], "terms": [{"exp": [k0, ..., kn],
 "coef": c}, ...]}``, where ``c`` is an integer or a string ``"p"`` or
@@ -35,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import index, itemgetter
 
 Exponent = tuple[int, ...]
@@ -186,48 +188,32 @@ def _require_z_only(f: GermSeries):
 # ---------------------------------------------------------------------------
 # parsing
 
-# One token after optional whitespace.  The end of the text is a token too,
-# at position len(text); matching it also keeps trailing whitespace from
-# being rescanned once per character.
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^])|(?P<end>\Z))")
+# A token: a number, a name or an operator.  With no groups, ``findall``
+# returns the token texts and builds no match object; the whitespace
+# between tokens is what it skips, once _OTHER has found no other character.
+_TOKEN = re.compile(r"\d+|[^\W\d]\w*|[-+*/^]")
 
 # A character that starts no token: not whitespace, not a word character
 # (a digit starts a number, any other one a name) and not an operator
 _OTHER = re.compile(r"[^\s\w+\-*/^]")
 
-# One factor, name[^k], and the whitespace after it
-_FACTOR_TEXT = r"[^\W\d]\w*\s*(?:\^\s*\d+\s*)?"
-
-# One term of a well-formed text with the whitespace after each of its
-# tokens: the operator, a coefficient p or p/q, an optional '*' and factors
-# joined by '*'.  Each \s* follows a token or a fixed character, never
-# another \s* across an optional part, so a failed match is undone over
-# each whitespace run once, not once per split of it.
-_TERM = re.compile(
-    r"\s*(?:(?P<op>[-+])\s*)?(?=\w)"
-    r"(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+)\s*)?(?:\*\s*(?=[^\W\d]))?)?"
-    rf"(?P<factors>(?:{_FACTOR_TEXT}(?:\*\s*{_FACTOR_TEXT})*)?)")
-
-# A factor of a term's factors: its name and its exponent, "" for none
-_FACTOR = re.compile(r"([^\W\d]\w*)\s*(?:\^\s*(\d+))?")
-
 # For the role of the previous token ("start" before the first): the role
-# the next token takes, looked up by its operator or its kind, and the error
-# raised at a token found in neither.  A name right after a coefficient is
-# the implicit product "2 z1".
+# the next token takes, looked up by its operator, "num" or "name", or ""
+# at the end of the text, and the error raised at a token found in none.
+# A name right after a coefficient is the implicit product "2 z1".
 _GRAMMAR = {
     "start": ({"+": "sign", "-": "sign", "num": "coef", "name": "var"}, "expected a term"),
     "sign": ({"num": "coef", "name": "var"}, "expected a term"),
     "coef": ({"/": "slash", "*": "star", "name": "var", "+": "sign", "-": "sign",
-              "end": "end"}, "expected '+' or '-'"),
+              "": "end"}, "expected '+' or '-'"),
     "slash": ({"num": "denom"}, "expected denominator"),
-    "denom": ({"*": "star", "name": "var", "+": "sign", "-": "sign", "end": "end"},
+    "denom": ({"*": "star", "name": "var", "+": "sign", "-": "sign", "": "end"},
               "expected '+' or '-'"),
     "star": ({"name": "var"}, "expected a variable"),
-    "var": ({"^": "caret", "*": "star", "+": "sign", "-": "sign", "end": "end"},
+    "var": ({"^": "caret", "*": "star", "+": "sign", "-": "sign", "": "end"},
             "expected '+' or '-'"),
     "caret": ({"num": "exp"}, "expected exponent"),
-    "exp": ({"*": "star", "+": "sign", "-": "sign", "end": "end"}, "expected '+' or '-'"),
+    "exp": ({"*": "star", "+": "sign", "-": "sign", "": "end"}, "expected '+' or '-'"),
 }
 
 
@@ -235,8 +221,8 @@ def _check_names(names) -> None:
     """Refuse a variable list without a z-variable, a non-name or a repeat."""
     if len(names) < 2:
         raise ValueError("need the deformation parameter and at least one z-variable")
-    for v in names:  # the whole string is one name token
-        if not (m := _TOKEN.match(v)) or m["name"] != v:
+    for v in names:  # the whole string is one token, neither a number nor an operator
+        if not _TOKEN.fullmatch(v) or v[0].isdecimal() or v in "+-*/^":
             raise ValueError(f"variable name {v!r} is not a name the germ grammar reads")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
@@ -256,67 +242,55 @@ def parse_germ(text: str, var_names) -> GermSeries:
     names = [str(v) for v in var_names]
     _check_names(names)
     index = {name: i for i, name in enumerate(names)}
-    items = _terms(text, index)
-    if items is None:
-        raise _refusal(text, index)
-    return make_germ(len(names), items)
-
-
-def _terms(text, index):
-    """The ``(exponents, coefficient)`` item of each term of ``text``, one
-    ``_TERM`` match per term, or None if a term cannot be read."""
-    items, pos = [], 0
-    while pos < len(text) or not items:  # one term at least
-        m = _TERM.match(text, pos)
-        if m is None or not (m["op"] or pos == 0):  # an operator after the first term
-            return None
-        try:
-            p, q = int(m["num"] or 1), int(m["den"] or 1)
-            factors = [(index[name], int(k or 1)) for name, k in _FACTOR.findall(m["factors"])]
-        except (KeyError, ValueError):  # an unknown name, or too many digits for int
-            return None
-        if not q or not all(k for _, k in factors):
-            return None
-        exps = [0] * len(index)
-        for i, k in factors:
-            exps[i] += k
-        p = -p if m["op"] == "-" else p
-        items.append((exps, p if q == 1 else Fraction(p, q)))
-        pos = m.end()
-    return items
-
-
-def _refusal(text, index) -> ParseError:
-    """The ``ParseError`` of the first token of ``text`` that the grammar
-    refuses, or that names no variable of ``index``, is a zero exponent or
-    denominator or has too many digits for ``int``."""
     if other := _OTHER.search(text):
-        return ParseError(f"unexpected character {other[0]!r}", other.start())
-    role = "start"
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        value, pos = m[kind], m.start(kind)
+        raise ParseError(f"unexpected character {other[0]!r}", other.start())
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the text
+    items = []
+    role, sign, coef, den, exps = "start", 1, 1, 1, [0] * len(names)
+    for k, token in enumerate(tokens):
         follow, error = _GRAMMAR[role]
-        new = follow.get(value if kind == "op" else kind)
+        # an operator is its own key, and so is the end: "" is in every str
+        new = follow.get(token if token in "+-*/^" else
+                         "num" if token[0].isdecimal() else "name")
         if new is None:
-            if role == "caret" and value == "-":
+            if role == "caret" and token == "-":
                 error = "negative exponent"
-            return ParseError(error, pos)
-        if kind == "num":
+            raise _refusal(text, k, error)
+        if new in ("sign", "end") and role != "start":
+            items.append((exps, sign * coef if den == 1 else Fraction(sign * coef, den)))
+            coef, den, exps = 1, 1, [0] * len(names)
+        if new == "var":
+            if token not in index:
+                raise _refusal(text, k, f"unknown variable {token!r}")
+            var = index[token]
+            exps[var] += 1
+        elif new == "sign":
+            sign = -1 if token == "-" else 1
+        elif new in ("coef", "denom", "exp"):
             try:
-                value = int(value)
+                value = int(token)
             except ValueError:
-                return ParseError("number has too many digits", pos)
-        if new == "denom" and value == 0:
-            return ParseError("zero denominator", pos)
-        if new == "var" and value not in index:
-            return ParseError(f"unknown variable {value!r}", pos)
-        if new == "exp" and value == 0:
-            return ParseError("exponent must be a positive integer", pos)
-        if new == "end":
-            break
+                raise _refusal(text, k, "number has too many digits") from None
+            if new == "coef":
+                coef = value
+            elif value == 0:
+                raise _refusal(text, k, "zero denominator" if new == "denom"
+                               else "exponent must be a positive integer")
+            elif new == "denom":
+                den = value
+            else:
+                exps[var] += value - 1
+        elif new == "end":
+            return make_germ(len(names), items)
         role = new
-    raise RuntimeError("the term reader refused a text that the grammar reads")
+
+
+def _refusal(text, k, message) -> ParseError:
+    """The ``ParseError`` at the k-th token of ``text``, read again to find
+    its position (the length of the text at its end)."""
+    m = next(islice(_TOKEN.finditer(text), k, None), None)
+    return ParseError(message, m.start() if m else len(text))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, sqrt
 from operator import index, mul
@@ -18,9 +19,7 @@ from newtonzeta.diagram import (
 from newtonzeta.factored import FactoredZeta, factor, one, product
 from newtonzeta import cli
 from newtonzeta.germ import (
-    _GRAMMAR,
     _OTHER,
-    _TOKEN,
     Exponent,
     GermSeries,
     ParseError,
@@ -1766,6 +1765,29 @@ def reference_make_germ(num_vars: int, items) -> GermSeries:
     if not acc:
         raise ValueError("empty germ after collection")
     return GermSeries(num_vars, acc)
+
+
+# A copy of germ's token pattern and grammar table in their named-group
+# form: one token after optional whitespace, its kind named by its group,
+# and the end of the text a token of its own ("end").  The oracle below
+# keeps its own copy so that it shares no table with germ.parse_germ,
+# which it checks.
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^])|(?P<end>\Z))")
+
+_GRAMMAR = {
+    "start": ({"+": "sign", "-": "sign", "num": "coef", "name": "var"}, "expected a term"),
+    "sign": ({"num": "coef", "name": "var"}, "expected a term"),
+    "coef": ({"/": "slash", "*": "star", "name": "var", "+": "sign", "-": "sign",
+              "end": "end"}, "expected '+' or '-'"),
+    "slash": ({"num": "denom"}, "expected denominator"),
+    "denom": ({"*": "star", "name": "var", "+": "sign", "-": "sign", "end": "end"},
+              "expected '+' or '-'"),
+    "star": ({"name": "var"}, "expected a variable"),
+    "var": ({"^": "caret", "*": "star", "+": "sign", "-": "sign", "end": "end"},
+            "expected '+' or '-'"),
+    "caret": ({"num": "exp"}, "expected exponent"),
+    "exp": ({"*": "star", "+": "sign", "-": "sign", "end": "end"}, "expected '+' or '-'"),
+}
 
 
 def reference_parse_germ(text: str, var_names) -> GermSeries:

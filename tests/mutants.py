@@ -197,12 +197,18 @@ MUTANTS = {
         "            key = id(doc)",
         "the JSON writer reuses a list's text at another depth, with the "
         "indent of the first"),
-    "reader-takes-a-term-with-no-operator": (
+    "refusal-one-token-late": (
         "germ.py",
-        '        if m is None or not (m["op"] or pos == 0):',
-        "        if m is None:",
-        "parse_germ reads a term after the first with no '+' or '-' before "
-        "it, as in 'z1 z2'"),
+        "    m = next(islice(_TOKEN.finditer(text), k, None), None)",
+        "    m = next(islice(_TOKEN.finditer(text), k + 1, None), None)",
+        "parse_germ reports a refused token at the position of the token "
+        "after it"),
+    "reader-takes-a-zero": (
+        "germ.py",
+        "            elif value == 0:",
+        "            elif value < 0:",
+        "parse_germ reads a zero denominator or exponent instead of refusing "
+        "it"),
     "printer-drops-denominator": (
         "germ.py",
         'coef = f"{mag}/{q}*" if q > 1',

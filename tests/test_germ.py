@@ -82,6 +82,8 @@ def test_parse_syntax_error_position():
     ("² - s", "unknown variable '²'", 0),
     ("1/ sz3z2 - s", "expected denominator", 3),
     ("z1^" + "1" * 4400 + " - s", "number has too many digits", 3),
+    ("z1^ 00 - s", "exponent must be a positive integer", 4),
+    ("1/0 z1 - s", "zero denominator", 2),
 ])
 def test_parse_error_positions(text, message, position):
     with pytest.raises(ParseError) as exc:
@@ -113,8 +115,8 @@ def test_long_refused_texts_are_read_in_linear_time(text):
     """A long whitespace run, or a long chain that fails at its end, is
     refused with the message and position of the token path
     (``helpers.reference_parse_germ``), in a time that grows linearly:
-    a term reader that backtracks over every split of a whitespace run
-    takes seconds here."""
+    a reader that backtracks over every split of a whitespace run, or
+    reads the text again once per token, takes seconds here."""
     with pytest.raises(ParseError) as want:
         reference_parse_germ(text, ["s", "z1"])
     start = time.process_time()
@@ -122,6 +124,25 @@ def test_long_refused_texts_are_read_in_linear_time(text):
         parse_germ(text, ["s", "z1"])
     assert time.process_time() - start < 1.0
     assert (str(got.value), got.value.position) == (str(want.value), want.value.position)
+    assert len(text) >= 100_000
+
+
+@pytest.mark.parametrize("text", [
+    "z1 + " * 20_000 + "s",          # 20 000 terms
+    "2" + SPACES + "z1 - s",         # after a coefficient
+    "z1" + SPACES + "^" + SPACES + "2 - s",  # around a '^'
+    "-" + SPACES + "s + z1",         # after a leading sign
+    "1/2" + SPACES + "*" + SPACES + "z1" + SPACES + "-" + SPACES + "s",  # between tokens
+], ids=["terms", "coefficient", "caret", "sign", "between"])
+def test_long_accepted_texts_are_read_in_linear_time(text):
+    """A long chain of terms, or a long whitespace run inside a valid text,
+    gives the germ of the token path (``helpers.reference_parse_germ``),
+    in a time that grows linearly."""
+    want = reference_parse_germ(text, ["s", "z1"])
+    start = time.process_time()
+    got = parse_germ(text, ["s", "z1"])
+    assert time.process_time() - start < 1.0
+    assert list(got.terms.items()) == list(want.terms.items())
     assert len(text) >= 100_000
 
 
